@@ -1,6 +1,6 @@
 """Brute-force verification of the analytic spectrum.
 
-The original (pre-diagonalization) Hamiltonian is built as a dense Hermitian
+The original (pre-diagonalization) Hamiltonian is built as a Hermitian
 matrix in the truncated photon-number basis n = 0..cutoff,
 
     H[n, n]     = p^2/2m + (hbar omega + quad) (n + 1/2)
@@ -8,9 +8,11 @@ matrix in the truncated photon-number basis n = 0..cutoff,
     H[n, n+2]   = (quad/2) (1 - xi^2)/(1 + xi^2) sqrt((n+1)(n+2)),
 
 with quad = hbar omega_p^2/(2 omega) and g = sqrt(quad/m); the matrix is
-pentadiagonal and Hermitian by construction.  Its low-lying eigenvalues must
-reproduce the closed-form levels of the spectrum module; agreement is the
-acceptance test of the whole diagonalization.
+pentadiagonal and Hermitian by construction.  Only its upper band is stored,
+in the LAPACK Hermitian band layout band[2 + i - j, j] = H[i, j] (3 x (cutoff+1)
+values), and only the requested lowest eigenvalues are computed (zhbevx).
+They must reproduce the closed-form levels of the spectrum module; agreement
+is the acceptance test of the whole diagonalization.
 
 A plane-wave variant adds the two diagonal corrections that survive the
 unitary transfer of the spatial phase factors onto the number operator:
@@ -39,7 +41,12 @@ class HamiltonianVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class FockHamiltonian:
-    """Dense Hermitian matrix of dimension cutoff+1 in the number basis."""
+    """Hermitian pentadiagonal matrix of dimension cutoff+1 in the number basis.
+
+    `matrix` holds its upper band, shape (3, cutoff+1): row 2 the diagonal,
+    row 1 the first superdiagonal (from column 1) and row 0 the second
+    superdiagonal (from column 2), i.e. matrix[2 + i - j, j] = H[i, j].
+    """
 
     cutoff: int
     matrix: np.ndarray
@@ -63,35 +70,26 @@ def _base_matrix(params: ModelParams, p: Momentum, cutoff: int) -> np.ndarray:
     if cutoff < 8:
         raise DomainError(f"cutoff must be at least 8, got {cutoff}")
     dc = derived_constants(params)
-    dim = cutoff + 1
-    n = np.arange(dim, dtype=float)
+    n = np.arange(cutoff + 1, dtype=float)
 
-    diag = p.squared / (2.0 * params.mass) + (
+    band = np.zeros((3, cutoff + 1), dtype=complex)
+    band[2] = p.squared / (2.0 * params.mass) + (
         params.hbar * params.omega + dc.quad
     ) * (n + 0.5)
-    lin = (
+    band[1, 1:] = (
         -dc.g
         * np.sqrt(n[:-1] + 1.0)
         * complex(p.p_major, params.xi * p.p_minor)
         / math.sqrt(1.0 + params.xi**2)
     )
-    sq = (
+    band[0, 2:] = (
         dc.quad
         / 2.0
         * (1.0 - params.xi**2)
         / (1.0 + params.xi**2)
         * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
     )
-
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = diag
-    idx = np.arange(dim - 1)
-    h[idx, idx + 1] = lin
-    h[idx + 1, idx] = np.conj(lin)
-    idx2 = np.arange(dim - 2)
-    h[idx2, idx2 + 2] = sq
-    h[idx2 + 2, idx2] = sq
-    return h
+    return band
 
 
 def build_dipole_hamiltonian(
@@ -111,29 +109,21 @@ def build_planewave_hamiltonian(
     params: ModelParams, p: Momentum, cutoff: int
 ) -> FockHamiltonian:
     """Dipole matrix plus the plane-wave diagonal corrections."""
-    h = _base_matrix(params, p, cutoff)
+    band = _base_matrix(params, p, cutoff)
     k = params.require_omega() / params.c
     n = np.arange(cutoff + 1, dtype=float)
     half = n + 0.5
     recoil = params.hbar**2 * k**2 / (2.0 * params.mass)
-    h[np.diag_indices(cutoff + 1)] += (
+    band[2] += (
         -params.hbar * k * p.p_perp / params.mass * half + recoil * half**2
     )
     return FockHamiltonian(
         cutoff=cutoff,
-        matrix=h,
+        matrix=band,
         params=params,
         p=p,
         variant=HamiltonianVariant.PLANE_WAVE,
     )
-
-
-def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    Solver failures (np.linalg.LinAlgError) propagate to the caller.
-    """
-    return np.linalg.eigvalsh(matrix)
 
 
 def lowest_eigenvalues(h: FockHamiltonian, count: int) -> list[float]:
@@ -149,7 +139,16 @@ def lowest_eigenvalues(h: FockHamiltonian, count: int) -> list[float]:
             f"count={count} exceeds cutoff/4={h.cutoff / 4:g}; "
             "raise the cutoff to trust that many levels"
         )
-    return [float(v) for v in hermitian_eigenvalues(h.matrix)[:count]]
+    if not np.isfinite(h.matrix).all():
+        raise DomainError("Hamiltonian entries overflow to a non-finite value")
+    # scipy costs ~0.2 s to import; only the oracle needs it, so the CLI
+    # and the closed-form modules do not pay for it.
+    from scipy.linalg import eigvals_banded
+
+    levels = eigvals_banded(
+        h.matrix, select="i", select_range=(0, count - 1), check_finite=False
+    )
+    return [float(v) for v in levels]
 
 
 def verify_spectrum(
@@ -165,7 +164,8 @@ def verify_spectrum(
 
     The cutoff starts at cutoff_start and doubles until the n_levels lowest
     eigenvalues move by less than tol/10 (relative) between successive
-    cutoffs, up to cutoff_cap.  Hitting the cap without stabilizing is
+    cutoffs.  cutoff_cap is inclusive: the last rung is cut back to it, and
+    no cutoff above it is ever built.  Hitting the cap without stabilizing is
     reported (converged=False), not raised.
     """
     if tol <= 0.0:
@@ -177,24 +177,18 @@ def verify_spectrum(
     )
 
     cutoff = cutoff_start
-    prev = lowest_eigenvalues(build(params, p, cutoff), n_levels)
+    numeric = lowest_eigenvalues(build(params, p, cutoff), n_levels)
     stabilized = False
-    cutoff_used = cutoff
-    numeric = prev
     while cutoff < cutoff_cap:
-        cutoff *= 2
-        curr = lowest_eigenvalues(build(params, p, cutoff), n_levels)
+        next_cutoff = min(2 * cutoff, cutoff_cap)
+        curr = lowest_eigenvalues(build(params, p, next_cutoff), n_levels)
         change = max(
-            abs(c - q) / max(abs(c), 1e-300) for c, q in zip(curr, prev)
+            abs(c - q) / max(abs(c), 1e-300) for c, q in zip(curr, numeric)
         )
         if change < tol / 10.0:
             stabilized = True
-            cutoff_used = cutoff // 2
-            numeric = prev
             break
-        prev = curr
-        cutoff_used = cutoff
-        numeric = curr
+        cutoff, numeric = next_cutoff, curr
 
     analytic = [energy_level(params, p, n).energy for n in range(n_levels)]
     max_rel_err = max(
@@ -204,7 +198,7 @@ def verify_spectrum(
         lowest_analytic=analytic,
         lowest_numeric=numeric,
         max_rel_err=max_rel_err,
-        cutoff_used=cutoff_used,
+        cutoff_used=cutoff,
         converged=stabilized and max_rel_err <= tol,
     )
 

@@ -28,6 +28,15 @@ def validate_xi(xi: float) -> float:
     return float(xi)
 
 
+def _require_finite(obj: object, *names: str) -> None:
+    """Reject NaN and infinite fields by name.  Sign checks alone let NaN
+    through, because every comparison with NaN is false."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def polarization_weight(xi: float) -> float:
     """q = xi^2 / (1 + xi^2)^2, the ellipticity weight of the singular
     dispersion term.  q in [0, 1/4]; 0 for linear, 1/4 for circular."""
@@ -74,6 +83,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         validate_xi(self.xi)
+        _require_finite(self, "omega", "omega_p", "mass", "hbar", "c")
         if self.omega < 0.0:
             raise DomainError(f"mode frequency must be nonnegative, got {self.omega}")
         if self.omega_p < 0.0:

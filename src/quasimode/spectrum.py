@@ -22,7 +22,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import ModelParams, ellipticity_kappa, polarization_weight, validate_xi
+from .params import (
+    ModelParams,
+    ellipticity_kappa,
+    polarization_weight,
+    _require_finite,
+    validate_xi,
+)
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,9 @@ class Momentum:
     p_major: float = 0.0
     p_minor: float = 0.0
     p_perp: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "p_major", "p_minor", "p_perp")
 
     @property
     def squared(self) -> float:

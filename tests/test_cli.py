@@ -191,6 +191,15 @@ class TestExitCodes:
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(out.read_text())["all_converged"] is False
 
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--omega", "nan"], ["verify", "--omega-p", "inf"]]
+    )
+    def test_non_finite_verify_input_is_domain_error(self, argv, capsys):
+        assert main(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and "finite" in err
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_default_grid_report(self, tmp_path):

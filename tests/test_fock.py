@@ -5,6 +5,8 @@ import pytest
 
 from quasimode import (
     DomainError,
+    FockHamiltonian,
+    HamiltonianVariant,
     ModelParams,
     Momentum,
     bogoliubov_theta,
@@ -14,7 +16,6 @@ from quasimode import (
     displacement_sigma_sq,
     effective_frequency,
     energy_level,
-    hermitian_eigenvalues,
     lowest_eigenvalues,
     verify_spectrum,
 )
@@ -23,6 +24,48 @@ CP_REST = ModelParams(xi=1.0, omega=1.0, omega_p=0.5)
 LP_REST = ModelParams(xi=0.0, omega=1.0, omega_p=0.5)
 EP_CASE = ModelParams(xi=0.5, omega=1.0, omega_p=0.5)
 EP_MOM = Momentum(0.2, 0.1, 0.05)
+
+
+def dense(band):
+    """Full matrix from the upper band form band[2 + i - j, j] = H[i, j]: the
+    diagonal and upper triangle as stored, the lower triangle conjugated."""
+    dim = band.shape[1]
+    h = np.zeros((dim, dim), dtype=complex)
+    h[np.diag_indices(dim)] = band[2]
+    for offset in (1, 2):
+        i = np.arange(dim - offset)
+        h[i, i + offset] = band[2 - offset, offset:]
+        h[i + offset, i] = np.conj(band[2 - offset, offset:])
+    return h
+
+
+def docstring_dense(params, p, cutoff, variant):
+    """The truncated Hamiltonian written out entry by entry from the formulas
+    in the fock module docstring, independently of the module's band code."""
+    quad = params.hbar * params.omega_p**2 / (2.0 * params.omega)
+    g = math.sqrt(quad / params.mass)
+    xi2 = params.xi**2
+    k = params.omega / params.c
+    h = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for n in range(cutoff + 1):
+        h[n, n] = p.squared / (2.0 * params.mass) + (
+            params.hbar * params.omega + quad
+        ) * (n + 0.5)
+        if variant is HamiltonianVariant.PLANE_WAVE:
+            h[n, n] += -params.hbar * k * p.p_perp / params.mass * (n + 0.5)
+            h[n, n] += params.hbar**2 * k**2 / (2.0 * params.mass) * (n + 0.5) ** 2
+        if n + 1 <= cutoff:
+            h[n, n + 1] = (
+                -g * math.sqrt(n + 1) * complex(p.p_major, params.xi * p.p_minor)
+                / math.sqrt(1.0 + xi2)
+            )
+            h[n + 1, n] = h[n, n + 1].conjugate()
+        if n + 2 <= cutoff:
+            h[n, n + 2] = quad / 2.0 * (1.0 - xi2) / (1.0 + xi2) * math.sqrt(
+                (n + 1) * (n + 2)
+            )
+            h[n + 2, n] = h[n, n + 2].conjugate()
+    return h
 
 
 class TestMatrixStructure:
@@ -35,7 +78,14 @@ class TestMatrixStructure:
         ],
     )
     def test_hermitian_and_pentadiagonal(self, params, p):
-        h = build_dipole_hamiltonian(params, p, 32).matrix
+        band = build_dipole_hamiltonian(params, p, 32).matrix
+        assert band.shape == (3, 33)
+        # corners of the band form lie outside the matrix and must stay empty
+        assert band[1, 0] == 0.0 and band[0, 0] == 0.0 and band[0, 1] == 0.0
+        h = dense(band)
+        np.testing.assert_allclose(
+            h, docstring_dense(params, p, 32, HamiltonianVariant.DIPOLE), rtol=1e-14, atol=0
+        )
         assert np.max(np.abs(h - h.conj().T)) <= 1e-14
         dim = h.shape[0]
         for i in range(dim):
@@ -48,18 +98,32 @@ class TestMatrixStructure:
             build_dipole_hamiltonian(CP_REST, Momentum(), 4)
 
     def test_circular_at_rest_is_diagonal(self):
-        h = build_dipole_hamiltonian(CP_REST, Momentum(), 16).matrix
+        h = dense(build_dipole_hamiltonian(CP_REST, Momentum(), 16).matrix)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) == 0.0
         # levels are (hbar omega + quad)(n + 1/2) = 1.125 (n + 1/2)
         expected = 1.125 * (np.arange(17) + 0.5)
         assert np.allclose(np.diag(h).real, expected, rtol=1e-15)
 
+    def test_band_storage_is_linear_in_cutoff(self):
+        # 3 complex values per basis state: no (cutoff+1)^2 allocation
+        cutoff = 2**16
+        h = build_dipole_hamiltonian(EP_CASE, EP_MOM, cutoff)
+        assert h.matrix.nbytes == 3 * (cutoff + 1) * 16
+
 
 class TestEigensolver:
     def test_known_two_by_two(self):
-        m = np.array([[1.0, 1j], [-1j, 1.0]])
-        assert hermitian_eigenvalues(m) == pytest.approx([0.0, 2.0], abs=1e-14)
+        # [[1, i], [-i, 1]] (eigenvalues 0 and 2) as the top block of a band
+        # whose remaining diagonal lies far above it
+        band = np.zeros((3, 9), dtype=complex)
+        band[2] = [1.0, 1.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]
+        band[1, 1] = 1j
+        h = FockHamiltonian(
+            cutoff=8, matrix=band, params=CP_REST, p=Momentum(),
+            variant=HamiltonianVariant.DIPOLE,
+        )
+        assert lowest_eigenvalues(h, 2) == pytest.approx([0.0, 2.0], abs=1e-14)
 
     def test_diagonal_matrix_returns_sorted_diagonal(self):
         h = build_dipole_hamiltonian(CP_REST, Momentum(), 16)
@@ -80,6 +144,27 @@ class TestEigensolver:
             lowest_eigenvalues(h, 5)
         with pytest.raises(DomainError):
             lowest_eigenvalues(h, 0)
+
+    @pytest.mark.parametrize("variant", list(HamiltonianVariant))
+    @pytest.mark.parametrize("cutoff", [64, 128, 256, 512, 1024])
+    def test_matches_dense_eigvalsh_of_docstring_matrix(self, variant, cutoff):
+        # strong squeezing, complex linear coupling and longitudinal momentum
+        params = ModelParams(xi=0.3, omega=0.7, omega_p=2.0)
+        p = Momentum(0.5, -0.4, 0.2)
+        build = (
+            build_dipole_hamiltonian
+            if variant is HamiltonianVariant.DIPOLE
+            else build_planewave_hamiltonian
+        )
+        got = lowest_eigenvalues(build(params, p, cutoff), 5)
+        reference = np.linalg.eigvalsh(docstring_dense(params, p, cutoff, variant))[:5]
+        assert got == pytest.approx(list(reference), rel=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_matrix_is_domain_error(self):
+        params = ModelParams(xi=1.0, omega=1.0, omega_p=1e154)
+        with pytest.raises(DomainError, match="non-finite"):
+            lowest_eigenvalues(build_dipole_hamiltonian(params, Momentum(), 64), 5)
 
     def test_elliptic_with_momentum_matches_analytic_levels(self):
         h = build_dipole_hamiltonian(EP_CASE, EP_MOM, 200)
@@ -150,7 +235,7 @@ class TestPlaneWaveVariant:
         # Hellmann-Feynman: dE0/dp_perp at p=0 equals -(hbar k/m) <n + 1/2>
         params = ModelParams(xi=0.5, omega=1.0, omega_p=0.5, mass=100.0)
         k = params.omega / params.c
-        h0 = build_planewave_hamiltonian(params, Momentum(), 128).matrix
+        h0 = dense(build_planewave_hamiltonian(params, Momentum(), 128).matrix)
         vals, vecs = np.linalg.eigh(h0)
         ground = vecs[:, 0]
         n_expect = float(np.sum(np.abs(ground) ** 2 * (np.arange(129) + 0.5)))
@@ -174,7 +259,7 @@ class TestPlaneWaveVariant:
         dip = build_dipole_hamiltonian(params, Momentum(), 128)
         pw = build_planewave_hamiltonian(params, Momentum(), 128)
         shift = lowest_eigenvalues(pw, 1)[0] - lowest_eigenvalues(dip, 1)[0]
-        vals, vecs = np.linalg.eigh(dip.matrix)
+        vals, vecs = np.linalg.eigh(dense(dip.matrix))
         ground = vecs[:, 0]
         expectation = float(np.sum(np.abs(ground) ** 2 * (np.arange(129) + 0.5) ** 2))
         k = params.omega / params.c
@@ -218,6 +303,18 @@ class TestVerifySpectrum:
         )
         assert not report.converged
         assert report.cutoff_used == 16
+
+    @pytest.mark.parametrize("start,cap", [(64, 100), (8, 12), (8, 16), (64, 64)])
+    def test_cutoff_never_exceeds_cap(self, start, cap):
+        # the levels keep moving at these cutoffs, so the ladder climbs to the
+        # cap; a cap off the doubling ladder is the last rung, not overshot
+        params = ModelParams(xi=0.0, omega=0.3, omega_p=3.0)
+        report = verify_spectrum(
+            params, Momentum(), n_levels=2, tol=1e-16,
+            cutoff_start=start, cutoff_cap=cap,
+        )
+        assert not report.converged
+        assert report.cutoff_used == cap
 
     def test_default_grid_has_nine_cases(self):
         cases = default_verification_cases()

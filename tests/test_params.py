@@ -115,6 +115,11 @@ class TestModelParams:
             {"xi": 0.5, "mass": 0.0},
             {"xi": 0.5, "hbar": 0.0},
             {"xi": 0.5, "c": -1.0},
+            {"xi": 0.5, "omega": math.nan},
+            {"xi": 0.5, "omega_p": math.inf},
+            {"xi": 0.5, "mass": math.inf},
+            {"xi": 0.5, "hbar": math.nan},
+            {"xi": 0.5, "c": math.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -108,6 +108,12 @@ class TestEnergyLevel:
         with pytest.raises(DomainError):
             energy_level(params, Momentum(), 0, N_charges=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_momentum_rejected(self, value):
+        for components in ((value, 0.0, 0.0), (0.0, value, 0.0), (0.0, 0.0, value)):
+            with pytest.raises(DomainError, match="finite"):
+                Momentum(*components)
+
     @given(
         xi=XI, omega=FREQ, omega_p=FREQ, a=MOM, b=MOM, c=MOM,
         n=st.integers(min_value=0, max_value=40),
