@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -341,3 +342,99 @@ class TestRunSweepApi:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "k_over_kp,xi,omega_over_wp"
         assert "1.5000000000000000e+00" in out
+
+
+# omega~ and omega* at xi = 0.2 with their nextafter neighbours: the points
+# where the branch kernel switches regime, clamps, and builds the double root.
+CRITICAL_OMEGAS_XI02 = (
+    "0.784464540552736,0.7844645405527361,0.7844645405527362,"
+    "1.1766968108291038,1.176696810829104,1.1766968108291043"
+)
+XI4 = ["--xi", "0,0.2,0.5,1"]
+SPECTRUM_ARGS = ["--omega-p", "0.5", "--p", "0.2,-0.1,0.05", "--n", "1", "--charges", "2"]
+FORCE_ARGS = ["--d", "2", "--area", "3", "--charges", "2", "--n-photons", "1"]
+
+# sha256 of each command's output, recorded before the sweep, spectrum and
+# force commands were merged onto one row table; any byte change fails here.
+GOLDEN_DIGESTS = [
+    (["sweep", "dispersion", *XI4, "--k", "0.05:3:40"],
+     "91e20fe41f433e96e8d9dc1dc574b9a6393c5539a4e3b96940ecc353efb0bbe3"),
+    (["sweep", "dispersion", *XI4, "--k", "0.05:3:40", "--format", "json"],
+     "896bc4ce0631521341688a91fd9d02dc9df19a9f7394d2c12c9c97c8a9199c72"),
+    (["sweep", "velocity", *XI4, "--k", "0.05:3:40"],
+     "6d0b8eba89478efc4407e4991893479efc9f4430a1a2365cb6106022ce1de9cd"),
+    (["sweep", "velocity", *XI4, "--k", "0.05:3:40", "--format", "json"],
+     "d60d61e5a9e2ba2c83ddc25ec754a76f9ec9d77b200eca06dba036759fc93434"),
+    (["sweep", "wavenumber", *XI4, "--omega", "0.05:3:40"],
+     "01db855e4ae0324cb43c64d0ed4f6f8eddecec5421030972e077b148d7b82684"),
+    (["sweep", "wavenumber", *XI4, "--omega", "0.05:3:40", "--format", "json"],
+     "4f4154e7756d8af7231824aba9af401c6491e562ff22428e7bab634f762292d7"),
+    (["sweep", "dielectric", *XI4, "--omega", "0.05:3:40"],
+     "de4f1da9305e46ba5d1c0aef9a9d1ca7b433bfa8b002ba4af2a69b2197102802"),
+    (["sweep", "dielectric", *XI4, "--omega", "0.05:3:40", "--format", "json"],
+     "b37c8c8fc4e977dc0764577ee27fe3b69bee1b6b579fdb6d6f2bb750c6184d9a"),
+    (["sweep", "reflectivity", *XI4, "--omega", "0.05:3:40"],
+     "1c38c8e077d0dd9cceae6473c42c1d8ac987d5213f56d3a779548e7ef52363f7"),
+    (["sweep", "reflectivity", *XI4, "--omega", "0.05:3:40", "--format", "json"],
+     "c36e3aee93cea6b8d6ac49d99ba5f888cad5b0f1b2365a22fed89cbcf50390f8"),
+    (["sweep", "dispersion", *XI4, "--k", "0.05:3:40", "--units", "atomic",
+      "--omega-p", "0.7"],
+     "e5d0b0768b1d8d4638bfd4c4ae87cb532b3a40e829d4a4b183ed3f41fac51533"),
+    (["sweep", "dispersion", *XI4, "--k", "0.05:3:40", "--units", "atomic",
+      "--omega-p", "0.7", "--format", "json"],
+     "0074997fdada11509fda0cd630427b8b8150c42bed5bfd1f4ab3d16989c8299d"),
+    (["sweep", "velocity", *XI4, "--k", "0.05:3:40", "--units", "atomic",
+      "--omega-p", "0.7"],
+     "168ac8121a4f4bfbcfd834db3ccc12ccd7ea4ff05767df12e32fea9318f37985"),
+    (["sweep", "wavenumber", *XI4, "--omega", "0.05:2:40", "--units", "atomic",
+      "--omega-p", "0.7"],
+     "2f5d81a080d8023c75574702524c14105ce741a38d7c9bd557bd12ee71741529"),
+    (["sweep", "wavenumber", *XI4, "--omega", "0.05:2:40", "--units", "atomic",
+      "--omega-p", "0.7", "--format", "json"],
+     "65f28eb7897d830b3c1cb71bc319c3a44a911ae4c690ae0d1bd2980d98104cc8"),
+    (["sweep", "dielectric", *XI4, "--omega", "0.05:2:40", "--units", "atomic",
+      "--omega-p", "0.7"],
+     "f19adccb921fbd52b19df0a46bfdd46aea8e5a4d2782f48f804a0276eaeaf0f0"),
+    (["sweep", "reflectivity", *XI4, "--omega", "0.05:2:40", "--units", "atomic",
+      "--omega-p", "0.7"],
+     "41adb150c647ae834b84a728ea38b02d3fd70b4623b45a8240d7c1823b686879"),
+    (["sweep", "spectrum", *XI4, "--omega", "0.1:3:20", *SPECTRUM_ARGS],
+     "75f6a1c6064a2bf0b8692937962f1e187ad8cd97a2db27df125a98673afb1044"),
+    (["sweep", "spectrum", *XI4, "--omega", "0.1:3:20", *SPECTRUM_ARGS,
+      "--format", "json"],
+     "66ec2c4c124420289b6d55e838d0f754e1d499c0ac1ae1efaf1f76d551fc633c"),
+    (["sweep", "force", *XI4, "--omega", "0.1:3:20", *FORCE_ARGS],
+     "29ac7d3cfc12fa34cb8e57b824c48e352e05df6448205b7c5b8a04619f330b55"),
+    (["sweep", "force", *XI4, "--omega", "0.1:3:20", *FORCE_ARGS, "--format", "json"],
+     "43ad9b50cb5aa63c429b6732625a531cdd6b0db42cfd28021743a73d99fe1325"),
+    (["sweep", "wavenumber", "--xi", "0.2", "--omega", CRITICAL_OMEGAS_XI02],
+     "b3bbf1ac40b172eb8ad2108aba921a91928f57ae7d40fa3d3640a00915fae85b"),
+    (["sweep", "dielectric", "--xi", "0.2", "--omega", CRITICAL_OMEGAS_XI02],
+     "fb2631e31a594ad2ea0d39e3d16f3b582aadb0fc651696715d7ee2e11076d62c"),
+    (["spectrum", "--xi", "0.2,1", "--omega", "0.5:2:5", "--omega-p", "0.8",
+      "--p", "0.1,0.2,0.3", "--n", "0,1,2", "--charges", "2"],
+     "45e888f97e83df6516559c22063bb5cff4292e18a9eb36d0c655d9f42b48f281"),
+    (["spectrum", "--xi", "0.2,1", "--omega", "0.5:2:5", "--omega-p", "0.8",
+      "--p", "0.1,0.2,0.3", "--n", "0,1,2", "--charges", "2", "--format", "json"],
+     "4d8f387535c46b4470cef4f3d1d180742aa048234a735d7f95acb6dcea032d52"),
+    (["force", "--xi", "0,0.5", "--d", "0.5:4:6", "--omega", "0.3,1,2.5", "--area", "2",
+      "--charges", "3", "--n-photons", "1"],
+     "5ca228589cfc5d958532af4248f72ec39acecf99d8a91d9b63f131f34631b170"),
+    (["force", "--xi", "0.3,1", "--d", "1:100:9:log", "--area", "2", "--at-minimum",
+      "--scaling", "frozen"],
+     "6ef62b4d26b25893d94a7a3cd3182eb5b16b568ef76265a812c16a8dda827de3"),
+    (["force", "--xi", "0.3,1", "--d", "1:100:9:log", "--area", "2", "--at-minimum",
+      "--format", "json"],
+     "6de59ea72f8a1e4af0ebd2e38d169bc80443535c339d943f427cf52f70602359"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    GOLDEN_DIGESTS,
+    ids=[f"{i:02d}-{argv[0]}-{argv[1]}" for i, (argv, _) in enumerate(GOLDEN_DIGESTS)],
+)
+def test_golden_output_digest(argv, digest, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
