@@ -8,19 +8,22 @@ Exit codes: 0 success, 1 verification failure, 2 usage/spec error,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 from .dispersion import Branch, k_branches, omega_of_k
 from .errors import DomainError
 from .figures import emit_figure_datasets
 from .fock import default_verification_cases, verify_spectrum
 from .kinematics import group_velocity, phase_velocity
-from .optics import optical_response
+from .optics import dielectric, optical_response
 from .output import render_csv, render_json, render_json_table, write_bytes
-from .params import ATOMIC_C, ModelParams, validate_xi
+from .params import ATOMIC_C, ModelParams, _require_finite, validate_xi
 from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_level
 
@@ -29,22 +32,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-QUANTITIES = (
-    "dispersion",
-    "wavenumber",
-    "dielectric",
-    "reflectivity",
-    "velocity",
-    "spectrum",
-    "force",
-)
-# Quantities swept in wavenumber; the rest sweep the mode frequency.
-K_SWEPT = {"dispersion", "velocity"}
-ATOMIC_ONLY = {"spectrum", "force"}
-
 
 class SpecError(ValueError):
     """A sweep/verify specification is malformed (exit code 2)."""
+
+
+def _require_finite_grid(values) -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise DomainError(f"grid values must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +58,7 @@ class GridSpec:
         return not self.values
 
     def validate(self) -> None:
+        _require_finite_grid(self.values or (self.start, self.stop))
         if not self.is_range:
             return
         if self.count < 2:
@@ -78,11 +75,18 @@ class GridSpec:
             return list(self.values)
         if self.spacing == "log":
             la, lb = math.log10(self.start), math.log10(self.stop)
-            return [10.0 ** (la + (lb - la) * i / (self.count - 1)) for i in range(self.count)]
-        return [
-            self.start + (self.stop - self.start) * i / (self.count - 1)
-            for i in range(self.count)
-        ]
+            steps = [(lb - la) * i / (self.count - 1) for i in range(self.count)]
+            try:
+                points = [10.0 ** (la + step) for step in steps]
+            except OverflowError:
+                raise DomainError(f"grid point above {self.stop} overflows") from None
+        else:
+            points = [
+                self.start + (self.stop - self.start) * i / (self.count - 1)
+                for i in range(self.count)
+            ]
+        _require_finite_grid(points)
+        return points
 
 
 def parse_grid(text: str) -> GridSpec:
@@ -98,15 +102,17 @@ def parse_grid(text: str) -> GridSpec:
             raise SpecError(f"malformed grid {text!r}: {exc}") from None
         spacing = parts[3] if len(parts) == 4 else "linear"
         spec = GridSpec(start=start, stop=stop, count=count, spacing=spacing)
-        spec.validate()
-        return spec
+    else:
+        spec = GridSpec(values=_parse_floats(text))
+    spec.validate()
+    return spec
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise SpecError(f"malformed value list {text!r}: {exc}") from None
-    if not values:
-        raise SpecError("empty grid")
-    return GridSpec(values=values)
 
 
 def parse_momentum(text: str) -> Momentum:
@@ -159,11 +165,10 @@ class SweepSpec:
             raise SpecError(f"unknown format {self.fmt!r}")
         if not self.xi_list:
             raise SpecError("at least one xi value is required")
-        for xi in self.xi_list:
-            try:
-                validate_xi(xi)
-            except DomainError as exc:
-                raise SpecError(str(exc)) from None
+        _check_xi(self.xi_list)
+        _require_finite(self, "omega_p", "mass", "hbar", "d", "area", "charge")
+        if not 0.0 < self.resolved_c() < math.inf:
+            raise DomainError(f"speed of light must be positive and finite, got {self.c}")
         self.grid.validate()
         if self.quantity in K_SWEPT and any(xi > 0.0 for xi in self.xi_list):
             if any(v <= 0.0 for v in self.grid.resolve()):
@@ -172,110 +177,174 @@ class SweepSpec:
                 )
 
 
-def _sweep_rows(spec: SweepSpec) -> tuple[list[str], list[list]]:
-    reduced = spec.units == "reduced"
+def _check_xi(xi_list: tuple[float, ...]) -> tuple[float, ...]:
+    for xi in xi_list:
+        try:
+            validate_xi(xi)
+        except DomainError as exc:
+            raise SpecError(str(exc)) from None
+    return xi_list
+
+
+class _Units(NamedTuple):
+    """Units of the frequency, wavenumber and velocity columns."""
+
+    omega: float
+    k: float
+    v: float
+
+
+def _units(spec: SweepSpec) -> _Units:
+    if spec.units == "reduced":
+        return _Units(1.0, 1.0, 1.0)
     c = spec.resolved_c()
-    k_p = spec.omega_p / c if spec.omega_p > 0 else 0.0
-    values = spec.grid.resolve()
-    q = spec.quantity
+    return _Units(spec.omega_p, spec.omega_p / c, c)
 
-    if q == "dispersion":
-        header = ["k_over_kp", "xi", "omega_over_wp"] if reduced else ["k", "xi", "omega"]
-    elif q == "wavenumber":
-        header = (
-            ["omega_over_wp", "xi", "branch", "re_k_over_kp", "im_k_over_kp", "regime"]
-            if reduced
-            else ["omega", "xi", "branch", "re_k", "im_k", "regime"]
-        )
-    elif q == "dielectric":
-        header = [("omega_over_wp" if reduced else "omega"), "xi", "branch", "re_zeta", "im_zeta"]
-    elif q == "reflectivity":
-        header = [("omega_over_wp" if reduced else "omega"), "xi", "branch", "reflectivity"]
-    elif q == "velocity":
-        header = (
-            ["k_over_kp", "xi", "v_phase_over_c", "v_group_over_c"]
-            if reduced
-            else ["k", "xi", "v_phase", "v_group"]
-        )
-    elif q == "spectrum":
-        header = [
-            "omega", "xi", "omega_p", "p_major", "p_minor", "p_perp",
-            "n", "theta", "sigma_sq", "effective_omega", "energy",
-        ]
-    else:
-        header = ["omega", "xi", "d", "area", "n_charges", "n_photons", "omega_p", "force"]
 
-    if not reduced and q in K_SWEPT | {"wavenumber", "dielectric", "reflectivity"}:
-        if spec.omega_p <= 0.0:
-            raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
+def _dispersion(spec: SweepSpec, u: _Units, xi: float, k: float) -> Iterator[list]:
+    yield [k, xi, omega_of_k(k / u.k, xi) * u.omega]
 
+
+def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
+    for wn in k_branches(omega / u.omega, xi):
+        z = wn.value if spec.units == "reduced" else wn.value * u.k
+        yield [omega, xi, wn.branch, z.real, z.imag, wn.regime]
+
+
+def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
+    for branch in (Branch.PLUS, Branch.MINUS):
+        zeta = dielectric(omega / u.omega, xi, branch)
+        yield [omega, xi, branch, zeta.real, zeta.imag]
+
+
+def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
+    for branch in (Branch.PLUS, Branch.MINUS):
+        yield [omega, xi, branch, optical_response(omega / u.omega, xi, branch).R]
+
+
+def _velocity(spec: SweepSpec, u: _Units, xi: float, k: float) -> Iterator[list]:
+    x = k / u.k
+    yield [k, xi, phase_velocity(x, xi) * u.v, group_velocity(x, xi) * u.v]
+
+
+def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
+    params = ModelParams(
+        xi=xi, omega=omega, omega_p=spec.omega_p, mass=spec.mass, hbar=spec.hbar, c=u.v,
+    )
+    level = energy_level(params, spec.momentum, spec.n, spec.n_charges)
+    p = spec.momentum
+    yield [
+        omega, xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
+        spec.n, level.theta, level.sigma_sq, level.Omega, level.energy,
+    ]
+
+
+def _force(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
+    omega, wp, force = _plate_force(spec, xi, spec.d, omega)
+    yield [omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, wp, force]
+
+
+def _plates(spec: SweepSpec, d: float) -> tuple[PlateGeometry, float]:
+    """The plates of `spec` at separation d, and their plasma frequency."""
+    geom = PlateGeometry(
+        d=d, A=spec.area, N_charges=spec.n_charges, n_photons=spec.n_photons
+    )
+    return geom, plasma_frequency_plates(geom, spec.charge, spec.mass)
+
+
+def _plate_force(
+    spec: SweepSpec, xi: float, d: float, omega: float | None, frozen_wp: float | None = None
+) -> tuple[float, float, float]:
+    """(omega, omega_p, force) for the plates of `spec` at separation d.
+    omega None means at the zero-point-energy minimum; frozen_wp holds the
+    plasma frequency fixed instead of recomputing it from the geometry."""
+    geom, wp = _plates(spec, d)
+    if frozen_wp is not None:
+        wp = frozen_wp
+    e, m, hbar = spec.charge, spec.mass, spec.hbar
+    if omega is None:
+        force = force_at_minimum(geom, e, m, xi, hbar, omega_p=frozen_wp)
+        return wp * (xi / (1.0 + xi * xi)) ** 0.5, wp, force
+    return omega, wp, force_general(omega, geom, e, m, xi, hbar, omega_p=wp)
+
+
+class _Quantity(NamedTuple):
+    axis: str  # the swept grid, "k" or "omega"
+    # Reduced-unit columns are named "<atomic name>_over_<unit>".
+    columns: list[str]
+    atomic_only: bool
+    rows: Callable[..., Iterator[list]]
+
+
+_TABLE = {
+    "dispersion": _Quantity("k", ["k_over_kp", "xi", "omega_over_wp"], False, _dispersion),
+    "wavenumber": _Quantity(
+        "omega", ["omega_over_wp", "xi", "branch", "re_k_over_kp", "im_k_over_kp", "regime"],
+        False, _wavenumber,
+    ),
+    "dielectric": _Quantity(
+        "omega", ["omega_over_wp", "xi", "branch", "re_zeta", "im_zeta"], False, _dielectric
+    ),
+    "reflectivity": _Quantity(
+        "omega", ["omega_over_wp", "xi", "branch", "reflectivity"], False, _reflectivity
+    ),
+    "velocity": _Quantity(
+        "k", ["k_over_kp", "xi", "v_phase_over_c", "v_group_over_c"], False, _velocity
+    ),
+    "spectrum": _Quantity(
+        "omega",
+        ["omega", "xi", "omega_p", "p_major", "p_minor", "p_perp",
+         "n", "theta", "sigma_sq", "effective_omega", "energy"],
+        True, _spectrum,
+    ),
+    "force": _Quantity(
+        "omega", ["omega", "xi", "d", "area", "n_charges", "n_photons", "omega_p", "force"],
+        True, _force,
+    ),
+}
+QUANTITIES = tuple(_TABLE)
+K_SWEPT = {name for name, entry in _TABLE.items() if entry.axis == "k"}
+ATOMIC_ONLY = {name for name, entry in _TABLE.items() if entry.atomic_only}
+
+
+def _tabulate(axes: list[tuple[str, list]], row: Callable[..., Iterator[list]]) -> list[list]:
+    """The rows of row(*point) over the product of the named axes, the first
+    outermost.  A DomainError is reported on stderr with the point it hit."""
     rows: list[list] = []
-    for xi in spec.xi_list:
-        for value in values:
-            try:
-                if q == "dispersion":
-                    x = value if reduced else value / k_p
-                    y = omega_of_k(x, xi)
-                    rows.append([value, xi, y if reduced else y * spec.omega_p])
-                elif q == "wavenumber":
-                    y = value if reduced else value / spec.omega_p
-                    for wn in k_branches(y, xi):
-                        z = wn.value if reduced else wn.value * k_p
-                        rows.append([value, xi, wn.branch, z.real, z.imag, wn.regime])
-                elif q == "dielectric":
-                    y = value if reduced else value / spec.omega_p
-                    for branch in (Branch.PLUS, Branch.MINUS):
-                        resp = optical_response(y, xi, branch)
-                        rows.append([value, xi, branch, resp.zeta.real, resp.zeta.imag])
-                elif q == "reflectivity":
-                    y = value if reduced else value / spec.omega_p
-                    for branch in (Branch.PLUS, Branch.MINUS):
-                        rows.append([value, xi, branch, optical_response(y, xi, branch).R])
-                elif q == "velocity":
-                    x = value if reduced else value / k_p
-                    vp, vg = phase_velocity(x, xi), group_velocity(x, xi)
-                    rows.append([value, xi, vp if reduced else vp * c, vg if reduced else vg * c])
-                elif q == "spectrum":
-                    params = ModelParams(
-                        xi=xi, omega=value, omega_p=spec.omega_p,
-                        mass=spec.mass, hbar=spec.hbar, c=c,
-                    )
-                    level = energy_level(params, spec.momentum, spec.n, spec.n_charges)
-                    rows.append([
-                        value, xi, spec.omega_p,
-                        spec.momentum.p_major, spec.momentum.p_minor, spec.momentum.p_perp,
-                        spec.n, level.theta, level.sigma_sq, level.Omega, level.energy,
-                    ])
-                else:  # force
-                    geom = PlateGeometry(
-                        d=spec.d, A=spec.area,
-                        N_charges=spec.n_charges, n_photons=spec.n_photons,
-                    )
-                    f = force_general(value, geom, spec.charge, spec.mass, xi, spec.hbar)
-                    wp = plasma_frequency_plates(geom, spec.charge, spec.mass)
-                    rows.append([
-                        value, xi, spec.d, spec.area,
-                        spec.n_charges, spec.n_photons, wp, f,
-                    ])
-            except DomainError as exc:
-                print(
-                    f"domain error at xi={xi:g}, "
-                    f"{'k' if q in K_SWEPT else 'omega'}={value:g}: {exc}",
-                    file=sys.stderr,
-                )
-                raise
-    return header, rows
+    for point in itertools.product(*(values for _, values in axes)):
+        try:
+            rows.extend(row(*point))
+        except DomainError as exc:
+            where = ", ".join(f"{name}={value:g}" for (name, _), value in zip(axes, point))
+            print(f"domain error at {where}: {exc}", file=sys.stderr)
+            raise
+    return rows
 
 
-def run_sweep(spec: SweepSpec) -> None:
-    """Validate, evaluate, and write one sweep dataset."""
-    spec.validate()
-    header, rows = _sweep_rows(spec)
+def _sweep_rows(spec: SweepSpec) -> tuple[list[str], list[list]]:
+    entry = _TABLE[spec.quantity]
+    values = spec.grid.resolve()
+    header = entry.columns
+    if spec.units == "atomic":
+        header = [column.split("_over_")[0] for column in header]
+        if not entry.atomic_only and spec.omega_p <= 0.0:
+            raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
+    row = functools.partial(entry.rows, spec, _units(spec))
+    return header, _tabulate([("xi", spec.xi_list), (entry.axis, values)], row)
+
+
+def _write_table(spec: SweepSpec, header: list[str], rows: list[list]) -> None:
     if spec.fmt == "csv":
         data = render_csv(header, rows)
     else:
         data = render_json_table(header, rows, quantity=spec.quantity, units=spec.units)
     write_bytes(data, spec.out)
+
+
+def run_sweep(spec: SweepSpec) -> None:
+    """Validate, evaluate, and write one sweep dataset."""
+    spec.validate()
+    _write_table(spec, *_sweep_rows(spec))
 
 
 def run_verify(
@@ -394,28 +463,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_xi_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise SpecError(f"malformed xi list {text!r}: {exc}") from None
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.k is None) == (args.omega is None):
         raise SpecError("provide exactly one of --k and --omega")
-    quantity = args.quantity
-    if quantity in K_SWEPT and args.k is None:
-        raise SpecError(f"{quantity} sweeps over --k")
-    if quantity not in K_SWEPT and args.omega is None:
-        raise SpecError(f"{quantity} sweeps over --omega")
+    quantity, axis = args.quantity, _TABLE[args.quantity].axis
+    if getattr(args, axis) is None:
+        raise SpecError(f"{quantity} sweeps over --{axis}")
     units = args.units
     if units is None:
         units = "atomic" if quantity in ATOMIC_ONLY else "reduced"
     spec = SweepSpec(
         quantity=quantity,
-        xi_list=_parse_xi_list(args.xi),
-        grid=parse_grid(args.k if args.k is not None else args.omega),
+        xi_list=_parse_floats(args.xi),
+        grid=parse_grid(getattr(args, axis)),
         units=units,
         out=args.out,
         fmt=args.format,
@@ -454,15 +514,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.xi is None and args.omega is None and args.omega_p is None and args.p is None:
         cases = default_verification_cases()
     else:
-        xis = _parse_xi_list(args.xi) if args.xi else (0.0, 0.5, 1.0)
-        omegas = _parse_xi_list(args.omega) if args.omega else (1.0,)
-        omega_ps = _parse_xi_list(args.omega_p) if args.omega_p else (0.5,)
+        xis = _check_xi(_parse_floats(args.xi)) if args.xi else (0.0, 0.5, 1.0)
+        omegas = _parse_floats(args.omega) if args.omega else (1.0,)
+        omega_ps = _parse_floats(args.omega_p) if args.omega_p else (0.5,)
         momenta = [parse_momentum(t) for t in args.p] if args.p else [Momentum()]
-        for xi in xis:
-            try:
-                validate_xi(xi)
-            except DomainError as exc:
-                raise SpecError(str(exc)) from None
         cases = [
             (ModelParams(xi=xi, omega=w, omega_p=wp), p)
             for xi in xis
@@ -491,112 +546,47 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_force(args: argparse.Namespace) -> int:
-    xi_list = _parse_xi_list(args.xi)
-    for xi in xi_list:
-        try:
-            validate_xi(xi)
-        except DomainError as exc:
-            raise SpecError(str(exc)) from None
-    d_values = parse_grid(args.d).resolve()
+    spec = SweepSpec(
+        quantity="force", xi_list=_parse_floats(args.xi), grid=parse_grid(args.d),
+        units="atomic", out=args.out, fmt=args.format, mass=args.mass, hbar=args.hbar,
+        n_charges=args.charges, area=args.area, charge=args.charge, n_photons=args.n_photons,
+    )
+    spec.validate()
+    d_values = spec.grid.resolve()
     if args.at_minimum == (args.omega is not None):
         raise SpecError("provide exactly one of --omega and --at-minimum")
-    omega_values = parse_grid(args.omega).resolve() if args.omega else [None]
-
+    omega_axis = [("omega", parse_grid(args.omega).resolve())] if args.omega else []
     frozen_wp = None
     if args.scaling == "frozen":
         ref_d = args.ref_d if args.ref_d is not None else d_values[0]
-        ref_geom = PlateGeometry(
-            d=ref_d, A=args.area, N_charges=args.charges, n_photons=args.n_photons
-        )
-        frozen_wp = plasma_frequency_plates(ref_geom, args.charge, args.mass)
+        frozen_wp = _plates(spec, ref_d)[1]
+
+    def row(xi: float, d: float, omega: float | None = None) -> Iterator[list]:
+        omega, wp, force = _plate_force(spec, xi, d, omega, frozen_wp)
+        yield [xi, omega, d, spec.area, spec.n_charges, spec.n_photons, args.scaling, wp, force]
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons",
               "scaling", "omega_p", "force"]
-    rows: list[list] = []
-    for xi in xi_list:
-        for d in d_values:
-            geom = PlateGeometry(
-                d=d, A=args.area, N_charges=args.charges, n_photons=args.n_photons
-            )
-            wp = frozen_wp if frozen_wp is not None else plasma_frequency_plates(
-                geom, args.charge, args.mass
-            )
-            for omega in omega_values:
-                try:
-                    if omega is None:
-                        f = force_at_minimum(
-                            geom, args.charge, args.mass, xi, args.hbar,
-                            omega_p=frozen_wp,
-                        )
-                        omega_out = wp * (xi / (1.0 + xi * xi)) ** 0.5
-                    else:
-                        f = force_general(
-                            omega, geom, args.charge, args.mass, xi, args.hbar,
-                            omega_p=frozen_wp,
-                        )
-                        omega_out = omega
-                except DomainError as exc:
-                    print(
-                        f"domain error at xi={xi:g}, d={d:g}, omega={omega}: {exc}",
-                        file=sys.stderr,
-                    )
-                    raise
-                rows.append([
-                    xi, omega_out, d, args.area, args.charges,
-                    args.n_photons, args.scaling, wp, f,
-                ])
-    data = (
-        render_csv(header, rows)
-        if args.format == "csv"
-        else render_json_table(header, rows, quantity="force", units="atomic")
-    )
-    write_bytes(data, args.out)
+    rows = _tabulate([("xi", spec.xi_list), ("d", d_values), *omega_axis], row)
+    _write_table(spec, header, rows)
     return EXIT_OK
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    xi_list = _parse_xi_list(args.xi)
-    for xi in xi_list:
-        try:
-            validate_xi(xi)
-        except DomainError as exc:
-            raise SpecError(str(exc)) from None
-    omega_values = parse_grid(args.omega).resolve()
+    spec = SweepSpec(
+        quantity="spectrum", xi_list=_parse_floats(args.xi), grid=parse_grid(args.omega),
+        units="atomic", out=args.out, fmt=args.format, omega_p=args.omega_p, mass=args.mass,
+        hbar=args.hbar, c=args.c, momentum=parse_momentum(args.p), n_charges=args.charges,
+    )
+    spec.validate()
     try:
         n_values = [int(v) for v in args.n.split(",")]
     except ValueError as exc:
         raise SpecError(f"malformed excitation list {args.n!r}: {exc}") from None
-    momentum = parse_momentum(args.p)
-
-    header = ["omega", "xi", "omega_p", "p_major", "p_minor", "p_perp",
-              "n", "theta", "sigma_sq", "effective_omega", "energy"]
-    rows: list[list] = []
-    for xi in xi_list:
-        for omega in omega_values:
-            for n in n_values:
-                try:
-                    params = ModelParams(
-                        xi=xi, omega=omega, omega_p=args.omega_p,
-                        mass=args.mass, hbar=args.hbar, c=args.c,
-                    )
-                    level = energy_level(params, momentum, n, args.charges)
-                except DomainError as exc:
-                    print(
-                        f"domain error at xi={xi:g}, omega={omega:g}, n={n}: {exc}",
-                        file=sys.stderr,
-                    )
-                    raise
-                rows.append([
-                    omega, xi, args.omega_p,
-                    momentum.p_major, momentum.p_minor, momentum.p_perp,
-                    n, level.theta, level.sigma_sq, level.Omega, level.energy,
-                ])
-    data = (
-        render_csv(header, rows)
-        if args.format == "csv"
-        else render_json_table(header, rows, quantity="spectrum", units="atomic")
-    )
-    write_bytes(data, args.out)
+    units, by_n = _units(spec), {n: replace(spec, n=n) for n in n_values}
+    axes = [("xi", spec.xi_list), ("omega", spec.grid.resolve()), ("n", n_values)]
+    rows = _tabulate(axes, lambda xi, omega, n: _spectrum(by_n[n], units, xi, omega))
+    _write_table(spec, _TABLE["spectrum"].columns, rows)
     return EXIT_OK
 
 

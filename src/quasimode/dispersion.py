@@ -105,12 +105,50 @@ def classify_regime(y: float, xi: float) -> Regime:
     evanescent for y <= omega_tilde."""
     if y < 0.0:
         raise DomainError(f"reduced frequency must be nonnegative, got {y}")
-    cp = critical_points(xi)
+    return _regime(y, critical_points(xi))
+
+
+def _regime(y: float, cp: CriticalPoints) -> Regime:
     if y >= cp.omega_star:
         return Regime.TRAVELING
     if y > cp.omega_tilde:
         return Regime.DECAYING_TRAVELING
     return Regime.EVANESCENT
+
+
+def _branch_squares(y: float, xi: float) -> tuple[complex, complex, Regime]:
+    """Squared branches s_pm = x_pm^2 and the regime at reduced frequency
+    y >= 0, behind both k_branches (x = sqrt(s)) and optics.dielectric
+    (zeta = s / y^2).  At the double root y == omega_tilde, s_minus carries
+    a -0.0 imaginary part: its limit from above, where Im s_minus < 0."""
+    q = polarization_weight(xi)
+    cp = critical_points(xi)
+    regime = _regime(y, cp)
+
+    if q > 0.0 and regime is Regime.EVANESCENT and y == cp.omega_tilde:
+        s = -(xi / (1.0 + xi * xi))
+        return complex(s, 0.0), complex(s, -0.0), regime
+
+    a = y * y - 1.0
+    disc = a * a - 4.0 * q
+    if regime is Regime.DECAYING_TRAVELING:
+        # Strictly inside the damped window the two branches are exact
+        # complex conjugates; deriving the minus branch from the plus one
+        # keeps that structure even when the discriminant rounds to zero.
+        s_plus = (a + 1j * math.sqrt(max(-disc, 0.0))) / 2.0
+        return s_plus, s_plus.conjugate(), regime
+    # The discriminant is >= 0 outside the damped window; clamp rounding
+    # noise so both squares stay exactly real.  The smaller-magnitude square
+    # comes from the product law s_plus s_minus = q, which sidesteps the
+    # a -+ inner cancellation.
+    inner = math.sqrt(max(disc, 0.0))
+    if regime is Regime.TRAVELING:
+        big = max(a + inner, 0.0)
+        small = 2.0 * q / big if big > 0.0 else 0.0
+        return complex(big / 2.0, 0.0), complex(small, 0.0), regime
+    big = min(a - inner, 0.0)
+    small = 2.0 * q / big if big < 0.0 else 0.0
+    return complex(small, 0.0), complex(big / 2.0, 0.0), regime
 
 
 def k_branches(y: float, xi: float) -> tuple[ComplexWavenumber, ComplexWavenumber]:
@@ -121,53 +159,20 @@ def k_branches(y: float, xi: float) -> tuple[ComplexWavenumber, ComplexWavenumbe
     """
     if y < 0.0:
         raise DomainError(f"reduced frequency must be nonnegative, got {y}")
-    q = polarization_weight(xi)
-    regime = classify_regime(y, xi)
-    cp = critical_points(xi)
-
-    if q > 0.0 and regime is Regime.EVANESCENT and y == cp.omega_tilde:
-        # Double root: |x_pm| = k_star exactly.  The minus branch jumps here
-        # (Im -> -k_star from above, +k_star from below); its point value is
-        # defined as the limit from above.
-        xp = complex(0.0, cp.k_star)
-        xm = complex(0.0, -cp.k_star)
-        return (
-            ComplexWavenumber(value=xp, branch=Branch.PLUS, regime=regime),
-            ComplexWavenumber(value=xm, branch=Branch.MINUS, regime=regime),
-        )
-
-    a = y * y - 1.0
-    disc = a * a - 4.0 * q
-    # The discriminant is >= 0 outside the damped window; clamp rounding
-    # noise so traveling results stay exactly real and evanescent results
-    # exactly imaginary.
-    if regime is not Regime.DECAYING_TRAVELING:
-        disc = max(disc, 0.0)
-        inner = math.sqrt(disc)
-        # The smaller-magnitude root comes from the product law
-        # x+^2 x-^2 = q, which sidesteps the a -+ inner cancellation.
-        if regime is Regime.TRAVELING:
-            arg_plus = max(a + inner, 0.0)
-            xp = complex(math.sqrt(arg_plus / 2.0), 0.0)
-            xm_sq = 2.0 * q / arg_plus if arg_plus > 0.0 else 0.0
-            xm = complex(math.sqrt(xm_sq), 0.0)
-        else:
-            arg_minus = min(a - inner, 0.0)
-            xm = complex(0.0, math.sqrt(-arg_minus / 2.0))
-            xp_sq = -2.0 * q / arg_minus if arg_minus < 0.0 else 0.0
-            xp = complex(0.0, math.sqrt(xp_sq))
-    else:
-        # Strictly inside the damped window the two branches are exact
-        # complex conjugates; deriving the minus branch from the plus one
-        # keeps that structure even when the discriminant rounds to zero.
-        inner = 1j * math.sqrt(max(-disc, 0.0))
-        xp = cmath.sqrt((a + inner) / 2.0)
-        xm = xp.conjugate()
-
+    s_plus, s_minus, regime = _branch_squares(y, xi)
+    root = cmath.sqrt if regime is Regime.DECAYING_TRAVELING else _real_root
     return (
-        ComplexWavenumber(value=xp, branch=Branch.PLUS, regime=regime),
-        ComplexWavenumber(value=xm, branch=Branch.MINUS, regime=regime),
+        ComplexWavenumber(value=root(s_plus), branch=Branch.PLUS, regime=regime),
+        ComplexWavenumber(value=root(s_minus), branch=Branch.MINUS, regime=regime),
     )
+
+
+def _real_root(s: complex) -> complex:
+    """cmath.sqrt of an s with zero imaginary part, without the bits that
+    cmath.sqrt drops for |s| just above the subnormal range."""
+    if s.real > 0.0:
+        return complex(math.sqrt(s.real), 0.0)
+    return complex(0.0, math.copysign(math.sqrt(-s.real), s.imag))
 
 
 def omega_physical(k: float, omega_p: float, xi: float, c: float = 1.0) -> float:

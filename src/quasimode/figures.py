@@ -40,18 +40,21 @@ def _dispersion_rows() -> tuple[list[str], list[list]]:
     return ["k_over_kp", "xi", "omega_over_wp", "marker"], rows
 
 
-def _wavenumber_rows(part) -> tuple[list[str], list[list]]:
-    name = "re_k_over_kp" if part is np.real else "im_k_over_kp"
-    rows = []
+def _wavenumber_tables() -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]]]:
+    """The Re k and Im k tables, filled from one k_branches call per point."""
+    re_rows, im_rows = [], []
     for xi in FIGURE_XI:
-        for y in _OMEGA_GRID:
-            for wn in k_branches(y, xi):
-                rows.append([y, xi, wn.branch, float(part(wn.value)), ""])
         cp = critical_points(xi)
-        for y, marker in ((cp.omega_tilde, "omega_tilde"), (cp.omega_star, "omega_star")):
+        points = [(y, "") for y in _OMEGA_GRID]
+        points += [(cp.omega_tilde, "omega_tilde"), (cp.omega_star, "omega_star")]
+        for y, marker in points:
             for wn in k_branches(y, xi):
-                rows.append([y, xi, wn.branch, float(part(wn.value)), marker])
-    return ["omega_over_wp", "xi", "branch", name, "marker"], rows
+                re_rows.append([y, xi, wn.branch, wn.value.real, marker])
+                im_rows.append([y, xi, wn.branch, wn.value.imag, marker])
+    return (
+        (["omega_over_wp", "xi", "branch", "re_k_over_kp", "marker"], re_rows),
+        (["omega_over_wp", "xi", "branch", "im_k_over_kp", "marker"], im_rows),
+    )
 
 
 def _velocity_rows() -> tuple[list[str], list[list]]:
@@ -105,10 +108,11 @@ def emit_figure_datasets(outdir: Path) -> list[Path]:
     """Write all six datasets into outdir; returns the paths written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    rek, imk = _wavenumber_tables()
     tables = {
         "fig1_dispersion.csv": _dispersion_rows(),
-        "fig2a_rek.csv": _wavenumber_rows(np.real),
-        "fig2b_imk.csv": _wavenumber_rows(np.imag),
+        "fig2a_rek.csv": rek,
+        "fig2b_imk.csv": imk,
         "fig3_velocities.csv": _velocity_rows(),
         "fig4_reflectivity.csv": _reflectivity_rows(),
         "fig5_energy.csv": _energy_rows(),

@@ -66,6 +66,9 @@ class VerificationReport:
     converged: bool
 
 
+# Overflowing entries stay inf and are classified by the finite check in
+# lowest_eigenvalues; numpy need not warn about them first.
+@np.errstate(over="ignore", invalid="ignore")
 def _base_matrix(params: ModelParams, p: Momentum, cutoff: int) -> np.ndarray:
     if cutoff < 8:
         raise DomainError(f"cutoff must be at least 8, got {cutoff}")

@@ -5,7 +5,8 @@ is, in reduced frequency y = Omega/omega_p,
 
     zeta_pm = 1/2 [ 1 +- (1/y^2) ( sqrt((1 - y^2)^2 - 4 q) -+ 1 ) ],
 
-which coincides with (x_pm / y)^2.  For xi = 0 both branches merge into the
+which coincides with (x_pm / y)^2 and is evaluated as such, from the branch
+squares of the dispersion module.  For xi = 0 both branches merge into the
 textbook plasma permittivity 1 - 1/y^2.  Complex square roots are principal
 throughout, consistent with the dispersion module.
 """
@@ -13,12 +14,10 @@ throughout, consistent with the dispersion module.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
-from .dispersion import Branch, Regime, classify_regime, critical_points
+from .dispersion import Branch, Regime, _branch_squares
 from .errors import DomainError
-from .params import polarization_weight
 
 
 @dataclass(frozen=True)
@@ -32,41 +31,27 @@ class OpticalResponse:
 
 
 def dielectric(y: float, xi: float, branch: Branch) -> complex:
-    """Relative permittivity zeta on the given branch at reduced frequency y."""
+    """Relative permittivity zeta = (x / y)^2 on the given branch at reduced
+    frequency y."""
     if y <= 0.0:
         raise DomainError(f"dielectric function requires y > 0, got {y}")
-    q = polarization_weight(xi)
-    regime = classify_regime(y, xi)
     y2 = y * y
-
-    if q > 0.0 and regime is Regime.EVANESCENT and y == critical_points(xi).omega_tilde:
-        # double root of the wavenumber: zeta+ = zeta- = -sqrt(q)/y^2 exactly
-        return complex(-(xi / (1.0 + xi * xi)) / y2, 0.0)
-
-    a = y * y - 1.0
-    disc = a * a - 4.0 * q
+    if y2 == 0.0:
+        raise DomainError(f"y^2 underflows to 0 at y = {y}")
+    s_plus, s_minus, regime = _branch_squares(y, xi)
     if regime is Regime.DECAYING_TRAVELING:
-        inner = 1j * math.sqrt(max(-disc, 0.0))
-        zeta = (a + inner) / (2.0 * y2)
-        return zeta if branch is Branch.PLUS else zeta.conjugate()
-    # Real-permittivity regimes: clamp rounding noise so zeta is exactly real
-    # with the sign the regime guarantees, and take the smaller-magnitude
-    # branch from the product law zeta+ zeta- = q/y^4 to avoid the
-    # a -+ inner cancellation (see the dispersion module).
-    inner = math.sqrt(max(disc, 0.0))
-    if regime is Regime.TRAVELING:
-        big = max(a + inner, 0.0)
-        if branch is Branch.PLUS:
-            num = big
-        else:
-            num = 4.0 * q / big if big > 0.0 else 0.0
-    else:
-        big = min(a - inner, 0.0)
+        # Divide, then conjugate: the other order can flip the sign of a zero
+        # imaginary part.
+        zeta = s_plus / y2
         if branch is Branch.MINUS:
-            num = big
-        else:
-            num = 4.0 * q / big if big < 0.0 else 0.0
-    return complex(num / (2.0 * y2), 0.0)
+            zeta = zeta.conjugate()
+    else:
+        # Real outside the damped window; the signed zero that picks the
+        # minus branch's limit at the double root belongs to x, not to zeta.
+        zeta = complex((s_plus if branch is Branch.PLUS else s_minus).real / y2, 0.0)
+    if not cmath.isfinite(zeta):
+        raise DomainError(f"permittivity is not a finite float at y = {y}")
+    return zeta
 
 
 def refractive_index(zeta: complex) -> complex:

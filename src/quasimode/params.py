@@ -84,6 +84,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         validate_xi(self.xi)
         _require_finite(self, "omega", "omega_p", "mass", "hbar", "c")
+        if math.isinf(self.omega * self.omega) or math.isinf(self.omega_p * self.omega_p):
+            raise DomainError(f"omega^2 or omega_p^2 overflows at {self.omega}, {self.omega_p}")
         if self.omega < 0.0:
             raise DomainError(f"mode frequency must be nonnegative, got {self.omega}")
         if self.omega_p < 0.0:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import ellipticity_kappa, polarization_weight, validate_xi
+from .params import _require_finite, ellipticity_kappa, polarization_weight, validate_xi
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class PlateGeometry:
     n_photons: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "d", "A")
         if self.d <= 0.0:
             raise DomainError(f"plate separation must be positive, got {self.d}")
         if self.A <= 0.0:
@@ -156,8 +157,9 @@ def force_at_minimum(
     """Repulsive force at the minimum of the zero-point energy.
 
     In the default (recompute) mode both closed forms are evaluated and
-    cross-checked; in frozen mode (omega_p given) only the plasma-frequency
-    form applies.
+    cross-checked: a relative disagreement beyond 1e-9, as when one form
+    overflows, raises DomainError.  In frozen mode (omega_p given) only the
+    plasma-frequency form applies.
     """
     validate_xi(xi)
     plasma = force_minimum_plasma_form(g, e, m, xi, hbar, omega_p)
@@ -165,7 +167,6 @@ def force_at_minimum(
         return plasma
     bohr = force_minimum_bohr_form(g, e, m, xi, hbar)
     scale = max(abs(plasma), abs(bohr), 1e-300)
-    assert abs(plasma - bohr) <= 1e-9 * scale, (
-        f"dual closed forms disagree: {plasma!r} vs {bohr!r}"
-    )
+    if not abs(plasma - bohr) <= 1e-9 * scale:
+        raise DomainError(f"dual closed forms disagree: {plasma!r} vs {bohr!r}")
     return plasma

@@ -89,6 +89,8 @@ def effective_frequency(params: ModelParams) -> float:
             raise DomainError("effective frequency diverges at omega=0 for xi > 0")
         return params.omega_p
     w2 = params.omega**2
+    if w2 == 0.0:
+        raise DomainError(f"omega^2 underflows to 0 at omega = {params.omega}")
     wp2 = params.omega_p**2
     return math.sqrt(w2 + wp2 * (1.0 + q * wp2 / w2))
 

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import quasimode
-from quasimode import energy_level, ModelParams, Momentum
+import quasimode.figures
+from quasimode import DomainError, energy_level, ModelParams, Momentum
 from quasimode.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -54,6 +56,18 @@ class TestGridParsing:
     def test_invalid_ranges(self, text):
         with pytest.raises(SpecError):
             parse_grid(text)
+
+    @pytest.mark.parametrize("text", ["nan,1", "1,inf", "0:inf:5", "nan:1:3", "-inf:0:3"])
+    def test_non_finite_values_are_domain_errors(self, text):
+        with pytest.raises(DomainError, match="finite"):
+            parse_grid(text)
+
+    @pytest.mark.parametrize(
+        "text", ["0:1e308:3", "-1e308:1e308:3", "1:1.7976931348623157e308:3:log"]
+    )
+    def test_overflowing_grid_points_are_domain_errors(self, text):
+        with pytest.raises(DomainError):
+            parse_grid(text).resolve()
 
 
 class TestSweepCommand:
@@ -202,6 +216,38 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "dispersion", "--xi", "0.5", "--k", "nan,inf"],
+        ["sweep", "wavenumber", "--xi", "0.5", "--omega", "nan"],
+        ["sweep", "dispersion", "--xi", "0", "--k", "0:inf:5"],
+        ["sweep", "dispersion", "--xi", "0", "--k", "1", "--units", "atomic", "--omega-p", "nan"],
+        ["force", "--xi", "0.5", "--d", "nan", "--at-minimum"],
+        ["force", "--xi", "0.5", "--d", "1", "--charge", "nan", "--at-minimum"],
+        ["force", "--xi", "0.5", "--d", "1", "--ref-d", "inf", "--scaling", "frozen",
+         "--at-minimum"],
+    ])
+    def test_non_finite_cli_input_is_domain_error(self, argv, capsys):
+        assert main(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--xi", "0", "--omega-p", "1e200"],
+        ["verify", "--xi", "0", "--omega", "1e-305"],
+        ["sweep", "dielectric", "--xi", "1", "--omega", "1e-170"],
+        ["sweep", "reflectivity", "--xi", "0.5", "--omega", "1e-170"],
+        ["verify", "--xi", "1", "--omega-p", "1e154"],
+        ["force", "--xi", "0.5", "--d", "1", "--charge", "1e200", "--at-minimum"],
+    ])
+    def test_unrepresentable_input_is_domain_error(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_DOMAIN
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "domain error:" in err and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_default_grid_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -317,6 +363,16 @@ class TestFiguresCommand:
                      "fig3_velocities", "fig4_reflectivity", "fig5_energy"):
             _, rows = read_csv(figdir / f"{name}.csv")
             assert any(r["marker"] for r in rows), name
+
+    def test_wavenumber_tables_evaluate_each_point_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = quasimode.figures.k_branches
+        monkeypatch.setattr(
+            quasimode.figures, "k_branches", lambda y, xi: calls.append(y) or original(y, xi)
+        )
+        assert main(["figures", "--outdir", str(tmp_path)]) == EXIT_OK
+        # 300 grid frequencies plus the omega~ and omega* markers, per xi
+        assert len(calls) == 4 * (300 + 2)
 
     def test_rerun_is_byte_identical(self, figdir, tmp_path):
         again = tmp_path / "figs2"

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quasimode.dispersion
 from quasimode import (
     Branch,
     DomainError,
@@ -30,6 +31,26 @@ class TestDielectric:
     def test_rejects_zero_frequency(self):
         with pytest.raises(DomainError):
             dielectric(0.0, 0.5, Branch.PLUS)
+
+    @pytest.mark.parametrize("y,xi", [(1e-170, 1.0), (1e-170, 0.5), (1e-160, 0.5), (1e155, 0.5)])
+    def test_unrepresentable_permittivity_is_domain_error(self, y, xi):
+        # y^2 underflows to 0, or zeta ~ 1/y^2 or the branch square overflows
+        with pytest.raises(DomainError):
+            dielectric(y, xi, Branch.PLUS)
+
+    def test_one_critical_points_call_per_evaluation(self, monkeypatch):
+        calls = []
+        original = quasimode.dispersion.critical_points
+        monkeypatch.setattr(
+            quasimode.dispersion, "critical_points", lambda xi: calls.append(xi) or original(xi)
+        )
+        for y in (0.3, 1.0, 2.0, original(0.5).omega_tilde):
+            calls.clear()
+            dielectric(y, 0.5, Branch.MINUS)
+            assert len(calls) == 1
+            calls.clear()
+            k_branches(y, 0.5)
+            assert len(calls) == 1
 
     @given(y=Y, xi=XI)
     @settings(max_examples=400)

@@ -120,6 +120,8 @@ class TestModelParams:
             {"xi": 0.5, "mass": math.inf},
             {"xi": 0.5, "hbar": math.nan},
             {"xi": 0.5, "c": math.inf},
+            {"xi": 0.5, "omega_p": 1e200},
+            {"xi": 0.5, "omega": 1e155},
         ],
     )
     def test_validation(self, kwargs):

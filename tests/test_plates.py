@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quasimode.plates
 from quasimode import (
     DomainError,
     PlateGeometry,
@@ -40,6 +41,13 @@ class TestPlasmaFrequencyPlates:
             PlateGeometry(d=1.0, A=-1.0)
         with pytest.raises(DomainError):
             PlateGeometry(d=1.0, A=1.0, N_charges=-1)
+
+
+    @pytest.mark.parametrize("d,area", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                        (1.0, math.inf)])
+    def test_geometry_rejects_non_finite(self, d, area):
+        with pytest.raises(DomainError, match="finite"):
+            PlateGeometry(d=d, A=area)
 
 
 class TestForceGeneral:
@@ -107,6 +115,12 @@ class TestForceAtMinimum:
         plasma = force_minimum_plasma_form(g, 1.0, 1.0, xi)
         bohr = force_minimum_bohr_form(g, 1.0, 1.0, xi)
         assert bohr == pytest.approx(plasma, rel=1e-12, abs=1e-300)
+
+    def test_disagreeing_closed_forms_raise(self, monkeypatch):
+        # An explicit check, not an assert: it must fire under python -O too.
+        monkeypatch.setattr(quasimode.plates, "force_minimum_bohr_form", lambda *args: 1.0)
+        with pytest.raises(DomainError, match="disagree"):
+            force_at_minimum(PI_AREA, 1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("d", [0.3, 1.0, 7.5])
