@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .dispersion import Branch, k_branches, omega_of_k
 from .errors import DomainError
@@ -201,64 +201,64 @@ def _units(spec: SweepSpec) -> _Units:
     return _Units(spec.omega_p, spec.omega_p / c, c)
 
 
-def _dispersion(spec: SweepSpec, u: _Units, xi: float, k: float) -> Iterator[list]:
-    yield [k, xi, omega_of_k(k / u.k, xi) * u.omega]
+def _dispersion(spec: SweepSpec, u: _Units, xi: float, k: float) -> list[list]:
+    return [[k, xi, omega_of_k(k / u.k, xi) * u.omega]]
 
 
-def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
+def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
+    rows = []
     for wn in k_branches(omega / u.omega, xi):
         z = wn.value if spec.units == "reduced" else wn.value * u.k
-        yield [omega, xi, wn.branch, z.real, z.imag, wn.regime]
+        rows.append([omega, xi, wn.branch, z.real, z.imag, wn.regime])
+    return rows
 
 
-def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
-    for branch in (Branch.PLUS, Branch.MINUS):
-        zeta = dielectric(omega / u.omega, xi, branch)
-        yield [omega, xi, branch, zeta.real, zeta.imag]
+def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
+    y = omega / u.omega
+    zetas = [(b, dielectric(y, xi, b)) for b in (Branch.PLUS, Branch.MINUS)]
+    return [[omega, xi, b, zeta.real, zeta.imag] for b, zeta in zetas]
 
 
-def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
-    for branch in (Branch.PLUS, Branch.MINUS):
-        yield [omega, xi, branch, optical_response(omega / u.omega, xi, branch).R]
+def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
+    y = omega / u.omega
+    return [[omega, xi, b, optical_response(y, xi, b).R] for b in (Branch.PLUS, Branch.MINUS)]
 
 
-def _velocity(spec: SweepSpec, u: _Units, xi: float, k: float) -> Iterator[list]:
+def _velocity(spec: SweepSpec, u: _Units, xi: float, k: float) -> list[list]:
     x = k / u.k
-    yield [k, xi, phase_velocity(x, xi) * u.v, group_velocity(x, xi) * u.v]
+    return [[k, xi, phase_velocity(x, xi) * u.v, group_velocity(x, xi) * u.v]]
 
 
-def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
+def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
     params = ModelParams(
         xi=xi, omega=omega, omega_p=spec.omega_p, mass=spec.mass, hbar=spec.hbar, c=u.v,
     )
-    level = energy_level(params, spec.momentum, spec.n, spec.n_charges)
     p = spec.momentum
-    yield [
+    level = energy_level(params, p, spec.n, spec.n_charges)
+    return [[
         omega, xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
         spec.n, level.theta, level.sigma_sq, level.Omega, level.energy,
-    ]
+    ]]
 
 
-def _force(spec: SweepSpec, u: _Units, xi: float, omega: float) -> Iterator[list]:
-    omega, wp, force = _plate_force(spec, xi, spec.d, omega)
-    yield [omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, wp, force]
+def _force(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
+    omega, wp, force = _plate_force(spec, xi, _plates(spec, spec.d), omega)
+    return [[omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, wp, force]]
 
 
 def _plates(spec: SweepSpec, d: float) -> tuple[PlateGeometry, float]:
     """The plates of `spec` at separation d, and their plasma frequency."""
-    geom = PlateGeometry(
-        d=d, A=spec.area, N_charges=spec.n_charges, n_photons=spec.n_photons
-    )
+    geom = PlateGeometry(d=d, A=spec.area, N_charges=spec.n_charges, n_photons=spec.n_photons)
     return geom, plasma_frequency_plates(geom, spec.charge, spec.mass)
 
 
 def _plate_force(
-    spec: SweepSpec, xi: float, d: float, omega: float | None, frozen_wp: float | None = None
+    spec: SweepSpec, xi: float, plates: tuple[PlateGeometry, float], omega: float | None,
+    frozen_wp: float | None = None,
 ) -> tuple[float, float, float]:
-    """(omega, omega_p, force) for the plates of `spec` at separation d.
-    omega None means at the zero-point-energy minimum; frozen_wp holds the
-    plasma frequency fixed instead of recomputing it from the geometry."""
-    geom, wp = _plates(spec, d)
+    """(omega, omega_p, force) for plates from _plates; omega None means at the
+    energy minimum, and frozen_wp holds omega_p instead of the plates' own."""
+    geom, wp = plates
     if frozen_wp is not None:
         wp = frozen_wp
     e, m, hbar = spec.charge, spec.mass, spec.hbar
@@ -273,7 +273,7 @@ class _Quantity(NamedTuple):
     # Reduced-unit columns are named "<atomic name>_over_<unit>".
     columns: list[str]
     atomic_only: bool
-    rows: Callable[..., Iterator[list]]
+    rows: Callable[..., list[list]]
 
 
 _TABLE = {
@@ -307,7 +307,7 @@ K_SWEPT = {name for name, entry in _TABLE.items() if entry.axis == "k"}
 ATOMIC_ONLY = {name for name, entry in _TABLE.items() if entry.atomic_only}
 
 
-def _tabulate(axes: list[tuple[str, list]], row: Callable[..., Iterator[list]]) -> list[list]:
+def _tabulate(axes: list[tuple[str, list]], row: Callable[..., list[list]]) -> list[list]:
     """The rows of row(*point) over the product of the named axes, the first
     outermost.  A DomainError is reported on stderr with the point it hit."""
     rows: list[list] = []
@@ -560,10 +560,11 @@ def _cmd_force(args: argparse.Namespace) -> int:
     if args.scaling == "frozen":
         ref_d = args.ref_d if args.ref_d is not None else d_values[0]
         frozen_wp = _plates(spec, ref_d)[1]
+    plates = {d: _plates(spec, d) for d in d_values}
 
-    def row(xi: float, d: float, omega: float | None = None) -> Iterator[list]:
-        omega, wp, force = _plate_force(spec, xi, d, omega, frozen_wp)
-        yield [xi, omega, d, spec.area, spec.n_charges, spec.n_photons, args.scaling, wp, force]
+    def row(xi: float, d: float, omega: float | None = None) -> list[list]:
+        omega, wp, force = _plate_force(spec, xi, plates[d], omega, frozen_wp)
+        return [[xi, omega, d, spec.area, spec.n_charges, spec.n_photons, args.scaling, wp, force]]
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons",
               "scaling", "omega_p", "force"]
