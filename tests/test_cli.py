@@ -215,7 +215,6 @@ class TestExitCodes:
         assert err.startswith("domain error:") and "finite" in err
         assert "Traceback" not in err
 
-
     @pytest.mark.parametrize("argv", [
         ["sweep", "dispersion", "--xi", "0.5", "--k", "nan,inf"],
         ["sweep", "wavenumber", "--xi", "0.5", "--omega", "nan"],

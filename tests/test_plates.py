@@ -42,7 +42,6 @@ class TestPlasmaFrequencyPlates:
         with pytest.raises(DomainError):
             PlateGeometry(d=1.0, A=1.0, N_charges=-1)
 
-
     @pytest.mark.parametrize("d,area", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
                                         (1.0, math.inf)])
     def test_geometry_rejects_non_finite(self, d, area):
