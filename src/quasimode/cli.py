@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -37,75 +37,49 @@ class SpecError(ValueError):
     """A sweep/verify specification is malformed (exit code 2)."""
 
 
-def _require_finite_grid(values) -> None:
+def _require_finite_grid(values) -> tuple[float, ...]:
     for value in values:
         if not math.isfinite(value):
             raise DomainError(f"grid values must be finite, got {value}")
+    return tuple(values)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Either an explicit value list or a start:stop:count[:spacing] range."""
-
-    values: tuple[float, ...] = ()
-    start: float = 0.0
-    stop: float = 0.0
-    count: int = 0
-    spacing: str = "linear"
-
-    @property
-    def is_range(self) -> bool:
-        return not self.values
-
-    def validate(self) -> None:
-        _require_finite_grid(self.values or (self.start, self.stop))
-        if not self.is_range:
-            return
-        if self.count < 2:
-            raise SpecError(f"grid count must be at least 2, got {self.count}")
-        if not self.start < self.stop:
-            raise SpecError(f"grid needs start < stop, got {self.start}:{self.stop}")
-        if self.spacing not in ("linear", "log"):
-            raise SpecError(f"unknown grid spacing {self.spacing!r}")
-        if self.spacing == "log" and self.start <= 0.0:
-            raise SpecError("log spacing requires start > 0")
-
-    def resolve(self) -> list[float]:
-        if not self.is_range:
-            return list(self.values)
-        if self.spacing == "log":
-            la, lb = math.log10(self.start), math.log10(self.stop)
-            steps = [(lb - la) * i / (self.count - 1) for i in range(self.count)]
-            try:
-                points = [10.0 ** (la + step) for step in steps]
-            except OverflowError:
-                raise DomainError(f"grid point above {self.stop} overflows") from None
-        else:
-            points = [
-                self.start + (self.stop - self.start) * i / (self.count - 1)
-                for i in range(self.count)
-            ]
-        _require_finite_grid(points)
-        return points
-
-
-def parse_grid(text: str) -> GridSpec:
-    """"a:b:n[:log]" is a range; otherwise a comma-separated value list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise SpecError(f"grid must be start:stop:count[:spacing], got {text!r}")
+def parse_grid(text: str) -> tuple[float, ...]:
+    """"a:b:n[:log]" is a range; otherwise a comma-separated value list.
+    Returns the grid points, every one finite."""
+    if ":" not in text:
+        return _require_finite_grid(_parse_floats(text))
+    parts = text.split(":")
+    if len(parts) not in (3, 4):
+        raise SpecError(f"grid must be start:stop:count[:spacing], got {text!r}")
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        count = int(parts[2])
+    except ValueError as exc:
+        raise SpecError(f"malformed grid {text!r}: {exc}") from None
+    spacing = parts[3] if len(parts) == 4 else "linear"
+    _require_finite_grid((start, stop))
+    if count < 2:
+        raise SpecError(f"grid count must be at least 2, got {count}")
+    if not start < stop:
+        raise SpecError(f"grid needs start < stop, got {start}:{stop}")
+    if spacing not in ("linear", "log"):
+        raise SpecError(f"unknown grid spacing {spacing!r}")
+    if spacing == "log" and start <= 0.0:
+        raise SpecError("log spacing requires start > 0")
+    if spacing == "log":
+        la, lb = math.log10(start), math.log10(stop)
+        steps = [(lb - la) * i / (count - 1) for i in range(count)]
         try:
-            start, stop = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-        except ValueError as exc:
-            raise SpecError(f"malformed grid {text!r}: {exc}") from None
-        spacing = parts[3] if len(parts) == 4 else "linear"
-        spec = GridSpec(start=start, stop=stop, count=count, spacing=spacing)
+            points = [10.0 ** (la + step) for step in steps]
+        except OverflowError:
+            raise DomainError(f"grid point above {stop} overflows") from None
     else:
-        spec = GridSpec(values=_parse_floats(text))
-    spec.validate()
-    return spec
+        points = [
+            start + (stop - start) * i / (count - 1)
+            for i in range(count)
+        ]
+    return _require_finite_grid(points)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -116,14 +90,10 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def parse_momentum(text: str) -> Momentum:
-    parts = text.split(",")
-    if len(parts) != 3:
+    values = _parse_floats(text)
+    if len(values) != 3:
         raise SpecError(f"momentum must be three comma-separated numbers, got {text!r}")
-    try:
-        a, b, c = (float(v) for v in parts)
-    except ValueError as exc:
-        raise SpecError(f"malformed momentum {text!r}: {exc}") from None
-    return Momentum(p_major=a, p_minor=b, p_perp=c)
+    return Momentum(*values)
 
 
 @dataclass(frozen=True)
@@ -132,7 +102,7 @@ class SweepSpec:
 
     quantity: str
     xi_list: tuple[float, ...]
-    grid: GridSpec
+    grid: tuple[float, ...]
     units: str = "reduced"
     out: Path | None = None
     fmt: str = "csv"
@@ -142,7 +112,7 @@ class SweepSpec:
     hbar: float = 1.0
     c: float | None = None
     momentum: Momentum = field(default_factory=Momentum)
-    n: int = 0
+    n: tuple[int, ...] = (0,)
     n_charges: int = 1
     d: float = 1.0
     area: float = 1.0
@@ -169,9 +139,9 @@ class SweepSpec:
         _require_finite(self, "omega_p", "mass", "hbar", "d", "area", "charge")
         if not 0.0 < self.resolved_c() < math.inf:
             raise DomainError(f"speed of light must be positive and finite, got {self.c}")
-        self.grid.validate()
+        _require_finite_grid(self.grid)
         if self.quantity in K_SWEPT and any(xi > 0.0 for xi in self.xi_list):
-            if any(v <= 0.0 for v in self.grid.resolve()):
+            if any(v <= 0.0 for v in self.grid):
                 raise SpecError(
                     "wavenumber grid must exclude 0 when any xi > 0 (singular point)"
                 )
@@ -234,11 +204,11 @@ def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]
         xi=xi, omega=omega, omega_p=spec.omega_p, mass=spec.mass, hbar=spec.hbar, c=u.v,
     )
     p = spec.momentum
-    level = energy_level(params, p, spec.n, spec.n_charges)
+    levels = [energy_level(params, p, n, spec.n_charges) for n in spec.n]
     return [[
         omega, xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
-        spec.n, level.theta, level.sigma_sq, level.Omega, level.energy,
-    ]]
+        level.n, level.theta, level.sigma_sq, level.Omega, level.energy,
+    ] for level in levels]
 
 
 def _force(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
@@ -307,13 +277,27 @@ K_SWEPT = {name for name, entry in _TABLE.items() if entry.axis == "k"}
 ATOMIC_ONLY = {name for name, entry in _TABLE.items() if entry.atomic_only}
 
 
-def _tabulate(axes: list[tuple[str, list]], row: Callable[..., list[list]]) -> list[list]:
+def _finite_rows(row: Callable[..., list[list]], point: tuple) -> list[list]:
+    """row(*point), with an overflow, a division by zero or a non-finite
+    float cell raised as a DomainError."""
+    try:
+        rows = row(*point)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"result is not a finite float ({type(exc).__name__})") from None
+    for r in rows:
+        for cell in r:
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise DomainError("result is not a finite float")
+    return rows
+
+
+def _tabulate(axes: list[tuple[str, tuple]], row: Callable[..., list[list]]) -> list[list]:
     """The rows of row(*point) over the product of the named axes, the first
     outermost.  A DomainError is reported on stderr with the point it hit."""
     rows: list[list] = []
     for point in itertools.product(*(values for _, values in axes)):
         try:
-            rows.extend(row(*point))
+            rows.extend(_finite_rows(row, point))
         except DomainError as exc:
             where = ", ".join(f"{name}={value:g}" for (name, _), value in zip(axes, point))
             print(f"domain error at {where}: {exc}", file=sys.stderr)
@@ -323,14 +307,13 @@ def _tabulate(axes: list[tuple[str, list]], row: Callable[..., list[list]]) -> l
 
 def _sweep_rows(spec: SweepSpec) -> tuple[list[str], list[list]]:
     entry = _TABLE[spec.quantity]
-    values = spec.grid.resolve()
     header = entry.columns
     if spec.units == "atomic":
         header = [column.split("_over_")[0] for column in header]
         if not entry.atomic_only and spec.omega_p <= 0.0:
             raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
     row = functools.partial(entry.rows, spec, _units(spec))
-    return header, _tabulate([("xi", spec.xi_list), (entry.axis, values)], row)
+    return header, _tabulate([("xi", spec.xi_list), (entry.axis, spec.grid)], row)
 
 
 def _write_table(spec: SweepSpec, header: list[str], rows: list[list]) -> None:
@@ -345,41 +328,6 @@ def run_sweep(spec: SweepSpec) -> None:
     """Validate, evaluate, and write one sweep dataset."""
     spec.validate()
     _write_table(spec, *_sweep_rows(spec))
-
-
-def run_verify(
-    cases: list[tuple[ModelParams, Momentum]],
-    n_levels: int = 5,
-    tol: float = 1e-6,
-    cutoff_start: int = 64,
-    cutoff_cap: int = 1024,
-) -> dict:
-    """Run every verification case and assemble a JSON-able report."""
-    entries = []
-    for params, p in cases:
-        report = verify_spectrum(
-            params, p, n_levels=n_levels, tol=tol,
-            cutoff_start=cutoff_start, cutoff_cap=cutoff_cap,
-        )
-        entries.append({
-            "xi": params.xi,
-            "omega": params.omega,
-            "omega_p": params.omega_p,
-            "p": [p.p_major, p.p_minor, p.p_perp],
-            "lowest_analytic": report.lowest_analytic,
-            "lowest_numeric": report.lowest_numeric,
-            "max_rel_err": report.max_rel_err,
-            "cutoff_used": report.cutoff_used,
-            "converged": report.converged,
-        })
-    return {
-        "tol": tol,
-        "cutoff_start": cutoff_start,
-        "cutoff_cap": cutoff_cap,
-        "n_levels": n_levels,
-        "all_converged": all(e["converged"] for e in entries),
-        "cases": entries,
-    }
 
 
 def _add_common_output_args(parser: argparse.ArgumentParser) -> None:
@@ -484,7 +432,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         hbar=args.hbar,
         c=args.c,
         momentum=parse_momentum(args.p),
-        n=args.n,
+        n=(args.n,),
         n_charges=args.charges,
         d=args.d,
         area=args.area,
@@ -502,8 +450,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.tol <= 0:
-        raise SpecError(f"tolerance must be positive, got {args.tol}")
+    if not 0.0 < args.tol < math.inf:
+        raise SpecError(f"tolerance must be positive and finite, got {args.tol}")
     if args.cutoff_start < 8:
         raise SpecError(f"cutoff start must be at least 8, got {args.cutoff_start}")
     if args.cutoff_cap < args.cutoff_start:
@@ -526,13 +474,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for p in momenta
         ]
 
-    report = run_verify(
-        cases,
-        n_levels=args.levels,
-        tol=args.tol,
-        cutoff_start=args.cutoff_start,
-        cutoff_cap=args.cutoff_cap,
-    )
+    entries = []
+    for params, p in cases:
+        result = verify_spectrum(
+            params, p, n_levels=args.levels, tol=args.tol,
+            cutoff_start=args.cutoff_start, cutoff_cap=args.cutoff_cap,
+        )
+        entries.append({
+            "xi": params.xi,
+            "omega": params.omega,
+            "omega_p": params.omega_p,
+            "p": [p.p_major, p.p_minor, p.p_perp],
+            **asdict(result),
+        })
+    report = {
+        "tol": args.tol,
+        "cutoff_start": args.cutoff_start,
+        "cutoff_cap": args.cutoff_cap,
+        "n_levels": args.levels,
+        "all_converged": all(e["converged"] for e in entries),
+        "cases": entries,
+    }
     for case in report["cases"]:
         status = "ok" if case["converged"] else "FAILED"
         print(
@@ -552,15 +514,14 @@ def _cmd_force(args: argparse.Namespace) -> int:
         n_charges=args.charges, area=args.area, charge=args.charge, n_photons=args.n_photons,
     )
     spec.validate()
-    d_values = spec.grid.resolve()
     if args.at_minimum == (args.omega is not None):
         raise SpecError("provide exactly one of --omega and --at-minimum")
-    omega_axis = [("omega", parse_grid(args.omega).resolve())] if args.omega else []
+    omega_axis = [("omega", parse_grid(args.omega))] if args.omega else []
     frozen_wp = None
     if args.scaling == "frozen":
-        ref_d = args.ref_d if args.ref_d is not None else d_values[0]
+        ref_d = args.ref_d if args.ref_d is not None else spec.grid[0]
         frozen_wp = _plates(spec, ref_d)[1]
-    plates = {d: _plates(spec, d) for d in d_values}
+    plates = {d: _plates(spec, d) for d in spec.grid}
 
     def row(xi: float, d: float, omega: float | None = None) -> list[list]:
         omega, wp, force = _plate_force(spec, xi, plates[d], omega, frozen_wp)
@@ -568,26 +529,22 @@ def _cmd_force(args: argparse.Namespace) -> int:
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons",
               "scaling", "omega_p", "force"]
-    rows = _tabulate([("xi", spec.xi_list), ("d", d_values), *omega_axis], row)
+    rows = _tabulate([("xi", spec.xi_list), ("d", spec.grid), *omega_axis], row)
     _write_table(spec, header, rows)
     return EXIT_OK
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    spec = SweepSpec(
-        quantity="spectrum", xi_list=_parse_floats(args.xi), grid=parse_grid(args.omega),
-        units="atomic", out=args.out, fmt=args.format, omega_p=args.omega_p, mass=args.mass,
-        hbar=args.hbar, c=args.c, momentum=parse_momentum(args.p), n_charges=args.charges,
-    )
-    spec.validate()
     try:
-        n_values = [int(v) for v in args.n.split(",")]
+        n_values = tuple(int(v) for v in args.n.split(","))
     except ValueError as exc:
         raise SpecError(f"malformed excitation list {args.n!r}: {exc}") from None
-    units, by_n = _units(spec), {n: replace(spec, n=n) for n in n_values}
-    axes = [("xi", spec.xi_list), ("omega", spec.grid.resolve()), ("n", n_values)]
-    rows = _tabulate(axes, lambda xi, omega, n: _spectrum(by_n[n], units, xi, omega))
-    _write_table(spec, _TABLE["spectrum"].columns, rows)
+    run_sweep(SweepSpec(
+        quantity="spectrum", xi_list=_parse_floats(args.xi), grid=parse_grid(args.omega),
+        units="atomic", out=args.out, fmt=args.format, omega_p=args.omega_p, mass=args.mass,
+        hbar=args.hbar, c=args.c, momentum=parse_momentum(args.p), n=n_values,
+        n_charges=args.charges,
+    ))
     return EXIT_OK
 
 

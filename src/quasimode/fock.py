@@ -171,8 +171,8 @@ def verify_spectrum(
     no cutoff above it is ever built.  Hitting the cap without stabilizing is
     reported (converged=False), not raised.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     build = (
         build_dipole_hamiltonian
         if variant is HamiltonianVariant.DIPOLE

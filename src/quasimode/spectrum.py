@@ -41,6 +41,12 @@ class Momentum:
 
     def __post_init__(self) -> None:
         _require_finite(self, "p_major", "p_minor", "p_perp")
+        try:
+            squared = self.squared
+        except OverflowError:
+            squared = math.inf
+        if not math.isfinite(squared):
+            raise DomainError(f"squared momentum overflows for {self}")
 
     @property
     def squared(self) -> float:
@@ -147,6 +153,10 @@ def energy_level(
     energy = p.squared / (2.0 * params.mass) + params.hbar * Omega * (
         n + 0.5 - sigma_sq
     )
+    if not (math.isfinite(Omega) and math.isfinite(sigma_sq) and math.isfinite(energy)):
+        raise DomainError(
+            f"level is not finite: Omega={Omega}, sigma_sq={sigma_sq}, energy={energy}"
+        )
     return EnergyLevel(n=n, theta=theta, sigma_sq=sigma_sq, energy=energy, Omega=Omega)
 
 

@@ -15,7 +15,6 @@ from quasimode.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
-    GridSpec,
     SpecError,
     SweepSpec,
     main,
@@ -38,19 +37,18 @@ def read_csv(path: Path):
 
 class TestGridParsing:
     def test_range(self):
-        grid = parse_grid("0.01:3:300")
-        values = grid.resolve()
+        values = parse_grid("0.01:3:300")
         assert len(values) == 300
         assert values[0] == pytest.approx(0.01)
         assert values[-1] == pytest.approx(3.0)
 
     def test_log_range(self):
-        values = parse_grid("0.1:100:4:log").resolve()
+        values = parse_grid("0.1:100:4:log")
         assert values == pytest.approx([0.1, 1.0, 10.0, 100.0], rel=1e-12)
 
     def test_explicit_list_and_single_value(self):
-        assert parse_grid("0,0.2,1").resolve() == [0.0, 0.2, 1.0]
-        assert parse_grid("1.5").resolve() == [1.5]
+        assert parse_grid("0,0.2,1") == (0.0, 0.2, 1.0)
+        assert parse_grid("1.5") == (1.5,)
 
     @pytest.mark.parametrize("text", ["1:2:1", "3:1:10", "a:b:c", "0:1:10:cubic", "-1:1:5:log"])
     def test_invalid_ranges(self, text):
@@ -67,7 +65,7 @@ class TestGridParsing:
     )
     def test_overflowing_grid_points_are_domain_errors(self, text):
         with pytest.raises(DomainError):
-            parse_grid(text).resolve()
+            parse_grid(text)
 
 
 class TestSweepCommand:
@@ -237,6 +235,20 @@ class TestExitCodes:
         ["sweep", "reflectivity", "--xi", "0.5", "--omega", "1e-170"],
         ["verify", "--xi", "1", "--omega-p", "1e154"],
         ["force", "--xi", "0.5", "--d", "1", "--charge", "1e200", "--at-minimum"],
+        ["sweep", "wavenumber", "--xi", "0.5", "--omega", "1e100"],
+        ["sweep", "dispersion", "--xi", "0.5", "--k", "1e200"],
+        ["sweep", "velocity", "--xi", "0.5", "--k", "1e-80"],
+        ["sweep", "dispersion", "--xi", "0.5", "--k", "1e-200"],
+        ["sweep", "velocity", "--xi", "0.5", "--k", "1e-200"],
+        ["sweep", "force", "--xi", "0.5", "--omega", "1e-200"],
+        ["sweep", "force", "--xi", "0.5", "--omega", "1", "--charge", "1e200"],
+        ["sweep", "force", "--xi", "0.5", "--omega", "1e200"],
+        ["force", "--xi", "0.5", "--d", "1e-300", "--at-minimum"],
+        ["force", "--xi", "0.5", "--d", "1e300", "--at-minimum"],
+        ["verify", "--xi", "0.5", "--omega", "1e-150", "--omega-p", "1e10"],
+        ["sweep", "spectrum", "--xi", "0.5", "--omega", "1e-155", "--omega-p", "1"],
+        ["verify", "--xi", "0.5", "--p", "1e200,0,0"],
+        ["spectrum", "--xi", "0.5", "--omega", "1", "--omega-p", "1", "--p", "1e200,0,0"],
     ])
     def test_unrepresentable_input_is_domain_error(self, argv, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -245,6 +257,11 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "domain error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+    def test_tolerance_must_be_positive_and_finite(self, tol, capsys):
+        assert main(["verify", "--xi", "0.5", f"--tol={tol}"]) == EXIT_USAGE
+        assert "positive and finite" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -383,7 +400,7 @@ class TestFiguresCommand:
 class TestRunSweepApi:
     def test_spec_validation_catches_bad_units(self):
         spec = SweepSpec(
-            quantity="spectrum", xi_list=(0.5,), grid=GridSpec(values=(1.0,)),
+            quantity="spectrum", xi_list=(0.5,), grid=(1.0,),
             units="reduced",
         )
         with pytest.raises(SpecError):
@@ -391,7 +408,7 @@ class TestRunSweepApi:
 
     def test_stdout_output(self, capsys):
         spec = SweepSpec(
-            quantity="dispersion", xi_list=(1.0,), grid=GridSpec(values=(1.0,)),
+            quantity="dispersion", xi_list=(1.0,), grid=(1.0,),
         )
         run_sweep(spec)
         out = capsys.readouterr().out

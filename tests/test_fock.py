@@ -295,6 +295,11 @@ class TestVerifySpectrum:
         assert not report.converged
         assert report.max_rel_err > 1e-16
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError, match="positive and finite"):
+            verify_spectrum(EP_CASE, EP_MOM, tol=tol)
+
     def test_cap_hit_reported_not_raised(self):
         # strong squeezing: truncation error still visible at the low cap
         params = ModelParams(xi=0.0, omega=0.3, omega_p=3.0)
