@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 from .dispersion import Branch, k_branches, omega_of_k
 from .errors import DomainError
-from .figures import emit_figure_datasets
 from .fock import default_verification_cases, verify_spectrum
 from .kinematics import group_velocity, phase_velocity
 from .optics import dielectric, optical_response
@@ -31,6 +30,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# Largest oracle cutoff `verify` accepts: one banded solve takes seconds there.
+MAX_CUTOFF = 16384
 
 
 class SpecError(ValueError):
@@ -444,6 +446,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from .figures import emit_figure_datasets  # figures builds on this module's table
+
     for path in emit_figure_datasets(args.outdir):
         print(path)
     return EXIT_OK
@@ -456,8 +460,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise SpecError(f"cutoff start must be at least 8, got {args.cutoff_start}")
     if args.cutoff_cap < args.cutoff_start:
         raise SpecError("cutoff cap must be at least the starting cutoff")
+    if args.cutoff_cap > MAX_CUTOFF:
+        raise SpecError(f"cutoff cap must be at most {MAX_CUTOFF}, got {args.cutoff_cap}")
     if args.levels < 1:
         raise SpecError(f"levels must be positive, got {args.levels}")
+    if args.levels > args.cutoff_start / 4:
+        raise SpecError(
+            f"levels must be at most cutoff start/4={args.cutoff_start / 4:g}, got {args.levels}"
+        )
 
     if args.xi is None and args.omega is None and args.omega_p is None and args.p is None:
         cases = default_verification_cases()
@@ -553,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

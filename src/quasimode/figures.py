@@ -2,10 +2,12 @@
 
 Six CSV files cover the dispersion curves, both complex wavenumber branches,
 the velocities, the branch reflectivities, and the energy surface, each for
-xi in {0, 0.2, 0.5, 1} over fixed grids in reduced units.  Critical points
-(k*, the dispersion minimum Omega*, and the full-reflection cutoff
-Omega~) are appended per polarization as tagged rows in the `marker` column;
-ordinary grid rows carry an empty marker.
+xi in {0, 0.2, 0.5, 1} over fixed grids in reduced units.  All but the
+energy surface hold the rows, or for Re k and Im k the columns, of the
+matching reduced-unit `sweep` table plus a `marker` column.  Critical
+points (k*, the dispersion minimum Omega*, and the full-reflection cutoff
+Omega~) are appended per polarization as tagged rows; ordinary grid rows
+carry an empty marker.
 """
 
 from __future__ import annotations
@@ -14,79 +16,57 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispersion import critical_points, k_branches, omega_of_k
-from .kinematics import group_velocity, phase_velocity
-from .optics import Branch, optical_response
-from .output import render_csv
+from .cli import _TABLE, SweepSpec, _sweep_rows
+from .dispersion import critical_points
+from .output import render_csv, write_bytes
 from .params import ModelParams
 from .spectrum import Momentum, energy_level, zero_point_minimum
 
 FIGURE_XI = (0.0, 0.2, 0.5, 1.0)
 
-_K_GRID = np.linspace(0.01, 3.0, 300)
-_OMEGA_GRID = np.linspace(0.01, 3.0, 300)
+_GRID = tuple(np.linspace(0.01, 3.0, 300))  # k/k_p or omega/omega_p
 _P_GRID = np.linspace(0.0, 2.0, 21)
 _W_GRID = np.linspace(0.1, 3.0, 30)
 
 
-def _dispersion_rows() -> tuple[list[str], list[list]]:
-    rows = []
-    for xi in FIGURE_XI:
-        grid = [0.0, *_K_GRID] if xi == 0.0 else list(_K_GRID)
-        for x in grid:
-            rows.append([x, xi, omega_of_k(x, xi), ""])
-        cp = critical_points(xi)
-        rows.append([cp.k_star, xi, omega_of_k(cp.k_star, xi), "k_star"])
-    return ["k_over_kp", "xi", "omega_over_wp", "marker"], rows
+def _marked_rows(quantity: str, xi: float, points: tuple, marker: str = "") -> list[list]:
+    """The reduced-unit sweep rows of `quantity` at xi over points, each
+    with the marker cell appended."""
+    _, rows = _sweep_rows(SweepSpec(quantity, (xi,), points))
+    return [[*row, marker] for row in rows]
 
 
-def _wavenumber_tables() -> tuple[tuple[list[str], list[list]], tuple[list[str], list[list]]]:
-    """The Re k and Im k tables, filled from one k_branches call per point."""
-    re_rows, im_rows = [], []
+def _wave_tables() -> dict[str, tuple[list[str], list[list]]]:
+    """The dispersion, wavenumber, velocity and reflectivity sweep tables:
+    per xi the grid rows, then the rows at that xi's critical points."""
+    tables = {quantity: [] for quantity in ("dispersion", "wavenumber", "velocity", "reflectivity")}
     for xi in FIGURE_XI:
         cp = critical_points(xi)
-        points = [(y, "") for y in _OMEGA_GRID]
-        points += [(cp.omega_tilde, "omega_tilde"), (cp.omega_star, "omega_star")]
-        for y, marker in points:
-            for wn in k_branches(y, xi):
-                re_rows.append([y, xi, wn.branch, wn.value.real, marker])
-                im_rows.append([y, xi, wn.branch, wn.value.imag, marker])
-    return (
-        (["omega_over_wp", "xi", "branch", "re_k_over_kp", "marker"], re_rows),
-        (["omega_over_wp", "xi", "branch", "im_k_over_kp", "marker"], im_rows),
-    )
-
-
-def _velocity_rows() -> tuple[list[str], list[list]]:
-    rows = []
-    for xi in FIGURE_XI:
-        for x in _K_GRID:
-            rows.append([x, xi, phase_velocity(x, xi), group_velocity(x, xi), ""])
-        if xi > 0.0:
+        k_star = [(cp.k_star, "k_star")]
+        omega_tilde = [(cp.omega_tilde, "omega_tilde")]
+        omega_star = [(cp.omega_star, "omega_star")]
+        markers = {
+            "dispersion": k_star,
+            "wavenumber": omega_tilde + omega_star,
             # k* = 0 for linear polarization; the velocities are singular there.
-            cp = critical_points(xi)
-            rows.append(
-                [cp.k_star, xi, phase_velocity(cp.k_star, xi),
-                 group_velocity(cp.k_star, xi), "k_star"]
-            )
-    return ["k_over_kp", "xi", "v_phase_over_c", "v_group_over_c", "marker"], rows
-
-
-def _reflectivity_rows() -> tuple[list[str], list[list]]:
-    rows = []
-    for xi in FIGURE_XI:
-        for y in _OMEGA_GRID:
-            for branch in (Branch.PLUS, Branch.MINUS):
-                rows.append([y, xi, branch, optical_response(y, xi, branch).R, ""])
-        cp = critical_points(xi)
-        markers = [(cp.omega_star, "omega_star")]
-        if cp.omega_tilde > 0.0:
+            "velocity": k_star if cp.k_star > 0.0 else [],
             # Omega~ = 0 for circular polarization; no finite full-reflection point.
-            markers.insert(0, (cp.omega_tilde, "omega_tilde"))
-        for y, marker in markers:
-            for branch in (Branch.PLUS, Branch.MINUS):
-                rows.append([y, xi, branch, optical_response(y, xi, branch).R, marker])
-    return ["omega_over_wp", "xi", "branch", "reflectivity", "marker"], rows
+            "reflectivity": (omega_tilde if cp.omega_tilde > 0.0 else []) + omega_star,
+        }
+        for quantity, rows in tables.items():
+            # The linear dispersion curve starts at k = 0.
+            grid = (0.0, *_GRID) if quantity == "dispersion" and xi == 0.0 else _GRID
+            rows += _marked_rows(quantity, xi, grid)
+            for point, marker in markers[quantity]:
+                rows += _marked_rows(quantity, xi, (point,), marker)
+    return {quantity: (_TABLE[quantity].columns + ["marker"], rows)
+            for quantity, rows in tables.items()}
+
+
+def _columns(table: tuple[list[str], list[list]], names: list[str]) -> tuple[list[str], list[list]]:
+    header, rows = table
+    index = [header.index(name) for name in names]
+    return names, [[row[i] for i in index] for row in rows]
 
 
 def _energy_rows() -> tuple[list[str], list[list]]:
@@ -107,19 +87,22 @@ def _energy_rows() -> tuple[list[str], list[list]]:
 def emit_figure_datasets(outdir: Path) -> list[Path]:
     """Write all six datasets into outdir; returns the paths written."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rek, imk = _wavenumber_tables()
+    wave = _wave_tables()
+    rek, imk = (
+        _columns(wave["wavenumber"], ["omega_over_wp", "xi", "branch", part, "marker"])
+        for part in ("re_k_over_kp", "im_k_over_kp")
+    )
     tables = {
-        "fig1_dispersion.csv": _dispersion_rows(),
+        "fig1_dispersion.csv": wave["dispersion"],
         "fig2a_rek.csv": rek,
         "fig2b_imk.csv": imk,
-        "fig3_velocities.csv": _velocity_rows(),
-        "fig4_reflectivity.csv": _reflectivity_rows(),
+        "fig3_velocities.csv": wave["velocity"],
+        "fig4_reflectivity.csv": wave["reflectivity"],
         "fig5_energy.csv": _energy_rows(),
     }
     paths = []
     for name, (header, rows) in tables.items():
         path = outdir / name
-        path.write_bytes(render_csv(header, rows))
+        write_bytes(render_csv(header, rows), path)
         paths.append(path)
     return paths

@@ -44,13 +44,8 @@ def _jsonable(value: Any) -> Any:
 def render_json_table(
     header: list[str], rows: Iterable[Iterable[Any]], **meta: Any
 ) -> bytes:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **meta,
-        "columns": list(header),
-        "rows": [[_jsonable(v) for v in row] for row in rows],
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    rows = [[_jsonable(v) for v in row] for row in rows]
+    return render_json({**meta, "columns": list(header), "rows": rows})
 
 
 def render_json(doc: dict[str, Any]) -> bytes:

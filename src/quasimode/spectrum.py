@@ -19,7 +19,7 @@ shape with omega_p^2 scaled by N and p read as the summed momentum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .params import (
@@ -139,14 +139,7 @@ def energy_level(
     if N_charges < 1:
         raise DomainError(f"charge count must be at least 1, got {N_charges}")
     if N_charges > 1:
-        params = ModelParams(
-            xi=params.xi,
-            omega=params.omega,
-            omega_p=params.omega_p * math.sqrt(N_charges),
-            mass=params.mass,
-            hbar=params.hbar,
-            c=params.c,
-        )
+        params = replace(params, omega_p=params.omega_p * math.sqrt(N_charges))
     Omega = effective_frequency(params)
     theta = bogoliubov_theta(params)
     sigma_sq = displacement_sigma_sq(params, p)

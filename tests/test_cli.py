@@ -263,6 +263,45 @@ class TestExitCodes:
         assert main(["verify", "--xi", "0.5", f"--tol={tol}"]) == EXIT_USAGE
         assert "positive and finite" in capsys.readouterr().err
 
+    def test_levels_above_quarter_of_starting_cutoff_is_usage_error(self, capsys):
+        assert main(["verify", "--xi", "0.5", "--levels", "20"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: levels must be at most")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--xi", "0.5", "--cutoff-cap", "1048576"],
+        ["verify", "--xi", "0.5", "--cutoff-cap", "16385"],
+        ["verify", "--xi", "0.5", "--cutoff-start", "100000000", "--cutoff-cap", "100000000"],
+    ])
+    def test_cutoff_above_maximum_is_usage_error(self, argv, capsys, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle must not run")
+
+        monkeypatch.setattr(quasimode.cli, "verify_spectrum", no_oracle)
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cutoff cap must be at most")
+
+    def test_maximum_cutoff_is_accepted(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise DomainError("oracle reached")
+
+        monkeypatch.setattr(quasimode.cli, "verify_spectrum", no_oracle)
+        assert main(["verify", "--xi", "0.5", "--cutoff-cap", "16384"]) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("argv", [
+        ["figures", "--outdir", "{file}"],
+        ["sweep", "dispersion", "--xi", "0", "--k", "1", "--out", "{dir}"],
+        ["verify", "--xi", "0.5", "--out", "{dir}"],
+    ])
+    def test_unwritable_output_is_usage_error(self, argv, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv = [arg.format(file=a_file, dir=tmp_path) for arg in argv]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        # verify reports each case on stderr before it writes
+        lines = [line for line in err.splitlines() if not line.startswith("[ok]")]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestVerifyCommand:
     def test_default_grid_report(self, tmp_path):
@@ -382,9 +421,9 @@ class TestFiguresCommand:
 
     def test_wavenumber_tables_evaluate_each_point_once(self, tmp_path, monkeypatch):
         calls = []
-        original = quasimode.figures.k_branches
+        original = quasimode.cli.k_branches
         monkeypatch.setattr(
-            quasimode.figures, "k_branches", lambda y, xi: calls.append(y) or original(y, xi)
+            quasimode.cli, "k_branches", lambda y, xi: calls.append(y) or original(y, xi)
         )
         assert main(["figures", "--outdir", str(tmp_path)]) == EXIT_OK
         # 300 grid frequencies plus the omega~ and omega* markers, per xi
