@@ -13,7 +13,6 @@ import math
 from quasimode import (
     PlateGeometry,
     critical_points,
-    ellipticity_kappa,
     force_at_minimum,
     superluminal_backward_threshold,
 )
@@ -36,7 +35,7 @@ def main() -> None:
         force = force_at_minimum(geom, 1.0, 1.0, xi)
         print(
             f"{xi:6.2f} {cp.k_star:10.6f} {cp.omega_star:10.6f} "
-            f"{cp.omega_tilde:10.6f} {threshold} {ellipticity_kappa(xi):8.5f} "
+            f"{cp.omega_tilde:10.6f} {threshold} {cp.omega_star:8.5f} "
             f"{force:10.6f}"
         )
 

@@ -6,7 +6,6 @@ from .dispersion import (
     Branch,
     ComplexWavenumber,
     CriticalPoints,
-    DispersionPoint,
     Regime,
     classify_regime,
     critical_points,
@@ -26,7 +25,6 @@ from .fock import (
     verify_spectrum,
 )
 from .kinematics import (
-    VelocityPoint,
     group_velocity,
     phase_velocity,
     superluminal_backward_threshold,
@@ -43,8 +41,6 @@ from .params import (
     DerivedConstants,
     ModelParams,
     derived_constants,
-    ellipticity_kappa,
-    plasma_frequency_from_volume,
     polarization_weight,
 )
 from .plates import (
@@ -75,7 +71,6 @@ __all__ = [
     "ComplexWavenumber",
     "CriticalPoints",
     "DerivedConstants",
-    "DispersionPoint",
     "DomainError",
     "EnergyLevel",
     "FockHamiltonian",
@@ -85,7 +80,6 @@ __all__ = [
     "OpticalResponse",
     "PlateGeometry",
     "Regime",
-    "VelocityPoint",
     "VerificationReport",
     "bogoliubov_theta",
     "build_dipole_hamiltonian",
@@ -97,7 +91,6 @@ __all__ = [
     "dielectric",
     "displacement_sigma_sq",
     "effective_frequency",
-    "ellipticity_kappa",
     "energy_cp",
     "energy_level",
     "energy_lp",
@@ -112,7 +105,6 @@ __all__ = [
     "omega_physical",
     "optical_response",
     "phase_velocity",
-    "plasma_frequency_from_volume",
     "plasma_frequency_plates",
     "polarization_weight",
     "reflectivity",

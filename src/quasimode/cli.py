@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .dispersion import Branch, k_branches, omega_of_k
+from .dispersion import Branch, critical_points, k_branches, omega_physical
 from .errors import DomainError
 from .fock import default_verification_cases, verify_spectrum
 from .kinematics import group_velocity, phase_velocity
-from .optics import dielectric, optical_response
+from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
 from .output import render_csv, render_json, render_json_table, write_bytes
 from .params import ATOMIC_C, ModelParams, _require_finite, validate_xi
 from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
@@ -174,7 +174,7 @@ def _units(spec: SweepSpec) -> _Units:
 
 
 def _dispersion(spec: SweepSpec, u: _Units, xi: float, k: float) -> list[list]:
-    return [[k, xi, omega_of_k(k / u.k, xi) * u.omega]]
+    return [[k, xi, omega_physical(k, u.omega, xi, u.v)]]
 
 
 def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
@@ -185,15 +185,21 @@ def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[lis
     return rows
 
 
-def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
+def _zetas(u: _Units, xi: float, omega: float) -> list[tuple[Branch, complex]]:
+    """Both branches' permittivities at omega, from one branch evaluation."""
     y = omega / u.omega
-    zetas = [(b, dielectric(y, xi, b)) for b in (Branch.PLUS, Branch.MINUS)]
-    return [[omega, xi, b, zeta.real, zeta.imag] for b, zeta in zetas]
+    zetas = zip((Branch.PLUS, Branch.MINUS), _branch_zetas(y, xi))
+    return [(b, _finite_zeta(zeta, y)) for b, zeta in zetas]
+
+
+def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
+    return [[omega, xi, b, zeta.real, zeta.imag] for b, zeta in _zetas(u, xi, omega)]
 
 
 def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
-    y = omega / u.omega
-    return [[omega, xi, b, optical_response(y, xi, b).R] for b in (Branch.PLUS, Branch.MINUS)]
+    return [
+        [omega, xi, b, reflectivity(refractive_index(zeta))] for b, zeta in _zetas(u, xi, omega)
+    ]
 
 
 def _velocity(spec: SweepSpec, u: _Units, xi: float, k: float) -> list[list]:
@@ -236,7 +242,7 @@ def _plate_force(
     e, m, hbar = spec.charge, spec.mass, spec.hbar
     if omega is None:
         force = force_at_minimum(geom, e, m, xi, hbar, omega_p=frozen_wp)
-        return wp * (xi / (1.0 + xi * xi)) ** 0.5, wp, force
+        return wp * critical_points(xi).k_star, wp, force
     return omega, wp, force_general(omega, geom, e, m, xi, hbar, omega_p=wp)
 
 

@@ -38,19 +38,6 @@ class Regime(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DispersionPoint:
-    """One point (x, y) on the dispersion curve for a given xi."""
-
-    x: float
-    y: float
-    xi: float
-
-    @classmethod
-    def at(cls, x: float, xi: float) -> "DispersionPoint":
-        return cls(x=x, y=omega_of_k(x, xi), xi=xi)
-
-
-@dataclass(frozen=True)
 class ComplexWavenumber:
     """A reduced wavenumber k/k_p on one branch, tagged with its regime."""
 
@@ -61,10 +48,15 @@ class ComplexWavenumber:
 
 @dataclass(frozen=True)
 class CriticalPoints:
-    """Reduced critical points of the dispersion for a given xi.
+    """Reduced critical points of the dispersion for a given xi, the one
+    home of these closed forms.
 
-    k_star      -- location of the global minimum, sqrt(xi/(1+xi^2))
-    omega_star  -- frequency at the minimum, (1+xi)/sqrt(1+xi^2)
+    k_star      -- location of the global minimum, sqrt(xi/(1+xi^2)); times
+                   omega_p, also the mode frequency that minimizes the
+                   zero-point energy
+    omega_star  -- frequency at the minimum, (1+xi)/sqrt(1+xi^2); also the
+                   ellipticity factor kappa in [1, sqrt(2)] of the plate
+                   force at the minimum and of E* = kappa hbar omega_p / 2
     omega_tilde -- cutoff below which waves are fully evanescent,
                    (1-xi)/sqrt(1+xi^2)
     """

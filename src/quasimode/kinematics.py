@@ -9,23 +9,9 @@ below -c at a polarization-dependent threshold that has a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .params import polarization_weight, validate_xi
-
-
-@dataclass(frozen=True)
-class VelocityPoint:
-    """Signed velocities at one reduced wavenumber (units of c)."""
-
-    x: float
-    v_ph: float
-    v_g: float
-
-    @classmethod
-    def at(cls, x: float, xi: float) -> "VelocityPoint":
-        return cls(x=x, v_ph=phase_velocity(x, xi), v_g=group_velocity(x, xi))
 
 
 def phase_velocity(x: float, xi: float) -> float:

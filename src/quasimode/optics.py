@@ -30,9 +30,10 @@ class OpticalResponse:
     branch: Branch
 
 
-def dielectric(y: float, xi: float, branch: Branch) -> complex:
-    """Relative permittivity zeta = (x / y)^2 on the given branch at reduced
-    frequency y."""
+def _branch_zetas(y: float, xi: float) -> tuple[complex, complex]:
+    """(zeta_plus, zeta_minus) at reduced frequency y from one branch-square
+    evaluation, not yet checked for finiteness: a caller checks the branches
+    it reports with _finite_zeta."""
     if y <= 0.0:
         raise DomainError(f"dielectric function requires y > 0, got {y}")
     y2 = y * y
@@ -43,15 +44,23 @@ def dielectric(y: float, xi: float, branch: Branch) -> complex:
         # Divide, then conjugate: the other order can flip the sign of a zero
         # imaginary part.
         zeta = s_plus / y2
-        if branch is Branch.MINUS:
-            zeta = zeta.conjugate()
-    else:
-        # Real outside the damped window; the signed zero that picks the
-        # minus branch's limit at the double root belongs to x, not to zeta.
-        zeta = complex((s_plus if branch is Branch.PLUS else s_minus).real / y2, 0.0)
+        return zeta, zeta.conjugate()
+    # Real outside the damped window; the signed zero that picks the minus
+    # branch's limit at the double root belongs to x, not to zeta.
+    return complex(s_plus.real / y2, 0.0), complex(s_minus.real / y2, 0.0)
+
+
+def _finite_zeta(zeta: complex, y: float) -> complex:
     if not cmath.isfinite(zeta):
         raise DomainError(f"permittivity is not a finite float at y = {y}")
     return zeta
+
+
+def dielectric(y: float, xi: float, branch: Branch) -> complex:
+    """Relative permittivity zeta = (x / y)^2 on the given branch at reduced
+    frequency y."""
+    zeta_plus, zeta_minus = _branch_zetas(y, xi)
+    return _finite_zeta(zeta_plus if branch is Branch.PLUS else zeta_minus, y)
 
 
 def refractive_index(zeta: complex) -> complex:

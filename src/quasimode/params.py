@@ -44,28 +44,6 @@ def polarization_weight(xi: float) -> float:
     return xi * xi / (1.0 + xi * xi) ** 2
 
 
-def ellipticity_kappa(xi: float) -> float:
-    """kappa = (1 + xi) / sqrt(1 + xi^2), in [1, sqrt(2)].
-
-    Ratio of the dispersion minimum to the plasma frequency; also the
-    polarization factor of the zero-point plate force.
-    """
-    validate_xi(xi)
-    return (1.0 + xi) / math.sqrt(1.0 + xi * xi)
-
-
-def plasma_frequency_from_volume(e: float, m: float, V: float) -> float:
-    """Plasma frequency of a charge e of mass m smeared over a volume V:
-    omega_p = sqrt(4 pi e^2 / (m V))."""
-    if e < 0.0:
-        raise DomainError(f"charge must be nonnegative, got {e}")
-    if m <= 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
-    if V <= 0.0:
-        raise DomainError(f"volume must be positive, got {V}")
-    return math.sqrt(4.0 * math.pi * e * e / (m * V))
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of one charge coupled to one radiation mode.
@@ -97,22 +75,6 @@ class ModelParams:
         if self.c <= 0.0:
             raise DomainError(f"speed of light must be positive, got {self.c}")
 
-    @classmethod
-    def from_charge_volume(
-        cls,
-        xi: float,
-        omega: float = 0.0,
-        *,
-        e: float = 1.0,
-        mass: float = 1.0,
-        volume: float = 1.0,
-        hbar: float = 1.0,
-        c: float = 1.0,
-    ) -> "ModelParams":
-        """Alternative constructor: supply (e, m, V) instead of omega_p."""
-        omega_p = plasma_frequency_from_volume(e, mass, volume)
-        return cls(xi=xi, omega=omega, omega_p=omega_p, mass=mass, hbar=hbar, c=c)
-
     def require_omega(self) -> float:
         if self.omega <= 0.0:
             raise DomainError("operation requires a positive mode frequency omega")
@@ -121,33 +83,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Frequently used scalar combinations of the model parameters.
+    """The coupling constants of the model parameters.
 
-    k_p   -- plasma wavenumber omega_p / c
-    q     -- polarization weight xi^2/(1+xi^2)^2
-    kappa -- (1+xi)/sqrt(1+xi^2)
-    g     -- linear coupling strength, sqrt(hbar omega_p^2 / (2 m omega));
-             multiplies the momentum in the interaction term
-    quad  -- quadratic coupling energy, hbar omega_p^2 / (2 omega);
-             satisfies m g^2 = quad identically
+    g    -- linear coupling strength, sqrt(hbar omega_p^2 / (2 m omega));
+            multiplies the momentum in the interaction term
+    quad -- quadratic coupling energy, hbar omega_p^2 / (2 omega);
+            satisfies m g^2 = quad identically
     """
 
-    k_p: float
-    q: float
-    kappa: float
     g: float
     quad: float
 
 
 def derived_constants(p: ModelParams) -> DerivedConstants:
-    """Compute all derived constants; requires omega > 0 (g and quad)."""
-    omega = p.require_omega()
-    quad = p.hbar * p.omega_p**2 / (2.0 * omega)
-    g = math.sqrt(quad / p.mass)
-    return DerivedConstants(
-        k_p=p.omega_p / p.c,
-        q=polarization_weight(p.xi),
-        kappa=ellipticity_kappa(p.xi),
-        g=g,
-        quad=quad,
-    )
+    """Compute the coupling constants; requires omega > 0."""
+    quad = p.hbar * p.omega_p**2 / (2.0 * p.require_omega())
+    return DerivedConstants(g=math.sqrt(quad / p.mass), quad=quad)

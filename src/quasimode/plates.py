@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dispersion import critical_points
 from .errors import DomainError
-from .params import _require_finite, ellipticity_kappa, polarization_weight, validate_xi
+from .params import _require_finite, polarization_weight
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,9 @@ def force_minimum_plasma_form(
     omega_p: float | None = None,
 ) -> float:
     """Force at the zero-point-energy minimum, plasma-frequency form:
-    F* = (kappa/4) hbar omega_p(d, A) (1 + 2 n) / d."""
-    kappa = ellipticity_kappa(xi)
+    F* = (kappa/4) hbar omega_p(d, A) (1 + 2 n) / d, with kappa the
+    omega_star of critical_points."""
+    kappa = critical_points(xi).omega_star
     wp = plasma_frequency_plates(g, e, m) if omega_p is None else omega_p
     return kappa / 4.0 * hbar * wp * (1.0 + 2.0 * g.n_photons) / g.d
 
@@ -125,10 +127,10 @@ def force_minimum_bohr_form(
         F* = kappa sqrt(pi R_B / A) e_N^2 (1/2 + n) / d^(3/2),
 
     with e_N^2 = N e^2 the effective squared charge and R_B = hbar^2/(m e_N^2)
-    the Bohr radius of that effective charge.  Equal to the plasma-frequency
-    form for every N and n.
+    the Bohr radius of that effective charge and kappa the omega_star of
+    critical_points.  Equal to the plasma-frequency form for every N and n.
     """
-    kappa = ellipticity_kappa(xi)
+    kappa = critical_points(xi).omega_star
     if e < 0.0:
         raise DomainError(f"charge must be nonnegative, got {e}")
     if m <= 0.0:
@@ -161,7 +163,6 @@ def force_at_minimum(
     overflows, raises DomainError.  In frozen mode (omega_p given) only the
     plasma-frequency form applies.
     """
-    validate_xi(xi)
     plasma = force_minimum_plasma_form(g, e, m, xi, hbar, omega_p)
     if omega_p is not None:
         return plasma

@@ -21,14 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .dispersion import critical_points
 from .errors import DomainError
-from .params import (
-    ModelParams,
-    ellipticity_kappa,
-    polarization_weight,
-    _require_finite,
-    validate_xi,
-)
+from .params import ModelParams, _require_finite, derived_constants, polarization_weight
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,7 @@ def displacement_sigma_sq(params: ModelParams, p: Momentum) -> float:
     if params.omega_p == 0.0:
         return 0.0
     omega = params.require_omega()
-    quad = params.hbar * params.omega_p**2 / (2.0 * omega)
+    quad = derived_constants(params).quad
     g_sq = quad / params.mass
     theta = bogoliubov_theta(params)
     pref = math.cosh(2.0 * theta) / (params.hbar * omega + quad)
@@ -196,13 +191,12 @@ def zero_point_minimum(
     """Minimum over the mode frequency of the ground-state energy
     hbar Omega(omega)/2 at p = 0.
 
-    Returns (omega_min, E_star) with omega_min = omega_p sqrt(xi/(1+xi^2))
-    and E_star = kappa hbar omega_p / 2.  For xi = 0 the minimum sits at
-    omega = 0 with E_star = hbar omega_p / 2 (a limit, not an error).
+    Returns (omega_min, E_star) with omega_min = omega_p k_star and
+    E_star = kappa hbar omega_p / 2, kappa being omega_star (see
+    critical_points).  For xi = 0 the minimum sits at omega = 0 with
+    E_star = hbar omega_p / 2 (a limit, not an error).
     """
-    validate_xi(xi)
+    cp = critical_points(xi)
     if omega_p <= 0.0:
         raise DomainError(f"plasma frequency must be positive, got {omega_p}")
-    omega_min = omega_p * math.sqrt(xi / (1.0 + xi * xi))
-    e_star = ellipticity_kappa(xi) * hbar * omega_p / 2.0
-    return omega_min, e_star
+    return omega_p * cp.k_star, cp.omega_star * hbar * omega_p / 2.0

@@ -9,7 +9,7 @@ import pytest
 
 import quasimode
 import quasimode.figures
-from quasimode import DomainError, energy_level, ModelParams, Momentum
+from quasimode import DomainError, energy_level, ModelParams, Momentum, zero_point_minimum
 from quasimode.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -351,6 +351,20 @@ class TestForceCommand:
 
         assert slope("recompute") == pytest.approx(-1.5, abs=1e-6)
         assert slope("frozen") == pytest.approx(-1.0, abs=1e-6)
+
+    def test_minimum_frequency_is_the_library_value(self, tmp_path):
+        # at these xi, x ** 0.5 and math.sqrt(x) round k* differently, so the
+        # omega cells match only when they take k* from critical_points
+        out = tmp_path / "force.csv"
+        assert main([
+            "force", "--xi", "0.0378,0.6302,0.6642,0.7925,0.9089", "--d", "1,2",
+            "--area", "2", "--at-minimum", "--out", str(out),
+        ]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 10
+        for r in rows:
+            expected = zero_point_minimum(float(r["xi"]), float(r["omega_p"]))[0]
+            assert float(r["omega"]) == expected, r
 
     def test_omega_zero_circular_is_domain_error(self):
         assert main([

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from quasimode import (
     Branch,
-    DispersionPoint,
     DomainError,
     Regime,
     classify_regime,
@@ -192,10 +191,3 @@ class TestClassifyRegime:
     def test_linear_has_no_damped_window(self):
         assert classify_regime(1.0, 0.0) is Regime.TRAVELING
         assert classify_regime(1.0 - 1e-12, 0.0) is Regime.EVANESCENT
-
-
-class TestDispersionPoint:
-    def test_constructed_on_curve(self):
-        pt = DispersionPoint.at(0.7, 0.3)
-        assert pt.y == omega_of_k(0.7, 0.3)
-        assert pt.xi == 0.3

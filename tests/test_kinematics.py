@@ -4,7 +4,6 @@ from scipy.optimize import bisect
 
 from quasimode import (
     DomainError,
-    VelocityPoint,
     critical_points,
     group_velocity,
     omega_of_k,
@@ -114,11 +113,3 @@ class TestBackwardThreshold:
         assert 0.0 < thr < critical_points(xi).k_star
         assert group_velocity(thr * 0.99, xi) < -1.0
         assert group_velocity(thr * 1.01, xi) > -1.0
-
-
-class TestVelocityPoint:
-    def test_factory(self):
-        pt = VelocityPoint.at(0.5, 1.0)
-        assert pt.v_ph == phase_velocity(0.5, 1.0)
-        assert pt.v_g == group_velocity(0.5, 1.0)
-        assert pt.v_ph >= 1.0 and pt.v_g < pt.v_ph

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasimode.dispersion
+import quasimode.optics
 from quasimode import (
     Branch,
     DomainError,
@@ -15,6 +16,7 @@ from quasimode import (
     reflectivity,
     refractive_index,
 )
+from quasimode.cli import main
 
 XI = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 Y = st.floats(min_value=1e-3, max_value=50.0, allow_nan=False)
@@ -31,6 +33,12 @@ class TestDielectric:
     def test_rejects_zero_frequency(self):
         with pytest.raises(DomainError):
             dielectric(0.0, 0.5, Branch.PLUS)
+
+    def test_only_the_requested_branch_is_checked(self):
+        # zeta_minus ~ -1/y^2 overflows at y = 1e-161 while zeta_plus is 0
+        assert dielectric(1e-161, 0.0, Branch.PLUS) == 0
+        with pytest.raises(DomainError, match="not a finite float"):
+            dielectric(1e-161, 0.0, Branch.MINUS)
 
     @pytest.mark.parametrize("y,xi", [(1e-170, 1.0), (1e-170, 0.5), (1e-160, 0.5), (1e155, 0.5)])
     def test_unrepresentable_permittivity_is_domain_error(self, y, xi):
@@ -51,6 +59,18 @@ class TestDielectric:
             calls.clear()
             k_branches(y, 0.5)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("quantity", ["dielectric", "reflectivity"])
+    def test_one_branch_evaluation_per_sweep_point(self, quantity, monkeypatch, capsys):
+        # both branches' rows come from one _branch_squares call
+        calls = []
+        original = quasimode.optics._branch_squares
+        monkeypatch.setattr(
+            quasimode.optics, "_branch_squares", lambda y, xi: calls.append(y) or original(y, xi)
+        )
+        assert main(["sweep", quantity, "--xi", "0.5", "--omega", "0.9"]) == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     @given(y=Y, xi=XI)
     @settings(max_examples=400)

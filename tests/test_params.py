@@ -6,49 +6,63 @@ from hypothesis import given, strategies as st
 from quasimode import (
     DomainError,
     ModelParams,
+    PlateGeometry,
+    critical_points,
     derived_constants,
-    ellipticity_kappa,
-    plasma_frequency_from_volume,
+    plasma_frequency_plates,
     polarization_weight,
 )
 
 XI = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def _gap_of_volume(V):
+    """Plates whose gap volume A * d is V."""
+    return PlateGeometry(d=2.0, A=V / 2.0)
+
+
 class TestPlasmaFrequencyFromVolume:
+    # omega_p = sqrt(4 pi e^2 / (m V)) of a volume V = A * d
     def test_unit_example(self):
         # omega_p^2 = 4 pi / pi = 4
-        assert plasma_frequency_from_volume(1.0, 1.0, math.pi) == pytest.approx(2.0, rel=1e-15)
+        assert plasma_frequency_plates(_gap_of_volume(math.pi), 1.0, 1.0) == pytest.approx(
+            2.0, rel=1e-15
+        )
 
     def test_zero_charge(self):
-        assert plasma_frequency_from_volume(0.0, 1.0, 1.0) == 0.0
+        assert plasma_frequency_plates(_gap_of_volume(1.0), 0.0, 1.0) == 0.0
 
     def test_large_volume_limit(self):
         # free photon restored as V -> infinity
-        assert plasma_frequency_from_volume(1.0, 1.0, 1e30) < 1e-14
+        assert plasma_frequency_plates(_gap_of_volume(1e30), 1.0, 1.0) < 1e-14
 
     @pytest.mark.parametrize("e,m,V", [(1, 0, 1), (1, -1, 1), (1, 1, 0), (1, 1, -2), (-1, 1, 1)])
     def test_domain_errors(self, e, m, V):
         with pytest.raises(DomainError):
-            plasma_frequency_from_volume(e, m, V)
+            plasma_frequency_plates(_gap_of_volume(V), e, m)
 
 
 class TestDerivedConstants:
+    # The polarization closed forms at each point are those of
+    # polarization_weight (q) and critical_points (kappa = omega_star).
     def test_circular_endpoint(self):
         dc = derived_constants(ModelParams(xi=1.0, omega=1.0, omega_p=1.0))
-        assert dc.q == pytest.approx(0.25, abs=0)
-        assert dc.kappa == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert (dc.g, dc.quad) == (math.sqrt(0.5), 0.5)
+        assert polarization_weight(1.0) == pytest.approx(0.25, abs=0)
+        assert critical_points(1.0).omega_star == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_linear_endpoint(self):
         dc = derived_constants(ModelParams(xi=0.0, omega=1.0, omega_p=1.0))
-        assert dc.q == 0.0
-        assert dc.kappa == 1.0
+        assert (dc.g, dc.quad) == (math.sqrt(0.5), 0.5)
+        assert polarization_weight(0.0) == 0.0
+        assert critical_points(0.0).omega_star == 1.0
 
     def test_elliptic_midpoint(self):
         # independent high-precision evaluation of the closed forms
         dc = derived_constants(ModelParams(xi=0.5, omega=1.0, omega_p=1.0))
-        assert dc.q == pytest.approx(0.16, rel=1e-15)
-        assert dc.kappa == pytest.approx(1.3416407864998738, rel=1e-15)
+        assert (dc.g, dc.quad) == (math.sqrt(0.5), 0.5)
+        assert polarization_weight(0.5) == pytest.approx(0.16, rel=1e-15)
+        assert critical_points(0.5).omega_star == pytest.approx(1.3416407864998738, rel=1e-15)
 
     def test_requires_omega(self):
         with pytest.raises(DomainError):
@@ -89,7 +103,7 @@ class TestPolarizationFunctions:
 
     def test_kappa_monotone_with_endpoints(self):
         xs = [i / 200 for i in range(201)]
-        ks = [ellipticity_kappa(x) for x in xs]
+        ks = [critical_points(x).omega_star for x in xs]
         assert ks[0] == 1.0
         assert ks[-1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert all(a < b for a, b in zip(ks, ks[1:]))
@@ -101,11 +115,6 @@ class TestPolarizationFunctions:
 
 
 class TestModelParams:
-    def test_from_charge_volume_matches_direct(self):
-        a = ModelParams.from_charge_volume(0.3, 1.0, e=1.0, mass=1.0, volume=math.pi)
-        b = ModelParams(xi=0.3, omega=1.0, omega_p=2.0)
-        assert a.omega_p == pytest.approx(b.omega_p, rel=1e-15)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
