@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+Usage, from the repository root:
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 25 --out BENCH_7.json
+
+The parent revision is exported with `git archive` into a temporary
+`.bench_pairs-*` directory of the repository, removed afterwards; the change
+is the working tree.  For each workload of `BENCHMARK.json` and each seed
+1..N, both sides run `bench/run.py --workload W --seed S --seconds T
+--trace 0` from their own tree; odd seeds run the parent first.  Both sides use their own `bench/`,
+so compare only revisions whose benchmark code is the same.
+
+The output file holds, per workload and end-to-end metric, each side's
+median and quartiles, the change's win count (ties count for neither), the
+relative change of the median, and the two verdicts: a claimable gain (wins
+in at least nine tenths of the pairs, and medians further apart than the
+parent's interquartile distance) and a regression beyond the metric's bound.
+It also holds every run's value, failed-operation count and `env` line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, into: Path) -> str:
+    """Extract `rev` into `into`; returns its full SHA."""
+    sha = git("rev-parse", rev)
+    archive = into.parent / "parent.tar"
+    with archive.open("wb") as f:
+        subprocess.run(["git", "-C", str(ROOT), "archive", sha], check=True, stdout=f)
+    with tarfile.open(archive) as tar:
+        tar.extractall(into)
+    archive.unlink()
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"], "env": env}
+
+
+def summary(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0.0)
+    p_q1, _, p_q3 = statistics.quantiles(parent, n=4)
+    c_q1, _, c_q3 = statistics.quantiles(change, n=4)
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    relative = (c_med - p_med) / p_med if p_med else 0.0
+    return {
+        "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
+        "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
+        "change_wins": wins,
+        "pairs": len(parent),
+        "median_relative_change": relative,
+        "gain_claimable": wins >= 0.9 * len(parent)
+        and sign * (c_med - p_med) > p_q3 - p_q1,
+        "worse_than_bound": -sign * relative > bound,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workload", action="append", help="default: every workload")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    gates = {m["name"]: m for m in bench["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    record = {"parent": None, "change": git("describe", "--always", "--dirty", "--abbrev=40"),
+              "pairs": args.pairs,
+              "seconds": args.seconds, "order": "odd seeds run the parent first",
+              "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix=".bench_pairs-", dir=ROOT) as tmp:
+        parent_tree = Path(tmp) / "parent"
+        record["parent"] = export(args.parent, parent_tree)
+        for workload in workloads:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for seed in range(1, args.pairs + 1):
+                order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+                for side in order:
+                    tree = parent_tree if side == "parent" else ROOT
+                    runs[side].append(run_once(tree, workload, seed, args.seconds))
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr)
+            record["workloads"][workload] = {
+                "metrics": {
+                    name: summary([r["metrics"][name] for r in runs["parent"]],
+                                  [r["metrics"][name] for r in runs["change"]],
+                                  gate["better"], gate["bound"])
+                    for name, gate in gates.items()
+                },
+                "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+                "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+                "runs": runs,
+            }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

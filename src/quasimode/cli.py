@@ -21,8 +21,8 @@ from .errors import DomainError
 from .fock import default_verification_cases, verify_spectrum
 from .kinematics import group_velocity, phase_velocity
 from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
-from .output import render_csv, render_json, render_json_table, write_bytes
-from .params import ATOMIC_C, ModelParams, _require_finite, validate_xi
+from .output import csv_chunks, json_table_chunks, render_json, write_bytes
+from .params import ATOMIC_C, ModelParams, _finite, _require_finite, validate_xi
 from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_level
 
@@ -41,8 +41,7 @@ class SpecError(ValueError):
 
 def _require_finite_grid(values) -> tuple[float, ...]:
     for value in values:
-        if not math.isfinite(value):
-            raise DomainError(f"grid values must be finite, got {value}")
+        _finite(value, "grid values")
     return tuple(values)
 
 
@@ -326,10 +325,10 @@ def _sweep_rows(spec: SweepSpec) -> tuple[list[str], list[list]]:
 
 def _write_table(spec: SweepSpec, header: list[str], rows: list[list]) -> None:
     if spec.fmt == "csv":
-        data = render_csv(header, rows)
+        chunks = csv_chunks(header, rows)
     else:
-        data = render_json_table(header, rows, quantity=spec.quantity, units=spec.units)
-    write_bytes(data, spec.out)
+        chunks = json_table_chunks(header, rows, quantity=spec.quantity, units=spec.units)
+    write_bytes(chunks, spec.out)
 
 
 def run_sweep(spec: SweepSpec) -> None:
@@ -519,7 +518,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"cutoff={case['cutoff_used']} max_rel_err={case['max_rel_err']:.3e}",
             file=sys.stderr,
         )
-    write_bytes(render_json(report), args.out)
+    write_bytes([render_json(report)], args.out)
     return EXIT_OK if report["all_converged"] else EXIT_VERIFY_FAILED
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import polarization_weight, validate_xi
+from .params import _finite, polarization_weight, validate_xi
 
 
 class Branch(enum.Enum):
@@ -73,13 +73,19 @@ def omega_of_k(x: float, xi: float) -> float:
     (the plasma frequency).
     """
     q = polarization_weight(xi)
-    if x < 0.0:
+    if _finite(x, "reduced wavenumber") < 0.0:
         raise DomainError(f"reduced wavenumber must be nonnegative, got {x}")
     if x == 0.0:
         if q > 0.0:
             raise DomainError("dispersion is singular at k=0 for xi > 0")
         return 1.0
-    return math.sqrt(x * x + 1.0 + q / (x * x))
+    x2 = x * x
+    if x2 == 0.0:
+        raise DomainError(f"x^2 underflows to 0 at x = {x}")
+    y = math.sqrt(x2 + 1.0 + q / x2)
+    if not math.isfinite(y):
+        raise DomainError(f"frequency is not a finite float at x = {x}")
+    return y
 
 
 def critical_points(xi: float) -> CriticalPoints:
@@ -149,13 +155,16 @@ def k_branches(y: float, xi: float) -> tuple[ComplexWavenumber, ComplexWavenumbe
     At y == omega_tilde the minus branch takes the value of its limit from
     above (-i q^(1/4)); the limit from below has the opposite sign.
     """
-    if y < 0.0:
+    if _finite(y, "reduced frequency") < 0.0:
         raise DomainError(f"reduced frequency must be nonnegative, got {y}")
     s_plus, s_minus, regime = _branch_squares(y, xi)
     root = cmath.sqrt if regime is Regime.DECAYING_TRAVELING else _real_root
+    x_plus, x_minus = root(s_plus), root(s_minus)
+    if not (cmath.isfinite(x_plus) and cmath.isfinite(x_minus)):
+        raise DomainError(f"wavenumber is not a finite float at y = {y}")
     return (
-        ComplexWavenumber(value=root(s_plus), branch=Branch.PLUS, regime=regime),
-        ComplexWavenumber(value=root(s_minus), branch=Branch.MINUS, regime=regime),
+        ComplexWavenumber(value=x_plus, branch=Branch.PLUS, regime=regime),
+        ComplexWavenumber(value=x_minus, branch=Branch.MINUS, regime=regime),
     )
 
 

@@ -103,6 +103,6 @@ def emit_figure_datasets(outdir: Path) -> list[Path]:
     paths = []
     for name, (header, rows) in tables.items():
         path = outdir / name
-        write_bytes(render_csv(header, rows), path)
+        write_bytes([render_csv(header, rows)], path)
         paths.append(path)
     return paths

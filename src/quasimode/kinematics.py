@@ -11,26 +11,39 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .params import polarization_weight, validate_xi
+from .params import _finite, polarization_weight, validate_xi
+
+
+def _powers(x: float, what: str) -> tuple[float, float]:
+    """(x^2, x^4) for a velocity at reduced wavenumber x, which must be
+    finite and positive with x^4 still above 0."""
+    if _finite(x, "reduced wavenumber") <= 0.0:
+        raise DomainError(f"{what} requires x > 0, got {x}")
+    x2 = x * x
+    x4 = x2 * x2
+    if x4 == 0.0:
+        raise DomainError(f"x^4 underflows to 0 at x = {x}")
+    return x2, x4
 
 
 def phase_velocity(x: float, xi: float) -> float:
     """v_ph / c = sqrt(1 + 1/x^2 + q/x^4) = y(x)/x."""
     q = polarization_weight(xi)
-    if x <= 0.0:
-        raise DomainError(f"phase velocity requires x > 0, got {x}")
-    x2 = x * x
-    return math.sqrt(1.0 + 1.0 / x2 + q / (x2 * x2))
+    x2, x4 = _powers(x, "phase velocity")
+    v = math.sqrt(1.0 + 1.0 / x2 + q / x4)
+    if not math.isfinite(v):
+        raise DomainError(f"phase velocity is not a finite float at x = {x}")
+    return v
 
 
 def group_velocity(x: float, xi: float) -> float:
     """v_g / c = (1 - q/x^4) / sqrt(1 + 1/x^2 + q/x^4), signed."""
     q = polarization_weight(xi)
-    if x <= 0.0:
-        raise DomainError(f"group velocity requires x > 0, got {x}")
-    x2 = x * x
-    x4 = x2 * x2
-    return (1.0 - q / x4) / math.sqrt(1.0 + 1.0 / x2 + q / x4)
+    x2, x4 = _powers(x, "group velocity")
+    v = (1.0 - q / x4) / math.sqrt(1.0 + 1.0 / x2 + q / x4)
+    if not math.isfinite(v):
+        raise DomainError(f"group velocity is not a finite float at x = {x}")
+    return v
 
 
 def superluminal_backward_threshold(xi: float) -> float:

@@ -28,13 +28,18 @@ def validate_xi(xi: float) -> float:
     return float(xi)
 
 
-def _require_finite(obj: object, *names: str) -> None:
-    """Reject NaN and infinite fields by name.  Sign checks alone let NaN
+def _finite(value: float, name: str) -> float:
+    """Reject a NaN or infinite value by name.  Sign checks alone let NaN
     through, because every comparison with NaN is false."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_finite(obj: object, *names: str) -> None:
+    """Reject NaN and infinite fields by name."""
     for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+        _finite(getattr(obj, name), name)
 
 
 def polarization_weight(xi: float) -> float:

@@ -9,9 +9,11 @@ from quasimode import (
     Regime,
     classify_regime,
     critical_points,
+    group_velocity,
     k_branches,
     omega_of_k,
     omega_physical,
+    phase_velocity,
 )
 
 XI = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -191,3 +193,41 @@ class TestClassifyRegime:
     def test_linear_has_no_damped_window(self):
         assert classify_regime(1.0, 0.0) is Regime.TRAVELING
         assert classify_regime(1.0 - 1e-12, 0.0) is Regime.EVANESCENT
+
+
+class TestKernelEntryChecks:
+    """The reduced-unit kernels raise DomainError, never return NaN or inf
+    or raise a raw arithmetic error, for any argument a library caller passes."""
+
+    @pytest.mark.parametrize("kernel", [k_branches, omega_of_k, phase_velocity, group_velocity])
+    @pytest.mark.parametrize("arg,xi", [
+        (math.nan, 0.5),
+        (math.inf, 0.5),
+        (-math.inf, 0.5),
+        (1.0, math.nan),
+        (1e200, 0.5),  # squares overflow
+        (1e-80, 0.5),  # q/x^4 overflows
+        (1e-200, 0.5),  # x^2 underflows to 0
+        (1e-200, 0.0),
+    ])
+    def test_non_finite_argument_or_result_is_domain_error(self, kernel, arg, xi):
+        try:
+            result = kernel(arg, xi)
+        except DomainError:
+            return
+        values = [wn.value for wn in result] if kernel is k_branches else [result]
+        assert all(math.isfinite(abs(v)) for v in values), (kernel.__name__, arg, xi, result)
+
+    @pytest.mark.parametrize("kernel,arg", [
+        (k_branches, math.nan),
+        (k_branches, 1e100),
+        (omega_of_k, 1e200),
+        (omega_of_k, 1e-200),
+        (phase_velocity, math.nan),
+        (phase_velocity, 1e-200),
+        (group_velocity, math.nan),
+        (group_velocity, 1e-80),
+    ])
+    def test_known_failures_are_domain_errors(self, kernel, arg):
+        with pytest.raises(DomainError):
+            kernel(arg, 0.5)
