@@ -42,6 +42,12 @@ def _require_finite(obj: object, *names: str) -> None:
         _finite(getattr(obj, name), name)
 
 
+def _require_squares(omega: float, omega_p: float) -> None:
+    """Reject an omega or omega_p whose square overflows."""
+    if math.isinf(omega * omega) or math.isinf(omega_p * omega_p):
+        raise DomainError(f"omega^2 or omega_p^2 overflows at {omega}, {omega_p}")
+
+
 def polarization_weight(xi: float) -> float:
     """q = xi^2 / (1 + xi^2)^2, the ellipticity weight of the singular
     dispersion term.  q in [0, 1/4]; 0 for linear, 1/4 for circular."""
@@ -67,8 +73,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         validate_xi(self.xi)
         _require_finite(self, "omega", "omega_p", "mass", "hbar", "c")
-        if math.isinf(self.omega * self.omega) or math.isinf(self.omega_p * self.omega_p):
-            raise DomainError(f"omega^2 or omega_p^2 overflows at {self.omega}, {self.omega_p}")
+        _require_squares(self.omega, self.omega_p)
         if self.omega < 0.0:
             raise DomainError(f"mode frequency must be nonnegative, got {self.omega}")
         if self.omega_p < 0.0:
@@ -102,5 +107,11 @@ class DerivedConstants:
 
 def derived_constants(p: ModelParams) -> DerivedConstants:
     """Compute the coupling constants; requires omega > 0."""
-    quad = p.hbar * p.omega_p**2 / (2.0 * p.require_omega())
+    quad = _quad(p, p.omega_p)
     return DerivedConstants(g=math.sqrt(quad / p.mass), quad=quad)
+
+
+def _quad(p: ModelParams, omega_p: float) -> float:
+    """The quadratic coupling energy of p with its plasma frequency set to
+    omega_p; requires omega > 0."""
+    return p.hbar * omega_p**2 / (2.0 * p.require_omega())

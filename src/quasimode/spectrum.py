@@ -19,11 +19,18 @@ shape with omega_p^2 scaled by N and p read as the summed momentum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dispersion import critical_points
 from .errors import DomainError
-from .params import ModelParams, _require_finite, derived_constants, polarization_weight
+from .params import (
+    ModelParams,
+    _finite,
+    _quad,
+    _require_finite,
+    _require_squares,
+    polarization_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,14 @@ def bogoliubov_theta(params: ModelParams) -> float:
 
     Zero for circular polarization and for vanishing coupling.
     """
-    if params.omega_p == 0.0:
+    return _theta(params, params.omega_p)
+
+
+def _theta(params: ModelParams, omega_p: float) -> float:
+    if omega_p == 0.0:
         return 0.0
     omega = params.require_omega()
-    half_wp2 = params.omega_p**2 / (2.0 * omega)
+    half_wp2 = omega_p**2 / (2.0 * omega)
     xi2 = params.xi**2
     ratio = half_wp2 * (1.0 - xi2) / ((1.0 + xi2) * (omega + half_wp2))
     return 0.5 * math.atanh(ratio)
@@ -82,17 +93,21 @@ def bogoliubov_theta(params: ModelParams) -> float:
 
 def effective_frequency(params: ModelParams) -> float:
     """Quasimode frequency Omega = sqrt(omega^2 + omega_p^2 (1 + q omega_p^2/omega^2))."""
-    if params.omega_p == 0.0:
+    return _effective_frequency(params, params.omega_p)
+
+
+def _effective_frequency(params: ModelParams, omega_p: float) -> float:
+    if omega_p == 0.0:
         return params.omega
     q = polarization_weight(params.xi)
     if params.omega == 0.0:
         if q > 0.0:
             raise DomainError("effective frequency diverges at omega=0 for xi > 0")
-        return params.omega_p
+        return omega_p
     w2 = params.omega**2
     if w2 == 0.0:
         raise DomainError(f"omega^2 underflows to 0 at omega = {params.omega}")
-    wp2 = params.omega_p**2
+    wp2 = omega_p**2
     return math.sqrt(w2 + wp2 * (1.0 + q * wp2 / w2))
 
 
@@ -106,12 +121,16 @@ def displacement_sigma_sq(params: ModelParams, p: Momentum) -> float:
 
     with quad = hbar omega_p^2/(2 omega) and g^2 = quad/m.
     """
-    if params.omega_p == 0.0:
+    return _sigma_sq(params, params.omega_p, p)
+
+
+def _sigma_sq(params: ModelParams, omega_p: float, p: Momentum) -> float:
+    if omega_p == 0.0:
         return 0.0
     omega = params.require_omega()
-    quad = derived_constants(params).quad
+    quad = _quad(params, omega_p)
     g_sq = quad / params.mass
-    theta = bogoliubov_theta(params)
+    theta = _theta(params, omega_p)
     pref = math.cosh(2.0 * theta) / (params.hbar * omega + quad)
     xi2 = params.xi**2
     weighted = (
@@ -133,11 +152,16 @@ def energy_level(
         raise DomainError(f"excitation number must be nonnegative, got {n}")
     if N_charges < 1:
         raise DomainError(f"charge count must be at least 1, got {N_charges}")
+    omega_p = params.omega_p
     if N_charges > 1:
-        params = replace(params, omega_p=params.omega_p * math.sqrt(N_charges))
-    Omega = effective_frequency(params)
-    theta = bogoliubov_theta(params)
-    sigma_sq = displacement_sigma_sq(params, p)
+        # The scaled omega_p is checked as ModelParams checks its own, without
+        # building a second ModelParams per level: a level costs the same
+        # for any charge count.
+        omega_p = _finite(omega_p * math.sqrt(N_charges), "omega_p")
+        _require_squares(params.omega, omega_p)
+    Omega = _effective_frequency(params, omega_p)
+    theta = _theta(params, omega_p)
+    sigma_sq = _sigma_sq(params, omega_p, p)
     energy = p.squared / (2.0 * params.mass) + params.hbar * Omega * (
         n + 0.5 - sigma_sq
     )

@@ -142,6 +142,25 @@ class TestEnergyLevel:
             )
         assert base.Omega < scaled.Omega
 
+    @given(
+        xi=XI, omega=FREQ, omega_p=FREQ, a=MOM, b=MOM, c=MOM,
+        n=st.integers(min_value=0, max_value=5),
+        n_charges=st.integers(min_value=2, max_value=1000),
+    )
+    @settings(max_examples=300)
+    def test_charge_count_is_one_charge_at_scaled_omega_p(
+        self, xi, omega, omega_p, a, b, c, n, n_charges
+    ):
+        p = Momentum(a, b, c)
+        level = energy_level(ModelParams(xi=xi, omega=omega, omega_p=omega_p), p, n, n_charges)
+        scaled = ModelParams(xi=xi, omega=omega, omega_p=omega_p * math.sqrt(n_charges))
+        assert level == energy_level(scaled, p, n)
+
+    def test_scaled_omega_p_square_overflow_rejected(self):
+        params = ModelParams(xi=0.5, omega=1.0, omega_p=1e154)
+        with pytest.raises(DomainError, match="overflows at 1.0, 1.7320508075688773e"):
+            energy_level(params, Momentum(), 0, N_charges=3)
+
 
 class TestClosedFormSpecializations:
     MOMENTA = [
