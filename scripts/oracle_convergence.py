@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
 """Cutoff-convergence study of the number-basis oracle.
 
-For a configurable parameter point, diagonalizes the truncated Hamiltonian at
-a ladder of cutoffs and prints the worst relative deviation of the lowest
-levels from the analytic spectrum.  Strong coupling at low frequency squeezes
-the ground state hard and makes the truncation error visible; the defaults
-start there.
+For a configurable parameter point, runs the oracle (verify_spectrum) pinned
+to each cutoff of a doubling ladder and prints the worst relative deviation
+of the lowest levels from the analytic spectrum.  Strong coupling at low
+frequency squeezes the ground state hard and makes the truncation error
+visible; the defaults start there.
 """
 
 import argparse
 
-from quasimode import (
-    ModelParams,
-    Momentum,
-    build_dipole_hamiltonian,
-    energy_level,
-    lowest_eigenvalues,
-)
+from quasimode import ModelParams, Momentum, energy_level, verify_spectrum
 
 
 def main() -> None:
@@ -38,11 +32,10 @@ def main() -> None:
 
     cutoff = 16
     while cutoff <= args.max_cutoff:
-        numeric = lowest_eigenvalues(
-            build_dipole_hamiltonian(params, p, cutoff), args.levels
+        report = verify_spectrum(
+            params, p, n_levels=args.levels, cutoff_start=cutoff, cutoff_cap=cutoff
         )
-        err = max(abs(v - a) / abs(a) for v, a in zip(numeric, analytic))
-        print(f"{cutoff:8d} {err:20.3e}")
+        print(f"{cutoff:8d} {report.max_rel_err:20.3e}")
         cutoff *= 2
 
 

@@ -16,7 +16,6 @@ from .dispersion import (
 from .errors import DomainError
 from .fock import (
     FockHamiltonian,
-    HamiltonianVariant,
     VerificationReport,
     build_dipole_hamiltonian,
     build_planewave_hamiltonian,
@@ -54,9 +53,6 @@ from .plates import (
 from .spectrum import (
     EnergyLevel,
     Momentum,
-    bogoliubov_theta,
-    displacement_sigma_sq,
-    effective_frequency,
     energy_cp,
     energy_level,
     energy_lp,
@@ -74,14 +70,12 @@ __all__ = [
     "DomainError",
     "EnergyLevel",
     "FockHamiltonian",
-    "HamiltonianVariant",
     "ModelParams",
     "Momentum",
     "OpticalResponse",
     "PlateGeometry",
     "Regime",
     "VerificationReport",
-    "bogoliubov_theta",
     "build_dipole_hamiltonian",
     "build_planewave_hamiltonian",
     "classify_regime",
@@ -89,8 +83,6 @@ __all__ = [
     "default_verification_cases",
     "derived_constants",
     "dielectric",
-    "displacement_sigma_sq",
-    "effective_frequency",
     "energy_cp",
     "energy_level",
     "energy_lp",

@@ -101,7 +101,7 @@ def critical_points(xi: float) -> CriticalPoints:
 def classify_regime(y: float, xi: float) -> Regime:
     """Traveling for y >= omega_star, decaying-traveling in between,
     evanescent for y <= omega_tilde."""
-    if y < 0.0:
+    if _finite(y, "reduced frequency") < 0.0:
         raise DomainError(f"reduced frequency must be nonnegative, got {y}")
     return _regime(y, critical_points(xi))
 
@@ -179,11 +179,13 @@ def _real_root(s: complex) -> complex:
 def omega_physical(k: float, omega_p: float, xi: float, c: float = 1.0) -> float:
     """Dimensionful dispersion Omega(k) = omega_p * y(k/k_p); restores the
     free-photon line c*k as omega_p -> 0."""
-    if omega_p < 0.0:
+    if _finite(c, "speed of light") <= 0.0:
+        raise DomainError(f"speed of light must be positive, got {c}")
+    if _finite(omega_p, "plasma frequency") < 0.0:
         raise DomainError(f"plasma frequency must be nonnegative, got {omega_p}")
     if omega_p == 0.0:
         validate_xi(xi)
-        if k < 0.0:
+        if _finite(k, "wavenumber") < 0.0:
             raise DomainError(f"wavenumber must be nonnegative, got {k}")
         return c * k
     k_p = omega_p / c

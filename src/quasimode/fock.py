@@ -14,16 +14,17 @@ values), and only the requested lowest eigenvalues are computed (zhbevx).
 They must reproduce the closed-form levels of the spectrum module; agreement
 is the acceptance test of the whole diagonalization.
 
-A plane-wave variant adds the two diagonal corrections that survive the
+The plane-wave matrix adds the two diagonal corrections that survive the
 unitary transfer of the spatial phase factors onto the number operator:
 -(hbar k.p/m)(n + 1/2) and (hbar^2 k^2/2m)(n + 1/2)^2 with k = omega/c along
-the propagation axis.  At p = 0 it differs from the dipole variant only by
-the second-order term.
+the propagation axis.  At p = 0 it differs from the dipole matrix only by
+the second-order term.  It is built for direct solves with
+lowest_eigenvalues; it is not checked against the closed-form levels, which
+belong to the dipole Hamiltonian.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -32,11 +33,6 @@ import numpy as np
 from .errors import DomainError
 from .params import ModelParams, derived_constants
 from .spectrum import Momentum, energy_level
-
-
-class HamiltonianVariant(enum.Enum):
-    DIPOLE = "dipole"
-    PLANE_WAVE = "plane_wave"
 
 
 @dataclass(frozen=True)
@@ -50,9 +46,6 @@ class FockHamiltonian:
 
     cutoff: int
     matrix: np.ndarray
-    params: ModelParams
-    p: Momentum
-    variant: HamiltonianVariant
 
 
 @dataclass(frozen=True)
@@ -99,13 +92,7 @@ def build_dipole_hamiltonian(
     params: ModelParams, p: Momentum, cutoff: int
 ) -> FockHamiltonian:
     """Truncated matrix of the dipole-coupled Hamiltonian."""
-    return FockHamiltonian(
-        cutoff=cutoff,
-        matrix=_base_matrix(params, p, cutoff),
-        params=params,
-        p=p,
-        variant=HamiltonianVariant.DIPOLE,
-    )
+    return FockHamiltonian(cutoff=cutoff, matrix=_base_matrix(params, p, cutoff))
 
 
 def build_planewave_hamiltonian(
@@ -120,13 +107,7 @@ def build_planewave_hamiltonian(
     band[2] += (
         -params.hbar * k * p.p_perp / params.mass * half + recoil * half**2
     )
-    return FockHamiltonian(
-        cutoff=cutoff,
-        matrix=band,
-        params=params,
-        p=p,
-        variant=HamiltonianVariant.PLANE_WAVE,
-    )
+    return FockHamiltonian(cutoff=cutoff, matrix=band)
 
 
 def lowest_eigenvalues(h: FockHamiltonian, count: int) -> list[float]:
@@ -161,9 +142,9 @@ def verify_spectrum(
     tol: float = 1e-6,
     cutoff_start: int = 64,
     cutoff_cap: int = 1024,
-    variant: HamiltonianVariant = HamiltonianVariant.DIPOLE,
 ) -> VerificationReport:
-    """Compare the lowest numeric eigenvalues against the analytic levels.
+    """Compare the lowest eigenvalues of the dipole matrix against the
+    analytic levels.
 
     The cutoff starts at cutoff_start and doubles until the n_levels lowest
     eigenvalues move by less than tol/10 (relative) between successive
@@ -173,18 +154,14 @@ def verify_spectrum(
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    build = (
-        build_dipole_hamiltonian
-        if variant is HamiltonianVariant.DIPOLE
-        else build_planewave_hamiltonian
-    )
-
     cutoff = cutoff_start
-    numeric = lowest_eigenvalues(build(params, p, cutoff), n_levels)
+    numeric = lowest_eigenvalues(build_dipole_hamiltonian(params, p, cutoff), n_levels)
     stabilized = False
     while cutoff < cutoff_cap:
         next_cutoff = min(2 * cutoff, cutoff_cap)
-        curr = lowest_eigenvalues(build(params, p, next_cutoff), n_levels)
+        curr = lowest_eigenvalues(
+            build_dipole_hamiltonian(params, p, next_cutoff), n_levels
+        )
         change = max(
             abs(c - q) / max(abs(c), 1e-300) for c, q in zip(curr, numeric)
         )

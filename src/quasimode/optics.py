@@ -70,6 +70,8 @@ def refractive_index(zeta: complex) -> complex:
 
 def reflectivity(eta: complex) -> float:
     """Normal-incidence reflectivity |(eta - 1)/(eta + 1)|^2."""
+    if not cmath.isfinite(eta):
+        raise DomainError(f"refractive index must be finite, got {eta}")
     if eta == -1:
         raise DomainError("reflectivity is undefined at eta = -1")
     return abs((eta - 1.0) / (eta + 1.0)) ** 2

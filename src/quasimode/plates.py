@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .dispersion import critical_points
 from .errors import DomainError
-from .params import _require_finite, polarization_weight
+from .params import _finite, _require_finite, polarization_weight
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,27 @@ class PlateGeometry:
         return self.A * self.d
 
 
+def _require_charge_and_mass(e: float, m: float) -> None:
+    if _finite(e, "charge") < 0.0:
+        raise DomainError(f"charge must be nonnegative, got {e}")
+    if _finite(m, "mass") <= 0.0:
+        raise DomainError(f"mass must be positive, got {m}")
+
+
 def plasma_frequency_plates(g: PlateGeometry, e: float, m: float) -> float:
     """omega_p = 2 sqrt(pi) e sqrt(N) / sqrt(m A d); N charges enter through
     e^2 -> N e^2."""
-    if e < 0.0:
-        raise DomainError(f"charge must be nonnegative, got {e}")
-    if m <= 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
+    _require_charge_and_mass(e, m)
     return 2.0 * math.sqrt(math.pi) * e * math.sqrt(g.N_charges) / math.sqrt(m * g.A * g.d)
+
+
+def _plasma(g: PlateGeometry, e: float, m: float, omega_p: float | None) -> float:
+    """The plates' own plasma frequency, or the frozen omega_p when given."""
+    if omega_p is None:
+        return plasma_frequency_plates(g, e, m)
+    if _finite(omega_p, "plasma frequency") < 0.0:
+        raise DomainError(f"plasma frequency must be nonnegative, got {omega_p}")
+    return omega_p
 
 
 def force_general(
@@ -85,11 +98,9 @@ def force_general(
     geometry.
     """
     q = polarization_weight(xi)
-    if omega < 0.0:
+    if _finite(omega, "mode frequency") < 0.0:
         raise DomainError(f"mode frequency must be nonnegative, got {omega}")
-    wp = plasma_frequency_plates(g, e, m) if omega_p is None else omega_p
-    if wp < 0.0:
-        raise DomainError(f"plasma frequency must be nonnegative, got {wp}")
+    wp = _plasma(g, e, m, omega_p)
     if wp == 0.0:
         return 0.0
     photons = 1.0 + 2.0 * g.n_photons
@@ -97,7 +108,14 @@ def force_general(
         if q > 0.0:
             raise DomainError("plate force diverges at omega=0 for xi > 0")
         return hbar * wp / (4.0 * g.d) * photons
-    r2 = (wp / omega) ** 2
+    try:
+        r2 = (wp / omega) ** 2
+    except OverflowError:
+        r2 = math.inf
+    if not 0.0 < r2 < math.inf:
+        raise DomainError(
+            f"(omega_p/omega)^2 is not a positive finite float at omega = {omega}"
+        )
     numer = hbar * wp * (1.0 + 2.0 * q * r2)
     denom = 4.0 * math.sqrt(1.0 / r2 + 1.0 + q * r2)
     return numer / denom * photons / g.d
@@ -115,7 +133,7 @@ def force_minimum_plasma_form(
     F* = (kappa/4) hbar omega_p(d, A) (1 + 2 n) / d, with kappa the
     omega_star of critical_points."""
     kappa = critical_points(xi).omega_star
-    wp = plasma_frequency_plates(g, e, m) if omega_p is None else omega_p
+    wp = _plasma(g, e, m, omega_p)
     return kappa / 4.0 * hbar * wp * (1.0 + 2.0 * g.n_photons) / g.d
 
 
@@ -131,10 +149,7 @@ def force_minimum_bohr_form(
     critical_points.  Equal to the plasma-frequency form for every N and n.
     """
     kappa = critical_points(xi).omega_star
-    if e < 0.0:
-        raise DomainError(f"charge must be nonnegative, got {e}")
-    if m <= 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
+    _require_charge_and_mass(e, m)
     e_sq = g.N_charges * e * e
     if e_sq == 0.0:
         return 0.0

@@ -70,80 +70,22 @@ class EnergyLevel:
     Omega: float
 
 
-def bogoliubov_theta(params: ModelParams) -> float:
-    """Hyperbolic-rotation angle removing the quadratic ladder terms:
-
-        tanh(2 theta) = (omega_p^2/2omega) (1-xi^2)/(1+xi^2)
-                        / (omega + omega_p^2/2omega).
-
-    Zero for circular polarization and for vanishing coupling.
-    """
-    return _theta(params, params.omega_p)
-
-
-def _theta(params: ModelParams, omega_p: float) -> float:
-    if omega_p == 0.0:
-        return 0.0
-    omega = params.require_omega()
-    half_wp2 = omega_p**2 / (2.0 * omega)
-    xi2 = params.xi**2
-    ratio = half_wp2 * (1.0 - xi2) / ((1.0 + xi2) * (omega + half_wp2))
-    return 0.5 * math.atanh(ratio)
-
-
-def effective_frequency(params: ModelParams) -> float:
-    """Quasimode frequency Omega = sqrt(omega^2 + omega_p^2 (1 + q omega_p^2/omega^2))."""
-    return _effective_frequency(params, params.omega_p)
-
-
-def _effective_frequency(params: ModelParams, omega_p: float) -> float:
-    if omega_p == 0.0:
-        return params.omega
-    q = polarization_weight(params.xi)
-    if params.omega == 0.0:
-        if q > 0.0:
-            raise DomainError("effective frequency diverges at omega=0 for xi > 0")
-        return omega_p
-    w2 = params.omega**2
-    if w2 == 0.0:
-        raise DomainError(f"omega^2 underflows to 0 at omega = {params.omega}")
-    wp2 = omega_p**2
-    return math.sqrt(w2 + wp2 * (1.0 + q * wp2 / w2))
-
-
-def displacement_sigma_sq(params: ModelParams, p: Momentum) -> float:
-    """|sigma|^2 of the level-lowering displacement.
-
-    Only the in-plane momentum components couple:
-
-        |sigma|^2 = [cosh(2theta)/(hbar omega + quad)]^2 * g^2/(1+xi^2)
-                    * (p_major^2 e^{-2theta} + xi^2 p_minor^2 e^{2theta}),
-
-    with quad = hbar omega_p^2/(2 omega) and g^2 = quad/m.
-    """
-    return _sigma_sq(params, params.omega_p, p)
-
-
-def _sigma_sq(params: ModelParams, omega_p: float, p: Momentum) -> float:
-    if omega_p == 0.0:
-        return 0.0
-    omega = params.require_omega()
-    quad = _quad(params, omega_p)
-    g_sq = quad / params.mass
-    theta = _theta(params, omega_p)
-    pref = math.cosh(2.0 * theta) / (params.hbar * omega + quad)
-    xi2 = params.xi**2
-    weighted = (
-        p.p_major**2 * math.exp(-2.0 * theta)
-        + xi2 * p.p_minor**2 * math.exp(2.0 * theta)
-    )
-    return pref * pref * g_sq / (1.0 + xi2) * weighted
-
-
 def energy_level(
     params: ModelParams, p: Momentum, n: int, N_charges: int = 1
 ) -> EnergyLevel:
-    """Exact energy of excitation n at momentum p.
+    """Exact energy of excitation n at momentum p, with the three numbers of
+    the diagonalization it rests on:
+
+        Omega         = sqrt(omega^2 + omega_p^2 (1 + q omega_p^2/omega^2)),
+        tanh(2 theta) = (omega_p^2/2omega) (1-xi^2)/(1+xi^2)
+                        / (omega + omega_p^2/2omega),
+        |sigma|^2     = [cosh(2theta)/(hbar omega + quad)]^2 * g^2/(1+xi^2)
+                        * (p_major^2 e^{-2theta} + xi^2 p_minor^2 e^{2theta}),
+
+    with q the polarization weight, quad = hbar omega_p^2/(2 omega) and
+    g^2 = quad/m.  theta vanishes for circular polarization, only the
+    in-plane momentum couples to sigma, and without coupling the three are
+    omega, 0 and 0.
 
     For N_charges > 1 the plasma frequency is scaled by sqrt(N) and p is
     interpreted as the summed momentum of all charges.
@@ -159,9 +101,32 @@ def energy_level(
         # for any charge count.
         omega_p = _finite(omega_p * math.sqrt(N_charges), "omega_p")
         _require_squares(params.omega, omega_p)
-    Omega = _effective_frequency(params, omega_p)
-    theta = _theta(params, omega_p)
-    sigma_sq = _sigma_sq(params, omega_p, p)
+    if omega_p == 0.0:
+        Omega, theta, sigma_sq = params.omega, 0.0, 0.0
+    else:
+        q = polarization_weight(params.xi)
+        # At omega = 0 the divergence of Omega for xi > 0 is reported before
+        # the positive-frequency requirement that theta and quad share.
+        if params.omega == 0.0 and q > 0.0:
+            raise DomainError("effective frequency diverges at omega=0 for xi > 0")
+        omega = params.require_omega()
+        w2 = omega**2
+        if w2 == 0.0:
+            raise DomainError(f"omega^2 underflows to 0 at omega = {omega}")
+        wp2 = omega_p**2
+        Omega = math.sqrt(w2 + wp2 * (1.0 + q * wp2 / w2))
+        xi2 = params.xi**2
+        half_wp2 = wp2 / (2.0 * omega)
+        theta = 0.5 * math.atanh(
+            half_wp2 * (1.0 - xi2) / ((1.0 + xi2) * (omega + half_wp2))
+        )
+        quad = _quad(params, omega_p)
+        pref = math.cosh(2.0 * theta) / (params.hbar * omega + quad)
+        weighted = (
+            p.p_major**2 * math.exp(-2.0 * theta)
+            + xi2 * p.p_minor**2 * math.exp(2.0 * theta)
+        )
+        sigma_sq = pref * pref * (quad / params.mass) / (1.0 + xi2) * weighted
     energy = p.squared / (2.0 * params.mass) + params.hbar * Omega * (
         n + 0.5 - sigma_sq
     )
@@ -221,6 +186,6 @@ def zero_point_minimum(
     E_star = hbar omega_p / 2 (a limit, not an error).
     """
     cp = critical_points(xi)
-    if omega_p <= 0.0:
+    if _finite(omega_p, "plasma frequency") <= 0.0:
         raise DomainError(f"plasma frequency must be positive, got {omega_p}")
     return omega_p * cp.k_star, cp.omega_star * hbar * omega_p / 2.0

@@ -21,7 +21,6 @@ from quasimode import (
     critical_points,
     default_verification_cases,
     dielectric,
-    effective_frequency,
     energy_cp,
     energy_level,
     energy_lp,
@@ -41,7 +40,6 @@ from quasimode import (
 )
 from quasimode.figures import emit_figure_datasets
 from quasimode.fock import build_dipole_hamiltonian, build_planewave_hamiltonian
-from quasimode.spectrum import bogoliubov_theta
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
 
@@ -229,7 +227,7 @@ def test_criterion_6_number_basis_verification():
             )
             assert report.converged, (params, p)
             assert report.max_rel_err <= 1e-6
-            spacing_ref = params.hbar * effective_frequency(params)
+            spacing_ref = params.hbar * energy_level(params, p, 0).Omega
             levels = report.lowest_numeric
             for a, b in zip(levels, levels[1:]):
                 assert (b - a) == pytest.approx(spacing_ref, rel=1e-6)
@@ -250,7 +248,7 @@ def test_criterion_7_plane_wave_corrections():
         params = ModelParams(xi=0.0, omega=1.0, omega_p=0.5, mass=1e4)
         e0_dip = lowest_eigenvalues(build_dipole_hamiltonian(params, Momentum(), 256), 1)[0]
         e0_pw = lowest_eigenvalues(build_planewave_hamiltonian(params, Momentum(), 256), 1)[0]
-        s2 = math.sinh(bogoliubov_theta(params)) ** 2
+        s2 = math.sinh(energy_level(params, Momentum(), 0).theta) ** 2
         first_order = (1.0 / (2.0 * params.mass)) * (3.0 * s2 * s2 + 3.0 * s2 + 0.25)
         assert (e0_pw - e0_dip) == pytest.approx(first_order, rel=1e-2)
 

@@ -385,6 +385,32 @@ class TestSpectrumCommand:
         assert energies[1] - energies[0] == pytest.approx(omega_eff, rel=1e-12)
         assert energies[2] - energies[1] == pytest.approx(omega_eff, rel=1e-12)
 
+    # Every column but xi and n is 0: no coupling, no mode, no momentum.
+    ZERO_ROW = ",".join(["0.0000000000000000e+00", "5.0000000000000000e-01",
+                         *["0.0000000000000000e+00"] * 4, "0",
+                         *["0.0000000000000000e+00"] * 4])
+
+    @pytest.mark.parametrize("args,code,stderr", [
+        (["--xi", "0.5", "--omega", "0"], EXIT_DOMAIN,
+         "domain error at xi=0.5, omega=0: effective frequency diverges at omega=0 for xi > 0\n"
+         "domain error: effective frequency diverges at omega=0 for xi > 0\n"),
+        (["--xi", "0", "--omega", "0"], EXIT_DOMAIN,
+         "domain error at xi=0, omega=0: operation requires a positive mode frequency omega\n"
+         "domain error: operation requires a positive mode frequency omega\n"),
+        (["--xi", "0.5", "--omega", "0", "--omega-p", "0"], EXIT_OK, ""),
+        (["--xi", "0.5", "--omega", "1e-305"], EXIT_DOMAIN,
+         "domain error at xi=0.5, omega=1e-305: omega^2 underflows to 0 at omega = 1e-305\n"
+         "domain error: omega^2 underflows to 0 at omega = 1e-305\n"),
+    ])
+    def test_zero_and_tiny_mode_frequency(self, args, code, stderr, capsys):
+        # Which check fires first at omega = 0 is part of the contract: the
+        # divergence at xi > 0 before the positive-frequency requirement.
+        assert main(["sweep", "spectrum", *args]) == code
+        captured = capsys.readouterr()
+        assert captured.err == stderr
+        if code == EXIT_OK:
+            assert captured.out.splitlines()[1] == self.ZERO_ROW
+
 
 @pytest.fixture(scope="module")
 def figdir(tmp_path_factory):
@@ -476,7 +502,8 @@ CRITICAL_OMEGAS_XI02 = (
     "1.1766968108291038,1.176696810829104,1.1766968108291043"
 )
 XI4 = ["--xi", "0,0.2,0.5,1"]
-SPECTRUM_ARGS = ["--omega-p", "0.5", "--p", "0.2,-0.1,0.05", "--n", "1", "--charges", "2"]
+SPECTRUM_ONE = ["--omega-p", "0.5", "--p", "0.2,-0.1,0.05", "--n", "1"]
+SPECTRUM_ARGS = [*SPECTRUM_ONE, "--charges", "2"]
 FORCE_ARGS = ["--d", "2", "--area", "3", "--charges", "2", "--n-photons", "1"]
 
 # sha256 of each command's output, recorded before the sweep, spectrum and
@@ -551,6 +578,10 @@ GOLDEN_DIGESTS = [
     (["force", "--xi", "0.3,1", "--d", "1:100:9:log", "--area", "2", "--at-minimum",
       "--format", "json"],
      "6de59ea72f8a1e4af0ebd2e38d169bc80443535c339d943f427cf52f70602359"),
+    (["sweep", "spectrum", *XI4, "--omega", "0.1:3:20", *SPECTRUM_ONE],
+     "50d8855865c0542c2e6800289ad348328ebdcc4a5ea3e977e6811ac902fce220"),
+    (["sweep", "spectrum", *XI4, "--omega", "0.1:3:20", *SPECTRUM_ONE, "--format", "json"],
+     "1885ee2a010e83462266e90e24b7e0b96f78398d1db535a51828ebd98d875b89"),
 ]
 
 

@@ -6,15 +6,11 @@ import pytest
 from quasimode import (
     DomainError,
     FockHamiltonian,
-    HamiltonianVariant,
     ModelParams,
     Momentum,
-    bogoliubov_theta,
     build_dipole_hamiltonian,
     build_planewave_hamiltonian,
     default_verification_cases,
-    displacement_sigma_sq,
-    effective_frequency,
     energy_level,
     lowest_eigenvalues,
     verify_spectrum,
@@ -39,7 +35,7 @@ def dense(band):
     return h
 
 
-def docstring_dense(params, p, cutoff, variant):
+def docstring_dense(params, p, cutoff, plane_wave=False):
     """The truncated Hamiltonian written out entry by entry from the formulas
     in the fock module docstring, independently of the module's band code."""
     quad = params.hbar * params.omega_p**2 / (2.0 * params.omega)
@@ -51,7 +47,7 @@ def docstring_dense(params, p, cutoff, variant):
         h[n, n] = p.squared / (2.0 * params.mass) + (
             params.hbar * params.omega + quad
         ) * (n + 0.5)
-        if variant is HamiltonianVariant.PLANE_WAVE:
+        if plane_wave:
             h[n, n] += -params.hbar * k * p.p_perp / params.mass * (n + 0.5)
             h[n, n] += params.hbar**2 * k**2 / (2.0 * params.mass) * (n + 0.5) ** 2
         if n + 1 <= cutoff:
@@ -84,7 +80,7 @@ class TestMatrixStructure:
         assert band[1, 0] == 0.0 and band[0, 0] == 0.0 and band[0, 1] == 0.0
         h = dense(band)
         np.testing.assert_allclose(
-            h, docstring_dense(params, p, 32, HamiltonianVariant.DIPOLE), rtol=1e-14, atol=0
+            h, docstring_dense(params, p, 32), rtol=1e-14, atol=0
         )
         assert np.max(np.abs(h - h.conj().T)) <= 1e-14
         dim = h.shape[0]
@@ -119,10 +115,7 @@ class TestEigensolver:
         band = np.zeros((3, 9), dtype=complex)
         band[2] = [1.0, 1.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]
         band[1, 1] = 1j
-        h = FockHamiltonian(
-            cutoff=8, matrix=band, params=CP_REST, p=Momentum(),
-            variant=HamiltonianVariant.DIPOLE,
-        )
+        h = FockHamiltonian(cutoff=8, matrix=band)
         assert lowest_eigenvalues(h, 2) == pytest.approx([0.0, 2.0], abs=1e-14)
 
     def test_diagonal_matrix_returns_sorted_diagonal(self):
@@ -145,19 +138,17 @@ class TestEigensolver:
         with pytest.raises(DomainError):
             lowest_eigenvalues(h, 0)
 
-    @pytest.mark.parametrize("variant", list(HamiltonianVariant))
+    @pytest.mark.parametrize(
+        "build", [build_dipole_hamiltonian, build_planewave_hamiltonian]
+    )
     @pytest.mark.parametrize("cutoff", [64, 128, 256, 512, 1024])
-    def test_matches_dense_eigvalsh_of_docstring_matrix(self, variant, cutoff):
+    def test_matches_dense_eigvalsh_of_docstring_matrix(self, build, cutoff):
         # strong squeezing, complex linear coupling and longitudinal momentum
         params = ModelParams(xi=0.3, omega=0.7, omega_p=2.0)
         p = Momentum(0.5, -0.4, 0.2)
-        build = (
-            build_dipole_hamiltonian
-            if variant is HamiltonianVariant.DIPOLE
-            else build_planewave_hamiltonian
-        )
         got = lowest_eigenvalues(build(params, p, cutoff), 5)
-        reference = np.linalg.eigvalsh(docstring_dense(params, p, cutoff, variant))[:5]
+        plane_wave = build is build_planewave_hamiltonian
+        reference = np.linalg.eigvalsh(docstring_dense(params, p, cutoff, plane_wave))[:5]
         assert got == pytest.approx(list(reference), rel=1e-10)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -178,14 +169,14 @@ class TestSpectrumInvariants:
     def test_equal_spacing_and_ground_offset(self, params, p):
         h = build_dipole_hamiltonian(params, p, 128)
         levels = lowest_eigenvalues(h, 6)
-        omega_eff = effective_frequency(params)
+        ground = energy_level(params, p, 0)
+        omega_eff = ground.Omega
         spacings = [b - a for a, b in zip(levels, levels[1:])]
         for s in spacings:
             assert s == pytest.approx(params.hbar * omega_eff, rel=1e-8)
         # E_0 - p^2/2m - hbar*Omega/2 = -hbar*Omega*|sigma|^2
         offset = levels[0] - p.squared / (2.0 * params.mass) - params.hbar * omega_eff / 2.0
-        sigma_sq = displacement_sigma_sq(params, p)
-        assert offset == pytest.approx(-params.hbar * omega_eff * sigma_sq, abs=1e-10)
+        assert offset == pytest.approx(-params.hbar * omega_eff * ground.sigma_sq, abs=1e-10)
 
     def test_truncation_error_shrinks_geometrically(self):
         # strong squeezing makes low cutoffs visibly wrong
@@ -226,7 +217,7 @@ class TestPlaneWaveVariant:
         e_dip = lowest_eigenvalues(build_dipole_hamiltonian(params, p, 256), 1)[0]
         e_pw = lowest_eigenvalues(build_planewave_hamiltonian(params, p, 256), 1)[0]
         shift = e_pw - e_dip
-        s2 = math.sinh(bogoliubov_theta(params)) ** 2
+        s2 = math.sinh(energy_level(params, p, 0).theta) ** 2
         expectation = 3.0 * s2 * s2 + 3.0 * s2 + 0.25  # <(n+1/2)^2> in squeezed vacuum
         recoil = 1.0 / (2.0 * params.mass)
         assert shift == pytest.approx(recoil * expectation, rel=1e-2)

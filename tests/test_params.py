@@ -7,10 +7,16 @@ from quasimode import (
     DomainError,
     ModelParams,
     PlateGeometry,
+    classify_regime,
     critical_points,
     derived_constants,
+    force_at_minimum,
+    force_general,
+    omega_physical,
     plasma_frequency_plates,
     polarization_weight,
+    reflectivity,
+    zero_point_minimum,
 )
 
 XI = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -136,3 +142,33 @@ class TestModelParams:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             ModelParams(**kwargs)
+
+
+PLATES = PlateGeometry(d=1.0, A=1.0)
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: classify_regime(NAN, 0.5), id="classify_regime-nan"),
+    pytest.param(lambda: classify_regime(INF, 0.5), id="classify_regime-inf"),
+    pytest.param(lambda: reflectivity(complex(NAN, 0.0)), id="reflectivity-nan"),
+    pytest.param(lambda: reflectivity(complex(INF, 0.0)), id="reflectivity-inf"),
+    pytest.param(lambda: plasma_frequency_plates(PLATES, NAN, 1.0), id="plates-charge-nan"),
+    pytest.param(lambda: plasma_frequency_plates(PLATES, 1.0, NAN), id="plates-mass-nan"),
+    pytest.param(lambda: force_general(NAN, PLATES, 1.0, 1.0, 0.5), id="force-omega-nan"),
+    pytest.param(
+        lambda: force_general(1.0, PLATES, 1.0, 1.0, 0.5, omega_p=NAN), id="force-omega_p-nan"
+    ),
+    pytest.param(
+        lambda: force_general(1e-200, PLATES, 1.0, 1.0, 0.5), id="force-ratio-overflow"
+    ),
+    pytest.param(
+        lambda: force_at_minimum(PLATES, 1.0, 1.0, 0.5, omega_p=NAN), id="minimum-omega_p-nan"
+    ),
+    pytest.param(lambda: zero_point_minimum(0.5, NAN), id="zero_point-omega_p-nan"),
+    pytest.param(lambda: omega_physical(1.0, 0.0, 0.5, c=INF), id="omega_physical-c-inf"),
+])
+def test_kernel_entry_rejects_non_finite(call):
+    # Each call returned NaN or inf, a wrong regime, or raised OverflowError.
+    with pytest.raises(DomainError, match="finite"):
+        call()

@@ -8,9 +8,6 @@ from quasimode import (
     DomainError,
     ModelParams,
     Momentum,
-    bogoliubov_theta,
-    displacement_sigma_sq,
-    effective_frequency,
     energy_cp,
     energy_level,
     energy_lp,
@@ -28,61 +25,59 @@ def _phi_of(p: Momentum) -> float:
     return math.acos(max(-1.0, min(1.0, p.p_major / p.magnitude)))
 
 
+def _ground(xi: float, omega: float, omega_p: float, p: Momentum = Momentum()):
+    """The n = 0 level, which carries theta, Omega and sigma_sq."""
+    return energy_level(ModelParams(xi=xi, omega=omega, omega_p=omega_p), p, 0)
+
+
 class TestBogoliubovTheta:
     def test_circular_is_identity_transformation(self):
-        assert bogoliubov_theta(ModelParams(xi=1.0, omega=1.0, omega_p=0.5)) == 0.0
+        assert _ground(xi=1.0, omega=1.0, omega_p=0.5).theta == 0.0
 
     def test_linear_frozen_value(self):
         # atanh(1/9)/2 at 40 digits
-        theta = bogoliubov_theta(ModelParams(xi=0.0, omega=1.0, omega_p=0.5))
+        theta = _ground(xi=0.0, omega=1.0, omega_p=0.5).theta
         assert theta == pytest.approx(0.05578588782855244, rel=1e-14)
 
     def test_no_coupling_no_squeezing(self):
-        assert bogoliubov_theta(ModelParams(xi=0.3, omega=2.0, omega_p=0.0)) == 0.0
+        assert _ground(xi=0.3, omega=2.0, omega_p=0.0).theta == 0.0
 
     @given(xi=XI, omega=FREQ, omega_p=FREQ)
     def test_argument_always_in_range(self, xi, omega, omega_p):
-        theta = bogoliubov_theta(ModelParams(xi=xi, omega=omega, omega_p=omega_p))
+        theta = _ground(xi=xi, omega=omega, omega_p=omega_p).theta
         assert theta >= 0.0 and math.isfinite(theta)
 
 
 class TestEffectiveFrequency:
     def test_linear(self):
-        params = ModelParams(xi=0.0, omega=1.0, omega_p=0.5)
-        assert effective_frequency(params) == pytest.approx(math.sqrt(1.25), rel=1e-15)
+        Omega = _ground(xi=0.0, omega=1.0, omega_p=0.5).Omega
+        assert Omega == pytest.approx(math.sqrt(1.25), rel=1e-15)
 
     def test_circular(self):
-        params = ModelParams(xi=1.0, omega=1.0, omega_p=0.5)
-        assert effective_frequency(params) == pytest.approx(1.125, rel=1e-15)
+        assert _ground(xi=1.0, omega=1.0, omega_p=0.5).Omega == pytest.approx(1.125, rel=1e-15)
 
     def test_free_photon(self):
-        assert effective_frequency(ModelParams(xi=0.7, omega=1.0, omega_p=0.0)) == 1.0
+        assert _ground(xi=0.7, omega=1.0, omega_p=0.0).Omega == 1.0
 
     def test_diverges_at_zero_frequency_for_finite_xi(self):
-        with pytest.raises(DomainError):
-            effective_frequency(ModelParams(xi=0.5, omega_p=1.0))
-        # linear polarization has a finite limit
-        assert effective_frequency(ModelParams(xi=0.0, omega_p=1.0)) == 1.0
+        with pytest.raises(DomainError, match="diverges"):
+            _ground(xi=0.5, omega=0.0, omega_p=1.0)
 
 
 class TestDisplacement:
     def test_momentum_along_propagation_does_not_couple(self):
-        params = ModelParams(xi=0.5, omega=1.0, omega_p=0.5)
-        assert displacement_sigma_sq(params, Momentum(p_perp=2.0)) == 0.0
+        assert _ground(0.5, 1.0, 0.5, Momentum(p_perp=2.0)).sigma_sq == 0.0
 
     def test_circular_frozen_value(self):
-        params = ModelParams(xi=1.0, omega=1.0, omega_p=0.5)
-        got = displacement_sigma_sq(params, Momentum(0.2, 0.0, 0.1))
+        got = _ground(1.0, 1.0, 0.5, Momentum(0.2, 0.0, 0.1)).sigma_sq
         assert got == pytest.approx(0.0019753086419753086, rel=1e-14)
 
     def test_no_coupling(self):
-        params = ModelParams(xi=1.0, omega=1.0, omega_p=0.0)
-        assert displacement_sigma_sq(params, Momentum(1.0, 1.0, 1.0)) == 0.0
+        assert _ground(1.0, 1.0, 0.0, Momentum(1.0, 1.0, 1.0)).sigma_sq == 0.0
 
     @given(xi=XI, omega=FREQ, omega_p=FREQ, a=MOM, b=MOM, c=MOM)
     def test_nonnegative(self, xi, omega, omega_p, a, b, c):
-        params = ModelParams(xi=xi, omega=omega, omega_p=omega_p)
-        assert displacement_sigma_sq(params, Momentum(a, b, c)) >= 0.0
+        assert _ground(xi, omega, omega_p, Momentum(a, b, c)).sigma_sq >= 0.0
 
 
 class TestEnergyLevel:
@@ -135,7 +130,7 @@ class TestEnergyLevel:
             scaled = energy_level(params, Momentum(), 0, N_charges=n_charges)
             ref = ModelParams(xi=0.5, omega=1.0, omega_p=0.5 * factor)
             assert scaled.Omega == pytest.approx(
-                effective_frequency(ref), rel=1e-14
+                energy_level(ref, Momentum(), 0).Omega, rel=1e-14
             )
             assert scaled.energy == pytest.approx(
                 energy_level(ref, Momentum(), 0).energy, rel=1e-14
@@ -235,7 +230,7 @@ class TestZeroPointMinimum:
         omega_min, e_star = zero_point_minimum(xi, omega_p)
 
         def objective(w):
-            return effective_frequency(ModelParams(xi=xi, omega=w, omega_p=omega_p)) / 2.0
+            return _ground(xi=xi, omega=w, omega_p=omega_p).Omega / 2.0
 
         res = minimize_scalar(
             objective, bounds=(1e-9 * omega_p, 50.0 * omega_p), method="bounded",
