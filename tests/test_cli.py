@@ -258,6 +258,61 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "domain error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,where,message", [
+        (["sweep", "wavenumber", "--xi", "0.5", "--omega", "1,-1"],
+         "xi=0.5, omega=-1", "reduced frequency must be nonnegative, got -1.0"),
+        (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "2,1e200"],
+         "xi=0, omega=1e+200", "wavenumber is not a finite float at y = 1e+200"),
+        # the first point's k overflows in atomic units; the second is negative
+        (["sweep", "wavenumber", "--xi", "0.5", "--units", "atomic", "--omega-p", "1e300",
+          "--c", "1e-10", "--omega", "1e300,-1e300"],
+         "xi=0.5, omega=1e+300", "result is not a finite float"),
+        (["sweep", "dielectric", "--xi", "0.5", "--omega", "1,0"],
+         "xi=0.5, omega=0", "dielectric function requires y > 0, got 0.0"),
+        (["sweep", "dielectric", "--xi", "0,1", "--omega", "1,1e-161"],
+         "xi=0, omega=1e-161", "permittivity is not a finite float at y = 1e-161"),
+        (["sweep", "dielectric", "--xi", "0.5,1", "--omega", "0.3,1e-170"],
+         "xi=0.5, omega=1e-170", "y^2 underflows to 0 at y = 1e-170"),
+        (["sweep", "reflectivity", "--xi", "0.5", "--omega", "0.3,0.8,2,1e200"],
+         "xi=0.5, omega=1e+200", "permittivity is not a finite float at y = 1e+200"),
+        (["sweep", "reflectivity", "--xi", "0.5", "--omega", "1,-2"],
+         "xi=0.5, omega=-2", "dielectric function requires y > 0, got -2.0"),
+        (["sweep", "dispersion", "--xi", "0", "--k", "1,-1"],
+         "xi=0, k=-1", "reduced wavenumber must be nonnegative, got -1.0"),
+        (["sweep", "dispersion", "--xi", "0", "--k", "1,1e200"],
+         "xi=0, k=1e+200", "frequency is not a finite float at x = 1e+200"),
+        (["sweep", "dispersion", "--xi", "0.5", "--k", "1,1e-200"],
+         "xi=0.5, k=1e-200", "x^2 underflows to 0 at x = 1e-200"),
+        # k_p = omega_p/c overflows, so k/k_p is 0
+        (["sweep", "dispersion", "--xi", "0.2", "--k", "1", "--units", "atomic",
+          "--omega-p", "1e300", "--c", "1e-10"],
+         "xi=0.2, k=1", "dispersion is singular at k=0 for xi > 0"),
+        # k_p = omega_p/c underflows to 0
+        (["sweep", "dispersion", "--xi", "0.2", "--k", "1", "--units", "atomic",
+          "--omega-p", "1e-300", "--c", "1e100"],
+         "xi=0.2, k=1", "result is not a finite float (ZeroDivisionError)"),
+        (["sweep", "velocity", "--xi", "0", "--k", "1,0"],
+         "xi=0, k=0", "phase velocity requires x > 0, got 0.0"),
+        (["sweep", "velocity", "--xi", "0.5", "--k", "1,1e-80"],
+         "xi=0.5, k=1e-80", "phase velocity is not a finite float at x = 1e-80"),
+        (["sweep", "velocity", "--xi", "0", "--k", "1,1e-170"],
+         "xi=0, k=1e-170", "x^4 underflows to 0 at x = 1e-170"),
+        (["sweep", "velocity", "--xi", "0.5", "--k", "1", "--units", "atomic",
+          "--omega-p", "1e-300", "--c", "1e100"],
+         "xi=0.5, k=1", "result is not a finite float (ZeroDivisionError)"),
+        # the first point's velocity overflows in atomic units; the second is negative
+        (["sweep", "velocity", "--xi", "0", "--k", "5e-309,-1", "--units", "atomic",
+          "--omega-p", "1", "--c", "1e308"],
+         "xi=0, k=5e-309", "result is not a finite float"),
+        (["force", "--xi", "1", "--d", "1,2", "--omega", "1,0"],
+         "xi=1, d=1, omega=0", "plate force diverges at omega=0 for xi > 0"),
+    ])
+    def test_domain_error_names_the_first_failing_point(self, argv, where, message, capsys):
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error at {where}: {message}\ndomain error: {message}\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
     def test_tolerance_must_be_positive_and_finite(self, tol, capsys):
         assert main(["verify", "--xi", "0.5", f"--tol={tol}"]) == EXIT_USAGE
@@ -505,6 +560,25 @@ XI4 = ["--xi", "0,0.2,0.5,1"]
 SPECTRUM_ONE = ["--omega-p", "0.5", "--p", "0.2,-0.1,0.05", "--n", "1"]
 SPECTRUM_ARGS = [*SPECTRUM_ONE, "--charges", "2"]
 FORCE_ARGS = ["--d", "2", "--area", "3", "--charges", "2", "--n-photons", "1"]
+# omega~ and omega* with their nextafter neighbours at xi = 0, 0.5, 0.99995 and
+# 1 (y = 1 exactly is both at xi = 0), evaluated at every one of these xi.
+XI_CRITICAL = ["--xi", "0,0.5,0.99995,1"]
+CRITICAL_OMEGAS_POSITIVE = (
+    "0.9999999999999999,1.0,1.0000000000000002,"
+    "0.44721359549995787,0.4472135954999579,0.447213595499958,"
+    "1.3416407864998736,1.3416407864998738,1.341640786499874,"
+    "3.5356222953848226e-05,3.535622295384823e-05,3.535622295384824e-05,"
+    "1.4142135619311311,1.4142135619311313,1.4142135619311316,"
+    "1.4142135623730947,1.414213562373095,1.4142135623730951"
+)
+# omega~ = 0 at xi = 1, and its upper neighbour, are in the wavenumber domain only.
+CRITICAL_OMEGAS = "0.0,5e-324," + CRITICAL_OMEGAS_POSITIVE
+# k* at xi = 0.5, 0.99995 and 1, reduced; then at xi = 0.2, 0.5 and 1 in atomic
+# units with omega_p = 0.7 and c = 137.035999.
+K_STAR = "0.05,0.6324555320336759,0.7071067807445837,0.7071067811865476,1.5"
+K_STAR_ATOMIC = (
+    "0.0002,0.0022400705580835015,0.0032306757031309204,0.003612005242728834,0.01"
+)
 
 # sha256 of each command's output, recorded before the sweep, spectrum and
 # force commands were merged onto one row table; any byte change fails here.
@@ -582,6 +656,34 @@ GOLDEN_DIGESTS = [
      "50d8855865c0542c2e6800289ad348328ebdcc4a5ea3e977e6811ac902fce220"),
     (["sweep", "spectrum", *XI4, "--omega", "0.1:3:20", *SPECTRUM_ONE, "--format", "json"],
      "1885ee2a010e83462266e90e24b7e0b96f78398d1db535a51828ebd98d875b89"),
+    # Recorded while the wave tables were still evaluated one point at a time.
+    (["sweep", "wavenumber", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS],
+     "74bd25a286cdee7b01424829a3103917987bc6f632308c61948def151ded290f"),
+    (["sweep", "wavenumber", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS, "--format", "json"],
+     "ba9c4834049e338ce3759839cc42fc6af15af0ce1407425491853d1669db47ba"),
+    (["sweep", "wavenumber", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS, "--units", "atomic",
+      "--omega-p", "1", "--c", "2"],
+     "abbe8956c1539830097513e9680486d9e3f42a3fccdb6244b591450bbaa2926f"),
+    (["sweep", "dielectric", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS_POSITIVE],
+     "dc2d0c2331499e511b6cc5d122b477b8d3e7d85bec7c9164b3e47ad7759a7df0"),
+    (["sweep", "dielectric", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS_POSITIVE,
+      "--format", "json"],
+     "04c022644d9685ccc856af26004c1b8efea8dd338528c1529b2ca209f1d0a7d5"),
+    (["sweep", "reflectivity", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS_POSITIVE],
+     "5806437b8e770e9a8a3b0b2ef50f940d374add22964c3978444e7fcaba90ca24"),
+    (["sweep", "reflectivity", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS_POSITIVE,
+      "--format", "json"],
+     "1972ed3ca5c3f2ee9cd52304e6e8695c916679474eec2608cd535863f28e8ddf"),
+    (["sweep", "dispersion", "--xi", "0.2,0.5,0.99995,1", "--k", K_STAR],
+     "ec949f8d8345cdfa52131dced62a57e0fc6b94fb966ae05f5642ac6d33399193"),
+    (["sweep", "velocity", "--xi", "0.2,0.5,0.99995,1", "--k", K_STAR],
+     "417d85caa81a7614ccc78e188e152c9952959d4527018e4fa3254d4b884566e3"),
+    (["sweep", "dispersion", "--xi", "0.2,0.5,1", "--k", K_STAR_ATOMIC, "--units", "atomic",
+      "--omega-p", "0.7"],
+     "57e204818c3bae3d8b141f31283ca466f4d19107014e6e216f3072575dc27d71"),
+    (["sweep", "velocity", "--xi", "0.2,0.5,1", "--k", K_STAR_ATOMIC, "--units", "atomic",
+      "--omega-p", "0.7"],
+     "8e3cbeda695c6a624db524afb7c1b95c389578e1363bf37f0191d26f9fe0137d"),
 ]
 
 
