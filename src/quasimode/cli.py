@@ -14,15 +14,17 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .dispersion import Branch, critical_points, k_branches, omega_physical
+import numpy as np
+
+from .dispersion import REGIMES, Branch, critical_points, k_branches_array, omega_physical_array
 from .errors import DomainError
 from .fock import default_verification_cases, verify_spectrum
-from .kinematics import group_velocity, phase_velocity
+from .kinematics import group_velocity_array, phase_velocity_array
 from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
-from .output import csv_chunks, json_table_chunks, render_json, write_bytes
-from .params import ATOMIC_C, ModelParams, _finite, _require_finite, validate_xi
+from .output import CHUNK_ROWS, csv_chunks, json_table_chunks, render_json, write_bytes
+from .params import ATOMIC_C, ModelParams, _divide, _finite, _require_finite, validate_xi
 from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_level
 
@@ -172,55 +174,97 @@ def _units(spec: SweepSpec) -> _Units:
     return _Units(spec.omega_p, spec.omega_p / c, c)
 
 
-def _dispersion(spec: SweepSpec, u: _Units, xi: float, k: float) -> list[list]:
-    return [[k, xi, omega_physical(k, u.omega, xi, u.v)]]
+# Column functions: (spec, units, xi, grid) -> the columns of the rows at xi
+# over the grid, which is a float64 array.  A column is a float64 array, an
+# object array, or a single value that every row shares.  Branch and regime
+# cells are the enum values, which render as the members do.
+
+_BRANCHES = np.array([Branch.PLUS.value, Branch.MINUS.value], dtype=object)
+_REGIMES = np.array([regime.value for regime in REGIMES], dtype=object)
 
 
-def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
-    rows = []
-    for wn in k_branches(omega / u.omega, xi):
-        z = wn.value if spec.units == "reduced" else wn.value * u.k
-        rows.append([omega, xi, wn.branch, z.real, z.imag, wn.regime])
-    return rows
+def _branch_rows(values: np.ndarray) -> np.ndarray:
+    """One row per grid point and branch, the plus branch first: values of
+    shape (n,) repeated for both branches, or of shape (2, n) interleaved."""
+    if values.ndim == 1:
+        return np.repeat(values, 2)
+    return values.T.ravel()
 
 
-def _zetas(u: _Units, xi: float, omega: float) -> list[tuple[Branch, complex]]:
-    """Both branches' permittivities at omega, from one branch evaluation."""
-    y = omega / u.omega
-    zetas = zip((Branch.PLUS, Branch.MINUS), _branch_zetas(y, xi))
-    return [(b, _finite_zeta(zeta, y)) for b, zeta in zetas]
+def _dispersion(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
+    return [k, xi, omega_physical_array(k, u.omega, xi, u.v)]
 
 
-def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
-    return [[omega, xi, b, zeta.real, zeta.imag] for b, zeta in _zetas(u, xi, omega)]
-
-
-def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
+def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
+    x, codes = k_branches_array(omega / u.omega, xi)
+    re, im = x.real, x.imag
+    if spec.units == "atomic":
+        # x * k_p as Python multiplies a complex by a float
+        with np.errstate(all="ignore"):
+            re, im = re * u.k - im * 0.0, re * 0.0 + im * u.k
     return [
-        [omega, xi, b, reflectivity(refractive_index(zeta))] for b, zeta in _zetas(u, xi, omega)
+        _branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)),
+        _branch_rows(re), _branch_rows(im), _branch_rows(_REGIMES[codes]),
     ]
 
 
-def _velocity(spec: SweepSpec, u: _Units, xi: float, k: float) -> list[list]:
-    x = k / u.k
-    return [[k, xi, phase_velocity(x, xi) * u.v, group_velocity(x, xi) * u.v]]
+def _zetas(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> np.ndarray:
+    """Both branches' permittivities at omega, shape (2, n), from one branch
+    evaluation.  They are divided by y^2 as the grid's own floats would
+    divide them: numpy floats (the figure grids) as numpy does."""
+    y = omega / u.omega
+    numpy_division = len(spec.grid) > 0 and isinstance(spec.grid[0], np.floating)
+    zetas = _branch_zetas(y, xi, numpy_division)
+    _finite_zeta(y, *zetas)
+    return zetas
 
 
-def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
-    params = ModelParams(
-        xi=xi, omega=omega, omega_p=spec.omega_p, mass=spec.mass, hbar=spec.hbar, c=u.v,
-    )
+def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
+    zetas = _zetas(spec, u, xi, omega)
+    return [
+        _branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)),
+        _branch_rows(zetas.real), _branch_rows(zetas.imag),
+    ]
+
+
+def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
+    # cmath.sqrt, Python's complex division and ** have no bit-identical
+    # numpy counterparts, so the scalar kernels run per cell.
+    zetas = _branch_rows(_zetas(spec, u, xi, omega)).tolist()
+    r = np.array([reflectivity(refractive_index(zeta)) for zeta in zetas], dtype=float)
+    return [_branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)), r]
+
+
+def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
+    x = _divide(k, u.k)
+    phase, group = phase_velocity_array(x, xi), group_velocity_array(x, xi)
+    with np.errstate(all="ignore"):
+        return [k, xi, phase * u.v, group * u.v]
+
+
+def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
     p = spec.momentum
-    levels = [energy_level(params, p, n, spec.n_charges) for n in spec.n]
-    return [[
-        omega, xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
-        level.n, level.theta, level.sigma_sq, level.Omega, level.energy,
-    ] for level in levels]
+    levels = []
+    for w in omega.tolist():
+        params = ModelParams(
+            xi=xi, omega=w, omega_p=spec.omega_p, mass=spec.mass, hbar=spec.hbar, c=u.v,
+        )
+        levels += [energy_level(params, p, n, spec.n_charges) for n in spec.n]
+    return [
+        np.repeat(omega, len(spec.n)), xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
+        np.array([level.n for level in levels], dtype=object),
+        *(np.array([getattr(level, name) for level in levels], dtype=float)
+          for name in ("theta", "sigma_sq", "Omega", "energy")),
+    ]
 
 
-def _force(spec: SweepSpec, u: _Units, xi: float, omega: float) -> list[list]:
-    omega, wp, force = _plate_force(spec, xi, _plates(spec, spec.d), omega)
-    return [[omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, wp, force]]
+def _force(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
+    geom, wp = plates = _plates(spec, spec.d)
+    force = [_plate_force(spec, xi, plates, w)[2] for w in omega.tolist()]
+    return [
+        omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, wp,
+        np.array(force, dtype=float),
+    ]
 
 
 def _plates(spec: SweepSpec, d: float) -> tuple[PlateGeometry, float]:
@@ -250,7 +294,7 @@ class _Quantity(NamedTuple):
     # Reduced-unit columns are named "<atomic name>_over_<unit>".
     columns: list[str]
     atomic_only: bool
-    rows: Callable[..., list[list]]
+    evaluate: Callable[..., list]
 
 
 _TABLE = {
@@ -284,46 +328,90 @@ K_SWEPT = {name for name, entry in _TABLE.items() if entry.axis == "k"}
 ATOMIC_ONLY = {name for name, entry in _TABLE.items() if entry.atomic_only}
 
 
-def _finite_rows(row: Callable[..., list[list]], point: tuple) -> list[list]:
-    """row(*point), with an overflow, a division by zero or a non-finite
-    float cell raised as a DomainError."""
+def _checked_columns(evaluate: Callable[..., list], point: tuple, grid: np.ndarray) -> list:
+    """evaluate(*point, grid), with an overflow, a division by zero or a
+    non-finite float cell raised as a DomainError."""
     try:
-        rows = row(*point)
+        columns = evaluate(*point, grid)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"result is not a finite float ({type(exc).__name__})") from None
-    for r in rows:
-        for cell in r:
-            if isinstance(cell, float) and not math.isfinite(cell):
-                raise DomainError("result is not a finite float")
-    return rows
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            finite = column.dtype != float or np.isfinite(column).all()
+        else:
+            finite = not isinstance(column, float) or math.isfinite(column)
+        if not finite:
+            raise DomainError("result is not a finite float")
+    return columns
 
 
-def _tabulate(axes: list[tuple[str, tuple]], row: Callable[..., list[list]]) -> list[list]:
-    """The rows of row(*point) over the product of the named axes, the first
-    outermost.  A DomainError is reported on stderr with the point it hit."""
-    rows: list[list] = []
-    for point in itertools.product(*(values for _, values in axes)):
+def _first_failure(evaluate: Callable[..., list], point: tuple, grid: np.ndarray) -> int:
+    """Index of the first grid point at which evaluate fails.  Whether a
+    point fails does not depend on the others, so a slice of the grid fails
+    exactly when it holds a failing point."""
+    lo, hi = 0, len(grid)  # the first failure lies in grid[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            rows.extend(_finite_rows(row, point))
-        except DomainError as exc:
-            where = ", ".join(f"{name}={value:g}" for (name, _), value in zip(axes, point))
-            print(f"domain error at {where}: {exc}", file=sys.stderr)
-            raise
-    return rows
+            _checked_columns(evaluate, point, grid[lo:mid])
+            lo = mid
+        except DomainError:
+            hi = mid
+    return lo
 
 
-def _sweep_rows(spec: SweepSpec) -> tuple[list[str], list[list]]:
+def _tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> Iterator[tuple]:
+    """The rows of evaluate over the product of the named axes, the first
+    outermost.  evaluate takes a point of the other axes and the whole last
+    axis as a float64 array, and returns the columns of the rows there.
+    Every column is evaluated and checked before the rows are returned, so a
+    DomainError is raised before any output; it is reported on stderr with
+    the first point, in row order, it hits."""
+    *outer, (last, values) = axes
+    grid = np.array(values, dtype=float)
+    tables = []
+    for point in itertools.product(*(values for _, values in outer)):
+        try:
+            tables.append(_checked_columns(evaluate, point, grid))
+        except DomainError:
+            i = _first_failure(evaluate, point, grid)
+            try:
+                _checked_columns(evaluate, point, grid[i:i + 1])
+            except DomainError as exc:
+                names = [name for name, _ in axes]
+                where = ", ".join(
+                    f"{name}={value:g}" for name, value in zip(names, (*point, values[i]))
+                )
+                print(f"domain error at {where}: {exc}", file=sys.stderr)
+                raise
+    return _rows(tables)
+
+
+def _rows(tables: list[list]) -> Iterator[tuple]:
+    """The rows of each table of columns, built CHUNK_ROWS at a time, so
+    their cells are Python objects: tolist() turns float64 into float."""
+    for columns in tables:
+        count = next(len(c) for c in columns if isinstance(c, np.ndarray))
+        for start in range(0, count, CHUNK_ROWS):
+            yield from zip(*(
+                c[start:start + CHUNK_ROWS].tolist() if isinstance(c, np.ndarray)
+                else itertools.repeat(c)
+                for c in columns
+            ))
+
+
+def _sweep_rows(spec: SweepSpec) -> tuple[list[str], Iterator[tuple]]:
     entry = _TABLE[spec.quantity]
     header = entry.columns
     if spec.units == "atomic":
         header = [column.split("_over_")[0] for column in header]
         if not entry.atomic_only and spec.omega_p <= 0.0:
             raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
-    row = functools.partial(entry.rows, spec, _units(spec))
-    return header, _tabulate([("xi", spec.xi_list), (entry.axis, spec.grid)], row)
+    evaluate = functools.partial(entry.evaluate, spec, _units(spec))
+    return header, _tabulate([("xi", spec.xi_list), (entry.axis, spec.grid)], evaluate)
 
 
-def _write_table(spec: SweepSpec, header: list[str], rows: list[list]) -> None:
+def _write_table(spec: SweepSpec, header: list[str], rows: Iterable[tuple]) -> None:
     if spec.fmt == "csv":
         chunks = csv_chunks(header, rows)
     else:
@@ -538,13 +626,25 @@ def _cmd_force(args: argparse.Namespace) -> int:
         frozen_wp = _plates(spec, ref_d)[1]
     plates = {d: _plates(spec, d) for d in spec.grid}
 
-    def row(xi: float, d: float, omega: float | None = None) -> list[list]:
-        omega, wp, force = _plate_force(spec, xi, plates[d], omega, frozen_wp)
-        return [[xi, omega, d, spec.area, spec.n_charges, spec.n_photons, args.scaling, wp, force]]
+    def columns(xi: float, d: list[float], omega: list[float | None]) -> list:
+        """The rows at xi and the (d, omega) pairs; omega None means at the minimum."""
+        results = [_plate_force(spec, xi, plates[di], w, frozen_wp) for di, w in zip(d, omega)]
+        omega, wp, force = (np.array(c, dtype=float) for c in zip(*results))
+        return [xi, omega, np.array(d, dtype=float), spec.area, spec.n_charges,
+                spec.n_photons, args.scaling, wp, force]
+
+    def at_omega(xi: float, d: float, omega: np.ndarray) -> list:
+        return columns(xi, [d] * len(omega), omega.tolist())
+
+    def at_minimum(xi: float, d: np.ndarray) -> list:
+        return columns(xi, d.tolist(), [None] * len(d))
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons",
               "scaling", "omega_p", "force"]
-    rows = _tabulate([("xi", spec.xi_list), ("d", spec.grid), *omega_axis], row)
+    rows = _tabulate(
+        [("xi", spec.xi_list), ("d", spec.grid), *omega_axis],
+        at_omega if omega_axis else at_minimum,
+    )
     _write_table(spec, header, rows)
     return EXIT_OK
 

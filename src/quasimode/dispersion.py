@@ -22,8 +22,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .params import _finite, polarization_weight, validate_xi
+from .params import _divide, _finite, _finite_array, _require, polarization_weight, validate_xi
 
 
 class Branch(enum.Enum):
@@ -72,19 +74,25 @@ def omega_of_k(x: float, xi: float) -> float:
     Singular at x = 0 for xi > 0; for xi = 0 the value at x = 0 is 1
     (the plasma frequency).
     """
+    return omega_of_k_array(np.array([x], dtype=float), xi).item()
+
+
+def omega_of_k_array(x: np.ndarray, xi: float) -> np.ndarray:
+    """omega_of_k at every element of x; a DomainError names the first
+    element failing the earliest check."""
     q = polarization_weight(xi)
-    if _finite(x, "reduced wavenumber") < 0.0:
-        raise DomainError(f"reduced wavenumber must be nonnegative, got {x}")
-    if x == 0.0:
-        if q > 0.0:
-            raise DomainError("dispersion is singular at k=0 for xi > 0")
-        return 1.0
-    x2 = x * x
-    if x2 == 0.0:
-        raise DomainError(f"x^2 underflows to 0 at x = {x}")
-    y = math.sqrt(x2 + 1.0 + q / x2)
-    if not math.isfinite(y):
-        raise DomainError(f"frequency is not a finite float at x = {x}")
+    _finite_array(x, "reduced wavenumber")
+    _require(x, x >= 0.0, "reduced wavenumber must be nonnegative, got {}")
+    zero = x == 0.0
+    if q > 0.0:
+        _require(x, ~zero, "dispersion is singular at k=0 for xi > 0")
+    with np.errstate(all="ignore"):
+        x2 = x * x
+        _require(x, (x2 != 0.0) | zero, "x^2 underflows to 0 at x = {}")
+        y = np.sqrt(x2 + 1.0 + q / x2)
+    if q == 0.0:
+        y[zero] = 1.0
+    _require(x, np.isfinite(y), "frequency is not a finite float at x = {}")
     return y
 
 
@@ -103,50 +111,80 @@ def classify_regime(y: float, xi: float) -> Regime:
     evanescent for y <= omega_tilde."""
     if _finite(y, "reduced frequency") < 0.0:
         raise DomainError(f"reduced frequency must be nonnegative, got {y}")
-    return _regime(y, critical_points(xi))
+    traveling, damped = _regimes(np.array([y], dtype=float), critical_points(xi))
+    return REGIMES[_regime_codes(traveling, damped)[0]]
 
 
-def _regime(y: float, cp: CriticalPoints) -> Regime:
-    if y >= cp.omega_star:
-        return Regime.TRAVELING
-    if y > cp.omega_tilde:
-        return Regime.DECAYING_TRAVELING
-    return Regime.EVANESCENT
+# Regime codes index this tuple.
+REGIMES = (Regime.TRAVELING, Regime.DECAYING_TRAVELING, Regime.EVANESCENT)
 
 
-def _branch_squares(y: float, xi: float) -> tuple[complex, complex, Regime]:
-    """Squared branches s_pm = x_pm^2 and the regime at reduced frequency
-    y >= 0, behind both k_branches (x = sqrt(s)) and optics.dielectric
-    (zeta = s / y^2).  At the double root y == omega_tilde, s_minus carries
-    a -0.0 imaginary part: its limit from above, where Im s_minus < 0."""
+def _regimes(y: np.ndarray, cp: CriticalPoints) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of the traveling regime and of the damped window."""
+    traveling = y >= cp.omega_star
+    return traveling, (y > cp.omega_tilde) > traveling
+
+
+def _regime_codes(traveling: np.ndarray, damped: np.ndarray) -> np.ndarray:
+    return np.where(traveling, 0, 2 - damped)
+
+
+def _branch_squares(y: np.ndarray, xi: float) -> tuple[np.ndarray, ...]:
+    """Squared branches s_pm = x_pm^2 at reduced frequencies y >= 0, behind
+    both k_branches (x = sqrt(s)) and optics.dielectric (zeta = s / y^2).
+    Returns Re s and Im s, each of shape (2, n) with the plus branch in row 0,
+    and the masks of _regimes.  At the double root y == omega_tilde, s_minus
+    carries a -0.0 imaginary part: its limit from above, where Im s_minus < 0.
+    The caller ignores floating-point exceptions."""
     q = polarization_weight(xi)
     cp = critical_points(xi)
-    regime = _regime(y, cp)
-
-    if q > 0.0 and regime is Regime.EVANESCENT and y == cp.omega_tilde:
-        s = -(xi / (1.0 + xi * xi))
-        return complex(s, 0.0), complex(s, -0.0), regime
-
+    traveling, damped = _regimes(y, cp)
     a = y * y - 1.0
     disc = a * a - 4.0 * q
-    if regime is Regime.DECAYING_TRAVELING:
-        # Strictly inside the damped window the two branches are exact
-        # complex conjugates; deriving the minus branch from the plus one
-        # keeps that structure even when the discriminant rounds to zero.
-        s_plus = (a + 1j * math.sqrt(max(-disc, 0.0))) / 2.0
-        return s_plus, s_plus.conjugate(), regime
     # The discriminant is >= 0 outside the damped window; clamp rounding
-    # noise so both squares stay exactly real.  The smaller-magnitude square
-    # comes from the product law s_plus s_minus = q, which sidesteps the
-    # a -+ inner cancellation.
-    inner = math.sqrt(max(disc, 0.0))
-    if regime is Regime.TRAVELING:
-        big = max(a + inner, 0.0)
-        small = 2.0 * q / big if big > 0.0 else 0.0
-        return complex(big / 2.0, 0.0), complex(small, 0.0), regime
-    big = min(a - inner, 0.0)
-    small = 2.0 * q / big if big < 0.0 else 0.0
-    return complex(small, 0.0), complex(big / 2.0, 0.0), regime
+    # noise so both squares stay exactly real.  The larger-magnitude square
+    # is (a + inner)/2 >= 0 when traveling and (a - inner)/2 <= 0 when
+    # evanescent; the smaller one comes from the product law
+    # s_plus s_minus = q, which sidesteps the a -+ inner cancellation.
+    # Neither disc nor a -+ inner is ever -0.0, so np.maximum and np.minimum
+    # clamp them as Python's max and min do.
+    inner = np.sqrt(np.maximum(disc, 0.0))
+    big = np.where(traveling, np.maximum(a + inner, 0.0), np.minimum(a - inner, 0.0))
+    small = np.where(big != 0.0, 2.0 * q / big, 0.0)
+    pair = np.array((big / 2.0, small))
+    re = np.where(traveling, pair, pair[::-1])
+    im = np.zeros(re.shape)
+    if damped[damped.argmax()]:
+        # Strictly inside the damped window the two branches are exact
+        # complex conjugates, s_plus = (a + 1j*sqrt(-disc)) / 2, the minus
+        # branch derived from the plus one so that the structure holds even
+        # when the discriminant rounds to zero.  These are the parts Python's
+        # complex arithmetic gives: + 0.0 turns a -0.0 root into 0.0.
+        root = (np.sqrt(np.maximum(-disc, 0.0)) + 0.0) / 2.0
+        re = np.where(damped, a / 2.0, re)
+        im = np.where(damped, np.array((root, -root)), im)
+    if q > 0.0:
+        # y == omega_tilde < omega_star is evanescent
+        double = y == cp.omega_tilde
+        if double[double.argmax()]:
+            re[:, double] = -(xi / (1.0 + xi * xi))
+            im[1, double] = -0.0
+    return re, im, traveling, damped
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array of these parts, signed zeros and all."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _real_root(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """cmath.sqrt of squares with zero imaginary part, without the bits that
+    cmath.sqrt drops for |s| just above the subnormal range."""
+    root = np.sqrt(np.abs(re))
+    positive = re > 0.0
+    return _complex(np.where(positive, root, 0.0), np.where(positive, 0.0, np.copysign(root, im)))
 
 
 def k_branches(y: float, xi: float) -> tuple[ComplexWavenumber, ComplexWavenumber]:
@@ -155,38 +193,49 @@ def k_branches(y: float, xi: float) -> tuple[ComplexWavenumber, ComplexWavenumbe
     At y == omega_tilde the minus branch takes the value of its limit from
     above (-i q^(1/4)); the limit from below has the opposite sign.
     """
-    if _finite(y, "reduced frequency") < 0.0:
-        raise DomainError(f"reduced frequency must be nonnegative, got {y}")
-    s_plus, s_minus, regime = _branch_squares(y, xi)
-    root = cmath.sqrt if regime is Regime.DECAYING_TRAVELING else _real_root
-    x_plus, x_minus = root(s_plus), root(s_minus)
-    if not (cmath.isfinite(x_plus) and cmath.isfinite(x_minus)):
-        raise DomainError(f"wavenumber is not a finite float at y = {y}")
+    x, codes = k_branches_array(np.array([y], dtype=float), xi)
+    regime = REGIMES[codes[0]]
     return (
-        ComplexWavenumber(value=x_plus, branch=Branch.PLUS, regime=regime),
-        ComplexWavenumber(value=x_minus, branch=Branch.MINUS, regime=regime),
+        ComplexWavenumber(value=x[0, 0].item(), branch=Branch.PLUS, regime=regime),
+        ComplexWavenumber(value=x[1, 0].item(), branch=Branch.MINUS, regime=regime),
     )
 
 
-def _real_root(s: complex) -> complex:
-    """cmath.sqrt of an s with zero imaginary part, without the bits that
-    cmath.sqrt drops for |s| just above the subnormal range."""
-    if s.real > 0.0:
-        return complex(math.sqrt(s.real), 0.0)
-    return complex(0.0, math.copysign(math.sqrt(-s.real), s.imag))
+def k_branches_array(y: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
+    """k_branches at every element of y: the complex wavenumbers, shape
+    (2, n) with x_plus in row 0, and the regime codes, which index REGIMES.
+    A DomainError names the first element failing the earliest check."""
+    _finite_array(y, "reduced frequency")
+    _require(y, y >= 0.0, "reduced frequency must be nonnegative, got {}")
+    with np.errstate(all="ignore"):
+        re, im, traveling, damped = _branch_squares(y, xi)
+        x = _real_root(re, im)
+    if damped[damped.argmax()]:
+        # numpy's complex sqrt differs from cmath.sqrt in the last bit where
+        # s is purely imaginary (y = 1), so these roots are taken one by one.
+        squares = _complex(re[0, damped], im[0, damped]).tolist()
+        x[0, damped] = roots = np.array([cmath.sqrt(s) for s in squares], dtype=complex)
+        x[1, damped] = roots.conjugate()
+    _require(y, np.isfinite(x[0]) & np.isfinite(x[1]), "wavenumber is not a finite float at y = {}")
+    return x, _regime_codes(traveling, damped)
 
 
 def omega_physical(k: float, omega_p: float, xi: float, c: float = 1.0) -> float:
     """Dimensionful dispersion Omega(k) = omega_p * y(k/k_p); restores the
     free-photon line c*k as omega_p -> 0."""
+    return omega_physical_array(np.array([k], dtype=float), omega_p, xi, c).item()
+
+
+def omega_physical_array(k: np.ndarray, omega_p: float, xi: float, c: float = 1.0) -> np.ndarray:
+    """omega_physical at every element of k."""
     if _finite(c, "speed of light") <= 0.0:
         raise DomainError(f"speed of light must be positive, got {c}")
     if _finite(omega_p, "plasma frequency") < 0.0:
         raise DomainError(f"plasma frequency must be nonnegative, got {omega_p}")
     if omega_p == 0.0:
         validate_xi(xi)
-        if _finite(k, "wavenumber") < 0.0:
-            raise DomainError(f"wavenumber must be nonnegative, got {k}")
+        _finite_array(k, "wavenumber")
+        _require(k, k >= 0.0, "wavenumber must be nonnegative, got {}")
         return c * k
     k_p = omega_p / c
-    return omega_p * omega_of_k(k / k_p, xi)
+    return omega_p * omega_of_k_array(_divide(k, k_p), xi)

@@ -10,39 +10,53 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
-from .params import _finite, polarization_weight, validate_xi
+from .params import _finite_array, _require, polarization_weight, validate_xi
 
 
-def _powers(x: float, what: str) -> tuple[float, float]:
-    """(x^2, x^4) for a velocity at reduced wavenumber x, which must be
+def _powers(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x^2, x^4) for a velocity at reduced wavenumbers x, which must be
     finite and positive with x^4 still above 0."""
-    if _finite(x, "reduced wavenumber") <= 0.0:
-        raise DomainError(f"{what} requires x > 0, got {x}")
-    x2 = x * x
-    x4 = x2 * x2
-    if x4 == 0.0:
-        raise DomainError(f"x^4 underflows to 0 at x = {x}")
+    _finite_array(x, "reduced wavenumber")
+    _require(x, x > 0.0, f"{what} requires x > 0, got {{}}")
+    with np.errstate(all="ignore"):
+        x2 = x * x
+        x4 = x2 * x2
+    _require(x, x4 != 0.0, "x^4 underflows to 0 at x = {}")
     return x2, x4
 
 
 def phase_velocity(x: float, xi: float) -> float:
     """v_ph / c = sqrt(1 + 1/x^2 + q/x^4) = y(x)/x."""
+    return phase_velocity_array(np.array([x], dtype=float), xi).item()
+
+
+def phase_velocity_array(x: np.ndarray, xi: float) -> np.ndarray:
+    """phase_velocity at every element of x; a DomainError names the first
+    element failing the earliest check."""
     q = polarization_weight(xi)
     x2, x4 = _powers(x, "phase velocity")
-    v = math.sqrt(1.0 + 1.0 / x2 + q / x4)
-    if not math.isfinite(v):
-        raise DomainError(f"phase velocity is not a finite float at x = {x}")
+    with np.errstate(all="ignore"):
+        v = np.sqrt(1.0 + 1.0 / x2 + q / x4)
+    _require(x, np.isfinite(v), "phase velocity is not a finite float at x = {}")
     return v
 
 
 def group_velocity(x: float, xi: float) -> float:
     """v_g / c = (1 - q/x^4) / sqrt(1 + 1/x^2 + q/x^4), signed."""
+    return group_velocity_array(np.array([x], dtype=float), xi).item()
+
+
+def group_velocity_array(x: np.ndarray, xi: float) -> np.ndarray:
+    """group_velocity at every element of x; a DomainError names the first
+    element failing the earliest check."""
     q = polarization_weight(xi)
     x2, x4 = _powers(x, "group velocity")
-    v = (1.0 - q / x4) / math.sqrt(1.0 + 1.0 / x2 + q / x4)
-    if not math.isfinite(v):
-        raise DomainError(f"group velocity is not a finite float at x = {x}")
+    with np.errstate(all="ignore"):
+        v = (1.0 - q / x4) / np.sqrt(1.0 + 1.0 / x2 + q / x4)
+    _require(x, np.isfinite(v), "group velocity is not a finite float at x = {}")
     return v
 
 

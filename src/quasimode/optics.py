@@ -16,8 +16,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .dispersion import Branch, Regime, _branch_squares
+import numpy as np
+
+from .dispersion import Branch, _branch_squares, _complex
 from .errors import DomainError
+from .params import _require
 
 
 @dataclass(frozen=True)
@@ -30,37 +33,48 @@ class OpticalResponse:
     branch: Branch
 
 
-def _branch_zetas(y: float, xi: float) -> tuple[complex, complex]:
-    """(zeta_plus, zeta_minus) at reduced frequency y from one branch-square
-    evaluation, not yet checked for finiteness: a caller checks the branches
-    it reports with _finite_zeta."""
-    if y <= 0.0:
-        raise DomainError(f"dielectric function requires y > 0, got {y}")
-    y2 = y * y
-    if y2 == 0.0:
-        raise DomainError(f"y^2 underflows to 0 at y = {y}")
-    s_plus, s_minus, regime = _branch_squares(y, xi)
-    if regime is Regime.DECAYING_TRAVELING:
-        # Divide, then conjugate: the other order can flip the sign of a zero
-        # imaginary part.
-        zeta = s_plus / y2
-        return zeta, zeta.conjugate()
-    # Real outside the damped window; the signed zero that picks the minus
-    # branch's limit at the double root belongs to x, not to zeta.
-    return complex(s_plus.real / y2, 0.0), complex(s_minus.real / y2, 0.0)
-
-
-def _finite_zeta(zeta: complex, y: float) -> complex:
-    if not cmath.isfinite(zeta):
-        raise DomainError(f"permittivity is not a finite float at y = {y}")
+def _branch_zetas(y: np.ndarray, xi: float, numpy_division: bool = False) -> np.ndarray:
+    """Permittivities at reduced frequencies y from one branch-square
+    evaluation, shape (2, n) with zeta_plus in row 0, not yet checked for
+    finiteness: a caller checks the branches it reports with _finite_zeta.
+    Inside the damped window zeta_plus = s_plus / y^2 is divided as Python
+    divides a complex by a float, or with numpy_division as numpy does,
+    which multiplies by the reciprocal: the frequencies were numpy floats."""
+    _require(y, ~(y <= 0.0), "dielectric function requires y > 0, got {}")
+    with np.errstate(all="ignore"):
+        y2 = y * y
+        _require(y, y2 != 0.0, "y^2 underflows to 0 at y = {}")
+        re, im, _, damped = _branch_squares(y, xi)
+        # Real outside the damped window; the signed zero that picks the
+        # minus branch's limit at the double root belongs to x, not to zeta.
+        # Inside it these are the parts Python's division gives for
+        # Im s_plus >= +0, and zeta_minus is the conjugate of zeta_plus.
+        zeta = _complex(re / y2, 0.0)
+        if damped[damped.argmax()]:
+            zeta.imag = np.where(damped, im / y2, 0.0)
+        if numpy_division and damped[damped.argmax()]:
+            # Divide, then conjugate: the other order can flip the sign of a
+            # zero imaginary part.
+            zeta[0, damped] = _complex(re[0, damped], im[0, damped]) / y2[damped]
+            zeta[1, damped] = zeta[0, damped].conjugate()
     return zeta
+
+
+def _finite_zeta(y: np.ndarray, *zetas: np.ndarray) -> None:
+    finite = np.isfinite(zetas[0])
+    for zeta in zetas[1:]:
+        finite &= np.isfinite(zeta)
+    _require(y, finite, "permittivity is not a finite float at y = {}")
 
 
 def dielectric(y: float, xi: float, branch: Branch) -> complex:
     """Relative permittivity zeta = (x / y)^2 on the given branch at reduced
     frequency y."""
-    zeta_plus, zeta_minus = _branch_zetas(y, xi)
-    return _finite_zeta(zeta_plus if branch is Branch.PLUS else zeta_minus, y)
+    numpy_division = isinstance(y, np.floating)
+    y = np.array([y], dtype=float)
+    zeta = _branch_zetas(y, xi, numpy_division)[0 if branch is Branch.PLUS else 1]
+    _finite_zeta(y, zeta)
+    return zeta.item()
 
 
 def refractive_index(zeta: complex) -> complex:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # Speed of light in hartree atomic units (inverse fine-structure constant).
@@ -34,6 +36,27 @@ def _finite(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
+
+
+def _require(values: np.ndarray, ok: np.ndarray, message: str) -> None:
+    """Raise DomainError(message.format(v)) for the first element v of values
+    where ok is false: the array form of a kernel's entry or result check."""
+    i = ok.argmin()
+    if not ok[i]:
+        raise DomainError(message.format(values[i].item()))
+
+
+def _finite_array(values: np.ndarray, name: str) -> None:
+    """_finite for every element of values."""
+    _require(values, np.isfinite(values), f"{name} must be finite, got {{}}")
+
+
+def _divide(values: np.ndarray, divisor: float) -> np.ndarray:
+    """values / divisor, raising ZeroDivisionError for a zero divisor as
+    Python's float division does, where numpy would return inf."""
+    if divisor == 0.0:
+        raise ZeroDivisionError("float division by zero")
+    return values / divisor
 
 
 def _require_finite(obj: object, *names: str) -> None:

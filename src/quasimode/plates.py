@@ -116,8 +116,11 @@ def force_general(
         raise DomainError(
             f"(omega_p/omega)^2 is not a positive finite float at omega = {omega}"
         )
+    inverse = 1.0 / r2
+    if math.isinf(inverse):
+        raise DomainError(f"(omega/omega_p)^2 overflows at omega = {omega}")
     numer = hbar * wp * (1.0 + 2.0 * q * r2)
-    denom = 4.0 * math.sqrt(1.0 / r2 + 1.0 + q * r2)
+    denom = 4.0 * math.sqrt(inverse + 1.0 + q * r2)
     return numer / denom * photons / g.d
 
 

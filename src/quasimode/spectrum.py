@@ -117,9 +117,13 @@ def energy_level(
         Omega = math.sqrt(w2 + wp2 * (1.0 + q * wp2 / w2))
         xi2 = params.xi**2
         half_wp2 = wp2 / (2.0 * omega)
-        theta = 0.5 * math.atanh(
-            half_wp2 * (1.0 - xi2) / ((1.0 + xi2) * (omega + half_wp2))
-        )
+        tanh_2theta = half_wp2 * (1.0 - xi2) / ((1.0 + xi2) * (omega + half_wp2))
+        if tanh_2theta >= 1.0:
+            raise DomainError(
+                f"tanh(2 theta) rounds to 1 at omega = {omega}, omega_p = {omega_p}:"
+                " theta is not a finite float"
+            )
+        theta = 0.5 * math.atanh(tanh_2theta)
         quad = _quad(params, omega_p)
         pref = math.cosh(2.0 * theta) / (params.hbar * omega + quad)
         weighted = (

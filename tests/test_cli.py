@@ -249,6 +249,10 @@ class TestExitCodes:
         ["sweep", "spectrum", "--xi", "0.5", "--omega", "1e-155", "--omega-p", "1"],
         ["verify", "--xi", "0.5", "--p", "1e200,0,0"],
         ["spectrum", "--xi", "0.5", "--omega", "1", "--omega-p", "1", "--p", "1e200,0,0"],
+        # tanh(2 theta) rounds to 1: math.atanh raised a ValueError here
+        ["sweep", "spectrum", "--xi", "0", "--omega", "1", "--omega-p", "1e9"],
+        # 1/(omega_p/omega)^2 overflows: the force was a silent 0
+        ["sweep", "force", "--xi", "0.5", "--omega", "1e155"],
     ])
     def test_unrepresentable_input_is_domain_error(self, argv, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -515,14 +519,15 @@ class TestFiguresCommand:
             assert any(r["marker"] for r in rows), name
 
     def test_wavenumber_tables_evaluate_each_point_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = quasimode.cli.k_branches
+        points = []
+        original = quasimode.cli.k_branches_array
         monkeypatch.setattr(
-            quasimode.cli, "k_branches", lambda y, xi: calls.append(y) or original(y, xi)
+            quasimode.cli, "k_branches_array",
+            lambda y, xi: points.append(len(y)) or original(y, xi),
         )
         assert main(["figures", "--outdir", str(tmp_path)]) == EXIT_OK
         # 300 grid frequencies plus the omega~ and omega* markers, per xi
-        assert len(calls) == 4 * (300 + 2)
+        assert sum(points) == 4 * (300 + 2)
 
     def test_rerun_is_byte_identical(self, figdir, tmp_path):
         again = tmp_path / "figs2"
