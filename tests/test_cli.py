@@ -6,6 +6,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasimode
 import quasimode.figures
@@ -15,6 +16,8 @@ from quasimode.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    K_SWEPT,
+    QUANTITIES,
     SpecError,
     SweepSpec,
     main,
@@ -360,6 +363,106 @@ class TestExitCodes:
         # verify reports each case on stderr before it writes
         lines = [line for line in err.splitlines() if not line.startswith("[ok]")]
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# Floats at the edges of every domain check, as the CLI reads them.
+EDGE_FLOATS = [
+    "nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-200", "1e200", "-1e200",
+    "1e-155", "1e155", "1e9",
+]
+FUZZ_FLOAT = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(min_value=-4.0, max_value=4.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# Mostly valid polarizations and nonnegative grid points, so that most
+# examples reach the kernels.
+FUZZ_XI = st.one_of(
+    st.sampled_from(["0", "0.5", "1"]), st.floats(min_value=0.0, max_value=1.0).map(repr),
+    FUZZ_FLOAT,
+)
+FUZZ_POINT = st.one_of(
+    st.sampled_from(["0", "5e-324", "1e-200", "1e-155", "1e155", "1e200"]),
+    st.floats(min_value=0.0, max_value=4.0).map(repr),
+    FUZZ_FLOAT,
+)
+
+
+@st.composite
+def sweep_argv(draw) -> list[str]:
+    """A sweep argv from the CLI grammar with at most 8 grid points; options
+    use the --name=value form so that a leading minus stays a value."""
+    quantity = draw(st.sampled_from(QUANTITIES))
+    axis = "k" if quantity in K_SWEPT else "omega"
+    if draw(st.booleans()):
+        grid = ",".join(draw(st.lists(FUZZ_POINT, min_size=1, max_size=8)))
+    else:
+        start, stop = draw(FUZZ_POINT), draw(FUZZ_POINT)
+        count = draw(st.integers(min_value=1, max_value=8))
+        grid = f"{start}:{stop}:{count}" + draw(st.sampled_from(["", ":log"]))
+    xi = ",".join(draw(st.lists(FUZZ_XI, min_size=1, max_size=3)))
+    argv = ["sweep", quantity, f"--xi={xi}", f"--{axis}={grid}"]
+    options = {
+        "--units": st.sampled_from(["reduced", "atomic"]),
+        "--format": st.sampled_from(["csv", "json"]),
+        "--omega-p": FUZZ_FLOAT, "--c": FUZZ_FLOAT, "--mass": FUZZ_FLOAT,
+        "--hbar": FUZZ_FLOAT, "--d": FUZZ_FLOAT, "--area": FUZZ_FLOAT, "--charge": FUZZ_FLOAT,
+        "--p": st.lists(FUZZ_FLOAT, min_size=3, max_size=3).map(",".join),
+        "--n": st.sampled_from(["0", "1", "5", "-1"]),
+        "--charges": st.sampled_from(["1", "2", "0", "-1"]),
+        "--n-photons": st.sampled_from(["0", "1", "-1"]),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=5)):
+        argv.append(f"{name}={draw(options[name])}")
+    return argv
+
+
+def _emitted_floats(text: str, fmt: str) -> list[float]:
+    if fmt == "json":
+        numbers = []
+
+        def collect(value):
+            if isinstance(value, (list, dict)):
+                for item in value.values() if isinstance(value, dict) else value:
+                    collect(item)
+            elif isinstance(value, float):
+                numbers.append(value)
+
+        collect(json.loads(text, parse_constant=float))
+        return numbers
+    numbers = []
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass
+    return numbers
+
+
+class TestSweepContract:
+    @given(argv=sweep_argv())
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_sweep_exits_cleanly_with_finite_output(self, argv, capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN), captured.err
+        assert "Traceback" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code != EXIT_OK:
+            assert captured.out == ""
+            return
+        fmt = "json" if "--format=json" in argv else "csv"
+        assert all(math.isfinite(v) for v in _emitted_floats(captured.out, fmt))
 
 
 class TestVerifyCommand:
