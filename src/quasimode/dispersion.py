@@ -164,8 +164,9 @@ def _branch_squares(y: np.ndarray, xi: float) -> tuple[np.ndarray, ...]:
         re = np.where(damped, a / 2.0, re)
         im = np.where(damped, np.array((root, -root)), im)
     if q > 0.0:
-        # y == omega_tilde < omega_star is evanescent
-        double = y == cp.omega_tilde
+        # Evanescent: omega_tilde and omega_star round to the same float
+        # when xi is tiny.
+        double = (y == cp.omega_tilde) > traveling
         if double[double.argmax()]:
             re[:, double] = -(xi / (1.0 + xi * xi))
             im[1, double] = -0.0
