@@ -200,8 +200,7 @@ def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> lis
     re, im = x.real, x.imag
     if spec.units == "atomic":
         # x * k_p as Python multiplies a complex by a float
-        with np.errstate(all="ignore"):
-            re, im = re * u.k - im * 0.0, re * 0.0 + im * u.k
+        re, im = re * u.k - im * 0.0, re * 0.0 + im * u.k
     return [
         _branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)),
         _branch_rows(re), _branch_rows(im), _branch_rows(_REGIMES[codes]),
@@ -238,8 +237,7 @@ def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> l
 def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
     x = _divide(k, u.k)
     phase, group = phase_velocity_array(x, xi), group_velocity_array(x, xi)
-    with np.errstate(all="ignore"):
-        return [k, xi, phase * u.v, group * u.v]
+    return [k, xi, phase * u.v, group * u.v]
 
 
 def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
@@ -330,9 +328,11 @@ ATOMIC_ONLY = {name for name, entry in _TABLE.items() if entry.atomic_only}
 
 def _checked_columns(evaluate: Callable[..., list], point: tuple, grid: np.ndarray) -> list:
     """evaluate(*point, grid), with an overflow, a division by zero or a
-    non-finite float cell raised as a DomainError."""
+    non-finite float cell raised as a DomainError.  numpy's floating-point
+    warnings are silenced: the cells they flag are the ones rejected here."""
     try:
-        columns = evaluate(*point, grid)
+        with np.errstate(all="ignore"):
+            columns = evaluate(*point, grid)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"result is not a finite float ({type(exc).__name__})") from None
     for column in columns:

@@ -77,6 +77,7 @@ def omega_of_k(x: float, xi: float) -> float:
     return omega_of_k_array(np.array([x], dtype=float), xi).item()
 
 
+@np.errstate(all="ignore")
 def omega_of_k_array(x: np.ndarray, xi: float) -> np.ndarray:
     """omega_of_k at every element of x; a DomainError names the first
     element failing the earliest check."""
@@ -86,10 +87,9 @@ def omega_of_k_array(x: np.ndarray, xi: float) -> np.ndarray:
     zero = x == 0.0
     if q > 0.0:
         _require(x, ~zero, "dispersion is singular at k=0 for xi > 0")
-    with np.errstate(all="ignore"):
-        x2 = x * x
-        _require(x, (x2 != 0.0) | zero, "x^2 underflows to 0 at x = {}")
-        y = np.sqrt(x2 + 1.0 + q / x2)
+    x2 = x * x
+    _require(x, (x2 != 0.0) | zero, "x^2 underflows to 0 at x = {}")
+    y = np.sqrt(x2 + 1.0 + q / x2)
     if q == 0.0:
         y[zero] = 1.0
     _require(x, np.isfinite(y), "frequency is not a finite float at x = {}")
@@ -135,22 +135,23 @@ def _branch_squares(y: np.ndarray, xi: float) -> tuple[np.ndarray, ...]:
     Returns Re s and Im s, each of shape (2, n) with the plus branch in row 0,
     and the masks of _regimes.  At the double root y == omega_tilde, s_minus
     carries a -0.0 imaginary part: its limit from above, where Im s_minus < 0.
-    The caller ignores floating-point exceptions."""
+    Floating-point exceptions must be ignored."""
     q = polarization_weight(xi)
     cp = critical_points(xi)
     traveling, damped = _regimes(y, cp)
     a = y * y - 1.0
     disc = a * a - 4.0 * q
     # The discriminant is >= 0 outside the damped window; clamp rounding
-    # noise so both squares stay exactly real.  The larger-magnitude square
-    # is (a + inner)/2 >= 0 when traveling and (a - inner)/2 <= 0 when
-    # evanescent; the smaller one comes from the product law
-    # s_plus s_minus = q, which sidesteps the a -+ inner cancellation.
-    # Neither disc nor a -+ inner is ever -0.0, so np.maximum and np.minimum
-    # clamp them as Python's max and min do.
+    # noise so both squares stay exactly real (disc is never -0.0, so
+    # np.maximum clamps it as Python's max does).  The larger-magnitude
+    # square is (a + inner)/2, and a >= 0 when traveling (y >= omega_star >= 1),
+    # or (a - inner)/2, and a <= 0 when evanescent (y <= omega_tilde <= 1).
+    # The smaller one comes from the product law s_plus s_minus = q, which
+    # sidesteps the a -+ inner cancellation.
     inner = np.sqrt(np.maximum(disc, 0.0))
-    big = np.where(traveling, np.maximum(a + inner, 0.0), np.minimum(a - inner, 0.0))
-    small = np.where(big != 0.0, 2.0 * q / big, 0.0)
+    big = a + np.where(traveling, inner, -inner)
+    nonzero = big != 0.0
+    small = np.divide(2.0 * q, big, out=np.zeros(big.shape), where=nonzero)
     pair = np.array((big / 2.0, small))
     re = np.where(traveling, pair, pair[::-1])
     im = np.zeros(re.shape)
@@ -202,15 +203,15 @@ def k_branches(y: float, xi: float) -> tuple[ComplexWavenumber, ComplexWavenumbe
     )
 
 
+@np.errstate(all="ignore")
 def k_branches_array(y: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
     """k_branches at every element of y: the complex wavenumbers, shape
     (2, n) with x_plus in row 0, and the regime codes, which index REGIMES.
     A DomainError names the first element failing the earliest check."""
     _finite_array(y, "reduced frequency")
     _require(y, y >= 0.0, "reduced frequency must be nonnegative, got {}")
-    with np.errstate(all="ignore"):
-        re, im, traveling, damped = _branch_squares(y, xi)
-        x = _real_root(re, im)
+    re, im, traveling, damped = _branch_squares(y, xi)
+    x = _real_root(re, im)
     if damped[damped.argmax()]:
         # numpy's complex sqrt differs from cmath.sqrt in the last bit where
         # s is purely imaginary (y = 1), so these roots are taken one by one.
@@ -227,6 +228,7 @@ def omega_physical(k: float, omega_p: float, xi: float, c: float = 1.0) -> float
     return omega_physical_array(np.array([k], dtype=float), omega_p, xi, c).item()
 
 
+@np.errstate(all="ignore")
 def omega_physical_array(k: np.ndarray, omega_p: float, xi: float, c: float = 1.0) -> np.ndarray:
     """omega_physical at every element of k."""
     if _finite(c, "speed of light") <= 0.0:

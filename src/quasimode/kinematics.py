@@ -18,12 +18,12 @@ from .params import _finite_array, _require, polarization_weight, validate_xi
 
 def _powers(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """(x^2, x^4) for a velocity at reduced wavenumbers x, which must be
-    finite and positive with x^4 still above 0."""
+    finite and positive with x^4 still above 0.  Floating-point exceptions
+    must be ignored."""
     _finite_array(x, "reduced wavenumber")
     _require(x, x > 0.0, f"{what} requires x > 0, got {{}}")
-    with np.errstate(all="ignore"):
-        x2 = x * x
-        x4 = x2 * x2
+    x2 = x * x
+    x4 = x2 * x2
     _require(x, x4 != 0.0, "x^4 underflows to 0 at x = {}")
     return x2, x4
 
@@ -33,13 +33,13 @@ def phase_velocity(x: float, xi: float) -> float:
     return phase_velocity_array(np.array([x], dtype=float), xi).item()
 
 
+@np.errstate(all="ignore")
 def phase_velocity_array(x: np.ndarray, xi: float) -> np.ndarray:
     """phase_velocity at every element of x; a DomainError names the first
     element failing the earliest check."""
     q = polarization_weight(xi)
     x2, x4 = _powers(x, "phase velocity")
-    with np.errstate(all="ignore"):
-        v = np.sqrt(1.0 + 1.0 / x2 + q / x4)
+    v = np.sqrt(1.0 + 1.0 / x2 + q / x4)
     _require(x, np.isfinite(v), "phase velocity is not a finite float at x = {}")
     return v
 
@@ -49,13 +49,13 @@ def group_velocity(x: float, xi: float) -> float:
     return group_velocity_array(np.array([x], dtype=float), xi).item()
 
 
+@np.errstate(all="ignore")
 def group_velocity_array(x: np.ndarray, xi: float) -> np.ndarray:
     """group_velocity at every element of x; a DomainError names the first
     element failing the earliest check."""
     q = polarization_weight(xi)
     x2, x4 = _powers(x, "group velocity")
-    with np.errstate(all="ignore"):
-        v = (1.0 - q / x4) / np.sqrt(1.0 + 1.0 / x2 + q / x4)
+    v = (1.0 - q / x4) / np.sqrt(1.0 + 1.0 / x2 + q / x4)
     _require(x, np.isfinite(v), "group velocity is not a finite float at x = {}")
     return v
 

@@ -33,6 +33,7 @@ class OpticalResponse:
     branch: Branch
 
 
+@np.errstate(all="ignore")
 def _branch_zetas(y: np.ndarray, xi: float, numpy_division: bool = False) -> np.ndarray:
     """Permittivities at reduced frequencies y from one branch-square
     evaluation, shape (2, n) with zeta_plus in row 0, not yet checked for
@@ -41,18 +42,17 @@ def _branch_zetas(y: np.ndarray, xi: float, numpy_division: bool = False) -> np.
     divides a complex by a float, or with numpy_division as numpy does,
     which multiplies by the reciprocal: the frequencies were numpy floats."""
     _require(y, ~(y <= 0.0), "dielectric function requires y > 0, got {}")
-    with np.errstate(all="ignore"):
-        y2 = y * y
-        _require(y, y2 != 0.0, "y^2 underflows to 0 at y = {}")
-        re, im, _, damped = _branch_squares(y, xi)
-        # Real outside the damped window; the signed zero that picks the
-        # minus branch's limit at the double root belongs to x, not to zeta.
-        # Inside it these are the parts Python's division gives for
-        # Im s_plus >= +0, and zeta_minus is the conjugate of zeta_plus.
-        zeta = _complex(re / y2, 0.0)
-        if damped[damped.argmax()]:
-            zeta.imag = np.where(damped, im / y2, 0.0)
-        if numpy_division and damped[damped.argmax()]:
+    y2 = y * y
+    _require(y, y2 != 0.0, "y^2 underflows to 0 at y = {}")
+    re, im, _, damped = _branch_squares(y, xi)
+    # Real outside the damped window; the signed zero that picks the minus
+    # branch's limit at the double root belongs to x, not to zeta.  Inside
+    # it these are the parts Python's division gives for Im s_plus >= +0,
+    # and zeta_minus is the conjugate of zeta_plus.
+    zeta = _complex(re / y2, 0.0)
+    if damped[damped.argmax()]:
+        zeta.imag = np.where(damped, im / y2, 0.0)
+        if numpy_division:
             # Divide, then conjugate: the other order can flip the sign of a
             # zero imaginary part.
             zeta[0, damped] = _complex(re[0, damped], im[0, damped]) / y2[damped]

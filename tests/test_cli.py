@@ -256,6 +256,15 @@ class TestExitCodes:
         ["sweep", "spectrum", "--xi", "0", "--omega", "1", "--omega-p", "1e9"],
         # 1/(omega_p/omega)^2 overflows: the force was a silent 0
         ["sweep", "force", "--xi", "0.5", "--omega", "1e155"],
+        # the conversion to reduced units overflows
+        ["sweep", "dispersion", "--xi", "0.5", "--k", "1e200", "--units", "atomic",
+         "--omega-p", "1", "--c", "1e200"],
+        ["sweep", "velocity", "--xi", "0.5", "--k", "1e200", "--units", "atomic",
+         "--omega-p", "1", "--c", "1e200"],
+        ["sweep", "wavenumber", "--xi", "0.5", "--omega", "1e200", "--units", "atomic",
+         "--omega-p", "1e-200"],
+        ["sweep", "dielectric", "--xi", "0.5", "--omega", "1e200", "--units", "atomic",
+         "--omega-p", "1e-200"],
     ])
     def test_unrepresentable_input_is_domain_error(self, argv, capsys):
         with warnings.catch_warnings(record=True) as caught:
