@@ -212,7 +212,7 @@ def _zetas(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> np.ndarr
     evaluation.  They are divided by y^2 as the grid's own floats would
     divide them: numpy floats (the figure grids) as numpy does."""
     y = omega / u.omega
-    numpy_division = len(spec.grid) > 0 and isinstance(spec.grid[0], np.floating)
+    numpy_division = isinstance(next(iter(spec.grid), None), np.floating)
     zetas = _branch_zetas(y, xi, numpy_division)
     _finite_zeta(y, *zetas)
     return zetas
@@ -257,10 +257,10 @@ def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
 
 
 def _force(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
-    geom, wp = plates = _plates(spec, spec.d)
+    plates = _plates(spec, spec.d)
     force = [_plate_force(spec, xi, plates, w)[2] for w in omega.tolist()]
     return [
-        omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, wp,
+        omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, plates[1],
         np.array(force, dtype=float),
     ]
 
@@ -369,8 +369,9 @@ def _tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> I
     the first point, in row order, it hits."""
     *outer, (last, values) = axes
     grid = np.array(values, dtype=float)
+    points = itertools.product(*(values for _, values in outer)) if len(grid) else ()
     tables = []
-    for point in itertools.product(*(values for _, values in outer)):
+    for point in points:
         try:
             tables.append(_checked_columns(evaluate, point, grid))
         except DomainError:

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import _divide, _finite, _finite_array, _require, polarization_weight, validate_xi
+from .params import (
+    _any, _divide, _finite, _finite_array, _require, polarization_weight, validate_xi,
+)
 
 
 class Branch(enum.Enum):
@@ -155,7 +157,7 @@ def _branch_squares(y: np.ndarray, xi: float) -> tuple[np.ndarray, ...]:
     pair = np.array((big / 2.0, small))
     re = np.where(traveling, pair, pair[::-1])
     im = np.zeros(re.shape)
-    if damped[damped.argmax()]:
+    if _any(damped):
         # Strictly inside the damped window the two branches are exact
         # complex conjugates, s_plus = (a + 1j*sqrt(-disc)) / 2, the minus
         # branch derived from the plus one so that the structure holds even
@@ -168,7 +170,7 @@ def _branch_squares(y: np.ndarray, xi: float) -> tuple[np.ndarray, ...]:
         # Evanescent: omega_tilde and omega_star round to the same float
         # when xi is tiny.
         double = (y == cp.omega_tilde) > traveling
-        if double[double.argmax()]:
+        if _any(double):
             re[:, double] = -(xi / (1.0 + xi * xi))
             im[1, double] = -0.0
     return re, im, traveling, damped
@@ -212,7 +214,7 @@ def k_branches_array(y: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
     _require(y, y >= 0.0, "reduced frequency must be nonnegative, got {}")
     re, im, traveling, damped = _branch_squares(y, xi)
     x = _real_root(re, im)
-    if damped[damped.argmax()]:
+    if _any(damped):
         # numpy's complex sqrt differs from cmath.sqrt in the last bit where
         # s is purely imaginary (y = 1), so these roots are taken one by one.
         squares = _complex(re[0, damped], im[0, damped]).tolist()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dispersion import Branch, _branch_squares, _complex
 from .errors import DomainError
-from .params import _require
+from .params import _any, _require
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _branch_zetas(y: np.ndarray, xi: float, numpy_division: bool = False) -> np.
     # it these are the parts Python's division gives for Im s_plus >= +0,
     # and zeta_minus is the conjugate of zeta_plus.
     zeta = _complex(re / y2, 0.0)
-    if damped[damped.argmax()]:
+    if _any(damped):
         zeta.imag = np.where(damped, im / y2, 0.0)
         if numpy_division:
             # Divide, then conjugate: the other order can flip the sign of a

@@ -41,9 +41,14 @@ def _finite(value: float, name: str) -> float:
 def _require(values: np.ndarray, ok: np.ndarray, message: str) -> None:
     """Raise DomainError(message.format(v)) for the first element v of values
     where ok is false: the array form of a kernel's entry or result check."""
-    i = ok.argmin()
-    if not ok[i]:
+    if ok.size and not ok[i := ok.argmin()]:
         raise DomainError(message.format(values[i].item()))
+
+
+def _any(mask: np.ndarray) -> bool:
+    """mask.any(), at a fraction of its cost on the one-element arrays of
+    the scalar kernels."""
+    return mask.size > 0 and bool(mask[mask.argmax()])
 
 
 def _finite_array(values: np.ndarray, name: str) -> None:

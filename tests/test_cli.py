@@ -657,6 +657,12 @@ class TestRunSweepApi:
         with pytest.raises(SpecError):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_empty_grid_writes_the_header_only(self, quantity, capsys):
+        units = "atomic" if quantity in ("spectrum", "force") else "reduced"
+        run_sweep(SweepSpec(quantity=quantity, xi_list=(0.5,), grid=(), units=units, charge=-1.0))
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     def test_stdout_output(self, capsys):
         spec = SweepSpec(
             quantity="dispersion", xi_list=(1.0,), grid=(1.0,),
