@@ -242,17 +242,22 @@ def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
 
 def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
     p = spec.momentum
-    levels = []
+    # Only the four floats of each level are kept, not the level itself.
+    theta, sigma_sq, Omega, energy = cells = [], [], [], []
     for w in omega.tolist():
         params = ModelParams(
             xi=xi, omega=w, omega_p=spec.omega_p, mass=spec.mass, hbar=spec.hbar, c=u.v,
         )
-        levels += [energy_level(params, p, n, spec.n_charges) for n in spec.n]
+        for n in spec.n:
+            level = energy_level(params, p, n, spec.n_charges)
+            theta.append(level.theta)
+            sigma_sq.append(level.sigma_sq)
+            Omega.append(level.Omega)
+            energy.append(level.energy)
     return [
         np.repeat(omega, len(spec.n)), xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
-        np.array([level.n for level in levels], dtype=object),
-        *(np.array([getattr(level, name) for level in levels], dtype=float)
-          for name in ("theta", "sigma_sq", "Omega", "energy")),
+        np.tile(np.array(spec.n, dtype=object), len(omega)),
+        *(np.array(column, dtype=float) for column in cells),
     ]
 
 
@@ -367,7 +372,7 @@ def _tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> I
     Every column is evaluated and checked before the rows are returned, so a
     DomainError is raised before any output; it is reported on stderr with
     the first point, in row order, it hits."""
-    *outer, (last, values) = axes
+    *outer, (_, values) = axes
     grid = np.array(values, dtype=float)
     points = itertools.product(*(values for _, values in outer)) if len(grid) else ()
     tables = []
@@ -627,11 +632,11 @@ def _cmd_force(args: argparse.Namespace) -> int:
         frozen_wp = _plates(spec, ref_d)[1]
     plates = {d: _plates(spec, d) for d in spec.grid}
 
-    def columns(xi: float, d: list[float], omega: list[float | None]) -> list:
+    def columns(xi: float, ds: list[float], omegas: list[float | None]) -> list:
         """The rows at xi and the (d, omega) pairs; omega None means at the minimum."""
-        results = [_plate_force(spec, xi, plates[di], w, frozen_wp) for di, w in zip(d, omega)]
+        results = [_plate_force(spec, xi, plates[d], w, frozen_wp) for d, w in zip(ds, omegas)]
         omega, wp, force = (np.array(c, dtype=float) for c in zip(*results))
-        return [xi, omega, np.array(d, dtype=float), spec.area, spec.n_charges,
+        return [xi, omega, np.array(ds, dtype=float), spec.area, spec.n_charges,
                 spec.n_photons, args.scaling, wp, force]
 
     def at_omega(xi: float, d: float, omega: np.ndarray) -> list:
