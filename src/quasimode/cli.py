@@ -379,17 +379,18 @@ def _tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> I
     for point in points:
         try:
             tables.append(_checked_columns(evaluate, point, grid))
-        except DomainError:
+        except DomainError as exc:
             i = _first_failure(evaluate, point, grid)
             try:
                 _checked_columns(evaluate, point, grid[i:i + 1])
-            except DomainError as exc:
-                names = [name for name, _ in axes]
-                where = ", ".join(
-                    f"{name}={value:g}" for name, value in zip(names, (*point, values[i]))
-                )
-                print(f"domain error at {where}: {exc}", file=sys.stderr)
-                raise
+            except DomainError as first:
+                exc = first
+            names = [name for name, _ in axes]
+            where = ", ".join(
+                f"{name}={value:g}" for name, value in zip(names, (*point, values[i]))
+            )
+            print(f"domain error at {where}: {exc}", file=sys.stderr)
+            raise exc from None
     return _rows(tables)
 
 

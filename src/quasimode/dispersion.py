@@ -220,7 +220,8 @@ def k_branches_array(y: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
         squares = _complex(re[0, damped], im[0, damped]).tolist()
         x[0, damped] = roots = np.array([cmath.sqrt(s) for s in squares], dtype=complex)
         x[1, damped] = roots.conjugate()
-    _require(y, np.isfinite(x[0]) & np.isfinite(x[1]), "wavenumber is not a finite float at y = {}")
+    finite = np.isfinite(x[0]) & np.isfinite(x[1])
+    _require(y, finite, "wavenumber is not a finite float at y = {}")
     return x, _regime_codes(traveling, damped)
 
 
