@@ -252,9 +252,9 @@ class TestExitCodes:
         ["sweep", "spectrum", "--xi", "0.5", "--omega", "1e-155", "--omega-p", "1"],
         ["verify", "--xi", "0.5", "--p", "1e200,0,0"],
         ["spectrum", "--xi", "0.5", "--omega", "1", "--omega-p", "1", "--p", "1e200,0,0"],
-        # tanh(2 theta) rounds to 1: math.atanh raised a ValueError here
+        # tanh(2 theta) rounds to 1
         ["sweep", "spectrum", "--xi", "0", "--omega", "1", "--omega-p", "1e9"],
-        # 1/(omega_p/omega)^2 overflows: the force was a silent 0
+        # 1/(omega_p/omega)^2 overflows, which would make the force 0
         ["sweep", "force", "--xi", "0.5", "--omega", "1e155"],
         # the conversion to reduced units overflows
         ["sweep", "dispersion", "--xi", "0.5", "--k", "1e200", "--units", "atomic",
