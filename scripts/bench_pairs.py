@@ -13,11 +13,14 @@ is the working tree.  For each workload of `BENCHMARK.json` and each seed
 so compare only revisions whose benchmark code is the same.
 
 The output file holds, per workload and end-to-end metric, each side's
-median and quartiles, the change's win count (ties count for neither), the
-relative change of the median, and the two verdicts: a claimable gain (wins
-in at least nine tenths of the pairs, and medians further apart than the
-parent's interquartile distance) and a regression beyond the metric's bound.
-It also holds every run's value, failed-operation count and `env` line.
+median, quartiles and spread (interquartile distance over its own median),
+the change's win count (ties count for neither), the relative change of the
+median, and three verdicts: a claimable gain (wins in at least nine tenths
+of the pairs, and medians further apart than the parent's interquartile
+distance), a regression beyond the metric's bound, and unresolved (either
+side's spread is wider than the bound, so a change within the bound cannot
+be told from noise, unless every change run beats every parent run).  It
+also holds every run's value, failed-operation count and `env` line.
 """
 
 from __future__ import annotations
@@ -64,22 +67,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"], "env": env}
 
 
+def side(values: list[float]) -> dict:
+    """Median, quartiles and spread (interquartile distance over the median)
+    of one side's runs."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    median = statistics.median(values)
+    return {"median": median, "q1": q1, "q3": q3,
+            "spread": (q3 - q1) / abs(median) if median else 0.0}
+
+
 def summary(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0.0)
-    p_q1, _, p_q3 = statistics.quantiles(parent, n=4)
-    c_q1, _, c_q3 = statistics.quantiles(change, n=4)
-    p_med, c_med = statistics.median(parent), statistics.median(change)
-    relative = (c_med - p_med) / p_med if p_med else 0.0
+    p, c = side(parent), side(change)
+    relative = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
+    separated = min(sign * v for v in change) > max(sign * v for v in parent)
     return {
-        "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
-        "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
+        "parent": p,
+        "change": c,
         "change_wins": wins,
         "pairs": len(parent),
         "median_relative_change": relative,
         "gain_claimable": wins >= 0.9 * len(parent)
-        and sign * (c_med - p_med) > p_q3 - p_q1,
+        and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"],
         "worse_than_bound": -sign * relative > bound,
+        "unresolved": max(p["spread"], c["spread"]) > bound and not separated,
     }
 
 

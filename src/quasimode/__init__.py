@@ -7,7 +7,6 @@ from .dispersion import (
     ComplexWavenumber,
     CriticalPoints,
     Regime,
-    classify_regime,
     critical_points,
     k_branches,
     omega_of_k,
@@ -78,7 +77,6 @@ __all__ = [
     "VerificationReport",
     "build_dipole_hamiltonian",
     "build_planewave_hamiltonian",
-    "classify_regime",
     "critical_points",
     "default_verification_cases",
     "derived_constants",

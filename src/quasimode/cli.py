@@ -263,10 +263,9 @@ def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
 
 def _force(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
     plates = _plates(spec, spec.d)
-    force = [_plate_force(spec, xi, plates, w)[2] for w in omega.tolist()]
     return [
         omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, plates[1],
-        np.array(force, dtype=float),
+        _forces(spec, xi, plates, omega),
     ]
 
 
@@ -276,20 +275,15 @@ def _plates(spec: SweepSpec, d: float) -> tuple[PlateGeometry, float]:
     return geom, plasma_frequency_plates(geom, spec.charge, spec.mass)
 
 
-def _plate_force(
-    spec: SweepSpec, xi: float, plates: tuple[PlateGeometry, float], omega: float | None,
-    frozen_wp: float | None = None,
-) -> tuple[float, float, float]:
-    """(omega, omega_p, force) for plates from _plates; omega None means at the
-    energy minimum, and frozen_wp holds omega_p instead of the plates' own."""
+def _forces(
+    spec: SweepSpec, xi: float, plates: tuple[PlateGeometry, float], omega: np.ndarray
+) -> np.ndarray:
+    """The force between plates at each omega, at the plasma frequency that
+    comes with them."""
     geom, wp = plates
-    if frozen_wp is not None:
-        wp = frozen_wp
     e, m, hbar = spec.charge, spec.mass, spec.hbar
-    if omega is None:
-        force = force_at_minimum(geom, e, m, xi, hbar, omega_p=frozen_wp)
-        return wp * critical_points(xi).k_star, wp, force
-    return omega, wp, force_general(omega, geom, e, m, xi, hbar, omega_p=wp)
+    force = [force_general(w, geom, e, m, xi, hbar, omega_p=wp) for w in omega.tolist()]
+    return np.array(force, dtype=float)
 
 
 class _Quantity(NamedTuple):
@@ -632,19 +626,20 @@ def _cmd_force(args: argparse.Namespace) -> int:
         ref_d = args.ref_d if args.ref_d is not None else spec.grid[0]
         frozen_wp = _plates(spec, ref_d)[1]
     plates = {d: _plates(spec, d) for d in spec.grid}
-
-    def columns(xi: float, ds: list[float], omegas: list[float | None]) -> list:
-        """The rows at xi and the (d, omega) pairs; omega None means at the minimum."""
-        results = [_plate_force(spec, xi, plates[d], w, frozen_wp) for d, w in zip(ds, omegas)]
-        omega, wp, force = (np.array(c, dtype=float) for c in zip(*results))
-        return [xi, omega, np.array(ds, dtype=float), spec.area, spec.n_charges,
-                spec.n_photons, args.scaling, wp, force]
+    if frozen_wp is not None:
+        plates = {d: (geom, frozen_wp) for d, (geom, _) in plates.items()}
+    fixed = [spec.area, spec.n_charges, spec.n_photons, args.scaling]
 
     def at_omega(xi: float, d: float, omega: np.ndarray) -> list:
-        return columns(xi, [d] * len(omega), omega.tolist())
+        force = _forces(spec, xi, plates[d], omega)
+        return [xi, omega, d, *fixed, plates[d][1], force]
 
     def at_minimum(xi: float, d: np.ndarray) -> list:
-        return columns(xi, d.tolist(), [None] * len(d))
+        geoms, wps = zip(*(plates[key] for key in d.tolist()))
+        e, m, hbar = spec.charge, spec.mass, spec.hbar
+        force = [force_at_minimum(g, e, m, xi, hbar, omega_p=frozen_wp) for g in geoms]
+        wp = np.array(wps, dtype=float)
+        return [xi, wp * critical_points(xi).k_star, d, *fixed, wp, np.array(force, dtype=float)]
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons",
               "scaling", "omega_p", "force"]

@@ -108,15 +108,6 @@ def critical_points(xi: float) -> CriticalPoints:
     )
 
 
-def classify_regime(y: float, xi: float) -> Regime:
-    """Traveling for y >= omega_star, decaying-traveling in between,
-    evanescent for y <= omega_tilde."""
-    if _finite(y, "reduced frequency") < 0.0:
-        raise DomainError(f"reduced frequency must be nonnegative, got {y}")
-    traveling, damped = _regimes(np.array([y], dtype=float), critical_points(xi))
-    return REGIMES[_regime_codes(traveling, damped)[0]]
-
-
 # Regime codes index this tuple.
 REGIMES = (Regime.TRAVELING, Regime.DECAYING_TRAVELING, Regime.EVANESCENT)
 

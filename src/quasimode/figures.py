@@ -2,12 +2,12 @@
 
 Six CSV files cover the dispersion curves, both complex wavenumber branches,
 the velocities, the branch reflectivities, and the energy surface, each for
-xi in {0, 0.2, 0.5, 1} over fixed grids in reduced units.  All but the
-energy surface hold the rows, or for Re k and Im k the columns, of the
-matching reduced-unit `sweep` table plus a `marker` column.  Critical
-points (k*, the dispersion minimum Omega*, and the full-reflection cutoff
-Omega~) are appended per polarization as tagged rows; ordinary grid rows
-carry an empty marker.
+xi in {0, 0.2, 0.5, 1} over fixed grids in reduced units.  Each holds the
+rows, or for Re k and Im k the columns, of the matching `sweep` table plus
+a `marker` column; the energy surface is the ground level of the spectrum
+sweep at omega_p = 1.  Critical points (k*, the dispersion minimum Omega*,
+and the full-reflection cutoff Omega~) are appended per polarization as
+tagged rows; ordinary grid rows carry an empty marker.
 """
 
 from __future__ import annotations
@@ -19,21 +19,15 @@ import numpy as np
 from .cli import _TABLE, SweepSpec, _sweep_rows
 from .dispersion import critical_points
 from .output import render_csv, write_bytes
-from .params import ModelParams
-from .spectrum import Momentum, energy_level, zero_point_minimum
+from .spectrum import Momentum, zero_point_minimum
 
 FIGURE_XI = (0.0, 0.2, 0.5, 1.0)
 
-_GRID = tuple(np.linspace(0.01, 3.0, 300))  # k/k_p or omega/omega_p
-_P_GRID = np.linspace(0.0, 2.0, 21)
-_W_GRID = np.linspace(0.1, 3.0, 30)
-
-
-def _marked_rows(quantity: str, xi: float, points: tuple, marker: str = "") -> list[list]:
-    """The reduced-unit sweep rows of `quantity` at xi over points, each
-    with the marker cell appended."""
-    _, rows = _sweep_rows(SweepSpec(quantity, (xi,), points))
-    return [[*row, marker] for row in rows]
+# k/k_p or omega/omega_p.  numpy floats: fig4's permittivities in the damped
+# window are divided as numpy divides them (see cli._zetas).
+_GRID = tuple(np.linspace(0.01, 3.0, 300))
+_P_GRID = np.linspace(0.0, 2.0, 21).tolist()
+_W_GRID = tuple(np.linspace(0.1, 3.0, 30).tolist())
 
 
 def _wave_tables() -> dict[str, tuple[list[str], list[list]]]:
@@ -56,9 +50,12 @@ def _wave_tables() -> dict[str, tuple[list[str], list[list]]]:
         for quantity, rows in tables.items():
             # The linear dispersion curve starts at k = 0.
             grid = (0.0, *_GRID) if quantity == "dispersion" and xi == 0.0 else _GRID
-            rows += _marked_rows(quantity, xi, grid)
-            for point, marker in markers[quantity]:
-                rows += _marked_rows(quantity, xi, (point,), marker)
+            marked = markers[quantity]
+            points = (*grid, *(point for point, _ in marked))
+            labels = [""] * len(grid) + [label for _, label in marked]
+            sweep = list(_sweep_rows(SweepSpec(quantity, (xi,), points))[1])
+            per_point = len(sweep) // len(points)  # rows per point: one per branch
+            rows += [[*row, labels[i // per_point]] for i, row in enumerate(sweep)]
     return {quantity: (_TABLE[quantity].columns + ["marker"], rows)
             for quantity, rows in tables.items()}
 
@@ -70,15 +67,16 @@ def _columns(table: tuple[list[str], list[list]], names: list[str]) -> tuple[lis
 
 
 def _energy_rows() -> tuple[list[str], list[list]]:
-    # Ground-level surface over (p, omega) with omega_p = 1, hbar = m = 1 and
-    # the momentum along the major polarization axis.
+    """The ground level of the atomic-unit spectrum sweep at omega_p = 1
+    (hbar = m = 1, so energies are in units of hbar omega_p) over (p,
+    omega), the momentum along the major polarization axis."""
     rows = []
     for xi in FIGURE_XI:
         for p in _P_GRID:
-            for w in _W_GRID:
-                params = ModelParams(xi=xi, omega=w, omega_p=1.0)
-                level = energy_level(params, Momentum(p_major=p), n=0)
-                rows.append([xi, p, w, level.energy, ""])
+            spec = SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
+                             momentum=Momentum(p_major=p))
+            _, sweep = _sweep_rows(spec)
+            rows += [[xi, p, row[0], row[-1], ""] for row in sweep]
         omega_min, e_star = zero_point_minimum(xi, 1.0)
         rows.append([xi, 0.0, omega_min, e_star, "omega_star"])
     return ["xi", "p", "omega_over_wp", "energy_over_hwp", "marker"], rows

@@ -70,9 +70,8 @@ def _finite_zeta(y: np.ndarray, *zetas: np.ndarray) -> None:
 def dielectric(y: float, xi: float, branch: Branch) -> complex:
     """Relative permittivity zeta = (x / y)^2 on the given branch at reduced
     frequency y."""
-    numpy_division = isinstance(y, np.floating)
     y = np.array([y], dtype=float)
-    zeta = _branch_zetas(y, xi, numpy_division)[0 if branch is Branch.PLUS else 1]
+    zeta = _branch_zetas(y, xi)[0 if branch is Branch.PLUS else 1]
     _finite_zeta(y, zeta)
     return zeta.item()
 

@@ -49,10 +49,6 @@ class PlateGeometry:
         if self.n_photons < 0:
             raise DomainError(f"photon number must be nonnegative, got {self.n_photons}")
 
-    @property
-    def volume(self) -> float:
-        return self.A * self.d
-
 
 def _require_charge_and_mass(e: float, m: float) -> None:
     if _finite(e, "charge") < 0.0:

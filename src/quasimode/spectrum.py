@@ -54,10 +54,6 @@ class Momentum:
     def squared(self) -> float:
         return self.p_major**2 + self.p_minor**2 + self.p_perp**2
 
-    @property
-    def magnitude(self) -> float:
-        return math.sqrt(self.squared)
-
 
 @dataclass(frozen=True)
 class EnergyLevel:

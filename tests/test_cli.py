@@ -542,6 +542,40 @@ class TestForceCommand:
             "force", "--xi", "1", "--d", "1", "--omega", "0",
         ]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("xi", ["0", "0.5", "1"])
+    def test_rows_at_omega_are_the_sweep_force_rows(self, xi, fmt, capsys):
+        args = ["--xi", xi, "--d", "2", "--omega", "0.1:3:20", "--area", "3",
+                "--charges", "2", "--n-photons", "1", "--format", fmt]
+        tables = []
+        for command in (["force"], ["sweep", "force"]):
+            assert main([*command, *args]) == EXIT_OK
+            out = capsys.readouterr().out
+            if fmt == "csv":
+                header, *lines = out.splitlines()
+                tables.append((header.split(","), [line.split(",") for line in lines]))
+            else:
+                doc = json.loads(out)
+                tables.append((doc["columns"], doc["rows"]))
+        (header, rows), (sweep_header, sweep_rows) = tables
+        assert len(rows) == 20
+        index = [header.index(name) for name in sweep_header]
+        assert [[row[i] for i in index] for row in rows] == sweep_rows
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "force", "--xi", "0,0.5,1", "--omega", "0.1:3:20", "--d", "2",
+          "--area", "3", "--charges", "2"], ["--omega-p", "5"]),
+        (["force", "--xi", "0,0.5,1", "--d", "0.5:4:6", "--at-minimum"], ["--ref-d", "inf"]),
+        (["force", "--xi", "0,0.5,1", "--d", "0.5:4:6", "--omega", "0.3,1"], ["--ref-d", "3"]),
+    ])
+    def test_inert_flag_changes_no_byte(self, argv, flag, capsys):
+        # the plates set omega_p, and only frozen scaling reads --ref-d
+        outputs = []
+        for extra in ([], flag):
+            assert main([*argv, *extra]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestSpectrumCommand:
     def test_levels_equally_spaced(self, tmp_path):
@@ -638,8 +672,10 @@ class TestFiguresCommand:
             lambda y, xi: points.append(len(y)) or original(y, xi),
         )
         assert main(["figures", "--outdir", str(tmp_path)]) == EXIT_OK
-        # 300 grid frequencies plus the omega~ and omega* markers, per xi
+        # 300 grid frequencies plus the omega~ and omega* markers, per xi,
+        # in one call per xi
         assert sum(points) == 4 * (300 + 2)
+        assert len(points) == 4
 
     def test_rerun_is_byte_identical(self, figdir, tmp_path):
         again = tmp_path / "figs2"

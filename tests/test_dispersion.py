@@ -7,7 +7,6 @@ from quasimode import (
     Branch,
     DomainError,
     Regime,
-    classify_regime,
     critical_points,
     group_velocity,
     k_branches,
@@ -132,8 +131,14 @@ class TestKBranches:
     @given(y=st.floats(min_value=0.0, max_value=50.0), xi=XI)
     @settings(max_examples=300)
     def test_regime_labels_match_value_structure(self, y, xi):
+        cp = critical_points(xi)
+        expected = (
+            Regime.TRAVELING if y >= cp.omega_star
+            else Regime.EVANESCENT if y <= cp.omega_tilde
+            else Regime.DECAYING_TRAVELING
+        )
         for wn in k_branches(y, xi):
-            assert wn.regime is classify_regime(y, xi)
+            assert wn.regime is expected
             if wn.regime is Regime.TRAVELING:
                 assert wn.value.imag == 0.0
             if wn.regime is Regime.EVANESCENT:
@@ -179,20 +184,25 @@ class TestKBranches:
             assert omega_of_k(wn.value.real, xi) == pytest.approx(y, rel=1e-10)
 
 
+def regime(y, xi):
+    """The regime of both branches at reduced frequency y."""
+    return k_branches(y, xi)[0].regime
+
+
 class TestClassifyRegime:
     def test_examples(self):
-        assert classify_regime(2.0, 0.5) is Regime.TRAVELING
-        assert classify_regime(1.0, 0.5) is Regime.DECAYING_TRAVELING
-        assert classify_regime(0.3, 0.5) is Regime.EVANESCENT
+        assert regime(2.0, 0.5) is Regime.TRAVELING
+        assert regime(1.0, 0.5) is Regime.DECAYING_TRAVELING
+        assert regime(0.3, 0.5) is Regime.EVANESCENT
 
     def test_boundaries_inclusive(self):
         cp = critical_points(0.5)
-        assert classify_regime(cp.omega_star, 0.5) is Regime.TRAVELING
-        assert classify_regime(cp.omega_tilde, 0.5) is Regime.EVANESCENT
+        assert regime(cp.omega_star, 0.5) is Regime.TRAVELING
+        assert regime(cp.omega_tilde, 0.5) is Regime.EVANESCENT
 
     def test_linear_has_no_damped_window(self):
-        assert classify_regime(1.0, 0.0) is Regime.TRAVELING
-        assert classify_regime(1.0 - 1e-12, 0.0) is Regime.EVANESCENT
+        assert regime(1.0, 0.0) is Regime.TRAVELING
+        assert regime(1.0 - 1e-12, 0.0) is Regime.EVANESCENT
 
 
 class TestKernelEntryChecks:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +94,22 @@ class TestDielectric:
             got = dielectric(y, xi, branch)
             assert cmath.isclose(got, expected, rel_tol=1e-12)
             assert got.real < 0.0 and got.imag == 0.0
+
+    @pytest.mark.parametrize("xi", [0.2, 0.5, 0.8])
+    def test_numpy_and_python_floats_give_the_same_bits(self, xi):
+        # the value of y decides zeta, and so the optical response, not its
+        # type: in the damped window numpy's and Python's complex division
+        # round differently
+        cp = critical_points(xi)
+        ys = np.linspace(cp.omega_tilde, cp.omega_star, 2000)[1:-1]
+
+        def bits(y, branch):
+            zeta = dielectric(y, xi, branch)
+            return zeta.real.hex(), zeta.imag.hex()
+
+        for y in ys:
+            for branch in Branch:
+                assert bits(y, branch) == bits(float(y), branch), (y, branch)
 
     @given(y=Y)
     def test_linear_closed_form_both_branches_merge(self, y):

@@ -7,11 +7,11 @@ from quasimode import (
     DomainError,
     ModelParams,
     PlateGeometry,
-    classify_regime,
     critical_points,
     derived_constants,
     force_at_minimum,
     force_general,
+    k_branches,
     omega_physical,
     plasma_frequency_plates,
     polarization_weight,
@@ -149,8 +149,8 @@ NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: classify_regime(NAN, 0.5), id="classify_regime-nan"),
-    pytest.param(lambda: classify_regime(INF, 0.5), id="classify_regime-inf"),
+    pytest.param(lambda: k_branches(NAN, 0.5), id="classify_regime-nan"),
+    pytest.param(lambda: k_branches(INF, 0.5), id="classify_regime-inf"),
     pytest.param(lambda: reflectivity(complex(NAN, 0.0)), id="reflectivity-nan"),
     pytest.param(lambda: reflectivity(complex(INF, 0.0)), id="reflectivity-inf"),
     pytest.param(lambda: plasma_frequency_plates(PLATES, NAN, 1.0), id="plates-charge-nan"),

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +22,39 @@ def test_script_runs(script, args):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("parent,change,better,unresolved", [
+    # spreads of 0.1 under a bound of 0.25
+    ([9.5, 10.0, 10.5, 10.0] * 3, [9.6, 10.1, 10.6, 10.1] * 3, "lower", False),
+    # the parent's spread is 0.4, and the runs overlap
+    ([8.0, 10.0, 12.0, 10.0] * 3, [8.5, 10.5, 12.5, 10.5] * 3, "lower", True),
+    # the same spread, but every change run beats every parent run
+    ([8.0, 10.0, 12.0, 10.0] * 3, [3.0, 4.0, 5.0, 4.0] * 3, "lower", False),
+    ([8.0, 10.0, 12.0, 10.0] * 3, [3.0, 4.0, 5.0, 4.0] * 3, "higher", True),
+    # the change's own spread is the wide one
+    ([10.0] * 12, [5.0, 10.0, 15.0, 10.0] * 3, "higher", True),
+])
+def test_summary_reports_spread_wider_than_bound_as_unresolved(parent, change, better, unresolved):
+    result = load_bench_pairs().summary(parent, change, better, 0.25)
+    assert result["unresolved"] is unresolved
+    q1, q3 = result["parent"]["q1"], result["parent"]["q3"]
+    assert result["parent"]["spread"] == pytest.approx((q3 - q1) / result["parent"]["median"])
+
+
+def test_summary_of_recorded_pairs():
+    # sweep-atomic-json op_p50_ms in BENCH_9.json: a parent spread of 0.28
+    # against a bound of 0.25
+    runs = json.loads((ROOT / "BENCH_9.json").read_text())["workloads"]["sweep-atomic-json"]["runs"]
+    parent, change = ([r["metrics"]["op_p50_ms"] for r in runs[s]] for s in ("parent", "change"))
+    result = load_bench_pairs().summary(parent, change, "lower", 0.25)
+    assert result["parent"]["spread"] == pytest.approx(0.283, abs=1e-3)
+    assert result["unresolved"] is True
+    assert result["worse_than_bound"] is False and result["change_wins"] == 9
