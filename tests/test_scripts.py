@@ -25,7 +25,8 @@ def test_script_runs(script, args):
 
 
 def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
