@@ -7,3 +7,7 @@ class DomainError(ValueError):
     Raised instead of returning sentinels (inf/nan) so callers must handle
     singular points explicitly.
     """
+
+
+class SpecError(ValueError):
+    """A sweep/verify specification is malformed (exit code 2)."""

@@ -16,15 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .cli import _TABLE, SweepSpec, _sweep_rows
 from .dispersion import critical_points
 from .output import render_csv, write_bytes
 from .spectrum import Momentum, zero_point_minimum
+from .tables import TABLE, SweepSpec, sweep_columns
 
 FIGURE_XI = (0.0, 0.2, 0.5, 1.0)
 
 # k/k_p or omega/omega_p.  numpy floats: fig4's permittivities in the damped
-# window are divided as numpy divides them (see cli._zetas).
+# window are divided as numpy divides them (see tables._zetas).
 _GRID = tuple(np.linspace(0.01, 3.0, 300))
 _P_GRID = np.linspace(0.0, 2.0, 21).tolist()
 _W_GRID = tuple(np.linspace(0.1, 3.0, 30).tolist())
@@ -47,39 +47,39 @@ def _wave_tables() -> dict[str, tuple[list[str], list[list]]]:
             # Omega~ = 0 for circular polarization; no finite full-reflection point.
             "reflectivity": (omega_tilde if cp.omega_tilde > 0.0 else []) + omega_star,
         }
-        for quantity, rows in tables.items():
+        for quantity, blocks in tables.items():
             # The linear dispersion curve starts at k = 0.
             grid = (0.0, *_GRID) if quantity == "dispersion" and xi == 0.0 else _GRID
             marked = markers[quantity]
             points = (*grid, *(point for point, _ in marked))
-            labels = [""] * len(grid) + [label for _, label in marked]
-            sweep = list(_sweep_rows(SweepSpec(quantity, (xi,), points))[1])
-            per_point = len(sweep) // len(points)  # rows per point: one per branch
-            rows += [[*row, labels[i // per_point]] for i, row in enumerate(sweep)]
-    return {quantity: (_TABLE[quantity].columns + ["marker"], rows)
-            for quantity, rows in tables.items()}
+            labels = np.array([""] * len(grid) + [label for _, label in marked], dtype=object)
+            (block,) = sweep_columns(SweepSpec(quantity, (xi,), points))[1]
+            per_point = len(block[0]) // len(points)  # rows per point: one per branch
+            blocks.append([*block, np.repeat(labels, per_point)])
+    return {quantity: (TABLE[quantity].columns + ["marker"], blocks)
+            for quantity, blocks in tables.items()}
 
 
 def _columns(table: tuple[list[str], list[list]], names: list[str]) -> tuple[list[str], list[list]]:
-    header, rows = table
+    header, blocks = table
     index = [header.index(name) for name in names]
-    return names, [[row[i] for i in index] for row in rows]
+    return names, [[block[i] for i in index] for block in blocks]
 
 
-def _energy_rows() -> tuple[list[str], list[list]]:
+def _energy_table() -> tuple[list[str], list[list]]:
     """The ground level of the atomic-unit spectrum sweep at omega_p = 1
     (hbar = m = 1, so energies are in units of hbar omega_p) over (p,
     omega), the momentum along the major polarization axis."""
-    rows = []
+    blocks = []
     for xi in FIGURE_XI:
         for p in _P_GRID:
             spec = SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
                              momentum=Momentum(p_major=p))
-            _, sweep = _sweep_rows(spec)
-            rows += [[xi, p, row[0], row[-1], ""] for row in sweep]
+            (block,) = sweep_columns(spec)[1]
+            blocks.append([xi, p, block[0], block[-1], ""])
         omega_min, e_star = zero_point_minimum(xi, 1.0)
-        rows.append([xi, 0.0, omega_min, e_star, "omega_star"])
-    return ["xi", "p", "omega_over_wp", "energy_over_hwp", "marker"], rows
+        blocks.append([xi, 0.0, np.array([omega_min]), np.array([e_star]), "omega_star"])
+    return ["xi", "p", "omega_over_wp", "energy_over_hwp", "marker"], blocks
 
 
 def emit_figure_datasets(outdir: Path) -> list[Path]:
@@ -96,11 +96,11 @@ def emit_figure_datasets(outdir: Path) -> list[Path]:
         "fig2b_imk.csv": imk,
         "fig3_velocities.csv": wave["velocity"],
         "fig4_reflectivity.csv": wave["reflectivity"],
-        "fig5_energy.csv": _energy_rows(),
+        "fig5_energy.csv": _energy_table(),
     }
     paths = []
-    for name, (header, rows) in tables.items():
+    for name, (header, blocks) in tables.items():
         path = outdir / name
-        write_bytes([render_csv(header, rows)], path)
+        write_bytes([render_csv(header, blocks)], path)
         paths.append(path)
     return paths

@@ -61,7 +61,14 @@ def plasma_frequency_plates(g: PlateGeometry, e: float, m: float) -> float:
     """omega_p = 2 sqrt(pi) e sqrt(N) / sqrt(m A d); N charges enter through
     e^2 -> N e^2."""
     _require_charge_and_mass(e, m)
-    return 2.0 * math.sqrt(math.pi) * e * math.sqrt(g.N_charges) / math.sqrt(m * g.A * g.d)
+    mad = m * g.A * g.d
+    if not 0.0 < mad < math.inf:
+        raise DomainError(f"m * A * d is not a positive finite float (m={m}, A={g.A}, d={g.d})")
+    wp = 2.0 * math.sqrt(math.pi) * e * math.sqrt(g.N_charges) / math.sqrt(mad)
+    if not math.isfinite(wp):
+        inputs = f"e={e}, N={g.N_charges}, m={m}, A={g.A}, d={g.d}"
+        raise DomainError(f"plasma frequency is not a finite float ({inputs})")
+    return wp
 
 
 def _plasma(g: PlateGeometry, e: float, m: float, omega_p: float | None) -> float:
@@ -153,12 +160,18 @@ def force_minimum_bohr_form(
     if e_sq == 0.0:
         return 0.0
     bohr = hbar * hbar / (m * e_sq)
+    try:
+        d_power = g.d**1.5
+    except OverflowError:
+        d_power = math.inf
+    if not 0.0 < d_power < math.inf:
+        raise DomainError(f"d^(3/2) is not a positive finite float at d = {g.d}")
     return (
         kappa
         * math.sqrt(math.pi * bohr / g.A)
         * e_sq
         * (0.5 + g.n_photons)
-        / g.d**1.5
+        / d_power
     )
 
 

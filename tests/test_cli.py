@@ -9,21 +9,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasimode
-import quasimode.figures
+import quasimode.cli
+import quasimode.tables
 from quasimode import DomainError, energy_level, ModelParams, Momentum, zero_point_minimum
 from quasimode.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
-    K_SWEPT,
-    QUANTITIES,
-    SpecError,
-    SweepSpec,
     main,
     parse_grid,
     run_sweep,
 )
+from quasimode.errors import SpecError
+from quasimode.tables import K_SWEPT, QUANTITIES, TABLE, SweepSpec
 
 SCHEMA_DIR = Path(quasimode.__file__).parent / "schemas"
 
@@ -322,12 +321,37 @@ class TestExitCodes:
          "xi=0, k=5e-309", "result is not a finite float"),
         (["force", "--xi", "1", "--d", "1,2", "--omega", "1,0"],
          "xi=1, d=1, omega=0", "plate force diverges at omega=0 for xi > 0"),
+        (["force", "--xi", "0.5", "--d", "2,1e-300", "--at-minimum"],
+         "xi=0.5, d=1e-300", "d^(3/2) is not a positive finite float at d = 1e-300"),
+        (["force", "--xi", "0.5", "--d", "2,1e300", "--at-minimum"],
+         "xi=0.5, d=1e+300", "d^(3/2) is not a positive finite float at d = 1e+300"),
     ])
     def test_domain_error_names_the_first_failing_point(self, argv, where, message, capsys):
         assert main(argv) == EXIT_DOMAIN
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"domain error at {where}: {message}\ndomain error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["force", "--xi", "0.5", "--d", "2", "--omega", "1", "--area", "1e-200",
+          "--mass", "1e-200"],
+         "m * A * d is not a positive finite float (m=1e-200, A=1e-200, d=2.0)"),
+        (["force", "--xi", "0.5", "--d", "1e-300", "--omega", "1", "--charge", "1e200"],
+         "plasma frequency is not a finite float (e=1e+200, N=1, m=1.0, A=1.0, d=1e-300)"),
+        # the plates are checked before any grid point is evaluated
+        (["sweep", "force", "--xi", "0.5", "--omega", "1", "--d", "-1"],
+         "plate separation must be positive, got -1.0"),
+        (["sweep", "force", "--xi", "0.5", "--omega", "1", "--charge", "-1"],
+         "charge must be nonnegative, got -1.0"),
+        (["sweep", "force", "--xi", "0.5", "--omega", "1", "--area", "1e-200",
+          "--mass", "1e-200"],
+         "m * A * d is not a positive finite float (m=1e-200, A=1e-200, d=1.0)"),
+    ])
+    def test_plate_domain_error_names_no_grid_point(self, argv, message, capsys):
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: {message}\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
     def test_tolerance_must_be_positive_and_finite(self, tol, capsys):
@@ -666,9 +690,9 @@ class TestFiguresCommand:
 
     def test_wavenumber_tables_evaluate_each_point_once(self, tmp_path, monkeypatch):
         points = []
-        original = quasimode.cli.k_branches_array
+        original = quasimode.tables.k_branches_array
         monkeypatch.setattr(
-            quasimode.cli, "k_branches_array",
+            quasimode.tables, "k_branches_array",
             lambda y, xi: points.append(len(y)) or original(y, xi),
         )
         assert main(["figures", "--outdir", str(tmp_path)]) == EXIT_OK
@@ -694,9 +718,13 @@ class TestRunSweepApi:
             run_sweep(spec)
 
     @pytest.mark.parametrize("quantity", QUANTITIES)
-    def test_empty_grid_writes_the_header_only(self, quantity, capsys):
+    def test_empty_grid_writes_the_header_only(self, quantity, capsys, monkeypatch):
+        def no_columns(*args):
+            raise AssertionError("no column may be evaluated")
+
+        monkeypatch.setitem(TABLE, quantity, TABLE[quantity]._replace(evaluate=no_columns))
         units = "atomic" if quantity in ("spectrum", "force") else "reduced"
-        run_sweep(SweepSpec(quantity=quantity, xi_list=(0.5,), grid=(), units=units, charge=-1.0))
+        run_sweep(SweepSpec(quantity=quantity, xi_list=(0.5,), grid=(), units=units))
         assert len(capsys.readouterr().out.splitlines()) == 1
 
     def test_stdout_output(self, capsys):

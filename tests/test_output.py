@@ -1,4 +1,3 @@
-import enum
 import errno
 import json
 import math
@@ -14,7 +13,6 @@ from quasimode.cli import EXIT_USAGE, main
 from quasimode.output import (
     CHUNK_ROWS,
     csv_chunks,
-    format_cell,
     json_table_chunks,
     render_csv,
     render_json,
@@ -27,72 +25,121 @@ ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS +
 FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]),
-    st.floats().map(np.float64),
 )
-CELLS = st.one_of(
-    FLOATS,
-    st.integers(),
-    st.booleans(),
-    st.none(),
-    st.sampled_from([*Branch, *Regime]),
+STRINGS = st.one_of(
     st.text(),
     st.sampled_from(['"', "\\", "\n", ",", "é☃", "\x00\x1f", "\n      nan"]),
 )
+KINDS = {float: FLOATS, int: st.integers(), str: STRINGS}
+
+
+@st.composite
+def columns(draw, count: int, shared: bool):
+    """A column of count rows: a float64 array, an object array of str or of
+    int cycling through a few drawn cells, or, if shared, one drawn value."""
+    kind = draw(st.sampled_from(sorted(KINDS, key=lambda kind: kind.__name__)))
+    if shared:
+        return draw(KINDS[kind])
+    pool = draw(st.lists(KINDS[kind], min_size=1, max_size=5))
+    cells = [pool[i % len(pool)] for i in range(count)]
+    return np.array(cells, dtype=float if kind is float else object)
 
 
 @st.composite
 def tables(draw):
-    """(header, rows): rows cycle through a few drawn rows of the header's
-    width, up to one of the row counts around the chunk boundaries."""
-    width = draw(st.integers(min_value=0, max_value=4))
+    """(header, blocks): a few blocks of one width, each with at least one
+    array column and one of the row counts around the chunk boundaries."""
+    width = draw(st.integers(min_value=1, max_value=4))
     header = draw(st.lists(st.text(), min_size=width, max_size=width))
-    pool = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), min_size=1, max_size=5))
-    count = draw(st.sampled_from(ROW_COUNTS))
-    return header, [pool[i % len(pool)] for i in range(count)]
+    blocks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        count = draw(st.sampled_from(ROW_COUNTS))
+        shared = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        shared[draw(st.integers(min_value=0, max_value=width - 1))] = False
+        blocks.append([draw(columns(count, flag)) for flag in shared])
+    return header, blocks
 
 
-def _json_value(value):
-    return value.value if isinstance(value, enum.Enum) else value
+def rows_of(blocks):
+    """The rows of the blocks as lists of Python cells."""
+    rows = []
+    for block in blocks:
+        count = next(len(column) for column in block if isinstance(column, np.ndarray))
+        cells = [column.tolist() if isinstance(column, np.ndarray) else [column] * count
+                 for column in block]
+        rows += [list(row) for row in zip(*cells)]
+    return rows
+
+
+def csv_cell(value):
+    return f"{value:.16e}" if isinstance(value, float) else str(value)
 
 
 @given(table=tables(), meta=st.dictionaries(st.sampled_from(["quantity", "units"]), st.text()))
 @settings(max_examples=60, deadline=None)
 def test_json_chunks_are_the_bytes_of_json_dumps(table, meta):
-    header, rows = table
-    doc = {"schema_version": 1, **meta, "columns": header,
-           "rows": [[_json_value(v) for v in row] for row in rows]}
+    header, blocks = table
+    doc = {"schema_version": 1, **meta, "columns": header, "rows": rows_of(blocks)}
     expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    assert b"".join(json_table_chunks(header, rows, **meta)) == expected
-    assert render_json_table(header, rows, **meta) == expected
+    assert b"".join(json_table_chunks(header, blocks, **meta)) == expected
+    assert render_json_table(header, blocks, **meta) == expected
 
 
 @given(table=tables())
 @settings(max_examples=60, deadline=None)
 def test_csv_chunks_are_the_bytes_of_the_joined_lines(table):
-    header, rows = table
-    lines = [",".join(header)] + [",".join(format_cell(v) for v in row) for row in rows]
+    header, blocks = table
+    lines = [",".join(header)] + [",".join(map(csv_cell, row)) for row in rows_of(blocks)]
     expected = ("\n".join(lines) + "\n").encode("utf-8")
-    assert b"".join(csv_chunks(header, rows)) == expected
-    assert render_csv(header, rows) == expected
+    assert b"".join(csv_chunks(header, blocks)) == expected
+    assert render_csv(header, blocks) == expected
 
 
-@pytest.mark.parametrize("count", ROW_COUNTS)
-def test_chunks_hold_at_most_chunk_rows(count):
-    rows = [[float(i), i] for i in range(count)]
-    chunks = list(csv_chunks(["a", "b"], rows))
+@pytest.mark.parametrize("counts", [[count] for count in ROW_COUNTS] + [
+    [CHUNK_ROWS - 1, 2, CHUNK_ROWS + 1], [0, 3 * CHUNK_ROWS + 5, 0, 1],
+])
+def test_chunks_hold_at_most_chunk_rows_of_one_block(counts):
+    blocks = [[np.arange(count, dtype=float), 7] for count in counts]
+    chunks = list(csv_chunks(["a", "b"], blocks))
     assert chunks[0] == b"a,b\n"
     assert [chunk.count(b"\n") for chunk in chunks[1:]] == [
-        min(CHUNK_ROWS, count - start) for start in range(0, count, CHUNK_ROWS)
+        min(CHUNK_ROWS, count - start)
+        for count in counts for start in range(0, count, CHUNK_ROWS)
     ]
 
 
 def test_renderers_return_whole_documents_as_bytes():
-    assert render_csv(["a"], [[1.5]]) == b"a\n1.5000000000000000e+00\n"
-    table = render_json_table(["a"], [[Branch.PLUS]], quantity="q")
+    assert render_csv(["a", "b"], [[np.array([1.5]), "x"]]) == b"a,b\n1.5000000000000000e+00,x\n"
+    table = render_json_table(["a"], [[np.array(["plus"], dtype=object)]], quantity="q")
     assert isinstance(table, bytes)
     assert json.loads(table) == {"schema_version": 1, "columns": ["a"], "quantity": "q",
                                  "rows": [["plus"]]}
     assert render_json({"a": 1}) == b'{\n  "a": 1,\n  "schema_version": 1\n}\n'
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json_table])
+@pytest.mark.parametrize("column,name", [
+    (True, "bool"),
+    (None, "NoneType"),
+    (Branch.PLUS, "Branch"),
+    (np.float64(1.0), "float64"),
+    (np.array([False], dtype=object), "bool"),
+    (np.array([None], dtype=object), "NoneType"),
+    (np.array([Regime.TRAVELING], dtype=object), "Regime"),
+    (np.array(["plus", 1], dtype=object), "int, str"),
+    (np.array([np.float64(1.0)], dtype=object), "float64"),
+    (np.array([True]), "bool"),
+])
+def test_unsupported_cell_type_is_a_type_error_naming_it(render, column, name):
+    floats = np.zeros(len(column) if isinstance(column, np.ndarray) else 1)
+    with pytest.raises(TypeError, match=name):
+        render(["a", "b"], [[floats, column]])
+
+
+@pytest.mark.parametrize("block", [[0.5, "x"], [np.zeros(2), np.zeros(3)]])
+def test_block_needs_arrays_of_one_length(block):
+    with pytest.raises(ValueError):
+        render_csv(["a", "b"], [block])
 
 
 def _fail_after_first_chunk(chunks, error):
@@ -104,9 +151,9 @@ def _fail_after_first_chunk(chunks, error):
                                    TypeError("unexpected cell type")])
 def test_failed_write_removes_the_partial_file(error, tmp_path):
     out = tmp_path / "new" / "table.csv"
-    rows = [[0.5, 1]] * (2 * CHUNK_ROWS)
+    blocks = [[np.full(2 * CHUNK_ROWS, 0.5), 1]]
     with pytest.raises(type(error)):
-        write_bytes(_fail_after_first_chunk(csv_chunks(["a", "b"], rows), error), out)
+        write_bytes(_fail_after_first_chunk(csv_chunks(["a", "b"], blocks), error), out)
     assert not out.exists()
 
 
@@ -115,8 +162,8 @@ def test_failed_sweep_write_leaves_no_file(fmt, source, tmp_path, monkeypatch, c
     real = getattr(quasimode.cli, source)
     error = None
 
-    def failing(header, rows, **meta):
-        return _fail_after_first_chunk(real(header, rows, **meta), error)
+    def failing(header, blocks, **meta):
+        return _fail_after_first_chunk(real(header, blocks, **meta), error)
 
     monkeypatch.setattr(quasimode.cli, source, failing)
     out = tmp_path / "sweep.out"
@@ -138,14 +185,21 @@ def test_write_memory_is_flat_in_row_count(chunks, tmp_path):
     less than two chunks of output, where a whole-document writer grows by
     several copies of the 3N extra rows' text."""
     header = ["omega", "xi", "branch", "re_k", "im_k", "regime", "n"]
-    row = [0.123456789, 0.5, Branch.MINUS, 1.25e-7, -3.5, Regime.TRAVELING, 7]
-    chunk_bytes = max(len(chunk) for chunk in chunks(header, [row] * CHUNK_ROWS))
+
+    def block(n: int) -> list:
+        return [
+            np.full(n, 0.123456789), 0.5, np.full(n, Branch.MINUS.value, dtype=object),
+            np.full(n, 1.25e-7), np.full(n, -3.5), np.full(n, Regime.TRAVELING.value, dtype=object),
+            np.full(n, 7, dtype=object),
+        ]
+
+    chunk_bytes = max(len(chunk) for chunk in chunks(header, [block(CHUNK_ROWS)]))
 
     def peak(n: int) -> int:
-        rows = [list(row) for _ in range(n)]
+        blocks = [block(n)]
         tracemalloc.start()
         try:
-            write_bytes(chunks(header, rows), tmp_path / "table")
+            write_bytes(chunks(header, blocks), tmp_path / "table")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
