@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError
 from .params import (
-    _any, _divide, _finite, _finite_array, _require, polarization_weight, validate_xi,
+    _any, _divide, _finite_array, _nonnegative, _positive, _require, polarization_weight,
+    validate_xi,
 )
 
 
@@ -225,10 +226,8 @@ def omega_physical(k: float, omega_p: float, xi: float, c: float = 1.0) -> float
 @np.errstate(all="ignore")
 def omega_physical_array(k: np.ndarray, omega_p: float, xi: float, c: float = 1.0) -> np.ndarray:
     """omega_physical at every element of k."""
-    if _finite(c, "speed of light") <= 0.0:
-        raise DomainError(f"speed of light must be positive, got {c}")
-    if _finite(omega_p, "plasma frequency") < 0.0:
-        raise DomainError(f"plasma frequency must be nonnegative, got {omega_p}")
+    _positive(c, "speed of light")
+    _nonnegative(omega_p, "plasma frequency")
     if omega_p == 0.0:
         validate_xi(xi)
         _finite_array(k, "wavenumber")

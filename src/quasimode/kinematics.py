@@ -16,48 +16,35 @@ from .errors import DomainError
 from .params import _finite_array, _require, polarization_weight, validate_xi
 
 
-def _powers(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(x^2, x^4) for a velocity at reduced wavenumbers x, which must be
-    finite and positive with x^4 still above 0.  Floating-point exceptions
-    must be ignored."""
+def phase_velocity(x: float, xi: float) -> float:
+    """v_ph / c = sqrt(1 + 1/x^2 + q/x^4) = y(x)/x."""
+    return velocities_array(np.array([x], dtype=float), xi, "phase velocity")[0].item()
+
+
+def group_velocity(x: float, xi: float) -> float:
+    """v_g / c = (1 - q/x^4) / sqrt(1 + 1/x^2 + q/x^4), signed."""
+    return velocities_array(np.array([x], dtype=float), xi, "group velocity")[1].item()
+
+
+@np.errstate(all="ignore")
+def velocities_array(
+    x: np.ndarray, xi: float, what: str = "phase velocity"
+) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, group) velocity at every element of x, which must be finite
+    and positive with x^4 still above 0; a DomainError, worded for `what`,
+    names the first element failing the earliest check.  The group velocity
+    divides by the phase velocity, which is at least 1 wherever it is finite,
+    so one finiteness check covers both."""
+    q = polarization_weight(xi)
     _finite_array(x, "reduced wavenumber")
     _require(x, x > 0.0, f"{what} requires x > 0, got {{}}")
     x2 = x * x
     x4 = x2 * x2
     _require(x, x4 != 0.0, "x^4 underflows to 0 at x = {}")
-    return x2, x4
-
-
-def phase_velocity(x: float, xi: float) -> float:
-    """v_ph / c = sqrt(1 + 1/x^2 + q/x^4) = y(x)/x."""
-    return phase_velocity_array(np.array([x], dtype=float), xi).item()
-
-
-@np.errstate(all="ignore")
-def phase_velocity_array(x: np.ndarray, xi: float) -> np.ndarray:
-    """phase_velocity at every element of x; a DomainError names the first
-    element failing the earliest check."""
-    q = polarization_weight(xi)
-    x2, x4 = _powers(x, "phase velocity")
-    v = np.sqrt(1.0 + 1.0 / x2 + q / x4)
-    _require(x, np.isfinite(v), "phase velocity is not a finite float at x = {}")
-    return v
-
-
-def group_velocity(x: float, xi: float) -> float:
-    """v_g / c = (1 - q/x^4) / sqrt(1 + 1/x^2 + q/x^4), signed."""
-    return group_velocity_array(np.array([x], dtype=float), xi).item()
-
-
-@np.errstate(all="ignore")
-def group_velocity_array(x: np.ndarray, xi: float) -> np.ndarray:
-    """group_velocity at every element of x; a DomainError names the first
-    element failing the earliest check."""
-    q = polarization_weight(xi)
-    x2, x4 = _powers(x, "group velocity")
-    v = (1.0 - q / x4) / np.sqrt(1.0 + 1.0 / x2 + q / x4)
-    _require(x, np.isfinite(v), "group velocity is not a finite float at x = {}")
-    return v
+    singular = q / x4
+    phase = np.sqrt(1.0 + 1.0 / x2 + singular)
+    _require(x, np.isfinite(phase), f"{what} is not a finite float at x = {{}}")
+    return phase, (1.0 - singular) / phase
 
 
 def superluminal_backward_threshold(xi: float) -> float:

@@ -38,6 +38,23 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
+def _positive(value: float, name: str, field: str | None = None) -> float:
+    """Reject a value that is not finite and positive: a NaN or infinite one
+    by its field name (name unless given), any other by name."""
+    if 0.0 < value < math.inf:
+        return value
+    _finite(value, field or name)
+    raise DomainError(f"{name} must be positive, got {value}")
+
+
+def _nonnegative(value: float, name: str, field: str | None = None) -> float:
+    """Reject a value that is not finite and nonnegative, as _positive does."""
+    if 0.0 <= value < math.inf:
+        return value
+    _finite(value, field or name)
+    raise DomainError(f"{name} must be nonnegative, got {value}")
+
+
 def _require(values: np.ndarray, ok: np.ndarray, message: str) -> None:
     """Raise DomainError(message.format(v)) for the first element v of values
     where ok is false: the array form of a kernel's entry or result check."""
@@ -100,18 +117,12 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         validate_xi(self.xi)
-        _require_finite(self, "omega", "omega_p", "mass", "hbar", "c")
+        _nonnegative(self.omega, "mode frequency", "omega")
+        _nonnegative(self.omega_p, "plasma frequency", "omega_p")
         _require_squares(self.omega, self.omega_p)
-        if self.omega < 0.0:
-            raise DomainError(f"mode frequency must be nonnegative, got {self.omega}")
-        if self.omega_p < 0.0:
-            raise DomainError(f"plasma frequency must be nonnegative, got {self.omega_p}")
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        if self.hbar <= 0.0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
-        if self.c <= 0.0:
-            raise DomainError(f"speed of light must be positive, got {self.c}")
+        _positive(self.mass, "mass")
+        _positive(self.hbar, "hbar")
+        _positive(self.c, "speed of light", "c")
 
     def require_omega(self) -> float:
         if self.omega <= 0.0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .dispersion import critical_points
 from .errors import DomainError
-from .params import _finite, _require_finite, polarization_weight
+from .params import _nonnegative, _positive, polarization_weight
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,8 @@ class PlateGeometry:
     n_photons: int = 0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "d", "A")
-        if self.d <= 0.0:
-            raise DomainError(f"plate separation must be positive, got {self.d}")
-        if self.A <= 0.0:
-            raise DomainError(f"plate area must be positive, got {self.A}")
+        _positive(self.d, "plate separation", "d")
+        _positive(self.A, "plate area", "A")
         if self.N_charges < 0:
             raise DomainError(f"charge count must be nonnegative, got {self.N_charges}")
         if self.n_photons < 0:
@@ -51,10 +48,8 @@ class PlateGeometry:
 
 
 def _require_charge_and_mass(e: float, m: float) -> None:
-    if _finite(e, "charge") < 0.0:
-        raise DomainError(f"charge must be nonnegative, got {e}")
-    if _finite(m, "mass") <= 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
+    _nonnegative(e, "charge")
+    _positive(m, "mass")
 
 
 def plasma_frequency_plates(g: PlateGeometry, e: float, m: float) -> float:
@@ -64,7 +59,10 @@ def plasma_frequency_plates(g: PlateGeometry, e: float, m: float) -> float:
     mad = m * g.A * g.d
     if not 0.0 < mad < math.inf:
         raise DomainError(f"m * A * d is not a positive finite float (m={m}, A={g.A}, d={g.d})")
-    wp = 2.0 * math.sqrt(math.pi) * e * math.sqrt(g.N_charges) / math.sqrt(mad)
+    try:
+        wp = 2.0 * math.sqrt(math.pi) * e * math.sqrt(g.N_charges) / math.sqrt(mad)
+    except OverflowError:  # N is an int too large for a float
+        wp = math.inf
     if not math.isfinite(wp):
         inputs = f"e={e}, N={g.N_charges}, m={m}, A={g.A}, d={g.d}"
         raise DomainError(f"plasma frequency is not a finite float ({inputs})")
@@ -75,9 +73,7 @@ def _plasma(g: PlateGeometry, e: float, m: float, omega_p: float | None) -> floa
     """The plates' own plasma frequency, or the frozen omega_p when given."""
     if omega_p is None:
         return plasma_frequency_plates(g, e, m)
-    if _finite(omega_p, "plasma frequency") < 0.0:
-        raise DomainError(f"plasma frequency must be nonnegative, got {omega_p}")
-    return omega_p
+    return _nonnegative(omega_p, "plasma frequency")
 
 
 def force_general(
@@ -101,8 +97,8 @@ def force_general(
     geometry.
     """
     q = polarization_weight(xi)
-    if _finite(omega, "mode frequency") < 0.0:
-        raise DomainError(f"mode frequency must be nonnegative, got {omega}")
+    _nonnegative(omega, "mode frequency")
+    _positive(hbar, "hbar")
     wp = _plasma(g, e, m, omega_p)
     if wp == 0.0:
         return 0.0
@@ -139,6 +135,7 @@ def force_minimum_plasma_form(
     F* = (kappa/4) hbar omega_p(d, A) (1 + 2 n) / d, with kappa the
     omega_star of critical_points."""
     kappa = critical_points(xi).omega_star
+    _positive(hbar, "hbar")
     wp = _plasma(g, e, m, omega_p)
     return kappa / 4.0 * hbar * wp * (1.0 + 2.0 * g.n_photons) / g.d
 
@@ -155,6 +152,7 @@ def force_minimum_bohr_form(
     critical_points.  Equal to the plasma-frequency form for every N and n.
     """
     kappa = critical_points(xi).omega_star
+    _positive(hbar, "hbar")
     _require_charge_and_mass(e, m)
     e_sq = g.N_charges * e * e
     if e_sq == 0.0:

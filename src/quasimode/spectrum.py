@@ -26,6 +26,7 @@ from .errors import DomainError
 from .params import (
     ModelParams,
     _finite,
+    _positive,
     _quad,
     _require_finite,
     _require_squares,
@@ -66,6 +67,14 @@ class EnergyLevel:
     Omega: float
 
 
+def _require_counts(n: int, N_charges: int = 1) -> None:
+    """Reject an excitation number below 0 or a charge count below 1."""
+    if n < 0:
+        raise DomainError(f"excitation number must be nonnegative, got {n}")
+    if N_charges < 1:
+        raise DomainError(f"charge count must be at least 1, got {N_charges}")
+
+
 def energy_level(
     params: ModelParams, p: Momentum, n: int, N_charges: int = 1
 ) -> EnergyLevel:
@@ -86,10 +95,7 @@ def energy_level(
     For N_charges > 1 the plasma frequency is scaled by sqrt(N) and p is
     interpreted as the summed momentum of all charges.
     """
-    if n < 0:
-        raise DomainError(f"excitation number must be nonnegative, got {n}")
-    if N_charges < 1:
-        raise DomainError(f"charge count must be at least 1, got {N_charges}")
+    _require_counts(n, N_charges)
     omega_p = params.omega_p
     if N_charges > 1:
         # The scaled omega_p is checked as ModelParams checks its own, without
@@ -144,8 +150,7 @@ def energy_cp(params: ModelParams, p: Momentum, n: int) -> float:
         E = (2 p^2 omega^2 + p_perp^2 omega_p^2) / (2 m (2 omega^2 + omega_p^2))
             + hbar omega (1 + omega_p^2/(2 omega^2)) (1/2 + n).
     """
-    if n < 0:
-        raise DomainError(f"excitation number must be nonnegative, got {n}")
+    _require_counts(n)
     omega = params.require_omega()
     w2 = omega * omega
     wp2 = params.omega_p**2
@@ -165,8 +170,7 @@ def energy_lp(params: ModelParams, p_magnitude: float, phi: float, n: int) -> fl
     Well defined down to omega = 0, where the kinetic term vanishes for
     phi = 0 and the level is hbar omega_p (1/2 + n) independent of p.
     """
-    if n < 0:
-        raise DomainError(f"excitation number must be nonnegative, got {n}")
+    _require_counts(n)
     w2 = params.omega**2
     wp2 = params.omega_p**2
     coupling = 0.0 if wp2 == 0.0 else wp2 * math.cos(phi) ** 2 / (w2 + wp2)
@@ -186,6 +190,6 @@ def zero_point_minimum(
     E_star = hbar omega_p / 2 (a limit, not an error).
     """
     cp = critical_points(xi)
-    if _finite(omega_p, "plasma frequency") <= 0.0:
-        raise DomainError(f"plasma frequency must be positive, got {omega_p}")
+    _positive(omega_p, "plasma frequency")
+    _positive(hbar, "hbar")
     return omega_p * cp.k_star, cp.omega_star * hbar * omega_p / 2.0

@@ -15,11 +15,13 @@ import numpy as np
 
 from .dispersion import REGIMES, Branch, k_branches_array, omega_physical_array
 from .errors import DomainError, SpecError
-from .kinematics import group_velocity_array, phase_velocity_array
+from .kinematics import velocities_array
 from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
-from .params import ATOMIC_C, ModelParams, _divide, _finite, _require_finite, validate_xi
+from .params import (
+    ATOMIC_C, ModelParams, _divide, _finite, _nonnegative, _positive, _require_finite, validate_xi,
+)
 from .plates import PlateGeometry, force_general, plasma_frequency_plates
-from .spectrum import Momentum, energy_level
+from .spectrum import Momentum, _require_counts, energy_level
 
 
 def finite_grid(values) -> tuple[float, ...]:
@@ -86,6 +88,15 @@ class SweepSpec:
                 raise SpecError(
                     "wavenumber grid must exclude 0 when any xi > 0 (singular point)"
                 )
+        # Read at every point of these tables, so checked once here rather
+        # than blamed on the first grid point.
+        if self.quantity in ATOMIC_ONLY:
+            _positive(self.hbar, "hbar")
+        if self.quantity == "spectrum":
+            _nonnegative(self.omega_p, "plasma frequency")
+            _positive(self.mass, "mass")
+            for n in self.n:
+                _require_counts(n, self.n_charges)
 
 
 class _Units(NamedTuple):
@@ -163,8 +174,7 @@ def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> l
 
 
 def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
-    x = _divide(k, u.k)
-    phase, group = phase_velocity_array(x, xi), group_velocity_array(x, xi)
+    phase, group = velocities_array(_divide(k, u.k), xi)
     return [k, xi, phase * u.v, group * u.v]
 
 

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import quasimode
 import quasimode.cli
@@ -25,6 +29,8 @@ from quasimode.errors import SpecError
 from quasimode.tables import K_SWEPT, QUANTITIES, TABLE, SweepSpec
 
 SCHEMA_DIR = Path(quasimode.__file__).parent / "schemas"
+# An integer that no float can hold
+HUGE_INT = "1" + "0" * 400
 
 
 def load_schema(name):
@@ -346,9 +352,44 @@ class TestExitCodes:
         (["sweep", "force", "--xi", "0.5", "--omega", "1", "--area", "1e-200",
           "--mass", "1e-200"],
          "m * A * d is not a positive finite float (m=1e-200, A=1e-200, d=1.0)"),
+        # hbar <= 0 would make the force attractive, or 0
+        (["sweep", "force", "--xi", "0.5", "--omega", "1", "--hbar", "-1"],
+         "hbar must be positive, got -1.0"),
+        (["force", "--xi", "0.5", "--d", "1", "--omega", "1", "--hbar", "0"],
+         "hbar must be positive, got 0.0"),
+        (["force", "--xi", "0.5", "--d", "1", "--at-minimum", "--hbar", "0"],
+         "hbar must be positive, got 0.0"),
+        (["force", "--xi", "0.5", "--d", "1", "--at-minimum", "--hbar", "-1"],
+         "hbar must be positive, got -1.0"),
+        (["force", "--xi", "0.5", "--d", "1", "--at-minimum", "--hbar", "-1",
+          "--scaling", "frozen"],
+         "hbar must be positive, got -1.0"),
+        # sqrt(N) of an int that no float can hold
+        (["sweep", "force", "--xi", "0.5", "--omega", "1", "--charges", HUGE_INT],
+         f"plasma frequency is not a finite float (e=1.0, N={HUGE_INT}, m=1.0, A=1.0, d=1.0)"),
+        (["force", "--xi", "0.5", "--d", "1", "--at-minimum", "--charges", HUGE_INT],
+         f"plasma frequency is not a finite float (e=1.0, N={HUGE_INT}, m=1.0, A=1.0, d=1.0)"),
     ])
     def test_plate_domain_error_names_no_grid_point(self, argv, message, capsys):
         assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "spectrum", "--omega-p", "0.5", "--n", "-1"],
+         "excitation number must be nonnegative, got -1"),
+        (["spectrum", "--omega-p", "0.5", "--n", "0,-1"],
+         "excitation number must be nonnegative, got -1"),
+        (["spectrum", "--omega-p", "0.5", "--charges", "0"],
+         "charge count must be at least 1, got 0"),
+        (["spectrum", "--omega-p", "0.5", "--mass", "-1"], "mass must be positive, got -1.0"),
+        (["spectrum", "--omega-p", "0.5", "--hbar", "0"], "hbar must be positive, got 0.0"),
+        (["spectrum", "--omega-p", "-1"], "plasma frequency must be nonnegative, got -1.0"),
+    ])
+    def test_level_domain_error_names_no_grid_point(self, argv, message, capsys):
+        # every level reads these, so none of them is a fault of omega = 1
+        assert main([*argv, "--xi", "0.5", "--omega", "1,2"]) == EXIT_DOMAIN
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"domain error: {message}\n"
@@ -422,32 +463,128 @@ FUZZ_POINT = st.one_of(
 
 
 @st.composite
-def sweep_argv(draw) -> list[str]:
-    """A sweep argv from the CLI grammar with at most 8 grid points; options
-    use the --name=value form so that a leading minus stays a value."""
-    quantity = draw(st.sampled_from(QUANTITIES))
-    axis = "k" if quantity in K_SWEPT else "omega"
+def fuzz_grid(draw) -> str:
+    """A value list or range with at most 8 points."""
     if draw(st.booleans()):
-        grid = ",".join(draw(st.lists(FUZZ_POINT, min_size=1, max_size=8)))
-    else:
-        start, stop = draw(FUZZ_POINT), draw(FUZZ_POINT)
-        count = draw(st.integers(min_value=1, max_value=8))
-        grid = f"{start}:{stop}:{count}" + draw(st.sampled_from(["", ":log"]))
-    xi = ",".join(draw(st.lists(FUZZ_XI, min_size=1, max_size=3)))
-    argv = ["sweep", quantity, f"--xi={xi}", f"--{axis}={grid}"]
-    options = {
-        "--units": st.sampled_from(["reduced", "atomic"]),
-        "--format": st.sampled_from(["csv", "json"]),
-        "--omega-p": FUZZ_FLOAT, "--c": FUZZ_FLOAT, "--mass": FUZZ_FLOAT,
-        "--hbar": FUZZ_FLOAT, "--d": FUZZ_FLOAT, "--area": FUZZ_FLOAT, "--charge": FUZZ_FLOAT,
-        "--p": st.lists(FUZZ_FLOAT, min_size=3, max_size=3).map(",".join),
-        "--n": st.sampled_from(["0", "1", "5", "-1"]),
-        "--charges": st.sampled_from(["1", "2", "0", "-1"]),
-        "--n-photons": st.sampled_from(["0", "1", "-1"]),
-    }
+        return ",".join(draw(st.lists(FUZZ_POINT, min_size=1, max_size=8)))
+    start, stop = draw(FUZZ_POINT), draw(FUZZ_POINT)
+    count = draw(st.integers(min_value=1, max_value=8))
+    return f"{start}:{stop}:{count}" + draw(st.sampled_from(["", ":log"]))
+
+
+FUZZ_POSITIVE = st.one_of(
+    st.sampled_from(["1", "0.5", "2", "1e-3", "1e3"]),
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+)
+
+
+class Values(NamedTuple):
+    """The strategies an argv draws its values from."""
+
+    float: st.SearchStrategy
+    xi: st.SearchStrategy
+    grid: st.SearchStrategy
+    momentum: st.SearchStrategy
+    count: st.SearchStrategy  # --n, --charges and --n-photons
+
+
+ANY_VALUES = Values(
+    FUZZ_FLOAT,
+    st.lists(FUZZ_XI, min_size=1, max_size=3).map(",".join),
+    fuzz_grid(),
+    st.lists(FUZZ_FLOAT, min_size=3, max_size=3).map(",".join),
+    st.sampled_from(["0", "1", "2", "5", "-1", HUGE_INT]),
+)
+# Valid values only, so that the argv reaches the kernels.
+VALID_VALUES = Values(
+    FUZZ_POSITIVE,
+    st.lists(
+        st.one_of(st.sampled_from(["0", "0.5", "1"]), st.floats(0.0, 1.0).map(repr)),
+        min_size=1, max_size=3,
+    ).map(",".join),
+    st.one_of(
+        st.lists(FUZZ_POSITIVE, min_size=1, max_size=8).map(",".join),
+        st.sampled_from(["0.1:3:8", "0.5:4:5:log", "1e-3:1e3:8:log"]),
+    ),
+    st.lists(st.floats(-4.0, 4.0).map(repr), min_size=3, max_size=3).map(",".join),
+    st.sampled_from(["1", "2", "5"]),
+)
+FUZZ_VALUES = st.sampled_from([ANY_VALUES, VALID_VALUES])
+FUZZ_FORMAT = st.sampled_from(["csv", "json"])
+
+
+def _with_options(draw, argv: list[str], options: dict) -> list[str]:
+    """argv plus up to 5 of the options; options use the --name=value form so
+    that a leading minus stays a value."""
     for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=5)):
         argv.append(f"{name}={draw(options[name])}")
     return argv
+
+
+@st.composite
+def sweep_argv(draw) -> list[str]:
+    """A sweep argv from the CLI grammar."""
+    v = draw(FUZZ_VALUES)
+    quantity = draw(st.sampled_from(QUANTITIES))
+    axis = "k" if quantity in K_SWEPT else "omega"
+    argv = ["sweep", quantity, f"--xi={draw(v.xi)}", f"--{axis}={draw(v.grid)}"]
+    return _with_options(draw, argv, {
+        "--units": st.sampled_from(["reduced", "atomic"]),
+        "--format": FUZZ_FORMAT,
+        "--omega-p": v.float, "--c": v.float, "--mass": v.float, "--hbar": v.float,
+        "--d": v.float, "--area": v.float, "--charge": v.float,
+        "--p": v.momentum, "--n": v.count, "--charges": v.count, "--n-photons": v.count,
+    })
+
+
+@st.composite
+def force_argv(draw) -> list[str]:
+    """A `force` argv, at frequencies or at the energy minimum, under either
+    scaling."""
+    v = draw(FUZZ_VALUES)
+    at = ["--at-minimum"] if draw(st.booleans()) else [f"--omega={draw(v.grid)}"]
+    scaling = draw(st.sampled_from(["recompute", "frozen"]))
+    argv = ["force", f"--xi={draw(v.xi)}", f"--d={draw(v.grid)}", *at, f"--scaling={scaling}"]
+    return _with_options(draw, argv, {
+        "--format": FUZZ_FORMAT, "--ref-d": v.float, "--area": v.float,
+        "--charge": v.float, "--mass": v.float, "--hbar": v.float,
+        "--charges": v.count, "--n-photons": v.count,
+    })
+
+
+@st.composite
+def spectrum_argv(draw) -> list[str]:
+    """A `spectrum` argv with a list of excitation numbers."""
+    v = draw(FUZZ_VALUES)
+    argv = ["spectrum", f"--xi={draw(v.xi)}", f"--omega={draw(v.grid)}",
+            f"--omega-p={draw(v.float)}",
+            "--n=" + ",".join(draw(st.lists(v.count, min_size=1, max_size=4)))]
+    return _with_options(draw, argv, {
+        "--format": FUZZ_FORMAT, "--p": v.momentum,
+        "--mass": v.float, "--hbar": v.float, "--c": v.float, "--charges": v.count,
+    })
+
+
+@st.composite
+def verify_argv(draw) -> list[str]:
+    """A `verify` argv whose oracle cutoffs stay at or below 64."""
+    v = draw(FUZZ_VALUES)
+    cutoffs = [8, 16, 32, 64]
+    levels = v.count
+    if v is VALID_VALUES:
+        start = draw(st.sampled_from(cutoffs))
+        cap = draw(st.sampled_from([c for c in cutoffs if c >= start]))
+        levels = st.sampled_from(["1", "2"])  # at most start/4
+    else:
+        start, cap = draw(st.sampled_from([7, *cutoffs])), draw(st.sampled_from(cutoffs))
+    argv = ["verify", f"--cutoff-start={start}", f"--cutoff-cap={cap}"]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        argv.append(f"--p={draw(v.momentum)}")
+    values = st.lists(v.float, min_size=1, max_size=2).map(",".join)
+    return _with_options(draw, argv, {
+        "--xi": v.xi, "--omega": values, "--omega-p": values, "--levels": levels,
+        "--tol": st.one_of(st.sampled_from(["1e-6", "1e-3", "1e-12"]), v.float),
+    })
 
 
 def _emitted_floats(text: str, fmt: str) -> list[float]:
@@ -473,29 +610,72 @@ def _emitted_floats(text: str, fmt: str) -> list[float]:
     return numbers
 
 
+def _column(text: str, fmt: str, name: str) -> list[float]:
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=float)
+        i = doc["columns"].index(name)
+        return [row[i] for row in doc["rows"]]
+    header, *lines = text.splitlines()
+    i = header.split(",").index(name)
+    return [float(line.split(",")[i]) for line in lines]
+
+
+def _exits_cleanly(argv: list[str], capsys) -> None:
+    """argv exits with a contract code, without a traceback or a numpy
+    warning, and writes nothing but finite numbers, and only when it
+    succeeds; every plate force it writes is repulsive or 0."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    captured = capsys.readouterr()
+    reports = argv[0] == "verify"
+    allowed = (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, *([EXIT_VERIFY_FAILED] if reports else []))
+    assert code in allowed, captured.err
+    assert "Traceback" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code not in (EXIT_OK, EXIT_VERIFY_FAILED):
+        assert captured.out == ""
+        return
+    fmt = "json" if reports or "--format=json" in argv else "csv"
+    assert all(math.isfinite(v) for v in _emitted_floats(captured.out, fmt))
+    if "force" in argv[:2]:
+        assert all(f >= 0.0 for f in _column(captured.out, fmt, "force"))
+
+
+CONTRACT = settings(
+    max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
 class TestSweepContract:
     @given(argv=sweep_argv())
-    @settings(
-        max_examples=400, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @example(argv=["sweep", "force", "--xi=0.5", "--omega=1", "--hbar=-1"])
+    @CONTRACT
     def test_any_sweep_exits_cleanly_with_finite_output(self, argv, capsys):
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-        captured = capsys.readouterr()
-        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN), captured.err
-        assert "Traceback" not in captured.err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if code != EXIT_OK:
-            assert captured.out == ""
-            return
-        fmt = "json" if "--format=json" in argv else "csv"
-        assert all(math.isfinite(v) for v in _emitted_floats(captured.out, fmt))
+        _exits_cleanly(argv, capsys)
+
+    @given(argv=force_argv())
+    @example(argv=["force", "--xi=0.5", "--d=1", "--omega=1", "--hbar=-1"])
+    @example(argv=["force", "--xi=0.5", "--d=1", "--at-minimum", "--scaling=frozen",
+                   "--hbar=-1"])
+    @CONTRACT
+    def test_any_force_table_exits_cleanly_with_repulsive_forces(self, argv, capsys):
+        _exits_cleanly(argv, capsys)
+
+    @given(argv=spectrum_argv())
+    @CONTRACT
+    def test_any_spectrum_exits_cleanly_with_finite_output(self, argv, capsys):
+        _exits_cleanly(argv, capsys)
+
+    @given(argv=verify_argv())
+    @settings(CONTRACT, max_examples=150)
+    def test_any_verify_exits_cleanly_with_finite_report(self, argv, capsys):
+        _exits_cleanly(argv, capsys)
 
 
 class TestVerifyCommand:
@@ -591,9 +771,11 @@ class TestForceCommand:
           "--area", "3", "--charges", "2"], ["--omega-p", "5"]),
         (["force", "--xi", "0,0.5,1", "--d", "0.5:4:6", "--at-minimum"], ["--ref-d", "inf"]),
         (["force", "--xi", "0,0.5,1", "--d", "0.5:4:6", "--omega", "0.3,1"], ["--ref-d", "3"]),
+        (["sweep", "dispersion", "--xi", "0,0.5,1", "--k", "0.3,1"], ["--hbar", "-1"]),
     ])
     def test_inert_flag_changes_no_byte(self, argv, flag, capsys):
-        # the plates set omega_p, and only frozen scaling reads --ref-d
+        # the plates set omega_p, only frozen scaling reads --ref-d, and only
+        # the spectrum and force tables read hbar
         outputs = []
         for extra in ([], flag):
             assert main([*argv, *extra]) == EXIT_OK
@@ -700,6 +882,23 @@ class TestFiguresCommand:
         # in one call per xi
         assert sum(points) == 4 * (300 + 2)
         assert len(points) == 4
+
+    def test_velocity_tables_evaluate_both_velocities_in_one_call_per_xi(
+        self, tmp_path, monkeypatch
+    ):
+        points = []
+        original = quasimode.tables.velocities_array
+        monkeypatch.setattr(
+            quasimode.tables, "velocities_array",
+            lambda x, xi: points.append(len(x)) or original(x, xi),
+        )
+        assert main(["figures", "--outdir", str(tmp_path)]) == EXIT_OK
+        # 300 grid wavenumbers, plus k* where it is positive (xi > 0)
+        assert points == [300, 301, 301, 301]
+        points.clear()
+        assert main(["sweep", "velocity", *XI4, "--k", "0.05:3:40", "--out",
+                     str(tmp_path / "v.csv")]) == EXIT_OK
+        assert points == [40] * 4
 
     def test_rerun_is_byte_identical(self, figdir, tmp_path):
         again = tmp_path / "figs2"
@@ -883,3 +1082,24 @@ def test_golden_output_digest(argv, digest, tmp_path):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,code", [
+    # the dual closed forms disagree because one overflows
+    (["force", "--xi", "0.5", "--d", "1", "--charge", "1e200", "--at-minimum"], EXIT_DOMAIN),
+    (["verify", "--xi", "0.5", "--tol", "nan"], EXIT_USAGE),
+    (["sweep", "wavenumber", "--xi", "0.5", "--omega", "1e100"], EXIT_DOMAIN),
+    (GOLDEN_DIGESTS[2][0], EXIT_OK),
+])
+def test_optimized_interpreter_gives_the_same_result(argv, code):
+    # The runtime checks are not assert statements, which python -O drops.
+    src = Path(quasimode.__file__).resolve().parents[1]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "quasimode.cli", *argv],
+                       capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == code, plain.stderr
+    assert (optimized.stdout, optimized.stderr) == (plain.stdout, plain.stderr)
+    if code == EXIT_OK:
+        assert hashlib.sha256(plain.stdout).hexdigest() == GOLDEN_DIGESTS[2][1]

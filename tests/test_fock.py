@@ -12,7 +12,9 @@ from quasimode import (
     build_planewave_hamiltonian,
     default_verification_cases,
     energy_level,
+    k_branches,
     lowest_eigenvalues,
+    omega_physical,
     verify_spectrum,
 )
 
@@ -177,6 +179,19 @@ class TestSpectrumInvariants:
         # E_0 - p^2/2m - hbar*Omega/2 = -hbar*Omega*|sigma|^2
         offset = levels[0] - p.squared / (2.0 * params.mass) - params.hbar * omega_eff / 2.0
         assert offset == pytest.approx(-params.hbar * omega_eff * ground.sigma_sq, abs=1e-10)
+
+    @pytest.mark.parametrize("params,p", default_verification_cases())
+    def test_level_spacing_is_the_dispersion_frequency(self, params, p):
+        # The oracle knows nothing of the dispersion relation, so its level
+        # spacing checks the quasimode frequency at k = omega/c directly.
+        levels = lowest_eigenvalues(build_dipole_hamiltonian(params, p, 256), 3)
+        frequency = omega_physical(params.omega / params.c, params.omega_p, params.xi, params.c)
+        for lower, upper in zip(levels, levels[1:]):
+            assert (upper - lower) / params.hbar == pytest.approx(frequency, rel=1e-12)
+        # and the wavenumber branches invert it: one of them is omega/omega_p again
+        x = params.omega / params.omega_p
+        branches = [b.value for b in k_branches(frequency / params.omega_p, params.xi)]
+        assert min(abs(b - x) for b in branches) <= 1e-12 * x, branches
 
     def test_truncation_error_shrinks_geometrically(self):
         # strong squeezing makes low cutoffs visibly wrong

@@ -160,3 +160,28 @@ class TestForceAtMinimum:
         ]
         slope = np.polyfit(np.log(ds), np.log(frozen), 1)[0]
         assert slope == pytest.approx(-1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("hbar,message", [
+    (0.0, "hbar must be positive, got 0.0"),
+    (-1.0, "hbar must be positive, got -1.0"),
+    (math.nan, "hbar must be finite, got nan"),
+    (math.inf, "hbar must be finite, got inf"),
+])
+@pytest.mark.parametrize("force", [
+    lambda hbar: force_general(1.0, PI_AREA, 1.0, 1.0, 0.5, hbar),
+    lambda hbar: force_general(1.0, PI_AREA, 1.0, 1.0, 0.5, hbar, omega_p=2.0),
+    # without charge the force would be 0 whatever hbar is
+    lambda hbar: force_general(1.0, PI_AREA, 0.0, 1.0, 0.0, hbar),
+    lambda hbar: force_minimum_plasma_form(PI_AREA, 1.0, 1.0, 0.5, hbar),
+    lambda hbar: force_minimum_bohr_form(PI_AREA, 1.0, 1.0, 0.5, hbar),
+    lambda hbar: force_at_minimum(PI_AREA, 1.0, 1.0, 0.5, hbar),
+    lambda hbar: force_at_minimum(PI_AREA, 1.0, 1.0, 0.5, hbar, omega_p=2.0),
+    lambda hbar: zero_point_minimum(0.5, 1.0, hbar),
+], ids=["general", "general-frozen", "general-uncharged", "plasma-form", "bohr-form",
+        "at-minimum", "at-minimum-frozen", "zero-point-minimum"])
+def test_hbar_must_be_positive_and_finite(force, hbar, message):
+    # with hbar <= 0 the force would be attractive, or 0
+    with pytest.raises(DomainError) as excinfo:
+        force(hbar)
+    assert str(excinfo.value) == message
