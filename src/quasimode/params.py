@@ -13,6 +13,7 @@ Two unit conventions are used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ from .errors import DomainError
 
 # Speed of light in hartree atomic units (inverse fine-structure constant).
 ATOMIC_C = 137.035999
+
+# The largest finite float.  Comparing with it rejects NaN, inf and the ints
+# beyond the float range, which math.isfinite raises OverflowError for.
+_FLOAT_MAX = sys.float_info.max
 
 
 def validate_xi(xi: float) -> float:
@@ -31,17 +36,20 @@ def validate_xi(xi: float) -> float:
 
 
 def _finite(value: float, name: str) -> float:
-    """Reject a NaN or infinite value by name.  Sign checks alone let NaN
-    through, because every comparison with NaN is false."""
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
+    """Reject a NaN or infinite value, or an int too large for a float, by
+    name.  Sign checks alone let NaN through, because every comparison with
+    NaN is false."""
+    if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return value
+    if isinstance(value, int):
+        raise DomainError(f"{name} is too large for a float")
+    raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _positive(value: float, name: str, field: str | None = None) -> float:
-    """Reject a value that is not finite and positive: a NaN or infinite one
-    by its field name (name unless given), any other by name."""
-    if 0.0 < value < math.inf:
+    """Reject a value that is not finite and positive: a NaN, infinite or
+    too large one by its field name (name unless given), any other by name."""
+    if 0.0 < value <= _FLOAT_MAX:
         return value
     _finite(value, field or name)
     raise DomainError(f"{name} must be positive, got {value}")
@@ -49,17 +57,28 @@ def _positive(value: float, name: str, field: str | None = None) -> float:
 
 def _nonnegative(value: float, name: str, field: str | None = None) -> float:
     """Reject a value that is not finite and nonnegative, as _positive does."""
-    if 0.0 <= value < math.inf:
+    if 0.0 <= value <= _FLOAT_MAX:
         return value
     _finite(value, field or name)
     raise DomainError(f"{name} must be nonnegative, got {value}")
 
 
-def _require(values: np.ndarray, ok: np.ndarray, message: str) -> None:
+def _require(values, ok, message: str) -> None:
     """Raise DomainError(message.format(v)) for the first element v of values
-    where ok is false: the array form of a kernel's entry or result check."""
-    if ok.size and not ok[i := ok.argmin()]:
-        raise DomainError(message.format(values[i].item()))
+    where ok is false: the array form of a kernel's entry or result check.
+    ok may also be a bool, for the same check of a float; values may be a
+    tuple, whose members (arrays, or floats shared by every element) fill
+    the message's fields in turn."""
+    if ok is True:
+        return
+    values = values if isinstance(values, tuple) else (values,)
+    if isinstance(ok, np.ndarray):
+        if not ok.size or ok[i := ok.argmin()]:
+            return
+        values = [np.broadcast_to(v, ok.shape)[i].item() for v in values]
+    elif ok:
+        return
+    raise DomainError(message.format(*values))
 
 
 def _any(mask: np.ndarray) -> bool:
@@ -87,10 +106,14 @@ def _require_finite(obj: object, *names: str) -> None:
         _finite(getattr(obj, name), name)
 
 
-def _require_squares(omega: float, omega_p: float) -> None:
-    """Reject an omega or omega_p whose square overflows."""
-    if math.isinf(omega * omega) or math.isinf(omega_p * omega_p):
-        raise DomainError(f"omega^2 or omega_p^2 overflows at {omega}, {omega_p}")
+def _require_squares(omega, omega_p: float) -> None:
+    """Reject an omega or omega_p whose square overflows; omega may be an
+    array, checked element by element."""
+    _require(
+        (omega, omega_p),
+        (omega * omega <= _FLOAT_MAX) & (omega_p * omega_p <= _FLOAT_MAX),
+        "omega^2 or omega_p^2 overflows at {}, {}",
+    )
 
 
 def polarization_weight(xi: float) -> float:
@@ -125,9 +148,13 @@ class ModelParams:
         _positive(self.c, "speed of light", "c")
 
     def require_omega(self) -> float:
-        if self.omega <= 0.0:
-            raise DomainError("operation requires a positive mode frequency omega")
-        return self.omega
+        return _require_omega(self.omega)
+
+
+def _require_omega(omega):
+    """Reject an omega, or an element of an omega array, that is not positive."""
+    _require(omega, omega > 0.0, "operation requires a positive mode frequency omega")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -146,11 +173,11 @@ class DerivedConstants:
 
 def derived_constants(p: ModelParams) -> DerivedConstants:
     """Compute the coupling constants; requires omega > 0."""
-    quad = _quad(p, p.omega_p)
+    quad = _quad(p.hbar, p.omega_p, p.require_omega())
     return DerivedConstants(g=math.sqrt(quad / p.mass), quad=quad)
 
 
-def _quad(p: ModelParams, omega_p: float) -> float:
-    """The quadratic coupling energy of p with its plasma frequency set to
-    omega_p; requires omega > 0."""
-    return p.hbar * omega_p**2 / (2.0 * p.require_omega())
+def _quad(hbar: float, omega_p: float, omega):
+    """The quadratic coupling energy hbar omega_p^2 / (2 omega), at a
+    positive omega or at each element of an omega array."""
+    return hbar * omega_p**2 / (2.0 * omega)

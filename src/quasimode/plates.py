@@ -43,8 +43,7 @@ class PlateGeometry:
         _positive(self.A, "plate area", "A")
         if self.N_charges < 0:
             raise DomainError(f"charge count must be nonnegative, got {self.N_charges}")
-        if self.n_photons < 0:
-            raise DomainError(f"photon number must be nonnegative, got {self.n_photons}")
+        _nonnegative(self.n_photons, "photon number", "n_photons")
 
 
 def _require_charge_and_mass(e: float, m: float) -> None:

@@ -21,16 +21,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dispersion import critical_points
 from .errors import DomainError
 from .params import (
+    _FLOAT_MAX,
     ModelParams,
     _finite,
+    _finite_array,
+    _nonnegative,
     _positive,
     _quad,
+    _require,
     _require_finite,
+    _require_omega,
     _require_squares,
     polarization_weight,
+    validate_xi,
 )
 
 
@@ -68,11 +76,87 @@ class EnergyLevel:
 
 
 def _require_counts(n: int, N_charges: int = 1) -> None:
-    """Reject an excitation number below 0 or a charge count below 1."""
-    if n < 0:
-        raise DomainError(f"excitation number must be nonnegative, got {n}")
-    if N_charges < 1:
+    """Reject an excitation number below 0 or a charge count below 1, and
+    either one too large for a float."""
+    _nonnegative(n, "excitation number")
+    if not 1 <= N_charges <= _FLOAT_MAX:
+        _finite(N_charges, "charge count")
         raise DomainError(f"charge count must be at least 1, got {N_charges}")
+
+
+def _charges_omega_p(omega_p: float, N_charges: int) -> float:
+    """sqrt(N) omega_p, the plasma frequency of N_charges charges, checked
+    finite as ModelParams checks its own."""
+    if N_charges == 1:
+        return omega_p
+    return _finite(omega_p * math.sqrt(N_charges), "omega_p")
+
+
+def _square(w):
+    """w**2 as Python computes it, with libm's pow: numpy squares by w*w,
+    which rounds differently for about one float in a thousand."""
+    return w**2
+
+
+def _each(f, x):
+    """f(x) for a float; for an array, f of each element.  The math module's
+    functions round as libm does, and numpy's own exp, cosh and arctanh do
+    not always."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.tolist()), float, x.size)
+    return f(x)
+
+
+def _diagonalization(xi: float, omega, omega_p: float, p: Momentum, mass: float, hbar: float):
+    """theta, sigma_sq and Omega of energy_level at the mode frequency omega:
+    a float, or a float64 array for the three at each of its elements.  The
+    array is computed with the same operations in the same order, so each
+    element has the bits of the float at its value."""
+    if omega_p == 0.0:
+        return 0.0, 0.0, omega
+    q = polarization_weight(xi)
+    # At omega = 0 the divergence of Omega for xi > 0 is reported before
+    # the positive-frequency requirement that theta and quad share.
+    if q > 0.0:
+        _require(omega, omega != 0.0, "effective frequency diverges at omega=0 for xi > 0")
+    _require_omega(omega)
+    w2 = _each(_square, omega)
+    _require(omega, w2 != 0.0, "omega^2 underflows to 0 at omega = {}")
+    wp2 = omega_p**2
+    sqrt = np.sqrt if isinstance(omega, np.ndarray) else math.sqrt
+    Omega = sqrt(w2 + wp2 * (1.0 + q * wp2 / w2))
+    xi2 = xi**2
+    half_wp2 = wp2 / (2.0 * omega)
+    tanh_2theta = half_wp2 * (1.0 - xi2) / ((1.0 + xi2) * (omega + half_wp2))
+    # not tanh_2theta >= 1: a NaN passes, and is reported as a level that is
+    # not finite
+    _require(
+        (omega, omega_p), (tanh_2theta >= 1.0) ^ True,
+        "tanh(2 theta) rounds to 1 at omega = {}, omega_p = {}: theta is not a finite float",
+    )
+    theta = 0.5 * _each(math.atanh, tanh_2theta)
+    quad = _quad(hbar, omega_p, omega)
+    scale = hbar * omega + quad
+    _require(omega, scale != 0.0, "hbar omega + quad underflows to 0 at omega = {}")
+    pref = _each(math.cosh, 2.0 * theta) / scale
+    weighted = (
+        p.p_major**2 * _each(math.exp, -2.0 * theta)
+        + xi2 * p.p_minor**2 * _each(math.exp, 2.0 * theta)
+    )
+    sigma_sq = pref * pref * (quad / mass) / (1.0 + xi2) * weighted
+    return theta, sigma_sq, Omega
+
+
+def _energy(p: Momentum, n: int, mass: float, hbar: float, sigma_sq, Omega):
+    """The level n of _diagonalization's sigma_sq and Omega, each a float or
+    an array; raises if the level, sigma_sq or Omega is not finite."""
+    energy = p.squared / (2.0 * mass) + hbar * Omega * (n + 0.5 - sigma_sq)
+    isfinite = np.isfinite if isinstance(energy, np.ndarray) else math.isfinite
+    _require(
+        (Omega, sigma_sq, energy), isfinite(Omega) & isfinite(sigma_sq) & isfinite(energy),
+        "level is not finite: Omega={}, sigma_sq={}, energy={}",
+    )
+    return energy
 
 
 def energy_level(
@@ -96,51 +180,54 @@ def energy_level(
     interpreted as the summed momentum of all charges.
     """
     _require_counts(n, N_charges)
-    omega_p = params.omega_p
+    # The scaled omega_p is checked as ModelParams checks its own, without
+    # building a second ModelParams per level: a level costs the same for
+    # any charge count.
+    omega_p = _charges_omega_p(params.omega_p, N_charges)
     if N_charges > 1:
-        # The scaled omega_p is checked as ModelParams checks its own, without
-        # building a second ModelParams per level: a level costs the same
-        # for any charge count.
-        omega_p = _finite(omega_p * math.sqrt(N_charges), "omega_p")
         _require_squares(params.omega, omega_p)
-    if omega_p == 0.0:
-        Omega, theta, sigma_sq = params.omega, 0.0, 0.0
-    else:
-        q = polarization_weight(params.xi)
-        # At omega = 0 the divergence of Omega for xi > 0 is reported before
-        # the positive-frequency requirement that theta and quad share.
-        if params.omega == 0.0 and q > 0.0:
-            raise DomainError("effective frequency diverges at omega=0 for xi > 0")
-        omega = params.require_omega()
-        w2 = omega**2
-        if w2 == 0.0:
-            raise DomainError(f"omega^2 underflows to 0 at omega = {omega}")
-        wp2 = omega_p**2
-        Omega = math.sqrt(w2 + wp2 * (1.0 + q * wp2 / w2))
-        xi2 = params.xi**2
-        half_wp2 = wp2 / (2.0 * omega)
-        tanh_2theta = half_wp2 * (1.0 - xi2) / ((1.0 + xi2) * (omega + half_wp2))
-        if tanh_2theta >= 1.0:
-            raise DomainError(
-                f"tanh(2 theta) rounds to 1 at omega = {omega}, omega_p = {omega_p}:"
-                " theta is not a finite float"
-            )
-        theta = 0.5 * math.atanh(tanh_2theta)
-        quad = _quad(params, omega_p)
-        pref = math.cosh(2.0 * theta) / (params.hbar * omega + quad)
-        weighted = (
-            p.p_major**2 * math.exp(-2.0 * theta)
-            + xi2 * p.p_minor**2 * math.exp(2.0 * theta)
-        )
-        sigma_sq = pref * pref * (quad / params.mass) / (1.0 + xi2) * weighted
-    energy = p.squared / (2.0 * params.mass) + params.hbar * Omega * (
-        n + 0.5 - sigma_sq
+    theta, sigma_sq, Omega = _diagonalization(
+        params.xi, params.omega, omega_p, p, params.mass, params.hbar
     )
-    if not (math.isfinite(Omega) and math.isfinite(sigma_sq) and math.isfinite(energy)):
-        raise DomainError(
-            f"level is not finite: Omega={Omega}, sigma_sq={sigma_sq}, energy={energy}"
-        )
+    energy = _energy(p, n, params.mass, params.hbar, sigma_sq, Omega)
     return EnergyLevel(n=n, theta=theta, sigma_sq=sigma_sq, energy=energy, Omega=Omega)
+
+
+@np.errstate(all="ignore")
+def energy_levels_array(
+    xi: float,
+    omega: np.ndarray,
+    omega_p: float,
+    p: Momentum,
+    n: tuple[int, ...],
+    N_charges: int = 1,
+    mass: float = 1.0,
+    hbar: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """energy_level at each mode frequency of the float64 array omega and
+    each excitation number of n: theta, sigma_sq and Omega, one per
+    frequency, and the energies, of shape (len(omega), len(n)).  Every value
+    has the bits of energy_level(ModelParams(xi, w, omega_p, mass, hbar), p,
+    n, N_charges) at its point, and where that or ModelParams would raise a
+    DomainError, this raises it, with the message of its first such point
+    within the first check that fails."""
+    validate_xi(xi)
+    # the checks ModelParams makes of each frequency
+    _finite_array(omega, "omega")
+    _require(omega, omega >= 0.0, "mode frequency must be nonnegative, got {}")
+    _nonnegative(omega_p, "plasma frequency", "omega_p")
+    _require_squares(omega, omega_p)
+    _positive(mass, "mass")
+    _positive(hbar, "hbar")
+    for level in n:
+        _require_counts(level, N_charges)
+    omega_p = _charges_omega_p(omega_p, N_charges)
+    if N_charges > 1:
+        _require_squares(omega, omega_p)
+    theta, sigma_sq, Omega = _diagonalization(xi, omega, omega_p, p, mass, hbar)
+    energy = [_energy(p, level, mass, hbar, sigma_sq, Omega) for level in n]
+    theta, sigma_sq = (np.broadcast_to(v, omega.shape) for v in (theta, sigma_sq))
+    return theta, sigma_sq, Omega, np.stack(energy, axis=-1)
 
 
 def energy_cp(params: ModelParams, p: Momentum, n: int) -> float:

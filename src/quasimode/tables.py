@@ -18,10 +18,10 @@ from .errors import DomainError, SpecError
 from .kinematics import velocities_array
 from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
 from .params import (
-    ATOMIC_C, ModelParams, _divide, _finite, _nonnegative, _positive, _require_finite, validate_xi,
+    _FLOAT_MAX, ATOMIC_C, _divide, _finite, _nonnegative, _positive, _require_finite, validate_xi,
 )
 from .plates import PlateGeometry, force_general, plasma_frequency_plates
-from .spectrum import Momentum, _require_counts, energy_level
+from .spectrum import Momentum, _charges_omega_p, _require_counts, energy_levels_array
 
 
 def finite_grid(values) -> tuple[float, ...]:
@@ -97,6 +97,9 @@ class SweepSpec:
             _positive(self.mass, "mass")
             for n in self.n:
                 _require_counts(n, self.n_charges)
+            omega_p = _charges_omega_p(self.omega_p, self.n_charges)
+            if omega_p * omega_p > _FLOAT_MAX:
+                raise DomainError(f"omega_p^2 overflows at {omega_p}")
 
 
 class _Units(NamedTuple):
@@ -179,23 +182,14 @@ def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
 
 
 def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
-    p = spec.momentum
-    # Only the four floats of each level are kept, not the level itself.
-    theta, sigma_sq, Omega, energy = cells = [], [], [], []
-    for w in omega.tolist():
-        params = ModelParams(
-            xi=xi, omega=w, omega_p=spec.omega_p, mass=spec.mass, hbar=spec.hbar, c=u.v,
-        )
-        for n in spec.n:
-            level = energy_level(params, p, n, spec.n_charges)
-            theta.append(level.theta)
-            sigma_sq.append(level.sigma_sq)
-            Omega.append(level.Omega)
-            energy.append(level.energy)
+    p, levels = spec.momentum, len(spec.n)
+    *per_omega, energy = energy_levels_array(
+        xi, omega, spec.omega_p, p, spec.n, spec.n_charges, spec.mass, spec.hbar
+    )
     return [
-        np.repeat(omega, len(spec.n)), xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
+        np.repeat(omega, levels), xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
         np.tile(np.array(spec.n, dtype=object), len(omega)),
-        *(np.array(column, dtype=float) for column in cells),
+        *(np.repeat(column, levels) for column in per_omega), energy.ravel(),
     ]
 
 

@@ -369,6 +369,11 @@ class TestExitCodes:
          f"plasma frequency is not a finite float (e=1.0, N={HUGE_INT}, m=1.0, A=1.0, d=1.0)"),
         (["force", "--xi", "0.5", "--d", "1", "--at-minimum", "--charges", HUGE_INT],
          f"plasma frequency is not a finite float (e=1.0, N={HUGE_INT}, m=1.0, A=1.0, d=1.0)"),
+        # a photon count that no float can hold; 1 + 2n overflowed at the first point
+        (["sweep", "force", "--xi", "0.5", "--omega", "1,2", "--n-photons", HUGE_INT],
+         "n_photons is too large for a float"),
+        (["force", "--xi", "0.5", "--d", "1", "--omega", "1", "--n-photons", HUGE_INT],
+         "n_photons is too large for a float"),
     ])
     def test_plate_domain_error_names_no_grid_point(self, argv, message, capsys):
         assert main(argv) == EXIT_DOMAIN
@@ -386,6 +391,14 @@ class TestExitCodes:
         (["spectrum", "--omega-p", "0.5", "--mass", "-1"], "mass must be positive, got -1.0"),
         (["spectrum", "--omega-p", "0.5", "--hbar", "0"], "hbar must be positive, got 0.0"),
         (["spectrum", "--omega-p", "-1"], "plasma frequency must be nonnegative, got -1.0"),
+        # omega_p^2, at the charge count, is read at every point
+        (["sweep", "spectrum", "--omega-p", "1e200"], "omega_p^2 overflows at 1e+200"),
+        (["spectrum", "--omega-p", "1e154", "--charges", "3"],
+         "omega_p^2 overflows at 1.7320508075688773e+154"),
+        (["spectrum", "--omega-p", "1", "--charges", HUGE_INT],
+         "charge count is too large for a float"),
+        (["sweep", "spectrum", "--omega-p", "1", "--n", HUGE_INT],
+         "excitation number is too large for a float"),
     ])
     def test_level_domain_error_names_no_grid_point(self, argv, message, capsys):
         # every level reads these, so none of them is a fault of omega = 1

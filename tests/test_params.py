@@ -172,3 +172,17 @@ def test_kernel_entry_rejects_non_finite(call):
     # Each call returned NaN or inf, a wrong regime, or raised OverflowError.
     with pytest.raises(DomainError, match="finite"):
         call()
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"omega": 10**400}, "omega is too large for a float"),
+    ({"omega_p": -(10**400)}, "omega_p is too large for a float"),
+    ({"mass": 10**400}, "mass is too large for a float"),
+    # the int fits a float, its square does not
+    ({"omega": 10**200}, "omega^2 or omega_p^2 overflows at 1" + "0" * 200 + ", 0.0"),
+])
+def test_model_params_rejects_ints_beyond_the_float_range(kwargs, message):
+    # These raised OverflowError from math.isinf.
+    with pytest.raises(DomainError) as exc:
+        ModelParams(xi=0.5, **kwargs)
+    assert str(exc.value) == message

@@ -48,6 +48,15 @@ class TestPlasmaFrequencyPlates:
         with pytest.raises(DomainError, match="finite"):
             PlateGeometry(d=d, A=area)
 
+    @pytest.mark.parametrize("n_photons,message", [
+        (-1, "photon number must be nonnegative, got -1"),
+        (10**400, "n_photons is too large for a float"),
+    ])
+    def test_geometry_rejects_photon_count(self, n_photons, message):
+        with pytest.raises(DomainError) as exc:
+            PlateGeometry(d=1.0, A=1.0, n_photons=n_photons)
+        assert str(exc.value) == message
+
 
 class TestForceGeneral:
     def test_linear_static_limit_is_maximum(self):

@@ -155,6 +155,23 @@ class TestEnergyLevel:
         scaled = ModelParams(xi=xi, omega=omega, omega_p=omega_p * math.sqrt(n_charges))
         assert level == energy_level(scaled, p, n)
 
+    @pytest.mark.parametrize("n,charges,message", [
+        (10**400, 1, "excitation number is too large for a float"),
+        (0, 10**400, "charge count is too large for a float"),
+    ])
+    def test_count_beyond_the_float_range_rejected(self, n, charges, message):
+        # n + 0.5 and sqrt(N) raised OverflowError
+        params = ModelParams(xi=0.5, omega=1.0, omega_p=1.0)
+        with pytest.raises(DomainError) as exc:
+            energy_level(params, Momentum(), n, charges)
+        assert str(exc.value) == message
+
+    def test_underflowing_denominator_rejected(self):
+        # hbar omega and quad both underflow; this raised ZeroDivisionError
+        params = ModelParams(xi=0.5, omega=1e-100, omega_p=1e-100, hbar=1e-300)
+        with pytest.raises(DomainError, match="hbar omega \\+ quad underflows to 0"):
+            energy_level(params, Momentum(), 0)
+
     def test_scaled_omega_p_square_overflow_rejected(self):
         params = ModelParams(xi=0.5, omega=1.0, omega_p=1e154)
         with pytest.raises(DomainError, match="overflows at 1.0, 1.7320508075688773e"):
