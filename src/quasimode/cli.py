@@ -300,6 +300,8 @@ def _cmd_force(args: argparse.Namespace) -> int:
     if args.scaling == "frozen":
         ref_d = args.ref_d if args.ref_d is not None else spec.grid[0]
         frozen_wp = spec_plates(spec, ref_d)[1]
+    # Built once per separation, before tabulate: --at-minimum sweeps d, so
+    # its empty grid builds no plates, and a bad plate input would name a d.
     plates = {d: spec_plates(spec, d) for d in spec.grid}
     if frozen_wp is not None:
         plates = {d: (geom, frozen_wp) for d, (geom, _) in plates.items()}
@@ -310,10 +312,10 @@ def _cmd_force(args: argparse.Namespace) -> int:
         return [xi, omega, d, *fixed, plates[d][1], force]
 
     def at_minimum(xi: float, d: np.ndarray) -> list:
-        geoms, wps = zip(*(plates[key] for key in d.tolist()))
+        at_d = [plates[key] for key in d.tolist()]
         e, m, hbar = spec.charge, spec.mass, spec.hbar
-        force = [force_at_minimum(g, e, m, xi, hbar, omega_p=frozen_wp) for g in geoms]
-        wp = np.array(wps, dtype=float)
+        force = [force_at_minimum(g, e, m, xi, hbar, omega_p=frozen_wp) for g, _ in at_d]
+        wp = np.array([omega_p for _, omega_p in at_d], dtype=float)
         return [xi, wp * critical_points(xi).k_star, d, *fixed, wp, np.array(force, dtype=float)]
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons",

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError
 from .params import (
-    _any, _divide, _finite_array, _nonnegative, _positive, _require, polarization_weight,
-    validate_xi,
+    _any, _finite_array, _nonnegative, _positive, _reduced_wavenumber, _require,
+    polarization_weight, validate_xi,
 )
 
 
@@ -233,5 +233,4 @@ def omega_physical_array(k: np.ndarray, omega_p: float, xi: float, c: float = 1.
         _finite_array(k, "wavenumber")
         _require(k, k >= 0.0, "wavenumber must be nonnegative, got {}")
         return c * k
-    k_p = omega_p / c
-    return omega_p * omega_of_k_array(_divide(k, k_p), xi)
+    return omega_p * omega_of_k_array(_reduced_wavenumber(k, omega_p, c), xi)

@@ -92,12 +92,13 @@ def _finite_array(values: np.ndarray, name: str) -> None:
     _require(values, np.isfinite(values), f"{name} must be finite, got {{}}")
 
 
-def _divide(values: np.ndarray, divisor: float) -> np.ndarray:
-    """values / divisor, raising ZeroDivisionError for a zero divisor as
-    Python's float division does, where numpy would return inf."""
-    if divisor == 0.0:
-        raise ZeroDivisionError("float division by zero")
-    return values / divisor
+def _reduced_wavenumber(k: np.ndarray, omega_p: float, c: float) -> np.ndarray:
+    """k / k_p, in units of the plasma wavenumber k_p = omega_p / c of a
+    positive omega_p; a k_p that underflows to 0 is a DomainError."""
+    k_p = omega_p / c
+    if k_p == 0.0:
+        raise DomainError(f"k_p = omega_p/c underflows to 0 (omega_p={omega_p}, c={c})")
+    return k / k_p
 
 
 def _require_finite(obj: object, *names: str) -> None:

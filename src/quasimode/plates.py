@@ -44,6 +44,8 @@ class PlateGeometry:
         if self.N_charges < 0:
             raise DomainError(f"charge count must be nonnegative, got {self.N_charges}")
         _nonnegative(self.n_photons, "photon number", "n_photons")
+        if math.isinf(1.0 + 2.0 * self.n_photons):
+            raise DomainError("n_photons is too large: 1 + 2 n_photons overflows")
 
 
 def _require_charge_and_mass(e: float, m: float) -> None:
@@ -156,6 +158,8 @@ def force_minimum_bohr_form(
     e_sq = g.N_charges * e * e
     if e_sq == 0.0:
         return 0.0
+    if m * e_sq == 0.0:
+        raise DomainError(f"m * N e^2 underflows to 0 (m={m}, e={e}, N={g.N_charges})")
     bohr = hbar * hbar / (m * e_sq)
     try:
         d_power = g.d**1.5

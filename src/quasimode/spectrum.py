@@ -210,7 +210,9 @@ def energy_levels_array(
     has the bits of energy_level(ModelParams(xi, w, omega_p, mass, hbar), p,
     n, N_charges) at its point, and where that or ModelParams would raise a
     DomainError, this raises it, with the message of its first such point
-    within the first check that fails."""
+    within the first check that fails.  The inputs every frequency reads are
+    checked on an empty omega too, omega_p^2 at the charge count with a
+    message of its own."""
     validate_xi(xi)
     # the checks ModelParams makes of each frequency
     _finite_array(omega, "omega")
@@ -222,8 +224,8 @@ def energy_levels_array(
     for level in n:
         _require_counts(level, N_charges)
     omega_p = _charges_omega_p(omega_p, N_charges)
-    if N_charges > 1:
-        _require_squares(omega, omega_p)
+    if omega_p * omega_p > _FLOAT_MAX:  # read at every frequency, so checked once
+        raise DomainError(f"omega_p^2 overflows at {omega_p}")
     theta, sigma_sq, Omega = _diagonalization(xi, omega, omega_p, p, mass, hbar)
     energy = [_energy(p, level, mass, hbar, sigma_sq, Omega) for level in n]
     theta, sigma_sq = (np.broadcast_to(v, omega.shape) for v in (theta, sigma_sq))

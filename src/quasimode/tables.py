@@ -17,11 +17,9 @@ from .dispersion import REGIMES, Branch, k_branches_array, omega_physical_array
 from .errors import DomainError, SpecError
 from .kinematics import velocities_array
 from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
-from .params import (
-    _FLOAT_MAX, ATOMIC_C, _divide, _finite, _nonnegative, _positive, _require_finite, validate_xi,
-)
+from .params import ATOMIC_C, _finite, _positive, _reduced_wavenumber, _require_finite, validate_xi
 from .plates import PlateGeometry, force_general, plasma_frequency_plates
-from .spectrum import Momentum, _charges_omega_p, _require_counts, energy_levels_array
+from .spectrum import Momentum, energy_levels_array
 
 
 def finite_grid(values) -> tuple[float, ...]:
@@ -88,18 +86,10 @@ class SweepSpec:
                 raise SpecError(
                     "wavenumber grid must exclude 0 when any xi > 0 (singular point)"
                 )
-        # Read at every point of these tables, so checked once here rather
-        # than blamed on the first grid point.
+        # Read at every point of these tables, but checked here: the force
+        # kernels run once per point, so tabulate's empty grid reads no hbar.
         if self.quantity in ATOMIC_ONLY:
             _positive(self.hbar, "hbar")
-        if self.quantity == "spectrum":
-            _nonnegative(self.omega_p, "plasma frequency")
-            _positive(self.mass, "mass")
-            for n in self.n:
-                _require_counts(n, self.n_charges)
-            omega_p = _charges_omega_p(self.omega_p, self.n_charges)
-            if omega_p * omega_p > _FLOAT_MAX:
-                raise DomainError(f"omega_p^2 overflows at {omega_p}")
 
 
 class _Units(NamedTuple):
@@ -177,7 +167,7 @@ def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> l
 
 
 def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
-    phase, group = velocities_array(_divide(k, u.k), xi)
+    phase, group = velocities_array(_reduced_wavenumber(k, u.omega, u.v), xi)
     return [k, xi, phase * u.v, group * u.v]
 
 
@@ -294,10 +284,11 @@ def _first_failure(evaluate: Callable[..., list], point: tuple, grid: np.ndarray
 def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> list[list]:
     """The blocks of evaluate over the product of the named axes, the first
     outermost.  evaluate takes a point of the other axes and the whole last
-    axis as a float64 array, and returns the block of the rows there.
-    Every block is evaluated and checked before any is returned, so a
-    DomainError is raised before any output; it is reported on stderr with
-    the first point, in row order, it hits."""
+    axis as a float64 array, and returns the block of the rows there (on an
+    empty axis, empty columns or a fault of no point).  Every block is
+    evaluated and checked before any is returned, so a DomainError is raised
+    before any output; unless the empty axis raises it too, it is reported
+    on stderr with the first point, in row order, it hits."""
     *outer, (_, values) = axes
     grid = np.array(values, dtype=float)
     points = itertools.product(*(values for _, values in outer)) if len(grid) else ()
@@ -306,6 +297,7 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
         try:
             blocks.append(_checked_columns(evaluate, point, grid))
         except DomainError as exc:
+            _checked_columns(evaluate, point, grid[:0])  # raises a fault of no point
             i = _first_failure(evaluate, point, grid)
             try:
                 _checked_columns(evaluate, point, grid[i:i + 1])
@@ -328,8 +320,5 @@ def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
         header = [column.split("_over_")[0] for column in header]
         if not entry.atomic_only and spec.omega_p <= 0.0:
             raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
-    if spec.quantity == "force":
-        # Checked once here, so that a bad plate is not blamed on a grid point.
-        spec_plates(spec, spec.d)
     evaluate = functools.partial(entry.evaluate, spec, _units(spec))
     return header, tabulate([("xi", spec.xi_list), (entry.axis, spec.grid)], evaluate)

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -26,11 +27,13 @@ from quasimode.cli import (
     run_sweep,
 )
 from quasimode.errors import SpecError
-from quasimode.tables import K_SWEPT, QUANTITIES, TABLE, SweepSpec
+from quasimode.tables import ATOMIC_ONLY, K_SWEPT, QUANTITIES, TABLE, SweepSpec, tabulate
 
 SCHEMA_DIR = Path(quasimode.__file__).parent / "schemas"
 # An integer that no float can hold
 HUGE_INT = "1" + "0" * 400
+# 1e308, which a float holds, and twice which it does not
+BIG_INT = "1" + "0" * 308
 
 
 def load_schema(name):
@@ -308,19 +311,12 @@ class TestExitCodes:
         (["sweep", "dispersion", "--xi", "0.2", "--k", "1", "--units", "atomic",
           "--omega-p", "1e300", "--c", "1e-10"],
          "xi=0.2, k=1", "dispersion is singular at k=0 for xi > 0"),
-        # k_p = omega_p/c underflows to 0
-        (["sweep", "dispersion", "--xi", "0.2", "--k", "1", "--units", "atomic",
-          "--omega-p", "1e-300", "--c", "1e100"],
-         "xi=0.2, k=1", "result is not a finite float (ZeroDivisionError)"),
         (["sweep", "velocity", "--xi", "0", "--k", "1,0"],
          "xi=0, k=0", "phase velocity requires x > 0, got 0.0"),
         (["sweep", "velocity", "--xi", "0.5", "--k", "1,1e-80"],
          "xi=0.5, k=1e-80", "phase velocity is not a finite float at x = 1e-80"),
         (["sweep", "velocity", "--xi", "0", "--k", "1,1e-170"],
          "xi=0, k=1e-170", "x^4 underflows to 0 at x = 1e-170"),
-        (["sweep", "velocity", "--xi", "0.5", "--k", "1", "--units", "atomic",
-          "--omega-p", "1e-300", "--c", "1e100"],
-         "xi=0.5, k=1", "result is not a finite float (ZeroDivisionError)"),
         # the first point's velocity overflows in atomic units; the second is negative
         (["sweep", "velocity", "--xi", "0", "--k", "5e-309,-1", "--units", "atomic",
           "--omega-p", "1", "--c", "1e308"],
@@ -331,12 +327,30 @@ class TestExitCodes:
          "xi=0.5, d=1e-300", "d^(3/2) is not a positive finite float at d = 1e-300"),
         (["force", "--xi", "0.5", "--d", "2,1e300", "--at-minimum"],
          "xi=0.5, d=1e+300", "d^(3/2) is not a positive finite float at d = 1e+300"),
+        # m * N e^2 underflows to 0 in the Bohr form, which --at-minimum
+        # evaluates once per separation
+        (["force", "--xi", "0.5", "--d", "1,2", "--at-minimum", "--mass", "1e-200",
+          "--charge", "1e-100"],
+         "xi=0.5, d=1", "m * N e^2 underflows to 0 (m=1e-200, e=1e-100, N=1)"),
     ])
     def test_domain_error_names_the_first_failing_point(self, argv, where, message, capsys):
         assert main(argv) == EXIT_DOMAIN
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"domain error at {where}: {message}\ndomain error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "dispersion", "--xi", "0.2", "--k", "1"],
+        ["sweep", "velocity", "--xi", "0.5", "--k", "1"],
+    ])
+    def test_plasma_wavenumber_domain_error_names_no_grid_point(self, argv, capsys):
+        # k_p = omega_p/c underflows to 0, which raised ZeroDivisionError at k = 1
+        argv = [*argv, "--units", "atomic", "--omega-p", "1e-300", "--c", "1e100"]
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "k_p = omega_p/c underflows to 0 (omega_p=1e-300, c=1e+100)"
+        assert captured.err == f"domain error: {message}\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["force", "--xi", "0.5", "--d", "2", "--omega", "1", "--area", "1e-200",
@@ -374,6 +388,11 @@ class TestExitCodes:
          "n_photons is too large for a float"),
         (["force", "--xi", "0.5", "--d", "1", "--omega", "1", "--n-photons", HUGE_INT],
          "n_photons is too large for a float"),
+        # a photon count that fits a float but whose 1 + 2n overflows
+        (["sweep", "force", "--xi", "0.5", "--omega", "1,2", "--n-photons", BIG_INT],
+         "n_photons is too large: 1 + 2 n_photons overflows"),
+        (["force", "--xi", "0.5", "--d", "1", "--at-minimum", "--n-photons", BIG_INT],
+         "n_photons is too large: 1 + 2 n_photons overflows"),
     ])
     def test_plate_domain_error_names_no_grid_point(self, argv, message, capsys):
         assert main(argv) == EXIT_DOMAIN
@@ -633,10 +652,22 @@ def _column(text: str, fmt: str, name: str) -> list[float]:
     return [float(line.split(",")[i]) for line in lines]
 
 
+def _assert_domain_error_report(err: str) -> None:
+    """err is `domain error: M`, or that line after `domain error at W: M`
+    with the same message M."""
+    *at, last = err.splitlines(keepends=True)
+    assert last.startswith("domain error: ") and last.endswith("\n"), err
+    message = last.removeprefix("domain error: ")
+    if at:
+        (line,) = at
+        assert line.startswith("domain error at ") and line.endswith(f": {message}"), err
+
+
 def _exits_cleanly(argv: list[str], capsys) -> None:
     """argv exits with a contract code, without a traceback or a numpy
     warning, and writes nothing but finite numbers, and only when it
-    succeeds; every plate force it writes is repulsive or 0."""
+    succeeds; every plate force it writes is repulsive or 0, and a domain
+    error is reported as _assert_domain_error_report reads it."""
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -650,6 +681,8 @@ def _exits_cleanly(argv: list[str], capsys) -> None:
     assert code in allowed, captured.err
     assert "Traceback" not in captured.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == EXIT_DOMAIN:
+        _assert_domain_error_report(captured.err)
     if code not in (EXIT_OK, EXIT_VERIFY_FAILED):
         assert captured.out == ""
         return
@@ -947,6 +980,60 @@ class TestRunSweepApi:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "k_over_kp,xi,omega_over_wp"
         assert "1.5000000000000000e+00" in out
+
+
+class TestTabulate:
+    """tabulate names a grid point only for an error that the empty grid
+    does not raise too."""
+
+    AXES = [("xi", (0.5,)), ("omega", (1.0, 2.0, 3.0))]
+
+    def test_error_of_every_grid_names_no_point(self, capsys):
+        def always(xi, omega):
+            raise DomainError("shared")
+
+        with pytest.raises(DomainError, match="^shared$"):
+            tabulate(self.AXES, always)
+        assert capsys.readouterr().err == ""
+
+    def test_error_of_one_point_names_it(self, capsys):
+        def at_two(xi, omega):
+            if (omega == 2.0).any():
+                raise DomainError("bad omega")
+            return [omega, xi]
+
+        with pytest.raises(DomainError, match="^bad omega$"):
+            tabulate(self.AXES, at_two)
+        assert capsys.readouterr().err == "domain error at xi=0.5, omega=2: bad omega\n"
+
+    def test_error_of_the_empty_grid_is_reported_without_a_point(self, capsys):
+        # the spectrum kernel's order: a check of each frequency, then one
+        # of an input that every frequency reads
+        def spectrum_like(xi, omega):
+            if (omega < 0.0).any():
+                raise DomainError("mode frequency must be nonnegative, got -1.0")
+            raise DomainError("mass must be positive, got -1.0")
+
+        with pytest.raises(DomainError, match="^mass must be positive, got -1.0$"):
+            tabulate([("xi", (0.5,)), ("omega", (1.0, -1.0))], spectrum_like)
+        assert capsys.readouterr().err == ""
+        argv = ["sweep", "spectrum", "--xi", "0.5", "--omega", "1,-1", "--mass", "-1"]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr() == ("", "domain error: mass must be positive, got -1.0\n")
+
+    @pytest.mark.parametrize("quantity,units", [
+        (quantity, units) for quantity in QUANTITIES for units in ("reduced", "atomic")
+        if units == "atomic" or quantity not in ATOMIC_ONLY
+    ])
+    def test_column_functions_return_empty_columns_on_an_empty_grid(self, quantity, units):
+        spec = SweepSpec(
+            quantity=quantity, xi_list=(0.5,), grid=(1.0,), units=units, n=(0, 1),
+            n_charges=2, momentum=Momentum(0.1, 0.2, 0.3),
+        )
+        spec.validate()
+        block = TABLE[quantity].evaluate(spec, quasimode.tables._units(spec), 0.5, np.empty(0))
+        arrays = [column for column in block if isinstance(column, np.ndarray)]
+        assert arrays and all(column.size == 0 for column in arrays)
 
 
 # omega~ and omega* at xi = 0.2 with their nextafter neighbours: the points

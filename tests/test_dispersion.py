@@ -241,3 +241,9 @@ class TestKernelEntryChecks:
     def test_known_failures_are_domain_errors(self, kernel, arg):
         with pytest.raises(DomainError):
             kernel(arg, 0.5)
+
+    def test_underflowing_plasma_wavenumber_is_domain_error(self):
+        # k_p = omega_p/c underflows to 0; this raised ZeroDivisionError
+        with pytest.raises(DomainError) as exc:
+            omega_physical(1.0, 1e-300, 0.2, c=1e100)
+        assert str(exc.value) == "k_p = omega_p/c underflows to 0 (omega_p=1e-300, c=1e+100)"

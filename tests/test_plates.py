@@ -51,6 +51,7 @@ class TestPlasmaFrequencyPlates:
     @pytest.mark.parametrize("n_photons,message", [
         (-1, "photon number must be nonnegative, got -1"),
         (10**400, "n_photons is too large for a float"),
+        (10**308, "n_photons is too large: 1 + 2 n_photons overflows"),
     ])
     def test_geometry_rejects_photon_count(self, n_photons, message):
         with pytest.raises(DomainError) as exc:
@@ -145,6 +146,12 @@ class TestForceAtMinimum:
         fd = -(e_star(d + h) - e_star(d - h)) / (2.0 * h)
         g = PlateGeometry(d=d, A=area)
         assert force_at_minimum(g, 1.0, 1.0, xi) == pytest.approx(fd, rel=1e-5)
+
+    def test_underflowing_bohr_radius_denominator_is_domain_error(self):
+        # m * N e^2 underflows to 0; this raised ZeroDivisionError
+        with pytest.raises(DomainError) as exc:
+            force_at_minimum(PlateGeometry(d=1.0, A=1.0), 1e-100, 1e-200, 0.5)
+        assert str(exc.value) == "m * N e^2 underflows to 0 (m=1e-200, e=1e-100, N=1)"
 
     def test_vanishes_with_charge(self):
         tiny = force_at_minimum(PI_AREA, 1e-8, 1.0, 1.0)
