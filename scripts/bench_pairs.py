@@ -7,7 +7,9 @@ Usage, from the repository root:
 
 The parent revision is exported with `git archive` into a temporary
 `.bench_pairs-*` directory of the repository, removed afterwards; the change
-is the working tree.  For each workload of `BENCHMARK.json` and each seed
+is the working tree.  Both trees' `src/` and `bench/` are compiled to
+bytecode before the first pair, so neither side pays for it in a timed
+run.  For each workload of `BENCHMARK.json` and each seed
 1..N, both sides run `bench/run.py --workload W --seed S --seconds T
 --trace 0` from their own tree; odd seeds run the parent first.  Both sides use their own `bench/`,
 so compare only revisions whose benchmark code is the same.
@@ -52,6 +54,12 @@ def export(rev: str, into: Path) -> str:
         tar.extractall(into)
     archive.unlink()
     return sha
+
+
+def compile_tree(tree: Path) -> None:
+    """Write the bytecode of the tree's `src/` and `bench/`."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                   cwd=tree, check=True, capture_output=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -114,6 +122,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix=".bench_pairs-", dir=ROOT) as tmp:
         parent_tree = Path(tmp) / "parent"
         record["parent"] = export(args.parent, parent_tree)
+        for tree in (parent_tree, ROOT):
+            compile_tree(tree)
         for workload in workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for seed in range(1, args.pairs + 1):

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/spec error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -108,7 +109,11 @@ def _add_common_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It names a subcommand;
+    main looks its `_cmd_<command>` handler up in this module at call time,
+    so a handler rebound after the first build is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="quasimode",
         description="Quasimode dispersion, plasma optics, spectrum, and plate-force calculator.",
@@ -133,11 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--charge", type=float, default=1.0)
     sweep.add_argument("--n-photons", type=int, default=0)
     _add_common_output_args(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
 
     figures = sub.add_parser("figures", help="emit the six reference figure datasets")
     figures.add_argument("--outdir", type=Path, default=Path("figures"))
-    figures.set_defaults(func=_cmd_figures)
 
     verify = sub.add_parser("verify", help="check the analytic spectrum against the number-basis matrix")
     verify.add_argument("--xi", default=None, help="comma-separated list (default grid otherwise)")
@@ -149,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cutoff-start", type=int, default=64)
     verify.add_argument("--cutoff-cap", type=int, default=1024)
     verify.add_argument("--out", type=Path, default=None, help="JSON report file (default: stdout)")
-    verify.set_defaults(func=_cmd_verify)
 
     force = sub.add_parser("force", help="plate force at given frequencies or at the energy minimum")
     force.add_argument("--xi", required=True)
@@ -166,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     force.add_argument("--ref-d", type=float, default=None,
                        help="reference separation fixing omega_p in frozen mode (default: first d)")
     _add_common_output_args(force)
-    force.set_defaults(func=_cmd_force)
 
     spectrum = sub.add_parser("spectrum", help="exact energy levels for given parameters")
     spectrum.add_argument("--xi", required=True)
@@ -179,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--c", type=float, default=1.0)
     spectrum.add_argument("--charges", type=int, default=1)
     _add_common_output_args(spectrum)
-    spectrum.set_defaults(func=_cmd_spectrum)
 
     return parser
 
@@ -343,10 +343,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -92,10 +92,20 @@ def _finite_array(values: np.ndarray, name: str) -> None:
     _require(values, np.isfinite(values), f"{name} must be finite, got {{}}")
 
 
+def _plasma_wavenumber(omega_p: float, c: float) -> float:
+    """The plasma wavenumber k_p = omega_p / c of a positive omega_p and c;
+    a k_p that overflows is a DomainError."""
+    k_p = omega_p / c
+    if k_p > _FLOAT_MAX:
+        raise DomainError(f"k_p = omega_p/c overflows (omega_p={omega_p}, c={c})")
+    return k_p
+
+
 def _reduced_wavenumber(k: np.ndarray, omega_p: float, c: float) -> np.ndarray:
     """k / k_p, in units of the plasma wavenumber k_p = omega_p / c of a
-    positive omega_p; a k_p that underflows to 0 is a DomainError."""
-    k_p = omega_p / c
+    positive omega_p; a k_p that overflows or underflows to 0 is a
+    DomainError."""
+    k_p = _plasma_wavenumber(omega_p, c)
     if k_p == 0.0:
         raise DomainError(f"k_p = omega_p/c underflows to 0 (omega_p={omega_p}, c={c})")
     return k / k_p

@@ -17,14 +17,26 @@ from .dispersion import REGIMES, Branch, k_branches_array, omega_physical_array
 from .errors import DomainError, SpecError
 from .kinematics import velocities_array
 from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
-from .params import ATOMIC_C, _finite, _positive, _reduced_wavenumber, _require_finite, validate_xi
+from .params import (
+    _FLOAT_MAX, ATOMIC_C, _finite, _plasma_wavenumber, _positive, _reduced_wavenumber,
+    _require_finite, validate_xi,
+)
 from .plates import PlateGeometry, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_levels_array
 
 
 def finite_grid(values) -> tuple[float, ...]:
-    for value in values:
-        _finite(value, "grid values")
+    """The values as a tuple, each of them finite.  One array check passes
+    them all; only when it fails (or an int is too large for a float) does a
+    per-value check find the first to name.  An int that rounds to the
+    largest float fails the array check, so the per-value check sees it."""
+    try:
+        finite = bool((np.abs(np.array(values, dtype=float)) < _FLOAT_MAX).all())
+    except (OverflowError, TypeError, ValueError):
+        finite = False
+    if not finite:
+        for value in values:
+            _finite(value, "grid values")
     return tuple(values)
 
 
@@ -93,18 +105,17 @@ class SweepSpec:
 
 
 class _Units(NamedTuple):
-    """Units of the frequency, wavenumber and velocity columns."""
+    """Units of the frequency and velocity columns; the wavenumber unit is
+    their ratio, the plasma wavenumber k_p."""
 
     omega: float
-    k: float
     v: float
 
 
 def _units(spec: SweepSpec) -> _Units:
     if spec.units == "reduced":
-        return _Units(1.0, 1.0, 1.0)
-    c = spec.resolved_c()
-    return _Units(spec.omega_p, spec.omega_p / c, c)
+        return _Units(1.0, 1.0)
+    return _Units(spec.omega_p, spec.resolved_c())
 
 
 # Column functions: (spec, units, xi, grid) -> the block of the rows at xi
@@ -132,7 +143,8 @@ def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> lis
     re, im = x.real, x.imag
     if spec.units == "atomic":
         # x * k_p as Python multiplies a complex by a float
-        re, im = re * u.k - im * 0.0, re * 0.0 + im * u.k
+        k_p = _plasma_wavenumber(u.omega, u.v)
+        re, im = re * k_p - im * 0.0, re * 0.0 + im * k_p
     return [
         _branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)),
         _branch_rows(re), _branch_rows(im), _branch_rows(_REGIMES[codes]),

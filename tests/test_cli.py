@@ -27,7 +27,10 @@ from quasimode.cli import (
     run_sweep,
 )
 from quasimode.errors import SpecError
-from quasimode.tables import ATOMIC_ONLY, K_SWEPT, QUANTITIES, TABLE, SweepSpec, tabulate
+from quasimode.params import _finite
+from quasimode.tables import (
+    ATOMIC_ONLY, K_SWEPT, QUANTITIES, TABLE, SweepSpec, finite_grid, tabulate,
+)
 
 SCHEMA_DIR = Path(quasimode.__file__).parent / "schemas"
 # An integer that no float can hold
@@ -77,6 +80,39 @@ class TestGridParsing:
     def test_overflowing_grid_points_are_domain_errors(self, text):
         with pytest.raises(DomainError):
             parse_grid(text)
+
+    @pytest.mark.parametrize("values", [
+        (), (1.0, 2.0), [0.5, 2], (0.0, math.nan, math.inf), (1.0, -math.inf, math.nan),
+        (1, int(HUGE_INT), math.nan), (2.0, int(BIG_INT) * 2), (-int(BIG_INT) * 2, math.inf),
+        # an int above the largest float that rounds to it
+        (sys.float_info.max, int(sys.float_info.max) + 1),
+        (sys.float_info.max, -sys.float_info.max, int(sys.float_info.max) - 1),
+        tuple(np.linspace(0.0, 1.0, 5)), (np.float64(1.0), np.float64(np.nan)),
+    ])
+    def test_finite_grid_is_the_per_value_check(self, values):
+        def per_value(values):
+            for value in values:
+                _finite(value, "grid values")
+            return tuple(values)
+
+        try:
+            expected = per_value(values)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                finite_grid(values)
+            assert str(got.value) == str(exc)
+        else:
+            assert finite_grid(values) == expected
+
+
+def test_parser_is_built_once_and_each_call_finds_its_handler(monkeypatch, capsys):
+    argv = ["sweep", "dispersion", "--xi", "0", "--k", "1"]
+    assert main(argv) == EXIT_OK
+    assert quasimode.cli._build_parser() is quasimode.cli._build_parser()
+    calls = []
+    monkeypatch.setattr(quasimode.cli, "_cmd_sweep", lambda args: calls.append(args.k) or 7)
+    assert main(argv) == 7
+    assert calls == ["1"]
 
 
 class TestSweepCommand:
@@ -289,8 +325,8 @@ class TestExitCodes:
          "xi=0, omega=1e+200", "wavenumber is not a finite float at y = 1e+200"),
         # the first point's k overflows in atomic units; the second is negative
         (["sweep", "wavenumber", "--xi", "0.5", "--units", "atomic", "--omega-p", "1e300",
-          "--c", "1e-10", "--omega", "1e300,-1e300"],
-         "xi=0.5, omega=1e+300", "result is not a finite float"),
+          "--c", "1e-7", "--omega", "1e308,-1e308"],
+         "xi=0.5, omega=1e+308", "result is not a finite float"),
         (["sweep", "dielectric", "--xi", "0.5", "--omega", "1,0"],
          "xi=0.5, omega=0", "dielectric function requires y > 0, got 0.0"),
         (["sweep", "dielectric", "--xi", "0,1", "--omega", "1,1e-161"],
@@ -307,10 +343,6 @@ class TestExitCodes:
          "xi=0, k=1e+200", "frequency is not a finite float at x = 1e+200"),
         (["sweep", "dispersion", "--xi", "0.5", "--k", "1,1e-200"],
          "xi=0.5, k=1e-200", "x^2 underflows to 0 at x = 1e-200"),
-        # k_p = omega_p/c overflows, so k/k_p is 0
-        (["sweep", "dispersion", "--xi", "0.2", "--k", "1", "--units", "atomic",
-          "--omega-p", "1e300", "--c", "1e-10"],
-         "xi=0.2, k=1", "dispersion is singular at k=0 for xi > 0"),
         (["sweep", "velocity", "--xi", "0", "--k", "1,0"],
          "xi=0, k=0", "phase velocity requires x > 0, got 0.0"),
         (["sweep", "velocity", "--xi", "0.5", "--k", "1,1e-80"],
@@ -350,6 +382,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         message = "k_p = omega_p/c underflows to 0 (omega_p=1e-300, c=1e+100)"
+        assert captured.err == f"domain error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "dispersion", "--xi", "0.2", "--k", "1,2"],
+        ["sweep", "velocity", "--xi", "0.5", "--k", "1,2"],
+        ["sweep", "wavenumber", "--xi", "0.5", "--omega", "1e300,-1e300"],
+    ])
+    def test_overflowing_plasma_wavenumber_names_no_grid_point(self, argv, capsys):
+        # k_p = omega_p/c overflows to inf: dispersion divided k by it and
+        # blamed k=1 for a singular k=0, wavenumber multiplied by it
+        argv = [*argv, "--units", "atomic", "--omega-p", "1e300", "--c", "1e-10"]
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "k_p = omega_p/c overflows (omega_p=1e+300, c=1e-10)"
         assert captured.err == f"domain error: {message}\n"
 
     @pytest.mark.parametrize("argv,message", [

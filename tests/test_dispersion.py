@@ -247,3 +247,9 @@ class TestKernelEntryChecks:
         with pytest.raises(DomainError) as exc:
             omega_physical(1.0, 1e-300, 0.2, c=1e100)
         assert str(exc.value) == "k_p = omega_p/c underflows to 0 (omega_p=1e-300, c=1e+100)"
+
+    def test_overflowing_plasma_wavenumber_is_domain_error(self):
+        # k_p = omega_p/c overflows; k/k_p was 0, reported as the singular k=0
+        with pytest.raises(DomainError) as exc:
+            omega_physical(1.0, 1e300, 0.2, c=1e-10)
+        assert str(exc.value) == "k_p = omega_p/c overflows (omega_p=1e+300, c=1e-10)"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasimode.cli
+import quasimode.output
 from quasimode import Branch, Regime
 from quasimode.cli import EXIT_USAGE, main
 from quasimode.output import (
@@ -75,6 +76,107 @@ def csv_cell(value):
     return f"{value:.16e}" if isinstance(value, float) else str(value)
 
 
+def reference_csv_chunks(header, blocks):
+    """csv_chunks as it formatted each cell before the float kernel: one
+    "{:.16e}".format call per float cell, and str per int or str cell."""
+    text_of = {float: "{:.16e}".format, int: int.__repr__, str: str}
+
+    def text(column):
+        array = isinstance(column, np.ndarray)
+        cells = column.tolist() if array else [column]
+        types = {float} if array and column.dtype == float else set(map(type, cells))
+        if len(types) > 1 or not types.issubset(text_of):
+            names = ", ".join(sorted(kind.__name__ for kind in types))
+            raise TypeError(f"table cells must all be float, int or str, got {names}")
+        return list(map(text_of[types.pop()], cells))
+
+    yield (",".join(header) + "\n").encode("utf-8")
+    for block in blocks:
+        (count,) = {len(column) for column in block if isinstance(column, np.ndarray)}
+        shared = [None if isinstance(value, np.ndarray) else text(value)[0] for value in block]
+        for start in range(0, count, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, count)
+            rows = zip(*[
+                text(column[start:stop]) if cell is None else [cell] * (stop - start)
+                for column, cell in zip(block, shared)
+            ])
+            yield ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
+
+
+def kernel_text(values):
+    """The CSV text of each float of values, from the float kernel."""
+    field = quasimode.output._float_field(np.array(values, dtype=float))
+    return [bytes(row[row != 0xFF]).decode() for row in field]
+
+
+def powers_of_ten_and_neighbours(steps):
+    values = []
+    for exponent in range(-12, 19):
+        low = high = float(f"1e{exponent}")
+        values.append(low)
+        for _ in range(steps):
+            low, high = math.nextafter(low, 0.0), math.nextafter(high, math.inf)
+            values += [low, high]
+    return values
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+    # the kernel's range bounds and their neighbours
+    1e-11, math.nextafter(1e-11, 0.0), math.nextafter(1e-11, 1.0),
+    1e17, math.nextafter(1e17, 0.0), math.nextafter(1e17, math.inf),
+    *powers_of_ten_and_neighbours(8),
+    # 17 nines, which round up to the next power of ten, and 1...05
+    *(float(f"99999999999999999e{e}") for e in range(-28, 1)),
+    *(float(f"10000000000000005e{e}") for e in range(-28, 1)),
+    # decimal near-ties: 18 significant digits ending in 5
+    1.23456789012345675e3, 9.87654321098765435e-7, 5.00000000000000005e16,
+    1.00000000000000005e-11, 2.50000000000000015e0, 7.77777777777777775e10,
+    # exact ties of 17 digits, printed with the even digit
+    1000000000000000.25, 1000000000000000.75, 1234567890123456.25,
+    # near-ties where y = |x| 10^s rounds to a half-integer in a 64-bit
+    # significand, though the exact product is no tie, so rint(y) is not
+    # the 17 digits (found by a search)
+    1.4522851547038875e-11, 8.52914566107174e-07, 3.3259689815599453e-08,
+    6.163177127051262e-10, 0.7965286400491878, 0.10961823898227537, 0.18449987003599363,
+    0.0008342106289654714, 3014.2495133959033, 7.909825224342916, 48459.44083434984,
+    9.331214425550357, 723309.9824436463, 42691678.057201385, 468930825421.88885,
+    2293149.3220592597,
+]
+
+RAW_FLOATS = st.one_of(
+    st.integers(min_value=0, max_value=2 ** 64 - 1),
+    # the kernel's range, either sign
+    st.builds(lambda bits, sign: bits | sign,
+              st.integers(min_value=int(np.float64(1e-11).view(np.uint64)),
+                          max_value=int(np.float64(1e17).view(np.uint64))),
+              st.sampled_from([0, 2 ** 63])),
+)
+
+
+@given(st.lists(RAW_FLOATS, min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_float_kernel_is_format_on_raw_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert kernel_text(values) == list(map("{:.16e}".format, values.tolist()))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_float_kernel_is_format_on_edge_values(sign):
+    values = [sign * value for value in EDGE_FLOATS]
+    assert kernel_text(values) == list(map("{:.16e}".format, values))
+
+
+def test_float_kernel_takes_the_exact_path_without_a_wide_long_double(monkeypatch):
+    values = EDGE_FLOATS + [-value for value in EDGE_FLOATS] + [0.125, 3.0, -7e-3]
+    table = (["a", "b"], [[np.array(values), "x"], [np.arange(3 * CHUNK_ROWS, dtype=float), 2]])
+    expected = list(csv_chunks(*table))
+    monkeypatch.setattr(quasimode.output, "_EXACT_LONG_DOUBLE", False)
+    assert kernel_text(values) == list(map("{:.16e}".format, values))
+    assert list(csv_chunks(*table)) == expected
+
+
 @given(table=tables(), meta=st.dictionaries(st.sampled_from(["quantity", "units"]), st.text()))
 @settings(max_examples=60, deadline=None)
 def test_json_chunks_are_the_bytes_of_json_dumps(table, meta):
@@ -93,6 +195,13 @@ def test_csv_chunks_are_the_bytes_of_the_joined_lines(table):
     expected = ("\n".join(lines) + "\n").encode("utf-8")
     assert b"".join(csv_chunks(header, blocks)) == expected
     assert render_csv(header, blocks) == expected
+
+
+@given(table=tables())
+@settings(max_examples=60, deadline=None)
+def test_csv_chunks_are_the_per_cell_chunks(table):
+    header, blocks = table
+    assert list(csv_chunks(header, blocks)) == list(reference_csv_chunks(header, blocks))
 
 
 @pytest.mark.parametrize("counts", [[count] for count in ROW_COUNTS] + [

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+GATES = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
 @pytest.mark.parametrize("script,args", [
@@ -59,3 +60,33 @@ def test_summary_of_recorded_pairs():
     assert result["parent"]["spread"] == pytest.approx(0.283, abs=1e-3)
     assert result["unresolved"] is True
     assert result["worse_than_bound"] is False and result["change_wins"] == 9
+
+
+def test_compile_tree_writes_bytecode_of_src_and_bench(tmp_path):
+    for name in ("src/pkg/mod.py", "bench/run.py"):
+        (tmp_path / name).parent.mkdir(parents=True)
+        (tmp_path / name).write_text("X = 1\n")
+    load_bench_pairs().compile_tree(tmp_path)
+    for directory in ("src/pkg", "bench"):
+        assert list((tmp_path / directory / "__pycache__").glob("*.pyc")), directory
+
+
+def test_both_trees_are_compiled_before_the_first_pair(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    calls = []
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: calls.append(("compile", tree)))
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append(("run", tree))
+        return {"metrics": {name: 1.0 for name in GATES}, "attempted": 1, "failed": 0, "env": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD", "--pairs", "2",
+                                      "--workload", "verify-oracle",
+                                      "--out", str(tmp_path / "pairs.json")])
+    assert bench_pairs.main() == 0
+    compiled = {tree for kind, tree in calls[:2] if kind == "compile"}
+    assert len(compiled) == 2 and bench_pairs.ROOT in compiled
+    assert [kind for kind, _ in calls] == ["compile"] * 2 + ["run"] * 4
+    assert {tree for _, tree in calls[2:]} == compiled
