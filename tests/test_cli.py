@@ -43,6 +43,16 @@ def load_schema(name):
     return json.loads((SCHEMA_DIR / name).read_text())
 
 
+def table_cells(out: str, fmt: str) -> tuple[list[str], list[list]]:
+    """The header and the rows of a table written as CSV or JSON, each CSV
+    cell as its text."""
+    if fmt == "csv":
+        header, *lines = out.splitlines()
+        return header.split(","), [line.split(",") for line in lines]
+    doc = json.loads(out)
+    return doc["columns"], doc["rows"]
+
+
 def read_csv(path: Path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -240,6 +250,33 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "entropy", "--xi", "0.5", "--k", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["force", "--xi", "0.5", "--d", "1"],
+         "provide exactly one of --omega and --at-minimum"),
+        (["force", "--xi", "0.5", "--d", "1", "--omega", "1", "--at-minimum"],
+         "provide exactly one of --omega and --at-minimum"),
+        (["sweep", "wavenumber", "--xi", "0.5", "--k", "1"], "wavenumber sweeps over --omega"),
+        (["sweep", "dispersion", "--xi", "0.5,x", "--k", "1"],
+         "malformed value list '0.5,x': could not convert string to float: 'x'"),
+        (["sweep", "spectrum", "--xi", "0.5", "--omega", "1", "--p", "1,2"],
+         "momentum must be three comma-separated numbers, got '1,2'"),
+        (["spectrum", "--xi", "0.5", "--omega", "1", "--omega-p", "1", "--n", "0,x"],
+         "malformed excitation list '0,x': invalid literal for int() with base 10: 'x'"),
+        (["sweep", "dispersion", "--xi", "0.5", "--k", "1:2"],
+         "grid must be start:stop:count[:spacing], got '1:2'"),
+        (["sweep", "dispersion", "--xi", "0.5", "--k", "1", "--units", "atomic",
+          "--omega-p", "0"],
+         "atomic units for reduced-family sweeps require omega_p > 0"),
+    ])
+    def test_usage_error_writes_its_message_and_no_output(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_force_spec_is_validated_before_its_mode_is_checked(self, capsys):
+        # neither --omega nor --at-minimum, but the bad hbar is reported first
+        assert main(["force", "--xi", "0.5", "--d", "1", "--hbar", "-1"]) == EXIT_DOMAIN
+        assert capsys.readouterr() == ("", "domain error: hbar must be positive, got -1.0\n")
 
     def test_verify_failure_exit_code(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -847,17 +884,27 @@ class TestForceCommand:
         tables = []
         for command in (["force"], ["sweep", "force"]):
             assert main([*command, *args]) == EXIT_OK
-            out = capsys.readouterr().out
-            if fmt == "csv":
-                header, *lines = out.splitlines()
-                tables.append((header.split(","), [line.split(",") for line in lines]))
-            else:
-                doc = json.loads(out)
-                tables.append((doc["columns"], doc["rows"]))
+            tables.append(table_cells(capsys.readouterr().out, fmt))
         (header, rows), (sweep_header, sweep_rows) = tables
         assert len(rows) == 20
         index = [header.index(name) for name in sweep_header]
         assert [[row[i] for i in index] for row in rows] == sweep_rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", [["--omega", "0.1:3:7"], ["--at-minimum"]])
+    def test_frozen_at_the_only_separation_is_recompute(self, mode, fmt, capsys):
+        # ref_d defaults to the one d, so the frozen omega_p is the plates' own
+        argv = ["force", "--xi", "0,0.5,1", "--d", "2.5", "--area", "3", "--charges", "2",
+                "--n-photons", "1", *mode, "--format", fmt]
+        tables = {}
+        for scaling in ("recompute", "frozen"):
+            assert main([*argv, "--scaling", scaling]) == EXIT_OK
+            header, rows = table_cells(capsys.readouterr().out, fmt)
+            i = header.index("scaling")
+            assert {row.pop(i) for row in rows} == {scaling}
+            tables[scaling] = rows
+        assert tables["frozen"] == tables["recompute"]
+        assert len(tables["frozen"]) == (21 if mode[0] == "--omega" else 3)
 
     @pytest.mark.parametrize("argv,flag", [
         (["sweep", "force", "--xi", "0,0.5,1", "--omega", "0.1:3:20", "--d", "2",
@@ -1009,6 +1056,19 @@ class TestRunSweepApi:
         with pytest.raises(SpecError):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"quantity": "entropy"}, "unknown quantity 'entropy'"),
+        ({"units": "si"}, "unknown units 'si'"),
+        ({"fmt": "xml"}, "unknown format 'xml'"),
+        ({"xi_list": ()}, "at least one xi value is required"),
+    ])
+    def test_spec_validation_names_the_bad_field(self, change, message, capsys):
+        spec = SweepSpec(**{"quantity": "dispersion", "xi_list": (0.5,), "grid": (1.0,), **change})
+        with pytest.raises(SpecError) as excinfo:
+            run_sweep(spec)
+        assert str(excinfo.value) == message
+        assert capsys.readouterr() == ("", "")
+
     @pytest.mark.parametrize("quantity", QUANTITIES)
     def test_empty_grid_writes_the_header_only(self, quantity, capsys, monkeypatch):
         def no_columns(*args):
@@ -1093,6 +1153,9 @@ XI4 = ["--xi", "0,0.2,0.5,1"]
 SPECTRUM_ONE = ["--omega-p", "0.5", "--p", "0.2,-0.1,0.05", "--n", "1"]
 SPECTRUM_ARGS = [*SPECTRUM_ONE, "--charges", "2"]
 FORCE_ARGS = ["--d", "2", "--area", "3", "--charges", "2", "--n-photons", "1"]
+FORCE_AT_OMEGA = ["force", "--xi", "0,0.5", "--d", "0.5:4:6", "--omega", "0.3,1,2.5",
+                  "--area", "2", "--charges", "3", "--n-photons", "1"]
+FROZEN = ["--scaling", "frozen", "--ref-d", "2"]
 # omega~ and omega* with their nextafter neighbours at xi = 0, 0.5, 0.99995 and
 # 1 (y = 1 exactly is both at xi = 0), evaluated at every one of these xi.
 XI_CRITICAL = ["--xi", "0,0.5,0.99995,1"]
@@ -1176,9 +1239,7 @@ GOLDEN_DIGESTS = [
     (["spectrum", "--xi", "0.2,1", "--omega", "0.5:2:5", "--omega-p", "0.8",
       "--p", "0.1,0.2,0.3", "--n", "0,1,2", "--charges", "2", "--format", "json"],
      "4d8f387535c46b4470cef4f3d1d180742aa048234a735d7f95acb6dcea032d52"),
-    (["force", "--xi", "0,0.5", "--d", "0.5:4:6", "--omega", "0.3,1,2.5", "--area", "2",
-      "--charges", "3", "--n-photons", "1"],
-     "5ca228589cfc5d958532af4248f72ec39acecf99d8a91d9b63f131f34631b170"),
+    (FORCE_AT_OMEGA, "5ca228589cfc5d958532af4248f72ec39acecf99d8a91d9b63f131f34631b170"),
     (["force", "--xi", "0.3,1", "--d", "1:100:9:log", "--area", "2", "--at-minimum",
       "--scaling", "frozen"],
      "6ef62b4d26b25893d94a7a3cd3182eb5b16b568ef76265a812c16a8dda827de3"),
@@ -1217,6 +1278,13 @@ GOLDEN_DIGESTS = [
     (["sweep", "velocity", "--xi", "0.2,0.5,1", "--k", K_STAR_ATOMIC, "--units", "atomic",
       "--omega-p", "0.7"],
      "8e3cbeda695c6a624db524afb7c1b95c389578e1363bf37f0191d26f9fe0137d"),
+    # Recorded while force --omega and sweep force built their force blocks apart.
+    ([*FORCE_AT_OMEGA, "--format", "json"],
+     "eb0315f113c9df265e77f04ddc2735582efb1ea7ffefeab423dbafe6d7eaa149"),
+    ([*FORCE_AT_OMEGA, *FROZEN],
+     "0063d0efe74b8ddcd9e1f6a6a5c69a10c4bb526e753232fe2202045eaed2c474"),
+    ([*FORCE_AT_OMEGA, *FROZEN, "--format", "json"],
+     "f7eae20d20f624e35e0e8680bf9fbfa889241c59811c2eb334aa4c8a3e313c5a"),
 ]
 
 
@@ -1237,6 +1305,7 @@ def test_golden_output_digest(argv, digest, tmp_path):
     (["verify", "--xi", "0.5", "--tol", "nan"], EXIT_USAGE),
     (["sweep", "wavenumber", "--xi", "0.5", "--omega", "1e100"], EXIT_DOMAIN),
     (GOLDEN_DIGESTS[2][0], EXIT_OK),
+    ([*FORCE_AT_OMEGA, *FROZEN], EXIT_OK),
 ])
 def test_optimized_interpreter_gives_the_same_result(argv, code):
     # The runtime checks are not assert statements, which python -O drops.
@@ -1249,4 +1318,5 @@ def test_optimized_interpreter_gives_the_same_result(argv, code):
     assert plain.returncode == optimized.returncode == code, plain.stderr
     assert (optimized.stdout, optimized.stderr) == (plain.stdout, plain.stderr)
     if code == EXIT_OK:
-        assert hashlib.sha256(plain.stdout).hexdigest() == GOLDEN_DIGESTS[2][1]
+        digest = {tuple(golden): digest for golden, digest in GOLDEN_DIGESTS}[tuple(argv)]
+        assert hashlib.sha256(plain.stdout).hexdigest() == digest
