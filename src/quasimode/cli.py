@@ -14,19 +14,15 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from .dispersion import critical_points
 from .errors import DomainError, SpecError
 from .figures import emit_figure_datasets
 from .fock import default_verification_cases, verify_spectrum
 from .output import csv_chunks, json_table_chunks, render_json, write_bytes
 from .params import ModelParams
-from .plates import force_at_minimum
 from .spectrum import Momentum
 from .tables import (
-    ATOMIC_ONLY, QUANTITIES, TABLE, SweepSpec, check_xi, finite_grid, plate_forces,
-    spec_plates, sweep_columns, tabulate,
+    ATOMIC_ONLY, QUANTITIES, TABLE, SweepSpec, check_xi, finite_grid, force_columns,
+    sweep_columns,
 )
 
 EXIT_OK = 0
@@ -295,36 +291,11 @@ def _cmd_force(args: argparse.Namespace) -> int:
     spec.validate()
     if args.at_minimum == (args.omega is not None):
         raise SpecError("provide exactly one of --omega and --at-minimum")
-    omega_axis = [("omega", parse_grid(args.omega))] if args.omega else []
-    frozen_wp = None
+    omega = parse_grid(args.omega) if args.omega else None
+    ref_d = None
     if args.scaling == "frozen":
         ref_d = args.ref_d if args.ref_d is not None else spec.grid[0]
-        frozen_wp = spec_plates(spec, ref_d)[1]
-    # Built once per separation, before tabulate: --at-minimum sweeps d, so
-    # its empty grid builds no plates, and a bad plate input would name a d.
-    plates = {d: spec_plates(spec, d) for d in spec.grid}
-    if frozen_wp is not None:
-        plates = {d: (geom, frozen_wp) for d, (geom, _) in plates.items()}
-    fixed = [spec.area, spec.n_charges, spec.n_photons, args.scaling]
-
-    def at_omega(xi: float, d: float, omega: np.ndarray) -> list:
-        force = plate_forces(spec, xi, plates[d], omega)
-        return [xi, omega, d, *fixed, plates[d][1], force]
-
-    def at_minimum(xi: float, d: np.ndarray) -> list:
-        at_d = [plates[key] for key in d.tolist()]
-        e, m, hbar = spec.charge, spec.mass, spec.hbar
-        force = [force_at_minimum(g, e, m, xi, hbar, omega_p=frozen_wp) for g, _ in at_d]
-        wp = np.array([omega_p for _, omega_p in at_d], dtype=float)
-        return [xi, wp * critical_points(xi).k_star, d, *fixed, wp, np.array(force, dtype=float)]
-
-    header = ["xi", "omega", "d", "area", "n_charges", "n_photons",
-              "scaling", "omega_p", "force"]
-    blocks = tabulate(
-        [("xi", spec.xi_list), ("d", spec.grid), *omega_axis],
-        at_omega if omega_axis else at_minimum,
-    )
-    _write_table(spec, header, blocks)
+    _write_table(spec, *force_columns(spec, omega, ref_d))
     return EXIT_OK
 
 

@@ -98,13 +98,12 @@ _PAD = 0xFF
 #   monotonic and 10^16 and 10^17 are representable, so y < 10^16 exactly
 #   when Y < 10^16, and y >= 10^17 only when Y >= 10^17 - 2^-8.  Since
 #   y <= 10^17 < 2^57, an ulp of y is at most 2^(56 - 63) and |y - Y| <= 2^-8.
-# - D = rint(y), and y - D is exact (a multiple of y's ulp, below 1 in size).
-#   Where |y - D| < 1/2 - 2^-6, |Y - D| < 1/2 - 2^-6 + 2^-8 < 1/2, so D is the
-#   integer nearest to Y and no tie can arise.  The cells nearer a tie
-#   (about 3%) take the exact path.  (D + 1/2 is representable and rounding
-#   is monotonic, so only y = D + 1/2 exactly is ambiguous; the rest of the
-#   window is margin.)  Where y rounded up to 10^17 from below,
-#   D = 10^17 is printed as 10^16 at p + 1, which is Y's rounding too.
+# - D = rint(y), and y - D is exact (a multiple of y's ulp, at most 1/2 in
+#   size).  D +- 1/2 are representable and rounding is monotonic, so
+#   y < D + 1/2 implies Y < D + 1/2, and y > D - 1/2 implies Y > D - 1/2:
+#   where |y - D| != 1/2, D is the integer nearest to Y; the cells with
+#   y = D +- 1/2 take the exact path.  Where y rounded up to 10^17 from
+#   below, D = 10^17 is printed as 10^16 at p + 1, which is Y's rounding too.
 # p comes from np.log10, off by at most one near a power of ten; one step
 # of y against [10^16, 10^17) corrects it.  A digit count D outside
 # [10^16, 10^17) takes the exact path, as do 0 < |x| < 1e-11 (subnormals
@@ -169,7 +168,7 @@ def _float_field(x: np.ndarray) -> np.ndarray:
     np.maximum(p, -11, out=p)
     y = wide * _POW10[16 - p]
     digits = np.rint(y)
-    kept &= np.abs((y - digits).astype(float)) < 0.5 - 2.0 ** -6
+    kept &= np.abs(y - digits) != 0.5
     carry = digits == 1e17
     digits[carry] = 1e16
     p += carry

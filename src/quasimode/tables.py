@@ -1,5 +1,5 @@
-"""Sweep tables, evaluated as numpy columns: one block of the `output`
-table format per point of the outer axes (xi, and d for `force --omega`)."""
+"""Sweep and force tables as numpy columns (sweep_columns, force_columns):
+one block of the `output` table format per point of the outer axes."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dispersion import REGIMES, Branch, k_branches_array, omega_physical_array
+from .dispersion import REGIMES, Branch, critical_points, k_branches_array, omega_physical_array
 from .errors import DomainError, SpecError
 from .kinematics import velocities_array
 from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
@@ -21,7 +21,7 @@ from .params import (
     _FLOAT_MAX, ATOMIC_C, _finite, _plasma_wavenumber, _positive, _reduced_wavenumber,
     _require_finite, validate_xi,
 )
-from .plates import PlateGeometry, force_general, plasma_frequency_plates
+from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_levels_array
 
 
@@ -196,28 +196,24 @@ def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
 
 
 def _force(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
-    plates = spec_plates(spec, spec.d)
+    plates = _plates(spec, spec.d)
     return [
         omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, plates[1],
-        plate_forces(spec, xi, plates, omega),
+        _forces(spec, xi, plates, omega),
     ]
 
 
-def spec_plates(spec: SweepSpec, d: float) -> tuple[PlateGeometry, float]:
+def _plates(spec: SweepSpec, d: float) -> tuple[PlateGeometry, float]:
     """The plates of `spec` at separation d, and their plasma frequency."""
     geom = PlateGeometry(d=d, A=spec.area, N_charges=spec.n_charges, n_photons=spec.n_photons)
     return geom, plasma_frequency_plates(geom, spec.charge, spec.mass)
 
 
-def plate_forces(
-    spec: SweepSpec, xi: float, plates: tuple[PlateGeometry, float], omega: np.ndarray
-) -> np.ndarray:
-    """The force between plates at each omega, at the plasma frequency that
-    comes with them."""
+def _forces(spec: SweepSpec, xi: float, plates: tuple, omega: np.ndarray) -> np.ndarray:
+    """The force between the plates (of _plates) at each omega."""
     geom, wp = plates
     e, m, hbar = spec.charge, spec.mass, spec.hbar
-    force = [force_general(w, geom, e, m, xi, hbar, omega_p=wp) for w in omega.tolist()]
-    return np.array(force, dtype=float)
+    return np.array([force_general(w, geom, e, m, xi, hbar, omega_p=wp) for w in omega.tolist()])
 
 
 class Quantity(NamedTuple):
@@ -334,3 +330,34 @@ def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
             raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
     evaluate = functools.partial(entry.evaluate, spec, _units(spec))
     return header, tabulate([("xi", spec.xi_list), (entry.axis, spec.grid)], evaluate)
+
+
+def force_columns(
+    spec: SweepSpec, omega: tuple[float, ...] | None, ref_d: float | None
+) -> tuple[list[str], list[list]]:
+    """The header and the blocks of the `force` table of a validated spec,
+    one block per xi and separation d of spec.grid: the force at each omega,
+    or at the energy minimum if omega is None.  omega_p is recomputed at
+    each d, or frozen at that of separation ref_d unless ref_d is None."""
+    frozen_wp = None if ref_d is None else _plates(spec, ref_d)[1]
+    # Built once per separation, before tabulate: --at-minimum sweeps d, so
+    # its empty grid builds no plates, and a bad plate input would name a d.
+    plates = {d: _plates(spec, d) for d in spec.grid}
+    if frozen_wp is not None:
+        plates = {d: (geom, frozen_wp) for d, (geom, _) in plates.items()}
+    fixed = [spec.area, spec.n_charges, spec.n_photons, "recompute" if ref_d is None else "frozen"]
+
+    def at_omega(xi: float, d: float, omega: np.ndarray) -> list:
+        return [xi, omega, d, *fixed, plates[d][1], _forces(spec, xi, plates[d], omega)]
+
+    def at_minimum(xi: float, d: np.ndarray) -> list:
+        at_d = [plates[key] for key in d.tolist()]
+        e, m, hbar = spec.charge, spec.mass, spec.hbar
+        force = [force_at_minimum(g, e, m, xi, hbar, omega_p=frozen_wp) for g, _ in at_d]
+        wp = np.array([omega_p for _, omega_p in at_d], dtype=float)
+        return [xi, wp * critical_points(xi).k_star, d, *fixed, wp, np.array(force, dtype=float)]
+
+    header = ["xi", "omega", "d", "area", "n_charges", "n_photons", "scaling", "omega_p", "force"]
+    omega_axis = [] if omega is None else [("omega", omega)]
+    evaluate = at_minimum if omega is None else at_omega
+    return header, tabulate([("xi", spec.xi_list), ("d", spec.grid), *omega_axis], evaluate)

@@ -29,7 +29,7 @@ from quasimode.cli import (
 from quasimode.errors import SpecError
 from quasimode.params import _finite
 from quasimode.tables import (
-    ATOMIC_ONLY, K_SWEPT, QUANTITIES, TABLE, SweepSpec, finite_grid, tabulate,
+    ATOMIC_ONLY, K_SWEPT, QUANTITIES, TABLE, SweepSpec, finite_grid, force_columns, tabulate,
 )
 
 SCHEMA_DIR = Path(quasimode.__file__).parent / "schemas"
@@ -1127,6 +1127,21 @@ class TestTabulate:
         argv = ["sweep", "spectrum", "--xi", "0.5", "--omega", "1,-1", "--mass", "-1"]
         assert main(argv) == EXIT_DOMAIN
         assert capsys.readouterr() == ("", "domain error: mass must be positive, got -1.0\n")
+
+    @pytest.mark.parametrize("ref_d", [None, 2.0])
+    @pytest.mark.parametrize("omega", [None, (1.0, 2.0)])
+    def test_force_table_of_no_separation_is_its_header(self, omega, ref_d, monkeypatch):
+        def no_force(*args, **kwargs):
+            raise AssertionError("no force may be evaluated")
+
+        for kernel in ("force_general", "force_at_minimum"):
+            monkeypatch.setattr(quasimode.tables, kernel, no_force)
+        spec = SweepSpec(quantity="force", xi_list=(0.5, 1.0), grid=(), units="atomic")
+        spec.validate()
+        header, blocks = force_columns(spec, omega, ref_d)
+        assert header == ["xi", "omega", "d", "area", "n_charges", "n_photons",
+                          "scaling", "omega_p", "force"]
+        assert blocks == []
 
     @pytest.mark.parametrize("quantity,units", [
         (quantity, units) for quantity in QUANTITIES for units in ("reduced", "atomic")

@@ -177,6 +177,30 @@ def test_float_kernel_takes_the_exact_path_without_a_wide_long_double(monkeypatc
     assert list(csv_chunks(*table)) == expected
 
 
+def test_float_kernel_is_format_near_rounding_ties():
+    # A million cells with y = |x| 10^(16 - p) within 2^-6 of a half-integer,
+    # the window that once took the exact path, at every p the kernel keeps.
+    rng = np.random.default_rng(20261019)
+    decades = 10.0 ** np.arange(-11, 17)
+    near, count = [], 0
+    while count < 1_000_000:
+        p = rng.integers(-11, 17, 1 << 20)
+        x = rng.uniform(1.0, 10.0, 1 << 20) * decades[p + 11]
+        wide = x.astype(np.longdouble)
+        y = wide * quasimode.output._POW10[16 - p]
+        p += y >= 1e17
+        p -= y < 1e16
+        y = wide * quasimode.output._POW10[16 - p]
+        near.append(x[np.abs(y - np.rint(y)) >= 0.5 - 2.0 ** -6])
+        count += len(near[-1])
+    values = np.concatenate(near) * rng.choice([-1.0, 1.0], count)
+    texts = list(map("{:.16e}".format, values.tolist()))
+    field = quasimode.output._float_field(values)
+    kept = field != 0xFF
+    assert (kept.sum(axis=1) == np.array(list(map(len, texts)))).all()
+    assert field[kept].tobytes() == "".join(texts).encode()
+
+
 @given(table=tables(), meta=st.dictionaries(st.sampled_from(["quantity", "units"]), st.text()))
 @settings(max_examples=60, deadline=None)
 def test_json_chunks_are_the_bytes_of_json_dumps(table, meta):
