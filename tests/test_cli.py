@@ -1171,6 +1171,10 @@ FORCE_ARGS = ["--d", "2", "--area", "3", "--charges", "2", "--n-photons", "1"]
 FORCE_AT_OMEGA = ["force", "--xi", "0,0.5", "--d", "0.5:4:6", "--omega", "0.3,1,2.5",
                   "--area", "2", "--charges", "3", "--n-photons", "1"]
 FROZEN = ["--scaling", "frozen", "--ref-d", "2"]
+DISPERSION_REPR_LAYOUTS = [
+    "sweep", "dispersion", "--xi", "0,0.5", "--k",
+    "1e-6,3.5e-5,0.25,0.5,2,1234567890123456.7,1e16,1.2345e17", "--format", "json",
+]
 # omega~ and omega* with their nextafter neighbours at xi = 0, 0.5, 0.99995 and
 # 1 (y = 1 exactly is both at xi = 0), evaluated at every one of these xi.
 XI_CRITICAL = ["--xi", "0,0.5,0.99995,1"]
@@ -1300,6 +1304,13 @@ GOLDEN_DIGESTS = [
      "0063d0efe74b8ddcd9e1f6a6a5c69a10c4bb526e753232fe2202045eaed2c474"),
     ([*FORCE_AT_OMEGA, *FROZEN, "--format", "json"],
      "f7eae20d20f624e35e0e8680bf9fbfa889241c59811c2eb334aa4c8a3e313c5a"),
+    # Recorded while JSON float cells were float.__repr__ per cell: repr's
+    # layouts (1e-06, 3.5e-05, 0.25, 2.0, 1234567890123456.8, 1e+16,
+    # 1.2345e+17), then negative cells, 0.0 and str cells.
+    (DISPERSION_REPR_LAYOUTS,
+     "1b8021553ad35e71768e84bf9eb71860cb680bfccde3a9bb140834fd6115bba9"),
+    (["sweep", "wavenumber", "--xi", "0,0.5,1", "--omega", "0.1,0.5,1,2", "--format", "json"],
+     "df0f90ad6f66f06e0e969cc82f6e4957800fa4ec05d94a0e5fa0de896601c0a8"),
 ]
 
 
@@ -1321,6 +1332,7 @@ def test_golden_output_digest(argv, digest, tmp_path):
     (["sweep", "wavenumber", "--xi", "0.5", "--omega", "1e100"], EXIT_DOMAIN),
     (GOLDEN_DIGESTS[2][0], EXIT_OK),
     ([*FORCE_AT_OMEGA, *FROZEN], EXIT_OK),
+    (DISPERSION_REPR_LAYOUTS, EXIT_OK),
 ])
 def test_optimized_interpreter_gives_the_same_result(argv, code):
     # The runtime checks are not assert statements, which python -O drops.
