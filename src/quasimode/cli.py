@@ -237,9 +237,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.xi is None and args.omega is None and args.omega_p is None and args.p is None:
         cases = default_verification_cases()
     else:
-        xis = check_xi(_parse_floats(args.xi)) if args.xi else (0.0, 0.5, 1.0)
-        omegas = _parse_floats(args.omega) if args.omega else (1.0,)
-        omega_ps = _parse_floats(args.omega_p) if args.omega_p else (0.5,)
+        xis = check_xi(_parse_floats(args.xi)) if args.xi is not None else (0.0, 0.5, 1.0)
+        omegas = _parse_floats(args.omega) if args.omega is not None else (1.0,)
+        omega_ps = _parse_floats(args.omega_p) if args.omega_p is not None else (0.5,)
         momenta = [parse_momentum(t) for t in args.p] if args.p else [Momentum()]
         cases = [
             (ModelParams(xi=xi, omega=w, omega_p=wp), p)
@@ -291,7 +291,7 @@ def _cmd_force(args: argparse.Namespace) -> int:
     spec.validate()
     if args.at_minimum == (args.omega is not None):
         raise SpecError("provide exactly one of --omega and --at-minimum")
-    omega = parse_grid(args.omega) if args.omega else None
+    omega = parse_grid(args.omega) if args.omega is not None else None
     ref_d = None
     if args.scaling == "frozen":
         ref_d = args.ref_d if args.ref_d is not None else spec.grid[0]

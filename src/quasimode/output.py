@@ -14,19 +14,30 @@ one block, so a writer holds one chunk of text at a time whatever the row
 count.  `render_csv` and `render_json_table` join the same chunks into one
 document.
 
+Float cells are formatted by two array kernels that share one front end
+(`_decimal`): the 17 significant digits of |x| rounded once in a long
+double.  The float cells of a chunk, and the shared values of a block, are
+formatted in one kernel call.
+- CSV (`_float_field`): the 17 digits are those of `"{:.16e}".format`.
+- JSON (`_repr_cells`): `float.__repr__` prints the shortest digits that
+  read back as x, the nearest to x of those.  At most three interval tests
+  find them: the nearest multiple of 100 in units of the 17th digit (15
+  digits or fewer), else the nearest multiple of 10 (16), else the 17
+  digits.  The text is laid out as repr does.
+The few cells a kernel cannot decide with certainty are formatted by
+`"{:.16e}".format` or `float.__repr__` itself, as are JSON chunks with too
+few float cells to pay for the kernel.  str and int cells are encoded once
+per distinct value of a column.
+
 A CSV chunk is built as one byte matrix, a row per table row: each column
 is a field of fixed width, padded with a byte UTF-8 never produces, and the
-chunk is the matrix with the padding removed.  Float columns are formatted
-by an array kernel (`_float_field`) that gives the bytes of
-`"{:.16e}".format` for a whole column at once; the few cells it cannot
-round with certainty are formatted by `"{:.16e}".format` itself.  str and
-int cells are encoded per cell.  A JSON cell is formatted per cell, by
-`float.__repr__` for a float: its shortest round-trip digits have no equally
-simple exact array form.  A shared value is formatted once per block.
+chunk is the matrix with the padding removed.  A JSON chunk joins the bytes
+of its cells.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -40,17 +51,8 @@ SCHEMA_VERSION = 1
 # Rows per streamed chunk: a few hundred kB of text for the widest table.
 CHUNK_ROWS = 1024
 
-# The JSON text of a cell, by the cell's type.
-_JSON_CELL = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
-
-# float.__repr__ spells the non-finite floats as json does not.  A JSON cell
-# line can start with one of these only for a float: strings are quoted and
-# ints are digits.
-_JSON_NON_FINITE = (
-    ("\n      nan", "\n      NaN"),
-    ("\n      inf", "\n      Infinity"),
-    ("\n      -inf", "\n      -Infinity"),
-)
+# The types a table cell may have.
+_CELL_TYPES = (float, int, str)
 
 
 def _cells(column: Any) -> tuple[type, Any]:
@@ -61,60 +63,127 @@ def _cells(column: Any) -> tuple[type, Any]:
         return float, column
     cells = column.tolist() if isinstance(column, np.ndarray) else [column]
     types = set(map(type, cells))
-    if len(types) > 1 or not types.issubset(_JSON_CELL):
+    if len(types) > 1 or not types.issubset(_CELL_TYPES):
         names = ", ".join(sorted(kind.__name__ for kind in types))
         raise TypeError(f"table cells must all be float, int or str, got {names}")
     return types.pop(), cells
 
 
-def _chunks(blocks: Iterable[list], text: Callable[[Any], Any]) -> Iterator[tuple[int, list]]:
+def _chunks(blocks: Iterable[list], texts: Callable[[list], list]) -> Iterator[tuple[int, list]]:
     """The row count and the column texts of each chunk of the blocks: at
-    most CHUNK_ROWS rows, all from one block.  A column's text is text() of
-    the chunk's slice of an array, or of a shared value, once per block."""
+    most CHUNK_ROWS rows, all from one block.  texts() maps a list of
+    columns to their texts: the chunk's slices of the block's arrays, and,
+    once per block, its shared values."""
     for block in blocks:
         # A ValueError unless the block has arrays, all of one length.
         (count,) = {len(column) for column in block if isinstance(column, np.ndarray)}
-        shared = [None if isinstance(value, np.ndarray) else text(value) for value in block]
+        arrays = [isinstance(column, np.ndarray) for column in block]
+        shared = texts([column for column, array in zip(block, arrays) if not array])
         for start in range(0, count, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, count)
-            yield stop - start, [
-                text(column[start:stop]) if value is None else value
-                for column, value in zip(block, shared)
-            ]
+            sliced = texts([column[start:stop] for column, array in zip(block, arrays) if array])
+            yield stop - start, _in_order(arrays, sliced, shared)
+            del sliced  # not held while the next chunk is formatted
+
+
+def _in_order(arrays: list[bool], sliced: list, shared: list) -> list:
+    """The texts of a block's columns, from those of its arrays and of its
+    shared values."""
+    sliced, shared = iter(sliced), iter(shared)
+    return [next(sliced if array else shared) for array in arrays]
+
+
+def _column_texts(columns: list, floats: Callable, other: Callable) -> list:
+    """The texts of each column's cells: other(column, kind, cells) for str
+    and int cells, and slices of floats() of the float cells of all the
+    columns."""
+    cells = list(map(_cells, columns))
+    values = [values for kind, values in cells if kind is float]
+    batch = floats(np.concatenate(values)) if values else None
+    texts, start = [], 0
+    for column, (kind, values) in zip(columns, cells):
+        if kind is float:
+            texts.append(batch[start:start + len(values)])
+            start += len(values)
+        else:
+            texts.append(other(column, kind, values))
+    return texts
+
+
+def _distinct(column: Any, cells: list) -> tuple[list, np.ndarray]:
+    """The distinct values of a str or int column's cells (see _cells), in
+    order of appearance, and the index of each cell's value among them.
+    The column is compared with each of a few values, as numpy compares
+    faster than a lookup per cell makes the index array."""
+    values = list(dict.fromkeys(cells))
+    if len(values) > 4:
+        position = {value: i for i, value in enumerate(values)}
+        return values, np.fromiter(map(position.__getitem__, cells), np.intp, len(cells))
+    index = np.zeros(len(cells), dtype=np.intp)
+    for i, value in enumerate(values[1:], 1):
+        # compared as Python objects: as a numpy str, "\x00" would equal ""
+        index[column == np.array(value, dtype=object)] = i
+    return values, index
 
 
 # CSV fields are uint8 matrices, a row per cell, padded with _PAD: UTF-8
 # never produces the byte 0xFF, so removing it leaves exactly the text.
 _PAD = 0xFF
 
-# Why the float kernel is exact.  Take a float64 x with 1e-11 <= |x| < 1e17
-# and p = floor(log10 |x|), so p lies in [-12, 16] (the float 1e-11 is below
-# 10^-11) and, for the cells the kernel keeps, in [-11, 16].  The 17
-# significant digits of "{:.16e}" are D = the integer nearest to
-# Y = |x| 10^s with s = 16 - p in [0, 27], Y in [10^16, 10^17).
+# Why the kernels' front end is exact.  Take a float64 x with
+# 1e-11 <= |x| < 1e17 and p = floor(log10 |x|), so p lies in [-12, 16] (the
+# float 1e-11 is below 10^-11) and, for the cells the kernels keep, in
+# [-11, 16].  The 17 significant digits of "{:.16e}" are D = the integer
+# nearest to Y = |x| 10^s with s = 16 - p in [0, 27], Y in [10^16, 10^17).
 # - 10^s = 2^s 5^s, and 5^s <= 5^27 < 2^63, so every 10^s is exact in a long
 #   double with a 64-bit significand (nmant >= 63), as is every float64.
 # - y = |x| * 10^s is then the only rounded operation.  Rounding is
 #   monotonic and 10^16 and 10^17 are representable, so y < 10^16 exactly
 #   when Y < 10^16, and y >= 10^17 only when Y >= 10^17 - 2^-8.  Since
 #   y <= 10^17 < 2^57, an ulp of y is at most 2^(56 - 63) and |y - Y| <= 2^-8.
-# - D = rint(y), and y - D is exact (a multiple of y's ulp, at most 1/2 in
-#   size).  D +- 1/2 are representable and rounding is monotonic, so
+# - D = rint(y), and r = y - D is exact: a multiple of y's ulp, at least
+#   2^(53 - 63) as y >= 10^16 > 2^53, and at most 1/2 in size, so a float64
+#   holds it too.  D +- 1/2 are representable and rounding is monotonic, so
 #   y < D + 1/2 implies Y < D + 1/2, and y > D - 1/2 implies Y > D - 1/2:
-#   where |y - D| != 1/2, D is the integer nearest to Y; the cells with
-#   y = D +- 1/2 take the exact path.  Where y rounded up to 10^17 from
-#   below, D = 10^17 is printed as 10^16 at p + 1, which is Y's rounding too.
+#   where |r| != 1/2, D is the integer nearest to Y; the cells with
+#   r = +-1/2 take the exact path.  Where y rounded up to 10^17 from below,
+#   D = 10^17 is printed as 10^16 at p + 1, which is Y's rounding too.
 # p comes from np.log10, off by at most one near a power of ten; one step
 # of y against [10^16, 10^17) corrects it.  A digit count D outside
-# [10^16, 10^17) takes the exact path, as do 0 < |x| < 1e-11 (subnormals
+# [10^16, 10^17] takes the exact path, as do 0 < |x| < 1e-11 (subnormals
 # included), |x| >= 1e17, NaN and the infinities.  Zero is exact: D = 0, p = 0.
 _EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
 _POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
 _FLOAT_WIDTH = 24  # the longest text, "-1.0000000000000000e-308", in 6 words
 
-# The text of a float cell is written as six 4-byte words, each looked up
-# in a table of its texts viewed as uint32: a pad, the sign (or a pad), the
-# leading digit and "."; four words of four digits each; and "e", the
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kernels' front end for the float64 array x (see the note above):
+    |x|, the cells kept, p, D as int64 and r = y - D as float64.  D and p are
+    0 where a cell is not kept."""
+    ax = np.abs(x)
+    kept = (ax >= 1e-11) & (ax < 1e17) if _EXACT_LONG_DOUBLE else np.zeros(len(x), bool)
+    safe = np.where(kept, ax, 1.0)
+    wide = safe.astype(np.longdouble)
+    p = np.floor(np.log10(safe)).astype(np.int64)
+    np.minimum(np.maximum(p, -11, out=p), 16, out=p)
+    y = wide * _POW10[16 - p]
+    p += y >= 1e17
+    p -= y < 1e16
+    kept &= p >= -11
+    np.maximum(p, -11, out=p)
+    y = wide * _POW10[16 - p]
+    digits = np.rint(y)
+    d = digits.astype(np.int64)
+    kept &= (d >= 10 ** 16) & (d <= 10 ** 17)
+    d *= kept
+    p *= kept
+    return ax, kept, p, d, (y - digits).astype(float)
+
+
+# The CSV text of a float cell is written as six 4-byte words, each looked
+# up in a table of its texts viewed as uint32: a pad, the sign (or a pad),
+# the leading digit and "."; four words of four digits each; and "e", the
 # exponent's sign and its two digits.
 _DIGITS = np.stack(  # row n: the four digits of n, "0000" to "9999"
     np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij"), axis=-1
@@ -147,37 +216,24 @@ def _exponent_text() -> np.ndarray:
     return text
 
 
+_EXPONENT_TEXT = _exponent_text()
 _DIGIT_WORDS = _words(_DIGITS)
 _LEAD_WORDS = _words(_lead_text())
-_EXPONENT_WORDS = _words(_exponent_text())
+_EXPONENT_WORDS = _words(_EXPONENT_TEXT)
 
 
 def _float_field(x: np.ndarray) -> np.ndarray:
     """The text of "{:.16e}".format of each element of the float64 array x,
     as a field of width _FLOAT_WIDTH (see the exactness note above)."""
-    ax = np.abs(x)
-    kept = (ax >= 1e-11) & (ax < 1e17) if _EXACT_LONG_DOUBLE else np.zeros(len(x), bool)
-    safe = np.where(kept, ax, 1.0)
-    wide = safe.astype(np.longdouble)
-    p = np.floor(np.log10(safe)).astype(np.int64)
-    np.minimum(np.maximum(p, -11, out=p), 16, out=p)
-    y = wide * _POW10[16 - p]
-    p += y >= 1e17
-    p -= y < 1e16
-    kept &= p >= -11
-    np.maximum(p, -11, out=p)
-    y = wide * _POW10[16 - p]
-    digits = np.rint(y)
-    kept &= np.abs(y - digits) != 0.5
-    carry = digits == 1e17
-    digits[carry] = 1e16
+    ax, kept, p, digits, r = _decimal(x)
+    kept &= np.abs(r) != 0.5
+    carry = digits == 10 ** 17
+    digits -= carry * (9 * 10 ** 16)
     p += carry
-    digits = digits.astype(np.int64)
-    kept &= (digits >= 10 ** 16) & (digits < 10 ** 17)
-    digits[~kept] = 0
-    p[~kept] = 0
-    lead, rest = np.divmod(digits, 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
+    lead = digits // 10 ** 16
+    rest = digits - lead * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
     words = np.empty((len(x), _FLOAT_WIDTH // 4), dtype=np.uint32)
     words[:, 0] = _LEAD_WORDS[10 * np.signbit(x) + lead]
     words[:, 1] = _DIGIT_WORDS[high // 10000]
@@ -196,37 +252,227 @@ def _float_field(x: np.ndarray) -> np.ndarray:
     return field
 
 
-def _text_field(texts: list[str]) -> np.ndarray:
-    """The UTF-8 text of each str as a field as wide as the longest."""
-    # Each cell's bytes end at a _PAD, which no cell holds.
-    data = np.frombuffer(b"\xff".join(map(str.encode, texts)) + b"\xff", dtype=np.uint8)
+# Why the JSON kernel gives the digits of float.__repr__.  repr prints the
+# shortest digits that read back as x and, of those, the nearest to x
+# (Steele & White, PLDI 1990; Adams, "Ryu", PLDI 2018).  Take p, y, D and r
+# from the front end and count in units of 10^(p - 16), the 17th digit.
+# The reals that read back as |x| form the interval Y +- h, with
+# h = spacing(x) 10^(16 - p) / 2, its ends included when x's significand
+# is even.  Unless |x| is a power of two
+# (whose interval is lopsided; such cells take the exact path),
+# 2^-54 Y < h <= 2^-53 Y, so 0.55 < h < 11.1.  A candidate of n digits is a
+# multiple of 10^(17 - n) there, or of 10^(18 - n) at p + 1; one at p - 1
+# lies below 10^16, where the interval reaches only if it holds 10^16.
+# - 2h < 100, so the interval holds at most one multiple of 100, which is
+#   then the nearest to Y, M100.  Every candidate of 15 digits or fewer is
+#   a multiple of 100, so M100 is the shortest, and repr's digits are its
+#   own with the trailing zeros dropped (M100 = 10^17 is 1 at p + 1).
+# - Else every candidate has 16 digits or more, and those of 16 are the
+#   multiples of 10 in the interval.  If the nearest one, M10, is outside,
+#   so are the others; if inside, it is the nearest to x.
+# - Else D, within 1/2 < h of Y: 17 digits.
+# The tests use y for Y, |y - Y| <= 2^-8, and h is computed to a relative
+# 2^-52, so a test is certain unless its distance lies within 2^-7 of h:
+# such cells take the exact path, and so the open or closed ends do not
+# matter.  The multiples of 10 and 100 nearest to y are Y's, as M10 +- 5 and
+# M100 +- 50 are exact and rounding is monotonic, unless y is halfway
+# between two: a cell with |y - M10| = 5 takes the exact path, and one with
+# |y - M100| = 50 has no multiple of 100 in its interval.
+_MARGIN = 2.0 ** -7
+# At p + 11: 2^-53 10^(16 - p), so h = 2^e _HALF_ULP[p + 11] for
+# 2^e <= |x| < 2^(e + 1).
+_HALF_ULP = np.array([2.0 ** -53 * 10.0 ** s for s in range(27, -1, -1)])
+_EXPONENT_BITS = np.uint64(0x7FF << 52)
+# Eight digits "0" as a word.
+_ZERO_DIGITS = np.uint64(int.from_bytes(b"0" * 8, "little"))
+
+# The JSON text of a kept cell is assembled in four 8-byte words, each an
+# array over the cells.  Word 0 holds the prefix, right-aligned: "-" for a negative cell,
+# and "0." and -E - 1 zeros for a decimal exponent E in -4 ... -1.  Words 1
+# to 3 hold the 17 digits, at bytes 8 to 24, and are then laid out in
+# place: cut after the significant digits (at least one after the point in
+# fixed notation), with "." inserted after the integer digits, or after the
+# first digit in exponent notation, and "e", the exponent's sign and two
+# digits appended in exponent notation.  The text is the 24 bytes from the
+# prefix's first byte.  Exponents -4 ... 15 use fixed notation, as repr
+# does, and the others exponent notation.
+
+
+def _layouts() -> np.ndarray:
+    """The layout of words 1 to 3 at (E + 11) 17 + n - 1, for a decimal
+    exponent E in [-11, 17] and n significant digits: rows 0-2 keep bytes
+    in place, rows 3-5 take bytes from the digits moved one byte on, and
+    rows 6-8 add "." and the exponent."""
+    e, n, j = np.arange(-11, 18)[:, None, None], np.arange(1, 18)[:, None], np.arange(24)
+    fixed, prefixed = (e >= 0) & (e <= 15), (e >= -4) & (e < 0)
+    # the bytes of the point and of the text's end, counted from word 1
+    point = np.where(fixed, e + 1, np.where(prefixed | (n == 1), 24, 1))
+    end = np.where(fixed, e + 1 + np.maximum(n - e, 2), np.where(prefixed | (n == 1), n, n + 1))
+    exponent = np.zeros((29, 5), dtype=np.uint8)  # the text after the digits, at E + 11
+    exponent[:, :4] = _EXPONENT_TEXT
+    exponent[(fixed | prefixed).ravel()] = 0
+    table = np.empty((29, 17, 3, 24), dtype=np.uint8)
+    table[:, :, 0] = np.where(j < np.minimum(point, end), 0xFF, 0)
+    table[:, :, 1] = np.where((j > point) & (j < end), 0xFF, 0)
+    after = np.where(j < end, 4, np.minimum(j - end, 4))
+    table[:, :, 2] = np.where(j == point, ord("."), exponent[e + 11, after])
+    return np.ascontiguousarray(table.view(np.uint64).reshape(-1, 9).T)
+
+
+def _prefixes() -> tuple[np.ndarray, np.ndarray]:
+    """Word 0 and 8 times the prefix's length, at 29 sign bit + E + 11."""
+    sign, e, j = np.meshgrid(np.arange(2), np.arange(-11, 18), np.arange(8), indexing="ij")
+    length = sign + np.where((e >= -4) & (e < 0), 1 - e, 0)
+    i = j - 8 + length  # the byte's place in the prefix
+    text = np.select([i < 0, (i == 0) & (sign == 1), i == sign + 1], [0, ord("-"), ord(".")], ord("0"))
+    return text.astype(np.uint8).view(np.uint64).ravel(), 8 * length[..., 0].ravel().astype(np.uint64)
+
+
+@functools.cache
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_layouts() and _prefixes(), built at the kernel's first call, as
+    they take about a third of a millisecond."""
+    return (_layouts(), *_prefixes())
+
+
+# The float cells per call from which the kernel is cheaper than
+# float.__repr__ cell by cell.  Measured with json_table_chunks on a block of
+# five float columns and an int column on a 2-core x86-64 host: both cost
+# the same at 200 to 250 float cells a chunk, where the kernel's fixed cost
+# of about 120 us a call is repaid at 0.5 us a cell.
+_REPR_KERNEL_MIN = 256
+
+# json spells the non-finite floats as float.__repr__ does not.
+_JSON_NON_FINITE = {b"nan": b"NaN", b"inf": b"Infinity", b"-inf": b"-Infinity"}
+
+
+def _repr_exact(x: np.ndarray) -> list[bytes]:
+    """The JSON text of each element of x: float.__repr__, with json's
+    spelling of NaN and the infinities."""
+    texts = [b"%r" % value for value in x.tolist()]
+    if not np.isfinite(x).all():
+        texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _repr_cells(x: np.ndarray) -> list[bytes]:
+    """The JSON text of each element of the float64 array x, the text of
+    float.__repr__ (see the notes above).  The kernel runs in two stages,
+    so that each stage's temporaries are freed before the next."""
+    if len(x) < _REPR_KERNEL_MIN or not _EXACT_LONG_DOUBLE or sys.byteorder != "little":
+        return _repr_exact(x)
+    p, digits, exact = _shortest_digits(x)
+    field = _repr_field(x, p, digits)
+    if len(exact):
+        field[exact] = _repr_exact(x[exact])
+    return field.tolist()
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decimal exponent and the 17 digits, trailing zeros included, of
+    repr's shortest digits of each element of x, and the indices of the
+    nonzero cells that take the exact path (there the digits and exponent
+    are 0, as they are for zero)."""
+    ax, kept, p, d, r = _decimal(x)
+    q = d - d // 100 * 100
+    t = q + r  # y less the multiple of 100 at or below D, in [-1/2, 100)
+    m100, m10 = (t > 50) * 100.0, np.rint(t * 0.1) * 10
+    to100, to10 = np.abs(t - m100), np.abs(t - m10)
+    binade = (np.where(kept, ax, 1.0).view(np.uint64) & _EXPONENT_BITS).view(float)
+    h = binade * _HALF_ULP[p + 11]
+    inside, outside = h - _MARGIN, h + _MARGIN
+    in100, in10 = to100 < inside, to10 < inside
+    kept &= (in100 | (to100 > outside)) & (in10 | (to10 > outside))
+    kept &= (to10 != 5) & (np.abs(r) != 0.5) & (binade != ax)
+    digits = np.where(in100, m100, np.where(in10, m10, q)).astype(np.int64)
+    digits += d - q
+    carry = digits == 10 ** 17
+    digits -= carry * (9 * 10 ** 16)
+    p += carry
+    digits *= kept
+    p *= kept
+    return p, digits, np.flatnonzero(~kept & (ax != 0.0))
+
+
+def _repr_field(x: np.ndarray, p: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The text of each element of x, of decimal exponent p and 17 digits
+    (of _shortest_digits), as repr lays it out, in an array of dtype
+    S<_FLOAT_WIDTH> (see the layout note above)."""
+    # Words 1 to 3, a row each: digits = 10^9 a + 10 b + last, and a and b
+    # in two groups of four digits.
+    body = np.empty((3, len(x)), dtype=np.uint64)
+    quads = body[:2].view(np.uint32)
+    b = digits % 10 ** 9
+    last = b % 10
+    body[2] = last + ord("0")
+    for row, group in enumerate([digits // 10 ** 9, b // 10]):
+        high = group // 10000
+        quads[row, 0::2] = _DIGIT_WORDS[high]
+        quads[row, 1::2] = _DIGIT_WORDS[group - high * 10000]
+    # The significant digits run to the last digit other than "0": in words
+    # 1 and 2, the highest nonzero byte of their xor with "0"s, whose bit
+    # length a float64 holds exactly (no byte exceeds 9).
+    _, length = np.frexp((body[:2] ^ _ZERO_DIGITS).astype(float))
+    length = (length + 7) >> 3
+    n = np.where(length[1] > 0, 8 + length[1], np.maximum(length[0], 1))
+    n[last > 0] = 17
+    layouts, prefix_words, prefix_bits = _layout_tables()
+    layout = (p + 11) * 17 + n - 1
+    # moved is laid out a cell per row, as the text it holds at the end.
+    moved = np.left_shift(body, np.uint64(8), out=np.empty((len(x), 3), dtype=np.uint64).T)
+    moved[1:] |= body[:2] >> np.uint64(56)
+    moved &= np.take(layouts[3:6], layout, axis=1)
+    body &= np.take(layouts[:3], layout, axis=1)
+    body |= moved
+    body |= np.take(layouts[6:], layout, axis=1)
+    # The text: the 24 bytes of words 0 to 3 from the prefix's first byte.
+    prefix = 29 * np.signbit(x) + p + 11
+    bits = prefix_bits[prefix]
+    text = np.left_shift(body, bits, out=moved)
+    shift = 64 - bits
+    text[0] |= prefix_words[prefix] >> shift
+    text[1:] |= body[:2] >> shift
+    return text.T.view(f"S{_FLOAT_WIDTH}").ravel()
+
+
+def _text_field(column: Any, kind: type, cells: list) -> np.ndarray:
+    """The UTF-8 text of each str or int cell, as str() gives it, as a field
+    as wide as the longest; each distinct value is encoded once."""
+    values, index = _distinct(column, cells)
+    # Each value's bytes end at a _PAD, which no value holds.
+    data = np.frombuffer(b"\xff".join(str(value).encode() for value in values) + b"\xff",
+                         dtype=np.uint8)
     ends = np.flatnonzero(data == _PAD)
     lengths = ends.copy()
     lengths[1:] -= ends[:-1] + 1
-    field = np.full((len(texts), lengths.max()), _PAD, dtype=np.uint8)
+    field = np.full((len(values), lengths.max()), _PAD, dtype=np.uint8)
     field[np.arange(field.shape[1]) < lengths[:, None]] = data[data != _PAD]
-    return field
+    return field[index]
 
 
-def _csv_field(column: Any) -> np.ndarray:
-    """The CSV text of an array's cells, or of a shared value as one cell."""
-    kind, cells = _cells(column)
-    if kind is float:
-        return _float_field(np.asarray(cells, dtype=float))
-    return _text_field(cells if kind is str else list(map(str, cells)))
+def _json_text_cells(column: Any, kind: type, cells: list) -> list[bytes]:
+    """The JSON text of each str or int cell; each distinct value is encoded
+    once."""
+    text = encode_basestring_ascii if kind is str else int.__repr__
+    texts = {value: text(value).encode() for value in dict.fromkeys(cells)}
+    return list(map(texts.__getitem__, cells))
 
 
-def _json_cells(column: Any) -> list[str]:
-    """The JSON text of an array's cells, or of a shared value as one cell."""
-    kind, cells = _cells(column)
-    return list(map(_JSON_CELL[kind], cells.tolist() if isinstance(cells, np.ndarray) else cells))
+def _csv_fields(columns: list) -> list[np.ndarray]:
+    """The CSV field of each column (see _chunks)."""
+    return _column_texts(columns, _float_field, _text_field)
+
+
+def _json_cells(columns: list) -> list[list[bytes]]:
+    """The JSON text of each column's cells (see _chunks)."""
+    return _column_texts(columns, _repr_cells, _json_text_cells)
 
 
 def csv_chunks(header: list[str], blocks: Iterable[list]) -> Iterator[bytes]:
     """The CSV document of header and blocks, as UTF-8 chunks of at most
     CHUNK_ROWS rows of one block (the header line is a chunk of its own)."""
     yield (",".join(header) + "\n").encode("utf-8")
-    for rows, fields in _chunks(blocks, _csv_field):
+    for rows, fields in _chunks(blocks, _csv_fields):
         # Each field is followed by a comma, the last by a newline; a shared
         # value's one-row field is broadcast to every row.
         ends = np.cumsum([field.shape[1] + 1 for field in fields])
@@ -236,25 +482,27 @@ def csv_chunks(header: list[str], blocks: Iterable[list]) -> Iterator[bytes]:
         matrix[:, ends - 1] = ord(",")
         matrix[:, -1] = ord("\n")
         yield matrix[matrix != _PAD].tobytes()
+        del fields, matrix  # not held while the next chunk is formatted
 
 
 def json_table_chunks(header: list[str], blocks: Iterable[list], **meta: Any) -> Iterator[bytes]:
     """The JSON table document of header, blocks and meta, as UTF-8 chunks of
     at most CHUNK_ROWS rows of one block; the bytes are those of render_json
     on the whole table."""
-    doc = _json_text({**meta, "columns": list(header), "rows": []})
-    head, _, tail = doc.partition('"rows": []')
+    doc = _json_text({**meta, "columns": list(header), "rows": []}).encode("utf-8")
+    head, _, tail = doc.partition(b'"rows": []')
     empty = True
     for rows, columns in _chunks(blocks, _json_cells):
         # A shared value's text is one cell, repeated for every row.
         cells = zip(*[column if len(column) == rows else column * rows for column in columns])
-        text = "\n    ],\n    [\n      ".join(map(",\n      ".join, cells))
-        text = "    [\n      " + text + "\n    ]"
-        for python, json_text in _JSON_NON_FINITE:
-            text = text.replace(python, json_text)
-        yield ((head + '"rows": [\n' if empty else ",\n") + text).encode("utf-8")
+        text = list(map(b",\n      ".join, cells))
+        # The chunk's text is joined once: its ends go into its first and last rows.
+        text[0] = (head + b'"rows": [\n' if empty else b",\n") + b"    [\n      " + text[0]
+        text[-1] += b"\n    ]"
+        yield b"\n    ],\n    [\n      ".join(text)
         empty = False
-    yield (doc if empty else "\n  ]" + tail).encode("utf-8")
+        del columns, cells, text  # not held while the next chunk is formatted
+    yield doc if empty else b"\n  ]" + tail
 
 
 def render_csv(header: list[str], blocks: Iterable[list]) -> bytes:

@@ -268,6 +268,13 @@ class TestExitCodes:
         (["sweep", "dispersion", "--xi", "0.5", "--k", "1", "--units", "atomic",
           "--omega-p", "0"],
          "atomic units for reduced-family sweeps require omega_p > 0"),
+        # an empty value list is malformed, not absent
+        *[(argv, "malformed value list '': could not convert string to float: ''") for argv in [
+            ["force", "--xi", "0.5", "--d", "1", "--omega", ""],
+            ["verify", "--xi", ""],
+            ["verify", "--omega", ""],
+            ["verify", "--omega-p", ""],
+        ]],
     ])
     def test_usage_error_writes_its_message_and_no_output(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE
@@ -1175,6 +1182,10 @@ DISPERSION_REPR_LAYOUTS = [
     "sweep", "dispersion", "--xi", "0,0.5", "--k",
     "1e-6,3.5e-5,0.25,0.5,2,1234567890123456.7,1e16,1.2345e17", "--format", "json",
 ]
+# 600 float cells a block, enough for the JSON float kernel.
+DISPERSION_REPR_KERNEL = [
+    "sweep", "dispersion", "--xi", "0,0.5", "--k", "1e-6:1e17:300:log", "--format", "json",
+]
 # omega~ and omega* with their nextafter neighbours at xi = 0, 0.5, 0.99995 and
 # 1 (y = 1 exactly is both at xi = 0), evaluated at every one of these xi.
 XI_CRITICAL = ["--xi", "0,0.5,0.99995,1"]
@@ -1306,11 +1317,14 @@ GOLDEN_DIGESTS = [
      "f7eae20d20f624e35e0e8680bf9fbfa889241c59811c2eb334aa4c8a3e313c5a"),
     # Recorded while JSON float cells were float.__repr__ per cell: repr's
     # layouts (1e-06, 3.5e-05, 0.25, 2.0, 1234567890123456.8, 1e+16,
-    # 1.2345e+17), then negative cells, 0.0 and str cells.
+    # 1.2345e+17), negative cells, 0.0 and str cells, and a log grid from
+    # 1e-6 to 1e17 whose blocks are large enough for the float kernel.
     (DISPERSION_REPR_LAYOUTS,
      "1b8021553ad35e71768e84bf9eb71860cb680bfccde3a9bb140834fd6115bba9"),
     (["sweep", "wavenumber", "--xi", "0,0.5,1", "--omega", "0.1,0.5,1,2", "--format", "json"],
      "df0f90ad6f66f06e0e969cc82f6e4957800fa4ec05d94a0e5fa0de896601c0a8"),
+    (DISPERSION_REPR_KERNEL,
+     "8f5bb1138c87d44268fde36d2fb651e4e290bf75add2221247150e5d40ada23f"),
 ]
 
 
@@ -1333,6 +1347,7 @@ def test_golden_output_digest(argv, digest, tmp_path):
     (GOLDEN_DIGESTS[2][0], EXIT_OK),
     ([*FORCE_AT_OMEGA, *FROZEN], EXIT_OK),
     (DISPERSION_REPR_LAYOUTS, EXIT_OK),
+    (DISPERSION_REPR_KERNEL, EXIT_OK),
 ])
 def test_optimized_interpreter_gives_the_same_result(argv, code):
     # The runtime checks are not assert statements, which python -O drops.

@@ -1,6 +1,7 @@
 import errno
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,124 @@ def test_float_kernel_is_format_near_rounding_ties():
     assert field[kept].tobytes() == "".join(texts).encode()
 
 
+def repr_text(values):
+    """The JSON text of each float: float.__repr__, as json spells it."""
+    return [text.encode() if math.isfinite(value) else json.dumps(value).encode()
+            for value, text in zip(values, map(float.__repr__, values))]
+
+
+def repr_kernel_text(values):
+    """The JSON text of each float from the kernel, in calls of 2^16 cells."""
+    values = np.asarray(values, dtype=float)
+    return [text for start in range(0, len(values), 1 << 16)
+            for text in quasimode.output._repr_cells(values[start:start + (1 << 16)])]
+
+
+def powers_of_two_and_neighbours(steps):
+    values = []
+    for exponent in range(-38, 58):
+        low = high = 2.0 ** exponent
+        values.append(low)
+        for _ in range(steps):
+            low, high = math.nextafter(low, 0.0), math.nextafter(high, math.inf)
+            values += [low, high]
+    return values
+
+
+def interval_ends_on_a_decimal(rng, count):
+    """Floats in [2^54, 1e17) whose rounding interval ends exactly on a
+    multiple of 10 or of 100: M +- half an ulp, both neighbours of M."""
+    values = []
+    for ulp, low, high in [(4, 2 ** 54, 2 ** 55), (8, 2 ** 55, 2 ** 56), (16, 2 ** 56, 10 ** 17)]:
+        for unit in (10, 100):
+            multiples = rng.integers(low // unit + 1, high // unit - 1, 8 * count) * unit
+            multiples = multiples[multiples % ulp == ulp // 2][:count]
+            values += [float(m + side * ulp // 2) for m in multiples.tolist() for side in (-1, 1)]
+    return values
+
+
+def near_repr_decisions(rng, count):
+    """count floats whose y lies within 2^-6 of an end of their rounding
+    interval, seen from the multiple of 10 or 100 nearest to y."""
+    found, total = [], 0
+    while total < count:
+        x = rng.uniform(1.0, 10.0, 1 << 18) * 10.0 ** rng.integers(-11, 17, 1 << 18)
+        _, kept, p, d, r = quasimode.output._decimal(x)
+        t = d % 100 + r
+        h = np.spacing(x) / 2 * 10.0 ** (16 - p)
+        to100 = np.abs(t - 100 * (t > 50))
+        to10 = np.abs(t - 10 * np.floor(t / 10 + 0.5))
+        near = kept & ((np.abs(to100 - h) < 2.0 ** -6) | (np.abs(to10 - h) < 2.0 ** -6))
+        found.append(x[near])
+        total += near.sum()
+    return np.concatenate(found)[:count]
+
+
+def repr_kernel_cases():
+    """About a million seeded floats for the JSON kernel, of both signs."""
+    rng = np.random.default_rng(20261019)
+    n = 150_000
+    values = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-12), math.log(1e17), 4 * n)),  # log-uniform
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),  # raw bit patterns
+        rng.integers(1, 2 ** 30, n) / 2.0 ** rng.integers(0, 60, n),  # dyadic
+        np.round(rng.uniform(0.0, 1000.0, n), 3) * 10.0 ** rng.integers(-8, 12, n),  # 3 decimals
+        near_repr_decisions(rng, 10_000),
+        interval_ends_on_a_decimal(rng, 2_000),
+        powers_of_ten_and_neighbours(64),
+        powers_of_two_and_neighbours(64),
+        EDGE_FLOATS,
+    ])
+    signs = rng.integers(0, 2, len(values), dtype=np.uint64) << np.uint64(63)
+    return (values.view(np.uint64) ^ signs).view(np.float64)
+
+
+def test_repr_kernel_is_float_repr():
+    values = repr_kernel_cases()
+    assert len(values) > 1_000_000
+    assert repr_kernel_text(values) == repr_text(values.tolist())
+
+
+def test_repr_kernel_lays_out_each_notation():
+    values = [1e-06, 3.5e-05, 0.0001, 0.25, 2.0, -12.5, 1234567890123456.8, 1e16, 1.2345e17,
+              0.1, 1 / 3, 1e15, 123456789012345.67, -0.0, 0.0, math.nan, -math.inf, 5e-324]
+    values = values * (quasimode.output._REPR_KERNEL_MIN // len(values) + 1)
+    assert repr_kernel_text(values) == repr_text(values)
+
+
+@pytest.mark.parametrize("target,name,value", [
+    (quasimode.output, "_EXACT_LONG_DOUBLE", False),  # no 64-bit long double significand
+    (sys, "byteorder", "big"),  # the layout shifts bytes within little-endian words
+])
+def test_repr_kernel_takes_the_exact_path_where_it_cannot_run(target, name, value, monkeypatch):
+    values = repr_kernel_cases()[::50]
+    expected = repr_text(values.tolist())
+    monkeypatch.setattr(target, name, value)
+    assert repr_kernel_text(values) == expected
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_json_chunks_either_side_of_the_kernel_break_even(offset, monkeypatch):
+    """A chunk of one float cell fewer than the break-even is formatted cell
+    by cell; one of the break-even or more takes one kernel call."""
+    calls = []
+    decimal = quasimode.output._decimal
+    monkeypatch.setattr(quasimode.output, "_decimal", lambda x: calls.append(len(x)) or decimal(x))
+    rows = quasimode.output._REPR_KERNEL_MIN + offset
+    assert rows <= CHUNK_ROWS
+    values = repr_kernel_cases()[:2 * rows]
+    header = ["a", "b", "c", "d"]
+    # one float column, then two; the shared 0.5 is formatted in a call of its own
+    for blocks, cells in [([[values[:rows], 0.5, np.full(rows, "x", dtype=object)]], rows),
+                          ([[values[:rows // 2], 0.5, values[rows:rows + rows // 2], 7]],
+                           rows // 2 * 2)]:
+        calls.clear()
+        doc = {"schema_version": 1, "columns": header[:len(blocks[0])], "rows": rows_of(blocks)}
+        expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        assert render_json_table(header[:len(blocks[0])], blocks) == expected
+        assert calls == ([cells] if cells >= quasimode.output._REPR_KERNEL_MIN else [])
+
+
 @given(table=tables(), meta=st.dictionaries(st.sampled_from(["quantity", "units"]), st.text()))
 @settings(max_examples=60, deadline=None)
 def test_json_chunks_are_the_bytes_of_json_dumps(table, meta):
@@ -267,6 +386,18 @@ def test_unsupported_cell_type_is_a_type_error_naming_it(render, column, name):
     floats = np.zeros(len(column) if isinstance(column, np.ndarray) else 1)
     with pytest.raises(TypeError, match=name):
         render(["a", "b"], [[floats, column]])
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json_table])
+def test_str_cells_keep_the_nul_bytes_numpy_strings_would_drop(render):
+    column = np.array(["", "\x00", "a\x00", "a"] * 3, dtype=object)
+    blocks = [[np.arange(len(column), dtype=float), column]]
+    if render is render_csv:
+        expected = "a,b\n" + "".join(f"{i:.16e},{cell}\n" for i, cell in enumerate(column))
+        assert render(["a", "b"], blocks) == expected.encode()
+    else:
+        doc = {"schema_version": 1, "columns": ["a", "b"], "rows": rows_of(blocks)}
+        assert render(["a", "b"], blocks) == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 @pytest.mark.parametrize("block", [[0.5, "x"], [np.zeros(2), np.zeros(3)]])
