@@ -16,7 +16,7 @@ document.
 
 Float cells are formatted by two array kernels that share one front end
 (`_decimal`): the 17 significant digits of |x| rounded once in a long
-double.  The float cells of a chunk, and the shared values of a block, are
+double.  The float cells of a chunk, its shared values included, are
 formatted in one kernel call.
 - CSV (`_float_field`): the 17 digits are those of `"{:.16e}".format`.
 - JSON (`_repr_cells`): `float.__repr__` prints the shortest digits that
@@ -37,9 +37,9 @@ of its cells.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -72,58 +72,32 @@ def _cells(column: Any) -> tuple[type, Any]:
 def _chunks(blocks: Iterable[list], texts: Callable[[list], list]) -> Iterator[tuple[int, list]]:
     """The row count and the column texts of each chunk of the blocks: at
     most CHUNK_ROWS rows, all from one block.  texts() maps a list of
-    columns to their texts: the chunk's slices of the block's arrays, and,
-    once per block, its shared values."""
+    columns to their texts: the chunk's slices of the block's arrays, and
+    its shared values."""
     for block in blocks:
         # A ValueError unless the block has arrays, all of one length.
         (count,) = {len(column) for column in block if isinstance(column, np.ndarray)}
-        arrays = [isinstance(column, np.ndarray) for column in block]
-        shared = texts([column for column, array in zip(block, arrays) if not array])
         for start in range(0, count, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, count)
-            sliced = texts([column[start:stop] for column, array in zip(block, arrays) if array])
-            yield stop - start, _in_order(arrays, sliced, shared)
-            del sliced  # not held while the next chunk is formatted
-
-
-def _in_order(arrays: list[bool], sliced: list, shared: list) -> list:
-    """The texts of a block's columns, from those of its arrays and of its
-    shared values."""
-    sliced, shared = iter(sliced), iter(shared)
-    return [next(sliced if array else shared) for array in arrays]
+            columns = [column[start:stop] if isinstance(column, np.ndarray) else column
+                       for column in block]
+            yield stop - start, texts(columns)
 
 
 def _column_texts(columns: list, floats: Callable, other: Callable) -> list:
-    """The texts of each column's cells: other(column, kind, cells) for str
-    and int cells, and slices of floats() of the float cells of all the
-    columns."""
+    """The texts of each column's cells: other(kind, cells) for str and int
+    cells, and, for the float columns, the texts floats() gives for the list
+    of their cells (see _cells)."""
     cells = list(map(_cells, columns))
-    values = [values for kind, values in cells if kind is float]
-    batch = floats(np.concatenate(values)) if values else None
-    texts, start = [], 0
-    for column, (kind, values) in zip(columns, cells):
-        if kind is float:
-            texts.append(batch[start:start + len(values)])
-            start += len(values)
-        else:
-            texts.append(other(column, kind, values))
-    return texts
+    texts = iter(floats([values for kind, values in cells if kind is float]))
+    return [next(texts) if kind is float else other(kind, values) for kind, values in cells]
 
 
-def _distinct(column: Any, cells: list) -> tuple[list, np.ndarray]:
-    """The distinct values of a str or int column's cells (see _cells), in
-    order of appearance, and the index of each cell's value among them.
-    The column is compared with each of a few values, as numpy compares
-    faster than a lookup per cell makes the index array."""
-    values = list(dict.fromkeys(cells))
-    if len(values) > 4:
-        position = {value: i for i, value in enumerate(values)}
-        return values, np.fromiter(map(position.__getitem__, cells), np.intp, len(cells))
-    index = np.zeros(len(cells), dtype=np.intp)
-    for i, value in enumerate(values[1:], 1):
-        # compared as Python objects: as a numpy str, "\x00" would equal ""
-        index[column == np.array(value, dtype=object)] = i
-    return values, index
+def _split(texts: Any, values: list) -> list:
+    """texts, the texts of the cells of all the entries of values in order,
+    split into those of each entry."""
+    ends = list(accumulate(map(len, values)))
+    return [texts[start:end] for start, end in zip([0, *ends], ends)]
 
 
 # CSV fields are uint8 matrices, a row per cell, padded with _PAD: UTF-8
@@ -328,43 +302,50 @@ def _prefixes() -> tuple[np.ndarray, np.ndarray]:
     return text.astype(np.uint8).view(np.uint64).ravel(), 8 * length[..., 0].ravel().astype(np.uint64)
 
 
-@functools.cache
-def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_layouts() and _prefixes(), built at the kernel's first call, as
-    they take about a third of a millisecond."""
-    return (_layouts(), *_prefixes())
+_LAYOUTS = _layouts()
+_PREFIX_WORDS, _PREFIX_BITS = _prefixes()
 
 
 # The float cells per call from which the kernel is cheaper than
 # float.__repr__ cell by cell.  Measured with json_table_chunks on a block of
-# five float columns and an int column on a 2-core x86-64 host: both cost
-# the same at 200 to 250 float cells a chunk, where the kernel's fixed cost
-# of about 120 us a call is repaid at 0.5 us a cell.
+# five float columns, two shared floats and an int column on a 2-core x86-64
+# host: both cost the same, to within the host's noise, at 240 to 300 float
+# cells a chunk, where the kernel's fixed cost of about 120 us a call is
+# repaid at 0.4 us a cell.
 _REPR_KERNEL_MIN = 256
 
-# json spells the non-finite floats as float.__repr__ does not.
-_JSON_NON_FINITE = {b"nan": b"NaN", b"inf": b"Infinity", b"-inf": b"-Infinity"}
+
+def _repr_exact(cells: list[float]) -> list[bytes]:
+    """The JSON text of each float: float.__repr__, with json's spelling of
+    NaN and the infinities."""
+    if not cells:
+        return []
+    text = "\n".join(map(float.__repr__, cells))
+    if "n" in text:  # of repr's texts, only "nan", "inf" and "-inf" hold an "n"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.encode().split(b"\n")
 
 
-def _repr_exact(x: np.ndarray) -> list[bytes]:
-    """The JSON text of each element of x: float.__repr__, with json's
-    spelling of NaN and the infinities."""
-    texts = [b"%r" % value for value in x.tolist()]
-    if not np.isfinite(x).all():
-        texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
-    return texts
+def _json_floats(values: list) -> list[list[bytes]]:
+    """The JSON text of the float cells of each entry of values, float64
+    arrays or lists of floats: from one kernel call, or, below the
+    break-even, from float.__repr__ entry by entry."""
+    if sum(map(len, values)) >= _REPR_KERNEL_MIN:
+        return _split(_repr_cells(np.concatenate(values)), values)
+    return [_repr_exact(cells.tolist() if isinstance(cells, np.ndarray) else cells)
+            for cells in values]
 
 
 def _repr_cells(x: np.ndarray) -> list[bytes]:
     """The JSON text of each element of the float64 array x, the text of
     float.__repr__ (see the notes above).  The kernel runs in two stages,
     so that each stage's temporaries are freed before the next."""
-    if len(x) < _REPR_KERNEL_MIN or not _EXACT_LONG_DOUBLE or sys.byteorder != "little":
-        return _repr_exact(x)
+    if not _EXACT_LONG_DOUBLE or sys.byteorder != "little":
+        return _repr_exact(x.tolist())
     p, digits, exact = _shortest_digits(x)
     field = _repr_field(x, p, digits)
     if len(exact):
-        field[exact] = _repr_exact(x[exact])
+        field[exact] = _repr_exact(x[exact].tolist())
     return field.tolist()
 
 
@@ -416,41 +397,36 @@ def _repr_field(x: np.ndarray, p: np.ndarray, digits: np.ndarray) -> np.ndarray:
     length = (length + 7) >> 3
     n = np.where(length[1] > 0, 8 + length[1], np.maximum(length[0], 1))
     n[last > 0] = 17
-    layouts, prefix_words, prefix_bits = _layout_tables()
     layout = (p + 11) * 17 + n - 1
     # moved is laid out a cell per row, as the text it holds at the end.
     moved = np.left_shift(body, np.uint64(8), out=np.empty((len(x), 3), dtype=np.uint64).T)
     moved[1:] |= body[:2] >> np.uint64(56)
-    moved &= np.take(layouts[3:6], layout, axis=1)
-    body &= np.take(layouts[:3], layout, axis=1)
+    moved &= np.take(_LAYOUTS[3:6], layout, axis=1)
+    body &= np.take(_LAYOUTS[:3], layout, axis=1)
     body |= moved
-    body |= np.take(layouts[6:], layout, axis=1)
+    body |= np.take(_LAYOUTS[6:], layout, axis=1)
     # The text: the 24 bytes of words 0 to 3 from the prefix's first byte.
     prefix = 29 * np.signbit(x) + p + 11
-    bits = prefix_bits[prefix]
+    bits = _PREFIX_BITS[prefix]
     text = np.left_shift(body, bits, out=moved)
     shift = 64 - bits
-    text[0] |= prefix_words[prefix] >> shift
+    text[0] |= _PREFIX_WORDS[prefix] >> shift
     text[1:] |= body[:2] >> shift
     return text.T.view(f"S{_FLOAT_WIDTH}").ravel()
 
 
-def _text_field(column: Any, kind: type, cells: list) -> np.ndarray:
+def _text_field(kind: type, cells: list) -> np.ndarray:
     """The UTF-8 text of each str or int cell, as str() gives it, as a field
-    as wide as the longest; each distinct value is encoded once."""
-    values, index = _distinct(column, cells)
-    # Each value's bytes end at a _PAD, which no value holds.
-    data = np.frombuffer(b"\xff".join(str(value).encode() for value in values) + b"\xff",
-                         dtype=np.uint8)
-    ends = np.flatnonzero(data == _PAD)
-    lengths = ends.copy()
-    lengths[1:] -= ends[:-1] + 1
-    field = np.full((len(values), lengths.max()), _PAD, dtype=np.uint8)
-    field[np.arange(field.shape[1]) < lengths[:, None]] = data[data != _PAD]
-    return field[index]
+    as wide as the longest, padded with _PAD; each distinct value is encoded
+    once."""
+    texts = {value: str(value).encode() for value in dict.fromkeys(cells)}
+    width = max(map(len, texts.values()))
+    fields = {value: text.ljust(width, bytes([_PAD])) for value, text in texts.items()}
+    data = b"".join(map(fields.__getitem__, cells))
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(cells), width)
 
 
-def _json_text_cells(column: Any, kind: type, cells: list) -> list[bytes]:
+def _json_text_cells(kind: type, cells: list) -> list[bytes]:
     """The JSON text of each str or int cell; each distinct value is encoded
     once."""
     text = encode_basestring_ascii if kind is str else int.__repr__
@@ -458,14 +434,20 @@ def _json_text_cells(column: Any, kind: type, cells: list) -> list[bytes]:
     return list(map(texts.__getitem__, cells))
 
 
+def _csv_floats(values: list) -> list[np.ndarray]:
+    """The CSV field of the float cells of each entry of values, float64
+    arrays or lists of floats, from one kernel call."""
+    return _split(_float_field(np.concatenate(values)), values) if values else []
+
+
 def _csv_fields(columns: list) -> list[np.ndarray]:
     """The CSV field of each column (see _chunks)."""
-    return _column_texts(columns, _float_field, _text_field)
+    return _column_texts(columns, _csv_floats, _text_field)
 
 
 def _json_cells(columns: list) -> list[list[bytes]]:
     """The JSON text of each column's cells (see _chunks)."""
-    return _column_texts(columns, _repr_cells, _json_text_cells)
+    return _column_texts(columns, _json_floats, _json_text_cells)
 
 
 def csv_chunks(header: list[str], blocks: Iterable[list]) -> Iterator[bytes]:

@@ -301,22 +301,25 @@ def test_repr_kernel_takes_the_exact_path_where_it_cannot_run(target, name, valu
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_json_chunks_either_side_of_the_kernel_break_even(offset, monkeypatch):
     """A chunk of one float cell fewer than the break-even is formatted cell
-    by cell; one of the break-even or more takes one kernel call."""
+    by cell; one of the break-even or more takes one kernel call.  A shared
+    float counts as one of the chunk's float cells."""
     calls = []
     decimal = quasimode.output._decimal
     monkeypatch.setattr(quasimode.output, "_decimal", lambda x: calls.append(len(x)) or decimal(x))
-    rows = quasimode.output._REPR_KERNEL_MIN + offset
-    assert rows <= CHUNK_ROWS
-    values = repr_kernel_cases()[:2 * rows]
-    header = ["a", "b", "c", "d"]
-    # one float column, then two; the shared 0.5 is formatted in a call of its own
-    for blocks, cells in [([[values[:rows], 0.5, np.full(rows, "x", dtype=object)]], rows),
-                          ([[values[:rows // 2], 0.5, values[rows:rows + rows // 2], 7]],
-                           rows // 2 * 2)]:
+    cells = quasimode.output._REPR_KERNEL_MIN + offset
+    assert cells <= CHUNK_ROWS
+    values = repr_kernel_cases()[:cells]
+    # one float column and a shared float; then two float columns, one or
+    # two shared floats and a shared int
+    half = (cells - 1) // 2
+    shared = [0.5] * (cells - 2 * half)
+    for block in [[values[:cells - 1], 0.5, np.full(cells - 1, "x", dtype=object)],
+                  [values[:half], *shared, values[half:2 * half], 7]]:
         calls.clear()
-        doc = {"schema_version": 1, "columns": header[:len(blocks[0])], "rows": rows_of(blocks)}
+        header = list("abcdef"[:len(block)])
+        doc = {"schema_version": 1, "columns": header, "rows": rows_of([block])}
         expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-        assert render_json_table(header[:len(blocks[0])], blocks) == expected
+        assert render_json_table(header, [block]) == expected
         assert calls == ([cells] if cells >= quasimode.output._REPR_KERNEL_MIN else [])
 
 
