@@ -1206,6 +1206,13 @@ K_STAR_ATOMIC = (
     "0.0002,0.0022400705580835015,0.0032306757031309204,0.003612005242728834,0.01"
 )
 
+# k_p = 1/2: the atomic wavenumber column scales damped cells and the
+# double root's purely imaginary minus branch.
+WAVENUMBER_ATOMIC_CRITICAL = [
+    "sweep", "wavenumber", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS, "--units", "atomic",
+    "--omega-p", "1", "--c", "2",
+]
+
 # sha256 of each command's output, recorded before the sweep, spectrum and
 # force commands were merged onto one row table; any byte change fails here.
 GOLDEN_DIGESTS = [
@@ -1285,8 +1292,7 @@ GOLDEN_DIGESTS = [
      "74bd25a286cdee7b01424829a3103917987bc6f632308c61948def151ded290f"),
     (["sweep", "wavenumber", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS, "--format", "json"],
      "ba9c4834049e338ce3759839cc42fc6af15af0ce1407425491853d1669db47ba"),
-    (["sweep", "wavenumber", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS, "--units", "atomic",
-      "--omega-p", "1", "--c", "2"],
+    (WAVENUMBER_ATOMIC_CRITICAL,
      "abbe8956c1539830097513e9680486d9e3f42a3fccdb6244b591450bbaa2926f"),
     (["sweep", "dielectric", *XI_CRITICAL, "--omega", CRITICAL_OMEGAS_POSITIVE],
      "dc2d0c2331499e511b6cc5d122b477b8d3e7d85bec7c9164b3e47ad7759a7df0"),
@@ -1325,6 +1331,10 @@ GOLDEN_DIGESTS = [
      "df0f90ad6f66f06e0e969cc82f6e4957800fa4ec05d94a0e5fa0de896601c0a8"),
     (DISPERSION_REPR_KERNEL,
      "8f5bb1138c87d44268fde36d2fb651e4e290bf75add2221247150e5d40ada23f"),
+    # Recorded while the atomic wavenumber column multiplied by k_p as
+    # Python multiplies a complex by a float.
+    ([*WAVENUMBER_ATOMIC_CRITICAL, "--format", "json"],
+     "6c3aee641672e24677c9248da7090fb5b3fc7c18d4449ca0ecbe0706fccf3751"),
 ]
 
 
@@ -1348,6 +1358,7 @@ def test_golden_output_digest(argv, digest, tmp_path):
     ([*FORCE_AT_OMEGA, *FROZEN], EXIT_OK),
     (DISPERSION_REPR_LAYOUTS, EXIT_OK),
     (DISPERSION_REPR_KERNEL, EXIT_OK),
+    (WAVENUMBER_ATOMIC_CRITICAL, EXIT_OK),
 ])
 def test_optimized_interpreter_gives_the_same_result(argv, code):
     # The runtime checks are not assert statements, which python -O drops.
