@@ -32,12 +32,19 @@ per distinct value of a column.
 A CSV chunk is built as one byte matrix, a row per table row: each column
 is a field of fixed width, padded with a byte UTF-8 never produces, and the
 chunk is the matrix with the padding removed.  A JSON chunk joins the bytes
-of its cells.
+of its cells.  Each writer keeps its own assembly, because either one on
+the other's was slower on a 2-core x86-64 host: JSON rows laid out in the
+CSV byte matrix took the 100k-row spectrum JSON sweep from 238 to 325 ms
+(a 1-row block of five float columns from 78 to 220 us), and CSV cells
+built from the JSON layout tables made `_float_field` 1.9 times as slow per
+cell (the 400k-row wavenumber CSV sweep from 350 to 439 ms).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -69,11 +76,13 @@ def _cells(column: Any) -> tuple[type, Any]:
     return types.pop(), cells
 
 
-def _chunks(blocks: Iterable[list], texts: Callable[[list], list]) -> Iterator[tuple[int, list]]:
-    """The row count and the column texts of each chunk of the blocks: at
-    most CHUNK_ROWS rows, all from one block.  texts() maps a list of
-    columns to their texts: the chunk's slices of the block's arrays, and
-    its shared values."""
+def _chunks(
+    blocks: Iterable[list], floats: Callable, other: Callable
+) -> Iterator[tuple[int, list]]:
+    """The row count and the column texts (of _column_texts) of each chunk
+    of the blocks: at most CHUNK_ROWS rows, all from one block, whose
+    columns are the chunk's slices of the block's arrays and its shared
+    values."""
     for block in blocks:
         # A ValueError unless the block has arrays, all of one length.
         (count,) = {len(column) for column in block if isinstance(column, np.ndarray)}
@@ -81,7 +90,7 @@ def _chunks(blocks: Iterable[list], texts: Callable[[list], list]) -> Iterator[t
             stop = min(start + CHUNK_ROWS, count)
             columns = [column[start:stop] if isinstance(column, np.ndarray) else column
                        for column in block]
-            yield stop - start, texts(columns)
+            yield stop - start, _column_texts(columns, floats, other)
 
 
 def _column_texts(columns: list, floats: Callable, other: Callable) -> list:
@@ -440,21 +449,11 @@ def _csv_floats(values: list) -> list[np.ndarray]:
     return _split(_float_field(np.concatenate(values)), values) if values else []
 
 
-def _csv_fields(columns: list) -> list[np.ndarray]:
-    """The CSV field of each column (see _chunks)."""
-    return _column_texts(columns, _csv_floats, _text_field)
-
-
-def _json_cells(columns: list) -> list[list[bytes]]:
-    """The JSON text of each column's cells (see _chunks)."""
-    return _column_texts(columns, _json_floats, _json_text_cells)
-
-
 def csv_chunks(header: list[str], blocks: Iterable[list]) -> Iterator[bytes]:
     """The CSV document of header and blocks, as UTF-8 chunks of at most
     CHUNK_ROWS rows of one block (the header line is a chunk of its own)."""
     yield (",".join(header) + "\n").encode("utf-8")
-    for rows, fields in _chunks(blocks, _csv_fields):
+    for rows, fields in _chunks(blocks, _csv_floats, _text_field):
         # Each field is followed by a comma, the last by a newline; a shared
         # value's one-row field is broadcast to every row.
         ends = np.cumsum([field.shape[1] + 1 for field in fields])
@@ -474,7 +473,7 @@ def json_table_chunks(header: list[str], blocks: Iterable[list], **meta: Any) ->
     doc = _json_text({**meta, "columns": list(header), "rows": []}).encode("utf-8")
     head, _, tail = doc.partition(b'"rows": []')
     empty = True
-    for rows, columns in _chunks(blocks, _json_cells):
+    for rows, columns in _chunks(blocks, _json_floats, _json_text_cells):
         # A shared value's text is one cell, repeated for every row.
         cells = zip(*[column if len(column) == rows else column * rows for column in columns])
         text = list(map(b",\n      ".join, cells))
@@ -506,17 +505,19 @@ def render_json(doc: dict[str, Any]) -> bytes:
 
 def write_bytes(chunks: Iterable[bytes], out: Path | None) -> None:
     """Write the chunks to a file, or to stdout when no path is given.  A
-    file whose writing fails part-way is removed before the error propagates."""
+    regular file whose writing fails part-way is removed before the error
+    propagates; a device or a pipe is left in place."""
     if out is None:
         for chunk in chunks:
             sys.stdout.buffer.write(chunk)
         sys.stdout.buffer.flush()
         return
     out.parent.mkdir(parents=True, exist_ok=True)
-    f = out.open("wb")
-    try:
-        with f:
+    with out.open("wb") as f:
+        try:
             f.writelines(chunks)
-    except BaseException:
-        out.unlink(missing_ok=True)
-        raise
+            f.flush()
+        except BaseException:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                out.unlink(missing_ok=True)
+            raise

@@ -102,6 +102,8 @@ class SweepSpec:
         # kernels run once per point, so tabulate's empty grid reads no hbar.
         if self.quantity in ATOMIC_ONLY:
             _positive(self.hbar, "hbar")
+        elif self.units == "atomic" and self.omega_p <= 0.0:
+            raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
 
 
 class _Units(NamedTuple):
@@ -142,9 +144,10 @@ def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> lis
     x, codes = k_branches_array(omega / u.omega, xi)
     re, im = x.real, x.imag
     if spec.units == "atomic":
-        # x * k_p as Python multiplies a complex by a float
+        # x * k_p as Python multiplies a complex by a float, re k_p - im 0 and
+        # re 0 + im k_p: Re x is finite and never negative, so re 0 is 0.0.
         k_p = _plasma_wavenumber(u.omega, u.v)
-        re, im = re * k_p - im * 0.0, re * 0.0 + im * k_p
+        re, im = re * k_p, im * k_p + 0.0
     return [
         _branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)),
         _branch_rows(re), _branch_rows(im), _branch_rows(_REGIMES[codes]),
@@ -326,8 +329,6 @@ def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
     header = entry.columns
     if spec.units == "atomic":
         header = [column.split("_over_")[0] for column in header]
-        if not entry.atomic_only and spec.omega_p <= 0.0:
-            raise SpecError("atomic units for reduced-family sweeps require omega_p > 0")
     evaluate = functools.partial(entry.evaluate, spec, _units(spec))
     return header, tabulate([("xi", spec.xi_list), (entry.axis, spec.grid)], evaluate)
 

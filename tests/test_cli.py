@@ -883,6 +883,22 @@ class TestForceCommand:
             "force", "--xi", "1", "--d", "1", "--omega", "0",
         ]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("argv,count", [
+        (["sweep", "force", "--xi", "0,0.5", "--omega", "0.5,2"], 4),
+        (["force", "--xi", "0.5", "--d", "1,2", "--omega", "0.5,2"], 4),
+        *((["force", "--xi", "0.5", "--d", "1,2", "--at-minimum", "--scaling", scaling], 2)
+          for scaling in ("recompute", "frozen")),
+    ])
+    def test_force_vanishes_at_zero_charge(self, argv, count, tmp_path):
+        # the paper's closing claim: with no charge there is no plasma
+        # frequency, and the plates feel no force
+        out = tmp_path / "force.csv"
+        assert main([*argv, "--charge", "0", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == count
+        zero = "0.0000000000000000e+00"
+        assert {(row["omega_p"], row["force"]) for row in rows} == {(zero, zero)}
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("xi", ["0", "0.5", "1"])
     def test_rows_at_omega_are_the_sweep_force_rows(self, xi, fmt, capsys):
@@ -1119,6 +1135,25 @@ class TestTabulate:
         with pytest.raises(DomainError, match="^bad omega$"):
             tabulate(self.AXES, at_two)
         assert capsys.readouterr().err == "domain error at xi=0.5, omega=2: bad omega\n"
+
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_arithmetic_error_of_one_point_is_a_domain_error_there(
+        self, error, tmp_path, capsys, monkeypatch
+    ):
+        def at_two(spec, units, xi, omega):
+            if (omega == 2.0).any():
+                raise error("raw")
+            return [omega, xi]
+
+        monkeypatch.setitem(TABLE, "wavenumber", TABLE["wavenumber"]._replace(evaluate=at_two))
+        out = tmp_path / "table.csv"
+        argv = ["sweep", "wavenumber", "--xi", "0.5", "--omega", "1,2,3", "--out", str(out)]
+        assert main(argv) == EXIT_DOMAIN
+        message = f"result is not a finite float ({error.__name__})"
+        assert capsys.readouterr() == (
+            "", f"domain error at xi=0.5, omega=2: {message}\ndomain error: {message}\n"
+        )
+        assert not out.exists()
 
     def test_error_of_the_empty_grid_is_reported_without_a_point(self, capsys):
         # the spectrum kernel's order: a check of each frequency, then one

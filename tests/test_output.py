@@ -1,8 +1,10 @@
 import errno
 import json
 import math
+import os
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +424,34 @@ def test_failed_write_removes_the_partial_file(error, tmp_path):
     with pytest.raises(type(error)):
         write_bytes(_fail_after_first_chunk(csv_chunks(["a", "b"], blocks), error), out)
     assert not out.exists()
+
+
+@pytest.fixture
+def unlinked(monkeypatch):
+    """The paths given to Path.unlink, os.unlink or os.remove, which are
+    recorded and left in place: a failed write to a device must not remove it."""
+    calls = []
+    for owner, name in [(Path, "unlink"), (os, "unlink"), (os, "remove")]:
+        monkeypatch.setattr(owner, name, lambda path, *args, **kwargs: calls.append(Path(path)))
+    return calls
+
+
+@pytest.mark.parametrize("regular", [True, False])
+def test_failed_write_removes_only_a_regular_file(regular, tmp_path, unlinked):
+    out = tmp_path / "table.csv" if regular else Path(os.devnull)
+    blocks = [[np.full(2 * CHUNK_ROWS, 0.5), 1]]
+    error = TypeError("unexpected cell type")
+    with pytest.raises(TypeError):
+        write_bytes(_fail_after_first_chunk(csv_chunks(["a", "b"], blocks), error), out)
+    assert unlinked == ([out] if regular else [])
+
+
+@pytest.mark.skipif(not Path("/dev/full").is_char_device(), reason="no /dev/full")
+def test_sweep_to_a_full_device_leaves_it_in_place(unlinked, capsys):
+    argv = ["sweep", "dispersion", "--xi", "0.5", "--k", "0.1:2:5000", "--out", "/dev/full"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert unlinked == []
 
 
 @pytest.mark.parametrize("fmt,source", [("csv", "csv_chunks"), ("json", "json_table_chunks")])

@@ -13,7 +13,6 @@ GATES = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["e
 
 @pytest.mark.parametrize("script,args", [
     ("polarization_study.py", ["--count", "3"]),
-    ("oracle_convergence.py", ["--max-cutoff", "32"]),
 ])
 def test_script_runs(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
