@@ -43,8 +43,6 @@ cell (the 400k-row wavenumber CSV sweep from 350 to 439 ms).
 from __future__ import annotations
 
 import json
-import os
-import stat
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -513,11 +511,12 @@ def write_bytes(chunks: Iterable[bytes], out: Path | None) -> None:
         sys.stdout.buffer.flush()
         return
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("wb") as f:
-        try:
+    f = out.open("wb")
+    try:
+        with f:
             f.writelines(chunks)
-            f.flush()
-        except BaseException:
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                out.unlink(missing_ok=True)
-            raise
+    except BaseException:
+        # The path, not the descriptor: a failed close has closed that too.
+        if out.is_file():
+            out.unlink(missing_ok=True)
+        raise

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import math
 import os
@@ -423,6 +424,19 @@ def test_failed_write_removes_the_partial_file(error, tmp_path):
     blocks = [[np.full(2 * CHUNK_ROWS, 0.5), 1]]
     with pytest.raises(type(error)):
         write_bytes(_fail_after_first_chunk(csv_chunks(["a", "b"], blocks), error), out)
+    assert not out.exists()
+
+
+def test_failed_close_removes_the_file(tmp_path, monkeypatch):
+    class FailingClose(io.FileIO):
+        def close(self):
+            super().close()
+            raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(Path, "open", lambda path, mode: FailingClose(path, "w"))
+    out = tmp_path / "table.csv"
+    with pytest.raises(OSError):
+        write_bytes([b"a,b\n"], out)
     assert not out.exists()
 
 
