@@ -408,6 +408,11 @@ class TestExitCodes:
         (["force", "--xi", "0.5", "--d", "1,2", "--at-minimum", "--mass", "1e-200",
           "--charge", "1e-100"],
          "xi=0.5, d=1", "m * N e^2 underflows to 0 (m=1e-200, e=1e-100, N=1)"),
+        (["sweep", "force", "--xi", "0.5", "--omega", "1,2,1e-160"],
+         "xi=0.5, omega=1e-160",
+         "(omega_p/omega)^2 is not a positive finite float at omega = 1e-160"),
+        (["sweep", "force", "--xi", "0.5", "--omega", "1,2,1e160"],
+         "xi=0.5, omega=1e+160", "(omega/omega_p)^2 overflows at omega = 1e+160"),
     ])
     def test_domain_error_names_the_first_failing_point(self, argv, where, message, capsys):
         assert main(argv) == EXIT_DOMAIN
@@ -484,6 +489,27 @@ class TestExitCodes:
          "n_photons is too large: 1 + 2 n_photons overflows"),
         (["force", "--xi", "0.5", "--d", "1", "--at-minimum", "--n-photons", BIG_INT],
          "n_photons is too large: 1 + 2 n_photons overflows"),
+        # a plate fault at a later separation names no point either
+        (["force", "--xi", "0.5", "--d", "1,1e-300", "--omega", "1", "--charge", "1e200"],
+         "plasma frequency is not a finite float (e=1e+200, N=1, m=1.0, A=1.0, d=1e-300)"),
+        (["force", "--xi", "0.5", "--d", "2,1e-300", "--at-minimum", "--charge", "1e200"],
+         "plasma frequency is not a finite float (e=1e+200, N=1, m=1.0, A=1.0, d=1e-300)"),
+        (["force", "--xi", "0.5", "--d", "1,-2", "--omega", "1"],
+         "plate separation must be positive, got -2.0"),
+        # the first separation's fault wins over a bad later separation,
+        # whichever of the plates' inputs it lies in
+        (["force", "--xi", "0.5", "--d", "1,-2", "--at-minimum", "--area", "-1"],
+         "plate area must be positive, got -1.0"),
+        (["force", "--xi", "0.5", "--d", "2,-1", "--at-minimum", "--area", "1e-200",
+          "--mass", "1e-200"],
+         "m * A * d is not a positive finite float (m=1e-200, A=1e-200, d=2.0)"),
+        (["force", "--xi", "0.5", "--d", "2,-1", "--omega", "1", "--area", "1e-200",
+          "--mass", "1e-200"],
+         "m * A * d is not a positive finite float (m=1e-200, A=1e-200, d=2.0)"),
+        # the frozen reference plates are built first
+        (["force", "--xi", "0.5", "--d", "1,2", "--at-minimum", "--scaling", "frozen",
+          "--ref-d", "-1"],
+         "plate separation must be positive, got -1.0"),
     ])
     def test_plate_domain_error_names_no_grid_point(self, argv, message, capsys):
         assert main(argv) == EXIT_DOMAIN
@@ -1213,6 +1239,17 @@ FORCE_ARGS = ["--d", "2", "--area", "3", "--charges", "2", "--n-photons", "1"]
 FORCE_AT_OMEGA = ["force", "--xi", "0,0.5", "--d", "0.5:4:6", "--omega", "0.3,1,2.5",
                   "--area", "2", "--charges", "3", "--n-photons", "1"]
 FROZEN = ["--scaling", "frozen", "--ref-d", "2"]
+# 3 xi x 1,500 separations: blocks longer than CHUNK_ROWS, with plates of
+# several charges and photons.
+FORCE_AT_MINIMUM_LONG = [
+    "force", "--xi", "0,0.4,1", "--d", "0.5:80:1500:log", "--at-minimum", "--charge", "1.3",
+    "--charges", "3", "--n-photons", "2", "--area", "2.5",
+]
+# omega = 0 at xi = 0 takes the force's omega -> 0 limit.
+FORCE_OMEGA_LIMIT = [
+    "sweep", "force", "--xi", "0", "--omega", "0,1e-8,0.5,1,3", "--charges", "2",
+    "--n-photons", "1",
+]
 DISPERSION_REPR_LAYOUTS = [
     "sweep", "dispersion", "--xi", "0,0.5", "--k",
     "1e-6,3.5e-5,0.25,0.5,2,1234567890123456.7,1e16,1.2345e17", "--format", "json",
@@ -1370,6 +1407,19 @@ GOLDEN_DIGESTS = [
     # Python multiplies a complex by a float.
     ([*WAVENUMBER_ATOMIC_CRITICAL, "--format", "json"],
      "6c3aee641672e24677c9248da7090fb5b3fc7c18d4449ca0ecbe0706fccf3751"),
+    # Recorded while the force tables called the scalar force kernels and
+    # built the plates once per row.
+    (FORCE_AT_MINIMUM_LONG,
+     "6da83c2d014f83a40a4023288b6511dcd34cb35725cc0a1fad540cdfd7af7e61"),
+    ([*FORCE_AT_MINIMUM_LONG, "--format", "json"],
+     "4732f7efb5668b2fa20fadd373e149f077d4d5c15c5f84d77be1f64d784d163c"),
+    ([*FORCE_AT_MINIMUM_LONG, "--scaling", "frozen", "--ref-d", "3"],
+     "ce0c297280366992cca9bd8a4de0a741b70c969501b09da78373d3290578a571"),
+    ([*FORCE_AT_MINIMUM_LONG, "--scaling", "frozen", "--ref-d", "3", "--format", "json"],
+     "c30e7276c5bfb7f7610b4025328f84df61cb93696bbfe89603c620562c624a05"),
+    (FORCE_OMEGA_LIMIT, "30c8cc5a7e195c2dc8aa54c244f60282a43b79cde414c78f39917b77c33adb43"),
+    ([*FORCE_OMEGA_LIMIT, "--format", "json"],
+     "b6938e6257da4860894520fda2f7f517a046fca9eb5137042227c97b6a729e8a"),
 ]
 
 
@@ -1394,6 +1444,7 @@ def test_golden_output_digest(argv, digest, tmp_path):
     (DISPERSION_REPR_LAYOUTS, EXIT_OK),
     (DISPERSION_REPR_KERNEL, EXIT_OK),
     (WAVENUMBER_ATOMIC_CRITICAL, EXIT_OK),
+    (FORCE_AT_MINIMUM_LONG, EXIT_OK),
 ])
 def test_optimized_interpreter_gives_the_same_result(argv, code):
     # The runtime checks are not assert statements, which python -O drops.
