@@ -12,6 +12,7 @@ Two unit conventions are used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -46,36 +47,58 @@ def _finite(value: float, name: str) -> float:
     raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _positive(value: float, name: str, field: str | None = None) -> float:
+def _positive(value, name: str, field: str | None = None):
     """Reject a value that is not finite and positive: a NaN, infinite or
-    too large one by its field name (name unless given), any other by name."""
-    if 0.0 < value <= _FLOAT_MAX:
-        return value
-    _finite(value, field or name)
-    raise DomainError(f"{name} must be positive, got {value}")
+    too large one by its field name (name unless given), any other by name.
+    An array is rejected as its first element that is."""
+    try:
+        if 0.0 < value <= _FLOAT_MAX:
+            return value
+    except ValueError:  # an array has no truth value unless of one element
+        pass
+    return _rejected(value, value > 0.0, "positive", name, field)
 
 
-def _nonnegative(value: float, name: str, field: str | None = None) -> float:
+def _nonnegative(value, name: str, field: str | None = None):
     """Reject a value that is not finite and nonnegative, as _positive does."""
-    if 0.0 <= value <= _FLOAT_MAX:
-        return value
+    try:
+        if 0.0 <= value <= _FLOAT_MAX:
+            return value
+    except ValueError:
+        pass
+    return _rejected(value, value >= 0.0, "nonnegative", name, field)
+
+
+def _rejected(value, ok, what: str, name: str, field: str | None):
+    """The DomainError of a value that is not finite or where ok is false,
+    or of the first such element of an array; an array without one is
+    returned."""
+    if isinstance(value, np.ndarray):
+        ok &= value <= _FLOAT_MAX
+        if ok.all():
+            return value
+        value = value[ok.argmin()].item()
     _finite(value, field or name)
-    raise DomainError(f"{name} must be nonnegative, got {value}")
+    raise DomainError(f"{name} must be {what}, got {value}")
 
 
 def _require(values, ok, message: str) -> None:
     """Raise DomainError(message.format(v)) for the first element v of values
     where ok is false: the array form of a kernel's entry or result check.
     ok may also be a bool, for the same check of a float; values may be a
-    tuple, whose members (arrays, or floats shared by every element) fill
-    the message's fields in turn."""
+    tuple, whose members (arrays, or values shared by every element) fill
+    the message's fields in turn.  A kernel whose float path must stay cheap
+    calls it only if ok is not True, saving the call."""
     if ok is True:
         return
     values = values if isinstance(values, tuple) else (values,)
     if isinstance(ok, np.ndarray):
         if not ok.size or ok[i := ok.argmin()]:
             return
-        values = [np.broadcast_to(v, ok.shape)[i].item() for v in values]
+        values = [
+            np.broadcast_to(v, ok.shape)[i].item() if isinstance(v, np.ndarray) else v
+            for v in values
+        ]
     elif ok:
         return
     raise DomainError(message.format(*values))
@@ -85,6 +108,28 @@ def _any(mask: np.ndarray) -> bool:
     """mask.any(), at a fraction of its cost on the one-element arrays of
     the scalar kernels."""
     return mask.size > 0 and bool(mask[mask.argmax()])
+
+
+def _each(f, x):
+    """f(x) for a float; for an array, f of each element.  The math module's
+    functions round as libm does, and numpy's own exp, cosh and arctanh do
+    not always."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.tolist()), float, x.size)
+    return f(x)
+
+
+def _power(x, y: float):
+    """x**y as Python computes it, with libm's pow, for a float or each
+    element of an array; inf where Python raises OverflowError.  numpy
+    squares by x*x, which rounds differently for about one float in a
+    thousand."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(_power, x.tolist(), itertools.repeat(y)), float, x.size)
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
 
 def _finite_array(values: np.ndarray, name: str) -> None:

@@ -16,6 +16,11 @@ scaling regimes exist and are exposed explicitly:
 
 All quantities are in atomic units; the Bohr radius hbar^2/(m e^2) equals 1
 at the defaults.
+
+The separation d of the plates, and the mode frequency omega of
+force_general, may be float64 arrays: each kernel then gives its value at
+each element, with the bits of the float at that element, and raises the
+DomainError of some element that the float would raise it at.
 """
 
 from __future__ import annotations
@@ -23,17 +28,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dispersion import critical_points
 from .errors import DomainError
-from .params import _nonnegative, _positive, polarization_weight
+from .params import _nonnegative, _positive, _power, _require, polarization_weight
 
 
 @dataclass(frozen=True)
 class PlateGeometry:
     """Two parallel plates: separation d, surface area A, N_charges point
-    charges smeared in the gap, n_photons excitations of the mode."""
+    charges smeared in the gap, n_photons excitations of the mode.  An
+    array d holds plates at each of its separations."""
 
-    d: float
+    d: float | np.ndarray
     A: float
     N_charges: int = 1
     n_photons: int = 0
@@ -53,24 +61,30 @@ def _require_charge_and_mass(e: float, m: float) -> None:
     _positive(m, "mass")
 
 
-def plasma_frequency_plates(g: PlateGeometry, e: float, m: float) -> float:
+def plasma_frequency_plates(g: PlateGeometry, e: float, m: float):
     """omega_p = 2 sqrt(pi) e sqrt(N) / sqrt(m A d); N charges enter through
     e^2 -> N e^2."""
     _require_charge_and_mass(e, m)
     mad = m * g.A * g.d
-    if not 0.0 < mad < math.inf:
-        raise DomainError(f"m * A * d is not a positive finite float (m={m}, A={g.A}, d={g.d})")
+    if (ok := (mad > 0.0) & (mad < math.inf)) is not True:
+        _require(
+            (m, g.A, g.d), ok, "m * A * d is not a positive finite float (m={}, A={}, d={})"
+        )
     try:
-        wp = 2.0 * math.sqrt(math.pi) * e * math.sqrt(g.N_charges) / math.sqrt(mad)
+        scale = 2.0 * math.sqrt(math.pi) * e * math.sqrt(g.N_charges)
     except OverflowError:  # N is an int too large for a float
-        wp = math.inf
-    if not math.isfinite(wp):
-        inputs = f"e={e}, N={g.N_charges}, m={m}, A={g.A}, d={g.d}"
-        raise DomainError(f"plasma frequency is not a finite float ({inputs})")
+        scale = math.inf
+    array = isinstance(mad, np.ndarray)
+    wp = scale / (np.sqrt if array else math.sqrt)(mad)
+    if (ok := (np.isfinite if array else math.isfinite)(wp)) is not True:
+        _require(
+            (e, g.N_charges, m, g.A, g.d), ok,
+            "plasma frequency is not a finite float (e={}, N={}, m={}, A={}, d={})",
+        )
     return wp
 
 
-def _plasma(g: PlateGeometry, e: float, m: float, omega_p: float | None) -> float:
+def _plasma(g: PlateGeometry, e: float, m: float, omega_p: float | None):
     """The plates' own plasma frequency, or the frozen omega_p when given."""
     if omega_p is None:
         return plasma_frequency_plates(g, e, m)
@@ -78,14 +92,14 @@ def _plasma(g: PlateGeometry, e: float, m: float, omega_p: float | None) -> floa
 
 
 def force_general(
-    omega: float,
+    omega,
     g: PlateGeometry,
     e: float,
     m: float,
     xi: float,
     hbar: float = 1.0,
     omega_p: float | None = None,
-) -> float:
+):
     """Repulsive plate force at mode frequency omega:
 
         F = hbar omega_p (1 + 2 q omega_p^2/omega^2)
@@ -95,32 +109,35 @@ def force_general(
     Diverges as omega -> 0 for xi > 0; for xi = 0 the omega -> 0 limit is
     hbar omega_p / (4 d), the maximum of the force.  Pass omega_p to freeze
     the plasma frequency (frozen mode); by default it is recomputed from the
-    geometry.
+    geometry, which is one plate: d is a float.
     """
     q = polarization_weight(xi)
     _nonnegative(omega, "mode frequency")
     _positive(hbar, "hbar")
     wp = _plasma(g, e, m, omega_p)
     if wp == 0.0:
-        return 0.0
+        return 0.0 * omega
     photons = 1.0 + 2.0 * g.n_photons
-    if omega == 0.0:
+    array = isinstance(omega, np.ndarray)
+    zero = omega == 0.0
+    if zero.any() if array else zero:
         if q > 0.0:
             raise DomainError("plate force diverges at omega=0 for xi > 0")
-        return hbar * wp / (4.0 * g.d) * photons
-    try:
-        r2 = (wp / omega) ** 2
-    except OverflowError:
-        r2 = math.inf
-    if not 0.0 < r2 < math.inf:
-        raise DomainError(
-            f"(omega_p/omega)^2 is not a positive finite float at omega = {omega}"
-        )
+        limit = hbar * wp / (4.0 * g.d) * photons
+        if not array:
+            return limit
+        # the other elements as an array of their own, at the plates' omega_p
+        force = np.full(omega.shape, limit)
+        force[~zero] = force_general(omega[~zero], g, e, m, xi, hbar, wp)
+        return force
+    r2 = _power(wp / omega, 2)
+    if (ok := (r2 > 0.0) & (r2 < math.inf)) is not True:
+        _require(omega, ok, "(omega_p/omega)^2 is not a positive finite float at omega = {}")
     inverse = 1.0 / r2
-    if math.isinf(inverse):
-        raise DomainError(f"(omega/omega_p)^2 overflows at omega = {omega}")
+    if (ok := inverse < math.inf) is not True:
+        _require(omega, ok, "(omega/omega_p)^2 overflows at omega = {}")
     numer = hbar * wp * (1.0 + 2.0 * q * r2)
-    denom = 4.0 * math.sqrt(inverse + 1.0 + q * r2)
+    denom = 4.0 * (np.sqrt if array else math.sqrt)(inverse + 1.0 + q * r2)
     return numer / denom * photons / g.d
 
 
@@ -131,7 +148,7 @@ def force_minimum_plasma_form(
     xi: float,
     hbar: float = 1.0,
     omega_p: float | None = None,
-) -> float:
+):
     """Force at the zero-point-energy minimum, plasma-frequency form:
     F* = (kappa/4) hbar omega_p(d, A) (1 + 2 n) / d, with kappa the
     omega_star of critical_points."""
@@ -143,7 +160,7 @@ def force_minimum_plasma_form(
 
 def force_minimum_bohr_form(
     g: PlateGeometry, e: float, m: float, xi: float, hbar: float = 1.0
-) -> float:
+):
     """Force at the zero-point-energy minimum, Bohr-radius form:
 
         F* = kappa sqrt(pi R_B / A) e_N^2 (1/2 + n) / d^(3/2),
@@ -157,16 +174,15 @@ def force_minimum_bohr_form(
     _require_charge_and_mass(e, m)
     e_sq = g.N_charges * e * e
     if e_sq == 0.0:
-        return 0.0
+        return 0.0 * g.d
     if m * e_sq == 0.0:
+        if not np.size(g.d):  # a fault of each separation, so of none here
+            return 0.0 * g.d
         raise DomainError(f"m * N e^2 underflows to 0 (m={m}, e={e}, N={g.N_charges})")
     bohr = hbar * hbar / (m * e_sq)
-    try:
-        d_power = g.d**1.5
-    except OverflowError:
-        d_power = math.inf
-    if not 0.0 < d_power < math.inf:
-        raise DomainError(f"d^(3/2) is not a positive finite float at d = {g.d}")
+    d_power = _power(g.d, 1.5)
+    if (ok := (d_power > 0.0) & (d_power < math.inf)) is not True:
+        _require(g.d, ok, "d^(3/2) is not a positive finite float at d = {}")
     return (
         kappa
         * math.sqrt(math.pi * bohr / g.A)
@@ -183,7 +199,7 @@ def force_at_minimum(
     xi: float,
     hbar: float = 1.0,
     omega_p: float | None = None,
-) -> float:
+):
     """Repulsive force at the minimum of the zero-point energy.
 
     In the default (recompute) mode both closed forms are evaluated and
@@ -195,7 +211,8 @@ def force_at_minimum(
     if omega_p is not None:
         return plasma
     bohr = force_minimum_bohr_form(g, e, m, xi, hbar)
-    scale = max(abs(plasma), abs(bohr), 1e-300)
-    if not abs(plasma - bohr) <= 1e-9 * scale:
-        raise DomainError(f"dual closed forms disagree: {plasma!r} vs {bohr!r}")
+    larger = np.maximum if isinstance(plasma, np.ndarray) else max
+    scale = larger(larger(abs(plasma), abs(bohr)), 1e-300)
+    if (ok := abs(plasma - bohr) <= 1e-9 * scale) is not True:
+        _require((plasma, bohr), ok, "dual closed forms disagree: {!r} vs {!r}")
     return plasma

@@ -28,10 +28,12 @@ from .errors import DomainError
 from .params import (
     _FLOAT_MAX,
     ModelParams,
+    _each,
     _finite,
     _finite_array,
     _nonnegative,
     _positive,
+    _power,
     _quad,
     _require,
     _require_finite,
@@ -92,21 +94,6 @@ def _charges_omega_p(omega_p: float, N_charges: int) -> float:
     return _finite(omega_p * math.sqrt(N_charges), "omega_p")
 
 
-def _square(w):
-    """w**2 as Python computes it, with libm's pow: numpy squares by w*w,
-    which rounds differently for about one float in a thousand."""
-    return w**2
-
-
-def _each(f, x):
-    """f(x) for a float; for an array, f of each element.  The math module's
-    functions round as libm does, and numpy's own exp, cosh and arctanh do
-    not always."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(f, x.tolist()), float, x.size)
-    return f(x)
-
-
 def _diagonalization(xi: float, omega, omega_p: float, p: Momentum, mass: float, hbar: float):
     """theta, sigma_sq and Omega of energy_level at the mode frequency omega:
     a float, or a float64 array for the three at each of its elements.  The
@@ -120,7 +107,7 @@ def _diagonalization(xi: float, omega, omega_p: float, p: Momentum, mass: float,
     if q > 0.0:
         _require(omega, omega != 0.0, "effective frequency diverges at omega=0 for xi > 0")
     _require_omega(omega)
-    w2 = _each(_square, omega)
+    w2 = _power(omega, 2)
     _require(omega, w2 != 0.0, "omega^2 underflows to 0 at omega = {}")
     wp2 = omega_p**2
     sqrt = np.sqrt if isinstance(omega, np.ndarray) else math.sqrt

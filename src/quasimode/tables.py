@@ -98,8 +98,8 @@ class SweepSpec:
                 raise SpecError(
                     "wavenumber grid must exclude 0 when any xi > 0 (singular point)"
                 )
-        # Read at every point of these tables, but checked here: the force
-        # kernels run once per point, so tabulate's empty grid reads no hbar.
+        # Read by every block of these tables, but checked here, so that a
+        # bad hbar is reported ahead of a bad plate input.
         if self.quantity in ATOMIC_ONLY:
             _positive(self.hbar, "hbar")
         elif self.units == "atomic" and self.omega_p <= 0.0:
@@ -199,24 +199,18 @@ def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
 
 
 def _force(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
-    plates = _plates(spec, spec.d)
+    geom, wp = _plates(spec, spec.d)
     return [
-        omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, plates[1],
-        _forces(spec, xi, plates, omega),
+        omega, xi, spec.d, spec.area, spec.n_charges, spec.n_photons, wp,
+        force_general(omega, geom, spec.charge, spec.mass, xi, spec.hbar, omega_p=wp),
     ]
 
 
-def _plates(spec: SweepSpec, d: float) -> tuple[PlateGeometry, float]:
-    """The plates of `spec` at separation d, and their plasma frequency."""
+def _plates(spec: SweepSpec, d) -> tuple[PlateGeometry, float | np.ndarray]:
+    """The plates of `spec` at separation d, a float or an array, and their
+    plasma frequency."""
     geom = PlateGeometry(d=d, A=spec.area, N_charges=spec.n_charges, n_photons=spec.n_photons)
     return geom, plasma_frequency_plates(geom, spec.charge, spec.mass)
-
-
-def _forces(spec: SweepSpec, xi: float, plates: tuple, omega: np.ndarray) -> np.ndarray:
-    """The force between the plates (of _plates) at each omega."""
-    geom, wp = plates
-    e, m, hbar = spec.charge, spec.mass, spec.hbar
-    return np.array([force_general(w, geom, e, m, xi, hbar, omega_p=wp) for w in omega.tolist()])
 
 
 class Quantity(NamedTuple):
@@ -277,15 +271,15 @@ def _checked_columns(evaluate: Callable[..., list], point: tuple, grid: np.ndarr
     return columns
 
 
-def _first_failure(evaluate: Callable[..., list], point: tuple, grid: np.ndarray) -> int:
-    """Index of the first grid point at which evaluate fails.  Whether a
-    point fails does not depend on the others, so a slice of the grid fails
-    exactly when it holds a failing point."""
+def _first_failure(check: Callable[[np.ndarray], object], grid: np.ndarray) -> int:
+    """Index of the first grid point at which check raises a DomainError.
+    Whether a point fails does not depend on the others, so a slice of the
+    grid fails exactly when it holds a failing point."""
     lo, hi = 0, len(grid)  # the first failure lies in grid[lo:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _checked_columns(evaluate, point, grid[lo:mid])
+            check(grid[lo:mid])
             lo = mid
         except DomainError:
             hi = mid
@@ -309,7 +303,7 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
             blocks.append(_checked_columns(evaluate, point, grid))
         except DomainError as exc:
             _checked_columns(evaluate, point, grid[:0])  # raises a fault of no point
-            i = _first_failure(evaluate, point, grid)
+            i = _first_failure(functools.partial(_checked_columns, evaluate, point), grid)
             try:
                 _checked_columns(evaluate, point, grid[i:i + 1])
             except DomainError as first:
@@ -341,22 +335,31 @@ def force_columns(
     or at the energy minimum if omega is None.  omega_p is recomputed at
     each d, or frozen at that of separation ref_d unless ref_d is None."""
     frozen_wp = None if ref_d is None else _plates(spec, ref_d)[1]
-    # Built once per separation, before tabulate: --at-minimum sweeps d, so
-    # its empty grid builds no plates, and a bad plate input would name a d.
-    plates = {d: _plates(spec, d) for d in spec.grid}
-    if frozen_wp is not None:
-        plates = {d: (geom, frozen_wp) for d, (geom, _) in plates.items()}
+    # Every separation's plates are checked before tabulate: --at-minimum
+    # sweeps d, so its empty grid builds no plates, and a bad plate input
+    # would name a d.  Its fault is that of the first separation at fault.
+    grid, check = np.array(spec.grid), functools.partial(_plates, spec)
+    with np.errstate(all="ignore"):
+        try:
+            check(grid)
+        except DomainError:
+            check(spec.grid[_first_failure(check, grid)])
+            raise
     fixed = [spec.area, spec.n_charges, spec.n_photons, "recompute" if ref_d is None else "frozen"]
+    e, m, hbar = spec.charge, spec.mass, spec.hbar
+
+    def plates(d):
+        geom, wp = _plates(spec, d)
+        return geom, wp if frozen_wp is None else frozen_wp
 
     def at_omega(xi: float, d: float, omega: np.ndarray) -> list:
-        return [xi, omega, d, *fixed, plates[d][1], _forces(spec, xi, plates[d], omega)]
+        geom, wp = plates(d)
+        return [xi, omega, d, *fixed, wp, force_general(omega, geom, e, m, xi, hbar, omega_p=wp)]
 
     def at_minimum(xi: float, d: np.ndarray) -> list:
-        at_d = [plates[key] for key in d.tolist()]
-        e, m, hbar = spec.charge, spec.mass, spec.hbar
-        force = [force_at_minimum(g, e, m, xi, hbar, omega_p=frozen_wp) for g, _ in at_d]
-        wp = np.array([omega_p for _, omega_p in at_d], dtype=float)
-        return [xi, wp * critical_points(xi).k_star, d, *fixed, wp, np.array(force, dtype=float)]
+        geom, wp = plates(d)
+        force = force_at_minimum(geom, e, m, xi, hbar, omega_p=frozen_wp)
+        return [xi, wp * critical_points(xi).k_star, d, *fixed, wp, force]
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons", "scaling", "omega_p", "force"]
     omega_axis = [] if omega is None else [("omega", omega)]

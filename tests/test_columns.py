@@ -6,21 +6,23 @@ import cmath
 import contextlib
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasimode import (
-    DomainError, ModelParams, Momentum, critical_points, dielectric, energy_level,
-    group_velocity, k_branches, phase_velocity,
+    DomainError, ModelParams, Momentum, PlateGeometry, critical_points, dielectric,
+    energy_level, force_at_minimum, force_general, group_velocity, k_branches,
+    phase_velocity, plasma_frequency_plates,
 )
 from quasimode.cli import EXIT_DOMAIN, main
 from quasimode.dispersion import REGIMES, Regime, k_branches_array, omega_of_k_array
 from quasimode.kinematics import velocities_array
 from quasimode.optics import _branch_zetas
 from quasimode.spectrum import energy_levels_array
-from quasimode.tables import SweepSpec, sweep_columns
+from quasimode.tables import SweepSpec, force_columns, sweep_columns
 
 
 def reference_branch_squares(y, xi):
@@ -309,3 +311,208 @@ def test_spectrum_point_errors_are_energy_level_errors(
         params = ModelParams(xi=float(xi), omega=failing, omega_p=float(omega_p), hbar=float(hbar))
         energy_level(params, Momentum(), 0)
     assert str(point.value) == message
+
+
+def reference_plasma_frequency(d, A, N, e, m):
+    """plasma_frequency_plates(PlateGeometry(d, A, N), e, m), as the force
+    tables computed it one separation at a time; the plates are valid."""
+    return 2.0 * math.sqrt(math.pi) * e * math.sqrt(N) / math.sqrt(m * A * d)
+
+
+def reference_force(omega, d, wp, xi, n_photons, hbar):
+    """force_general at one omega of plates with plasma frequency wp, as the
+    force tables computed it one row at a time; the point is valid."""
+    q = xi * xi / (1.0 + xi * xi) ** 2
+    if wp == 0.0:
+        return 0.0
+    photons = 1.0 + 2.0 * n_photons
+    if omega == 0.0:
+        return hbar * wp / (4.0 * d) * photons
+    r2 = (wp / omega) ** 2
+    inverse = 1.0 / r2
+    numer = hbar * wp * (1.0 + 2.0 * q * r2)
+    denom = 4.0 * math.sqrt(inverse + 1.0 + q * r2)
+    return numer / denom * photons / d
+
+
+def reference_force_at_minimum(d, wp, xi, n_photons, hbar):
+    """force_at_minimum at one separation: the plasma-frequency form, which
+    it returns once the Bohr form agrees."""
+    kappa = critical_points(xi).omega_star
+    return kappa / 4.0 * hbar * wp * (1.0 + 2.0 * n_photons) / d
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def plate_spec(grid, plates, xi_list=(0.5,), d=1.0):
+    spec = SweepSpec(quantity="force", xi_list=tuple(xi_list), grid=tuple(grid), units="atomic",
+                     d=d, **plates)
+    spec.validate()
+    return spec
+
+
+FORCE_XI = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+PLATES = st.fixed_dictionaries({
+    "area": st.floats(1e-3, 1e3),
+    "charge": st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    "mass": st.floats(1e-3, 1e3),
+    "hbar": st.floats(0.1, 10.0),
+    "n_charges": st.sampled_from([0, 1, 2, 7]),
+    "n_photons": st.sampled_from([0, 1, 3]),
+})
+SEPARATIONS = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5)
+
+
+def check_force_block(columns, plates, xi, d, omega, wp):
+    """The force block at xi and d against the reference, and each force
+    against the scalar force_general at its omega."""
+    e, m, hbar = plates["charge"], plates["mass"], plates["hbar"]
+    geom = PlateGeometry(d, plates["area"], plates["n_charges"], plates["n_photons"])
+    expected = [reference_force(w, d, wp, xi, plates["n_photons"], hbar) for w in omega]
+    assert float(columns["omega_p"]).hex() == wp.hex()
+    assert hexes(columns["force"]) == [v.hex() for v in expected], (xi, d)
+    scalar = [force_general(w, geom, e, m, xi, hbar, omega_p=wp) for w in omega]
+    assert [v.hex() for v in scalar] == [v.hex() for v in expected]
+
+
+@given(
+    omega=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20),
+    d=SEPARATIONS, xi=FORCE_XI, plates=PLATES, ref_d=st.one_of(st.none(), st.floats(0.1, 10.0)),
+)
+@settings(max_examples=200)
+def test_force_columns_at_omega_match_the_reference_point_by_point(omega, d, xi, plates, ref_d):
+    if xi == 0.0:
+        omega = [0.0, *omega, 0.0]  # the omega -> 0 limit
+    spec = plate_spec(d, plates, (xi,))
+    header, blocks = force_columns(spec, tuple(omega), ref_d)
+    assert len(blocks) == len(d)
+    area, n, e, m = plates["area"], plates["n_charges"], plates["charge"], plates["mass"]
+    frozen = None if ref_d is None else reference_plasma_frequency(ref_d, area, n, e, m)
+    for separation, block in zip(d, blocks):
+        columns = dict(zip(header, block))
+        assert columns["omega"].tolist() == omega and columns["d"] == separation
+        wp = reference_plasma_frequency(separation, area, n, e, m) if frozen is None else frozen
+        check_force_block(columns, plates, xi, separation, omega, wp)
+    # sweep force evaluates the same kernel at its one separation
+    sweep = plate_spec(omega, plates, (xi,), d[0])
+    header, [block] = sweep_columns(sweep)
+    wp = reference_plasma_frequency(d[0], area, n, e, m)
+    check_force_block(dict(zip(header, block)), plates, xi, d[0], omega, wp)
+
+
+@given(d=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30), xi=FORCE_XI, plates=PLATES,
+       ref_d=st.one_of(st.none(), st.floats(0.1, 10.0)))
+@settings(max_examples=200)
+def test_force_columns_at_minimum_match_the_reference_point_by_point(d, xi, plates, ref_d):
+    spec = plate_spec(d, plates, (xi,))
+    header, [block] = force_columns(spec, None, ref_d)
+    columns = dict(zip(header, block))
+    area, n, e, m = plates["area"], plates["n_charges"], plates["charge"], plates["mass"]
+    hbar, photons = plates["hbar"], plates["n_photons"]
+    if ref_d is None:
+        wp = [reference_plasma_frequency(v, area, n, e, m) for v in d]
+    else:
+        wp = [reference_plasma_frequency(ref_d, area, n, e, m)] * len(d)
+    k_star = critical_points(xi).k_star
+    assert np.broadcast_to(columns["omega_p"], len(d)).tolist() == wp
+    assert hexes(np.broadcast_to(columns["omega"], len(d))) == [(v * k_star).hex() for v in wp]
+    expected = [reference_force_at_minimum(v, w, xi, photons, hbar) for v, w in zip(d, wp)]
+    assert hexes(columns["force"]) == [v.hex() for v in expected]
+    # each scalar kernel is the matching element of its array form
+    frozen = None if ref_d is None else wp[0]
+    geom = PlateGeometry(np.array(d), area, n, photons)
+    assert hexes(plasma_frequency_plates(geom, e, m)) == [
+        plasma_frequency_plates(PlateGeometry(v, area, n, photons), e, m).hex() for v in d
+    ]
+    scalar = [force_at_minimum(PlateGeometry(v, area, n, photons), e, m, xi, hbar, frozen)
+              for v in d]
+    assert [v.hex() for v in scalar] == [v.hex() for v in expected]
+
+
+# The plates of the defaults, whose omega_p is 2 sqrt(pi): at these omegas
+# Python's (omega_p/omega)**2 (libm pow) and numpy's square round apart.
+DEFAULT_WP = 2.0 * math.sqrt(math.pi)
+POW_SENSITIVE_FORCE = [1.45691, 3.44461, 0.29239, 1.68037]
+
+
+def test_pow_sensitive_force_frequencies_round_apart():
+    assert all((DEFAULT_WP / w) ** 2 != (DEFAULT_WP / w) * (DEFAULT_WP / w)
+               for w in POW_SENSITIVE_FORCE)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.4, 1.0])
+def test_force_at_pow_sensitive_frequencies(xi):
+    plates = {"area": 1.0, "charge": 1.0, "mass": 1.0, "hbar": 1.0, "n_charges": 1,
+              "n_photons": 0}
+    omega = [0.5, *POW_SENSITIVE_FORCE]
+    spec = plate_spec([1.0], plates, (xi,))
+    header, [block] = force_columns(spec, tuple(omega), None)
+    check_force_block(dict(zip(header, block)), plates, xi, 1.0, omega, DEFAULT_WP)
+
+
+def outcome(f, *args):
+    """The bits of f(*args), or the message of the DomainError it raises."""
+    try:
+        return f(*args).hex()
+    except DomainError as exc:
+        return str(exc)
+
+
+def check_edges(kernel, points):
+    """kernel over the points as an array: the scalar kernel's bits at each
+    point where it succeeds, and where it raises at some point, that
+    point's error; the points it succeeds at as an array of their own."""
+    scalar = [outcome(kernel, v) for v in points]
+    failing = [result for result in scalar if not result.startswith(("0x", "-0x"))]
+    if failing:
+        with pytest.raises(DomainError) as exc:
+            kernel(np.array(points))
+        assert str(exc.value) in failing
+    passing = [v for v, result in zip(points, scalar) if result.startswith(("0x", "-0x"))]
+    assert hexes(kernel(np.array(passing))) == [r for r in scalar if r.startswith(("0x", "-0x"))]
+    return scalar
+
+
+def neighbours(*values):
+    return [w for v in values for w in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.4, 1.0])
+def test_force_general_array_at_the_edges_of_the_square(xi):
+    g = PlateGeometry(d=1.0, A=1.0)
+    root_max = math.sqrt(sys.float_info.max)
+    # (omega_p/omega)^2 overflows below the first, its inverse overflows
+    # above the second, and it underflows to 0 above the third
+    omegas = neighbours(DEFAULT_WP / root_max, DEFAULT_WP * root_max, DEFAULT_WP * 2.0**538)
+    omegas += [0.0, 0.5] if xi == 0.0 else [0.5]
+    scalar = check_edges(lambda w: force_general(w, g, 1.0, 1.0, xi), omegas)
+    assert {"(omega_p/omega)^2 is not a positive finite float at omega = "
+            f"{math.nextafter(DEFAULT_WP / root_max, 0.0)}",
+            f"(omega/omega_p)^2 overflows at omega = {math.nextafter(DEFAULT_WP * root_max, math.inf)}",
+            } <= set(scalar)
+    for w, result in zip(omegas, scalar):
+        if result.startswith("0x"):
+            assert result == reference_force(w, 1.0, DEFAULT_WP, xi, 0, 1.0).hex()
+
+
+@pytest.mark.parametrize("omega_p", [None, 0.8])
+def test_force_at_minimum_array_where_d_to_the_three_halves_overflows(omega_p):
+    lo, hi = 1e205, 1e206  # the largest d whose d**1.5 is finite lies in [lo, hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2.0
+        try:
+            mid**1.5
+            lo = mid
+        except OverflowError:
+            hi = mid
+    separations = [1.0, *neighbours(lo), 1e300]
+    scalar = check_edges(
+        lambda d: force_at_minimum(PlateGeometry(d=d, A=1.0), 1.0, 1.0, 0.5, 1.0, omega_p),
+        separations,
+    )
+    if omega_p is None:
+        assert scalar[2].startswith("0x") and scalar[3] == (
+            f"d^(3/2) is not a positive finite float at d = {math.nextafter(lo, math.inf)}"
+        )
