@@ -89,3 +89,77 @@ def test_both_trees_are_compiled_before_the_first_pair(tmp_path, monkeypatch):
     assert len(compiled) == 2 and bench_pairs.ROOT in compiled
     assert [kind for kind, _ in calls] == ["compile"] * 2 + ["run"] * 4
     assert {tree for _, tree in calls[2:]} == compiled
+
+
+def load_diff_parent(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # it imports bench_pairs
+    path = ROOT / "scripts" / "diff_parent.py"
+    spec = importlib.util.spec_from_file_location("diff_parent", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diff_parent_argvs_are_seeded_and_cover_the_force_tables(monkeypatch):
+    diff_parent = load_diff_parent(monkeypatch)
+    argvs = diff_parent.argvs(400, 7)
+    assert argvs == diff_parent.argvs(400, 7) != diff_parent.argvs(400, 8)
+    texts = [" ".join(argv) for argv in argvs]
+    assert {argv[0] for argv in argvs} == {"force", "sweep"}
+    assert all(argv[1] == "force" for argv in argvs if argv[0] == "sweep")
+    for part in ("--at-minimum", "--omega=", "--scaling=frozen", "--ref-d=", "--format=json"):
+        assert any(part in text and text.startswith("force") for text in texts), part
+    counts = [int(option.split(":")[2]) for argv in argvs for option in argv
+              if option.startswith(("--omega=", "--d=")) and option.count(":") >= 2
+              and option.split(":")[2].isdigit()]
+    assert any(count > 1024 for count in counts) and any(count > 2048 for count in counts)
+
+
+def git_tree():
+    done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True)
+    return done.returncode == 0
+
+
+def run_diff_parent(tmp_path, tree, count, seed):
+    summary = tmp_path / "summary.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "diff_parent.py"), "--parent", "HEAD",
+         "--tree", str(tree), "--count", str(count), "--seed", str(seed), "--out", str(summary)],
+        capture_output=True, text=True, timeout=300,
+    )
+    return done, json.loads(summary.read_text())
+
+
+@pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
+def test_diff_parent_of_head_against_head_finds_no_difference(tmp_path, monkeypatch):
+    head = tmp_path / "head"
+    load_diff_parent(monkeypatch).export("HEAD", head)
+    done, summary = run_diff_parent(tmp_path, head, 40, 3)
+    assert done.returncode == 0, done.stderr
+    assert summary["differences"] == [] and summary["count"] == 40
+    codes = summary["exit_codes"]
+    assert codes["parent"] == codes["change"] and sum(codes["change"].values()) == 40
+    assert {"0", "2", "3"} <= set(codes["change"])
+
+
+@pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
+def test_diff_parent_reports_a_planted_change_with_its_argv(tmp_path, monkeypatch):
+    diff_parent = load_diff_parent(monkeypatch)
+    planted = tmp_path / "planted"
+    diff_parent.export("HEAD", planted)
+    plates = planted / "src" / "quasimode" / "plates.py"
+    text = plates.read_text()
+    # doubles every force at a mode frequency, and nothing else
+    formula = "return numer / denom * photons / g.d\n"
+    assert text.count(formula) == 1
+    plates.write_text(text.replace(formula, "return 2.0 * numer / denom * photons / g.d\n"))
+    done, summary = run_diff_parent(tmp_path, planted, 40, 3)
+    assert done.returncode == 1
+    differing = [tuple(entry["argv"]) for entry in summary["differences"]]
+    assert differing
+    for entry in summary["differences"]:
+        parent, change = entry["parent"], entry["change"]
+        assert parent["code"] == change["code"] == 0 and "--at-minimum" not in entry["argv"]
+        assert parent["sha256"] != change["sha256"]
+    assert set(differing) <= {tuple(argv) for argv in diff_parent.argvs(40, 3)}
