@@ -337,7 +337,8 @@ def force_columns(
     frozen_wp = None if ref_d is None else _plates(spec, ref_d)[1]
     # Every separation's plates are checked before tabulate: --at-minimum
     # sweeps d, so its empty grid builds no plates, and a bad plate input
-    # would name a d.  Its fault is that of the first separation at fault.
+    # would name a d.  A fault is reported as the first separation at fault
+    # raises it on its own.
     grid, check = np.array(spec.grid), functools.partial(_plates, spec)
     with np.errstate(all="ignore"):
         try:

@@ -346,7 +346,7 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-def plate_spec(grid, plates, xi_list=(0.5,), d=1.0):
+def plate_spec(grid, plates, xi_list, d=1.0):
     spec = SweepSpec(quantity="force", xi_list=tuple(xi_list), grid=tuple(grid), units="atomic",
                      d=d, **plates)
     spec.validate()
