@@ -18,15 +18,16 @@ All quantities are in atomic units; the Bohr radius hbar^2/(m e^2) equals 1
 at the defaults.
 
 The separation d of the plates, and the mode frequency omega of
-force_general, may be float64 arrays: each kernel then gives its value at
-each element, with the bits of the float at that element, and raises the
-DomainError of some element that the float would raise it at.
+force_general, may be float64 arrays (in force_general, d and a frozen
+omega_p then a float or an array of omega's shape): each kernel then gives
+its value at each element, with the bits of the float at that element, and
+raises the DomainError of some element that the float would raise it at.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,26 +110,29 @@ def force_general(
     Diverges as omega -> 0 for xi > 0; for xi = 0 the omega -> 0 limit is
     hbar omega_p / (4 d), the maximum of the force.  Pass omega_p to freeze
     the plasma frequency (frozen mode); by default it is recomputed from the
-    geometry, which is one plate: d is a float.
+    geometry.  Plates without charge (omega_p = 0) have no force.
     """
     q = polarization_weight(xi)
     _nonnegative(omega, "mode frequency")
     _positive(hbar, "hbar")
     wp = _plasma(g, e, m, omega_p)
-    if wp == 0.0:
-        return 0.0 * omega
     photons = 1.0 + 2.0 * g.n_photons
     array = isinstance(omega, np.ndarray)
-    zero = omega == 0.0
-    if zero.any() if array else zero:
-        if q > 0.0:
+    # At omega_p = 0 or omega = 0 the force is the omega -> 0 limit, which
+    # is 0 at omega_p = 0.
+    special = (wp == 0.0) | (omega == 0.0)
+    if special.any() if array else special:
+        if q > 0.0 and np.any((omega == 0.0) & (wp != 0.0)):
             raise DomainError("plate force diverges at omega=0 for xi > 0")
         limit = hbar * wp / (4.0 * g.d) * photons
         if not array:
             return limit
-        # the other elements as an array of their own, at the plates' omega_p
-        force = np.full(omega.shape, limit)
-        force[~zero] = force_general(omega[~zero], g, e, m, xi, hbar, wp)
+        # the other elements as an array of their own, at their omega_p
+        force, rest = np.array(np.broadcast_to(limit, omega.shape)), ~special
+        if rest.any():
+            force[rest] = force_general(
+                omega[rest], replace(g, d=_part(g.d, rest)), e, m, xi, hbar, _part(wp, rest)
+            )
         return force
     r2 = _power(wp / omega, 2)
     if (ok := (r2 > 0.0) & (r2 < math.inf)) is not True:
@@ -139,6 +143,11 @@ def force_general(
     numer = hbar * wp * (1.0 + 2.0 * q * r2)
     denom = 4.0 * (np.sqrt if array else math.sqrt)(inverse + 1.0 + q * r2)
     return numer / denom * photons / g.d
+
+
+def _part(value, mask: np.ndarray):
+    """The elements of value where mask is true, or value if it is a float."""
+    return value[mask] if isinstance(value, np.ndarray) else value
 
 
 def force_minimum_plasma_form(
@@ -176,8 +185,6 @@ def force_minimum_bohr_form(
     if e_sq == 0.0:
         return 0.0 * g.d
     if m * e_sq == 0.0:
-        if not np.size(g.d):  # a fault of each separation, so of none here
-            return 0.0 * g.d
         raise DomainError(f"m * N e^2 underflows to 0 (m={m}, e={e}, N={g.N_charges})")
     bohr = hbar * hbar / (m * e_sq)
     d_power = _power(g.d, 1.5)

@@ -1,10 +1,9 @@
 """Sweep and force tables as numpy columns (sweep_columns, force_columns):
-one block of the `output` table format per point of the outer axes."""
+one block of the `output` table format per point of the outer axis."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -206,10 +205,14 @@ def _force(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
     ]
 
 
+def _geometry(spec: SweepSpec, d) -> PlateGeometry:
+    """The plates of `spec` at separation d, a float or an array."""
+    return PlateGeometry(d=d, A=spec.area, N_charges=spec.n_charges, n_photons=spec.n_photons)
+
+
 def _plates(spec: SweepSpec, d) -> tuple[PlateGeometry, float | np.ndarray]:
-    """The plates of `spec` at separation d, a float or an array, and their
-    plasma frequency."""
-    geom = PlateGeometry(d=d, A=spec.area, N_charges=spec.n_charges, n_photons=spec.n_photons)
+    """The plates of `spec` at separation d and their plasma frequency."""
+    geom = _geometry(spec, d)
     return geom, plasma_frequency_plates(geom, spec.charge, spec.mass)
 
 
@@ -252,13 +255,13 @@ K_SWEPT = {name for name, entry in TABLE.items() if entry.axis == "k"}
 ATOMIC_ONLY = {name for name, entry in TABLE.items() if entry.atomic_only}
 
 
-def _checked_columns(evaluate: Callable[..., list], point: tuple, grid: np.ndarray) -> list:
-    """evaluate(*point, grid), with an overflow, a division by zero or a
+def _checked_columns(evaluate: Callable[..., list], value: object, grids: list) -> list:
+    """evaluate(value, *grids), with an overflow, a division by zero or a
     non-finite float cell raised as a DomainError.  numpy's floating-point
     warnings are silenced: the cells they flag are the ones rejected here."""
     try:
         with np.errstate(all="ignore"):
-            columns = evaluate(*point, grid)
+            columns = evaluate(value, *grids)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"result is not a finite float ({type(exc).__name__})") from None
     for column in columns:
@@ -271,15 +274,15 @@ def _checked_columns(evaluate: Callable[..., list], point: tuple, grid: np.ndarr
     return columns
 
 
-def _first_failure(check: Callable[[np.ndarray], object], grid: np.ndarray) -> int:
-    """Index of the first grid point at which check raises a DomainError.
-    Whether a point fails does not depend on the others, so a slice of the
-    grid fails exactly when it holds a failing point."""
-    lo, hi = 0, len(grid)  # the first failure lies in grid[lo:hi]
+def _first_failure(check: Callable[[slice], object], count: int) -> int:
+    """Index of the first of count points at which check, given a slice of
+    them, raises a DomainError.  Whether a point fails does not depend on
+    the others, so a slice fails exactly when it holds a failing point."""
+    lo, hi = 0, count  # the first failure lies in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            check(grid[lo:mid])
+            check(slice(lo, mid))
             lo = mid
         except DomainError:
             hi = mid
@@ -287,31 +290,38 @@ def _first_failure(check: Callable[[np.ndarray], object], grid: np.ndarray) -> i
 
 
 def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> list[list]:
-    """The blocks of evaluate over the product of the named axes, the first
-    outermost.  evaluate takes a point of the other axes and the whole last
-    axis as a float64 array, and returns the block of the rows there (on an
-    empty axis, empty columns or a fault of no point).  Every block is
-    evaluated and checked before any is returned, so a DomainError is raised
-    before any output; unless the empty axis raises it too, it is reported
-    on stderr with the first point, in row order, it hits."""
-    *outer, (_, values) = axes
-    grid = np.array(values, dtype=float)
-    points = itertools.product(*(values for _, values in outer)) if len(grid) else ()
+    """The blocks of evaluate over the product of the named axes, the last
+    innermost: one block per value of the first axis.  evaluate takes that
+    value and, for each other axis, a float64 array of its value at each
+    row of the block, and returns columns of these rows (on empty arrays,
+    empty columns or a fault of no row).  Every block is evaluated and
+    checked before any is returned, so a DomainError is raised before any
+    output; unless the empty arrays raise it too, it is reported on stderr
+    with the first point, in row order, it hits."""
+    (_, outer), *inner = axes
+    shape = tuple(len(values) for _, values in inner)
+    grids = [
+        grid.ravel()
+        for grid in np.meshgrid(*(np.array(values, dtype=float) for _, values in inner),
+                                indexing="ij")
+    ]
     blocks = []
-    for point in points:
+    for value in outer if math.prod(shape) else ():
+        def rows(part: slice) -> list:
+            return _checked_columns(evaluate, value, [grid[part] for grid in grids])
+
         try:
-            blocks.append(_checked_columns(evaluate, point, grid))
+            blocks.append(rows(slice(None)))
         except DomainError as exc:
-            _checked_columns(evaluate, point, grid[:0])  # raises a fault of no point
-            i = _first_failure(functools.partial(_checked_columns, evaluate, point), grid)
+            rows(slice(0))  # raises a fault of no row
+            i = _first_failure(rows, len(grids[0]))
             try:
-                _checked_columns(evaluate, point, grid[i:i + 1])
+                rows(slice(i, i + 1))
             except DomainError as first:
                 exc = first
-            names = [name for name, _ in axes]
-            where = ", ".join(
-                f"{name}={value:g}" for name, value in zip(names, (*point, values[i]))
-            )
+            at = np.unravel_index(i, shape)
+            point = [value, *(values[j] for (_, values), j in zip(inner, at))]
+            where = ", ".join(f"{axis}={v:g}" for (axis, _), v in zip(axes, point))
             print(f"domain error at {where}: {exc}", file=sys.stderr)
             raise exc from None
     return blocks
@@ -330,39 +340,52 @@ def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
 def force_columns(
     spec: SweepSpec, omega: tuple[float, ...] | None, ref_d: float | None
 ) -> tuple[list[str], list[list]]:
-    """The header and the blocks of the `force` table of a validated spec,
-    one block per xi and separation d of spec.grid: the force at each omega,
-    or at the energy minimum if omega is None.  omega_p is recomputed at
-    each d, or frozen at that of separation ref_d unless ref_d is None."""
+    """The header and the blocks of the `force` table of a validated spec:
+    the force at each separation d of spec.grid, one block per xi and d
+    over omega, or at the energy minimum, one block per xi, if omega is
+    None.  omega_p is recomputed at each d, or frozen at that of separation
+    ref_d unless ref_d is None."""
     frozen_wp = None if ref_d is None else _plates(spec, ref_d)[1]
     # Every separation's plates are checked before tabulate: --at-minimum
     # sweeps d, so its empty grid builds no plates, and a bad plate input
     # would name a d.  A fault is reported as the first separation at fault
-    # raises it on its own.
-    grid, check = np.array(spec.grid), functools.partial(_plates, spec)
+    # raises it on its own.  The omega_p column comes from this evaluation;
+    # the force kernels recompute it unless it is frozen.
+    grid = np.array(spec.grid, dtype=float)
     with np.errstate(all="ignore"):
         try:
-            check(grid)
+            wp = _plates(spec, grid)[1]
         except DomainError:
-            check(spec.grid[_first_failure(check, grid)])
+            first = _first_failure(lambda part: _plates(spec, grid[part]), len(grid))
+            _plates(spec, spec.grid[first])
             raise
-    fixed = [spec.area, spec.n_charges, spec.n_photons, "recompute" if ref_d is None else "frozen"]
+    wp = wp if frozen_wp is None else frozen_wp
     e, m, hbar = spec.charge, spec.mass, spec.hbar
 
-    def plates(d):
-        geom, wp = _plates(spec, d)
-        return geom, wp if frozen_wp is None else frozen_wp
-
-    def at_omega(xi: float, d: float, omega: np.ndarray) -> list:
-        geom, wp = plates(d)
-        return [xi, omega, d, *fixed, wp, force_general(omega, geom, e, m, xi, hbar, omega_p=wp)]
+    def at_omega(xi: float, d: np.ndarray, omega: np.ndarray) -> list:
+        return [force_general(omega, _geometry(spec, d), e, m, xi, hbar, omega_p=frozen_wp)]
 
     def at_minimum(xi: float, d: np.ndarray) -> list:
-        geom, wp = plates(d)
-        force = force_at_minimum(geom, e, m, xi, hbar, omega_p=frozen_wp)
-        return [xi, wp * critical_points(xi).k_star, d, *fixed, wp, force]
+        if not d.size:  # a fault of the force at a separation names it
+            return [d]
+        return [force_at_minimum(_geometry(spec, d), e, m, xi, hbar, omega_p=frozen_wp)]
 
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons", "scaling", "omega_p", "force"]
-    omega_axis = [] if omega is None else [("omega", omega)]
-    evaluate = at_minimum if omega is None else at_omega
-    return header, tabulate([("xi", spec.xi_list), ("d", spec.grid), *omega_axis], evaluate)
+    fixed = [spec.area, spec.n_charges, spec.n_photons, "recompute" if ref_d is None else "frozen"]
+    if omega is None:
+        forces = tabulate([("xi", spec.xi_list), ("d", spec.grid)], at_minimum)
+        # k_star <= 1/sqrt(2), so omega is finite where omega_p is
+        return header, [
+            [xi, wp * critical_points(xi).k_star, grid, *fixed, wp, force]
+            for xi, [force] in zip(spec.xi_list, forces)
+        ]
+    # The force is evaluated once per xi, and written one block per xi and
+    # d, whose d and omega_p are values that its rows share.
+    forces = tabulate([("xi", spec.xi_list), ("d", spec.grid), ("omega", omega)], at_omega)
+    omega, n = np.array(omega, dtype=float), len(omega)
+    wp = np.broadcast_to(wp, grid.shape).tolist()
+    return header, [
+        [xi, omega, d, *fixed, wp[j], force[j * n:(j + 1) * n]]
+        for xi, [force] in zip(spec.xi_list, forces)
+        for j, d in enumerate(spec.grid)
+    ]

@@ -399,6 +399,9 @@ class TestExitCodes:
          "xi=0, k=5e-309", "result is not a finite float"),
         (["force", "--xi", "1", "--d", "1,2", "--omega", "1,0"],
          "xi=1, d=1, omega=0", "plate force diverges at omega=0 for xi > 0"),
+        # one block per xi holds every separation: the fault is at the second
+        (["force", "--xi", "0,0.5", "--d", "1,1e10", "--omega", "1,1e150,2"],
+         "xi=0, d=1e+10, omega=1e+150", "(omega/omega_p)^2 overflows at omega = 1e+150"),
         (["force", "--xi", "0.5", "--d", "2,1e-300", "--at-minimum"],
          "xi=0.5, d=1e-300", "d^(3/2) is not a positive finite float at d = 1e-300"),
         (["force", "--xi", "0.5", "--d", "2,1e300", "--at-minimum"],
@@ -509,6 +512,12 @@ class TestExitCodes:
         # the frozen reference plates are built first
         (["force", "--xi", "0.5", "--d", "1,2", "--at-minimum", "--scaling", "frozen",
           "--ref-d", "-1"],
+         "plate separation must be positive, got -1.0"),
+        # frozen plates are still checked at every separation
+        (["force", "--xi", "0.5", "--d", "1,0", "--at-minimum", "--scaling", "frozen"],
+         "plate separation must be positive, got 0.0"),
+        (["force", "--xi", "0.5", "--d", "2,-1", "--omega", "1", "--scaling", "frozen",
+          "--ref-d", "3"],
          "plate separation must be positive, got -1.0"),
     ])
     def test_plate_domain_error_names_no_grid_point(self, argv, message, capsys):

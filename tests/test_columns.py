@@ -452,6 +452,25 @@ def test_force_at_pow_sensitive_frequencies(xi):
     check_force_block(dict(zip(header, block)), plates, xi, 1.0, omega, DEFAULT_WP)
 
 
+@pytest.mark.parametrize("ref_d", [None, 1.0])
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+def test_force_columns_at_omega_with_plates_without_charge(xi, ref_d):
+    # omega_p underflows to 0 at the farthest separation, whose rows have
+    # no force, while the others have one, at omega = 0 too when xi = 0
+    plates = {"area": 1.0, "charge": 1e-200, "mass": 1.0, "hbar": 1.0, "n_charges": 1,
+              "n_photons": 1}
+    d, omega = [1e250, 1.0, 3.0], [1e-250, 2e-250]
+    if xi == 0.0:
+        omega = [0.0, *omega]
+    header, blocks = force_columns(plate_spec(d, plates, (xi,)), tuple(omega), ref_d)
+    assert len(blocks) == len(d)
+    for separation, block in zip(d, blocks):
+        wp = reference_plasma_frequency(ref_d or separation, 1.0, 1, 1e-200, 1.0)
+        assert (wp == 0.0) == (ref_d is None and separation == 1e250)
+        check_force_block(dict(zip(header, block)), plates, xi, separation, omega, wp)
+    assert not blocks[0][-1].any() and blocks[1][-1].all()
+
+
 def outcome(f, *args):
     """The bits of f(*args), or the message of the DomainError it raises."""
     try:
