@@ -13,7 +13,8 @@ stderr and the sha256 of the output file are compared.
 
 The JSON summary holds both sides' counts per exit code, the change's total
 output bytes, and every argv that differs with both sides' results.  The
-command exits 1 if any argv differs.
+command exits 1 if any argv differs, and 2, naming the argv, if a worker
+dies.
 
 The argvs are `force` (both modes and scalings) and `sweep force` tables,
 CSV and JSON, over grids of 1 to 2,100 points around the 1,024 rows of an
@@ -26,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -169,6 +172,10 @@ def argvs(count: int, seed: int) -> list[list[str]]:
     return [force_argv(rng) for _ in range(count)]
 
 
+class WorkerDied(RuntimeError):
+    """A worker gave no result for an argv, or exited with an error."""
+
+
 def run_all(tree: Path, batch: list[list[str]], scratch: Path) -> list[dict]:
     """The results of the argvs in one worker on the tree's `src/`."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
@@ -179,11 +186,19 @@ def run_all(tree: Path, batch: list[list[str]], scratch: Path) -> list[dict]:
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
     ) as worker:
         for argv in batch:
-            worker.stdin.write(json.dumps(argv) + "\n")
-            worker.stdin.flush()
-            results.append(json.loads(worker.stdout.readline()))
+            try:
+                worker.stdin.write(json.dumps(argv) + "\n")
+                worker.stdin.flush()
+                line = worker.stdout.readline()
+            except BrokenPipeError:
+                line = ""
+            if not line:  # it died: its traceback, if any, is on stderr
+                with contextlib.suppress(BrokenPipeError):
+                    worker.stdin.close()  # drops what it holds for the dead worker
+                raise WorkerDied(f"the worker on {tree} died running {shlex.join(argv)}")
+            results.append(json.loads(line))
     if worker.returncode != 0:
-        raise RuntimeError(f"the worker on {tree} exited with {worker.returncode}")
+        raise WorkerDied(f"the worker on {tree} exited with {worker.returncode}")
     return results
 
 
@@ -220,7 +235,11 @@ def main() -> int:
             compile_tree(side)
         scratch = Path(tmp) / "scratch"
         scratch.mkdir()
-        summary = compare(parent_tree, tree, argvs(args.count, args.seed), scratch)
+        try:
+            summary = compare(parent_tree, tree, argvs(args.count, args.seed), scratch)
+        except WorkerDied as exc:
+            print(f"diff_parent: {exc}", file=sys.stderr)
+            return 2
     change = git("describe", "--always", "--dirty", "--abbrev=40") if tree == ROOT else str(tree)
     record = {"parent": sha, "change": change, "seed": args.seed, **summary}
     text = json.dumps(record, indent=2) + "\n"

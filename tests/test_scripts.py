@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shlex
 import os
 import subprocess
 import sys
@@ -128,7 +129,7 @@ def run_diff_parent(tmp_path, tree, count, seed):
          "--tree", str(tree), "--count", str(count), "--seed", str(seed), "--out", str(summary)],
         capture_output=True, text=True, timeout=300,
     )
-    return done, json.loads(summary.read_text())
+    return done, json.loads(summary.read_text()) if summary.exists() else None
 
 
 @pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
@@ -163,3 +164,23 @@ def test_diff_parent_reports_a_planted_change_with_its_argv(tmp_path, monkeypatc
         assert parent["code"] == change["code"] == 0 and "--at-minimum" not in entry["argv"]
         assert parent["sha256"] != change["sha256"]
     assert set(differing) <= {tuple(argv) for argv in diff_parent.argvs(40, 3)}
+
+
+@pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
+@pytest.mark.parametrize("where", ["argv", "import"])
+def test_diff_parent_names_the_argv_a_worker_dies_on(where, tmp_path, monkeypatch):
+    diff_parent = load_diff_parent(monkeypatch)
+    planted = tmp_path / "planted"
+    diff_parent.export("HEAD", planted)
+    cli = planted / "src" / "quasimode" / "cli.py"
+    # the worker exits without a result at the first --at-minimum argv, or
+    # while importing the CLI
+    crash = ("\n_main = main\n\ndef main(argv):\n"
+             "    if '--at-minimum' in argv:\n        os._exit(5)\n    return _main(argv)\n"
+             if where == "argv" else "\nos._exit(5)\n")
+    cli.write_text(cli.read_text() + "\nimport os\n" + crash)
+    done, summary = run_diff_parent(tmp_path, planted, 40, 3)
+    assert done.returncode == 2 and summary is None
+    argvs = diff_parent.argvs(40, 3)
+    first = next(argv for argv in argvs if "--at-minimum" in argv) if where == "argv" else argvs[0]
+    assert done.stderr == f"diff_parent: the worker on {planted} died running {shlex.join(first)}\n"
