@@ -123,9 +123,14 @@ def _power(x, y: float):
     """x**y as Python computes it, with libm's pow, for a float or each
     element of an array; inf where Python raises OverflowError.  numpy
     squares by x*x, which rounds differently for about one float in a
-    thousand."""
+    thousand.  An array maps the builtin pow, which is x**y, with no Python
+    frame per element, and only once an element overflows this function."""
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(_power, x.tolist(), itertools.repeat(y)), float, x.size)
+        values = x.tolist()
+        try:
+            return np.fromiter(map(pow, values, itertools.repeat(y)), float, x.size)
+        except OverflowError:
+            return np.fromiter(map(_power, values, itertools.repeat(y)), float, x.size)
     try:
         return x**y
     except OverflowError:

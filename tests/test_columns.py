@@ -21,6 +21,7 @@ from quasimode.cli import EXIT_DOMAIN, main
 from quasimode.dispersion import REGIMES, Regime, k_branches_array, omega_of_k_array
 from quasimode.kinematics import velocities_array
 from quasimode.optics import _branch_zetas
+from quasimode.params import _power
 from quasimode.spectrum import energy_levels_array
 from quasimode.tables import SweepSpec, force_columns, sweep_columns
 
@@ -535,3 +536,19 @@ def test_force_at_minimum_array_where_d_to_the_three_halves_overflows(omega_p):
         assert scalar[2].startswith("0x") and scalar[3] == (
             f"d^(3/2) is not a positive finite float at d = {math.nextafter(lo, math.inf)}"
         )
+
+
+@pytest.mark.parametrize("y", [2, 1.5])
+def test_power_array_is_python_power_at_each_element(y):
+    values = [0.0, 5e-324, 1e-200, 0.3, 2.0, 1e102, 1e154, 1e206, 1e300, 0.7]
+
+    def python_power(x):
+        try:
+            return x**y
+        except OverflowError:
+            return math.inf
+
+    expected = hexes(map(python_power, values))
+    assert "inf" in expected  # one array overflows, the other not
+    assert hexes(_power(np.array(values), y)) == expected
+    assert hexes(_power(np.array(values[:4]), y)) == expected[:4]
