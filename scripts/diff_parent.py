@@ -16,11 +16,18 @@ output bytes, and every argv that differs with both sides' results.  The
 command exits 1 if any argv differs, and 2, naming the argv, if a worker
 dies.
 
-The argvs are `force` (both modes and scalings) and `sweep force` tables,
-CSV and JSON, over grids of 1 to 2,100 points around the 1,024 rows of an
-output chunk.  About half of them carry an input that should fail: a bad or
-extreme plate input, a mode frequency of 0 or one whose square overflows,
-or a malformed option.
+Three in four argvs are `force` (both modes and scalings) and `sweep force`
+tables, CSV and JSON, over grids of 1 to 2,100 points around the 1,024 rows
+of an output chunk.  About half of them carry an input that should fail: a
+bad or extreme plate input, a mode frequency of 0 or one whose square
+overflows, or a malformed option.
+
+The rest are `verify` runs: the default grid, or xi in {0, 1, interior}
+with momenta at rest in the polarization plane, with p_minor = 0, or
+general, so that both of the oracle's solvers run.  Most cap the cutoff at
+256; a minority climb to 512 or 1024.  About a third should fail: a nan
+mode frequency, one whose square underflows, more levels than the starting
+cutoff/4, or a cap below the starting cutoff.
 """
 
 from __future__ import annotations
@@ -167,9 +174,61 @@ def _spoil(rng: random.Random, options: dict, flags: list, sweep: bool) -> None:
         options.pop("--omega")  # neither --omega nor --at-minimum
 
 
+def _frequency(rng: random.Random) -> str:
+    """A mode or plasma frequency near 1, or log-uniform over 1e-3 ... 1e3."""
+    if rng.random() < 0.5:
+        return repr(round(rng.uniform(0.2, 3.0), 3))
+    return f"{10.0 ** rng.uniform(-3.0, 3.0):.6g}"
+
+
+def _momentum(rng: random.Random) -> str:
+    """At rest in the polarization plane, with p_minor = 0, or general."""
+    kind = rng.randrange(3)
+    major = round(rng.uniform(-1.0, 1.0), 3) if kind > 0 else 0.0
+    minor = round(rng.uniform(-1.0, 1.0), 3) if kind > 1 else 0.0
+    perp = round(rng.uniform(-1.0, 1.0), 3) if rng.random() < 0.5 else 0.0
+    return f"{major!r},{minor!r},{perp!r}"
+
+
+def verify_argv(rng: random.Random) -> list[str]:
+    """One seeded `verify` argv; about a third are meant to fail."""
+    if rng.random() < 0.1:
+        return ["verify"]  # the default grid, capped at 1,024
+    start = rng.choice([8, 16, 32, 64])
+    options = {
+        "--xi": ",".join(rng.choice(["0", "1", repr(round(rng.uniform(0.0, 1.0), 4))])
+                         for _ in range(rng.randint(1, 2))),
+        "--omega": _frequency(rng),
+        "--omega-p": _frequency(rng),
+        "--levels": str(rng.randint(1, start // 4)),
+        "--cutoff-start": str(start),
+    }
+    if rng.random() < 0.2:
+        cap = rng.choice(["512", "1024", None])  # None: the default, 1,024
+    else:
+        cap = str(rng.choice([c for c in (8, 16, 32, 64, 128, 256) if c >= start]))
+    if cap is not None:
+        options["--cutoff-cap"] = cap
+    if rng.random() < 0.3:
+        options["--tol"] = rng.choice(["1e-3", "1e-9", "1e-12"])
+    if rng.random() < 1 / 3:
+        kind = rng.randrange(4)
+        if kind < 2:
+            bad = "nan" if kind == 0 else f"{10.0 ** -rng.uniform(162.0, 200.0):.3g}"
+            values = [options["--omega"]]
+            values.insert(rng.randint(0, 1), bad)
+            options["--omega"] = ",".join(values)
+        elif kind == 2:
+            options["--levels"] = str(start // 4 + rng.randint(1, 4))
+        else:
+            options["--cutoff-cap"] = str(rng.randint(1, start - 1))
+    momenta = [f"--p={_momentum(rng)}" for _ in range(rng.randint(0, 2))]
+    return ["verify", *(f"{name}={value}" for name, value in options.items()), *momenta]
+
+
 def argvs(count: int, seed: int) -> list[list[str]]:
     rng = random.Random(f"diff_parent/{seed}")
-    return [force_argv(rng) for _ in range(count)]
+    return [(verify_argv if rng.random() < 0.25 else force_argv)(rng) for _ in range(count)]
 
 
 class WorkerDied(RuntimeError):

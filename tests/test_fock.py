@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from quasimode import (
     DomainError,
@@ -166,6 +168,73 @@ class TestEigensolver:
         assert got == pytest.approx(expected, rel=1e-10)
 
 
+@st.composite
+def real_bands_with_a_zero_off_diagonal(draw):
+    """A dipole or plane-wave band that is real with one off-diagonal zero:
+    p_major = xi p_minor = 0 at any xi, or xi = 1 with p_minor = 0."""
+    xi = draw(st.sampled_from([0.0, 1e-8, 1.0 - 1e-9, 1.0]) | st.floats(0.0, 1.0))
+    decades = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    params = ModelParams(xi=xi, omega=draw(decades), omega_p=draw(decades))
+    p_perp = draw(st.floats(-1.0, 1.0))
+    if xi == 1.0 and draw(st.booleans()):
+        p = Momentum(draw(st.floats(-1.0, 1.0)), 0.0, p_perp)
+    else:
+        p_minor = draw(st.floats(-1.0, 1.0)) if xi == 0.0 else 0.0
+        p = Momentum(0.0, p_minor, p_perp)
+    build = draw(st.sampled_from([build_dipole_hamiltonian, build_planewave_hamiltonian]))
+    cutoff = draw(st.integers(8, 1024))
+    return build(params, p, cutoff), draw(st.integers(1, cutoff // 4))
+
+
+class TestSolverDispatch:
+    """Real bands with a zero off-diagonal go to the real solver, which must
+    give the complex solver's eigenvalues bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(real_bands_with_a_zero_off_diagonal())
+    def test_real_solve_is_the_complex_solve_bit_for_bit(self, case):
+        h, count = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            assume(np.isfinite(h.matrix).all())
+        complex_levels = scipy.linalg.eigvals_banded(
+            h.matrix, select="i", select_range=(0, count - 1), check_finite=False
+        )
+        got = lowest_eigenvalues(h, count)
+        assert [v.hex() for v in got] == [float(v).hex() for v in complex_levels]
+
+    @pytest.mark.parametrize("params,p,dtype", [
+        # real pentadiagonal: its real solve differs in the last digits
+        (LP_REST, Momentum(0.3, 0.0, 0.1), complex),
+        (EP_CASE, Momentum(0.3, 0.0, 0.0), complex),
+        # p_minor at 0 < xi makes the first off-diagonal imaginary
+        (EP_CASE, Momentum(0.0, 0.2, 0.0), complex),
+        (CP_REST, Momentum(0.3, 0.2, 0.0), complex),
+        (ModelParams(xi=1e-8, omega=1.0, omega_p=0.5), Momentum(0.0, 0.2, 0.0), complex),
+        # real, with one off-diagonal zero
+        (EP_CASE, Momentum(0.0, 0.0, 0.4), float),
+        (LP_REST, Momentum(0.0, 0.2, 0.0), float),
+        (CP_REST, Momentum(0.3, 0.0, 0.1), float),
+        (CP_REST, Momentum(), float),
+    ])
+    @pytest.mark.parametrize(
+        "build", [build_dipole_hamiltonian, build_planewave_hamiltonian]
+    )
+    def test_band_reaches_the_solver_as(self, params, p, dtype, build, monkeypatch):
+        seen = []
+        solve = scipy.linalg.eigvals_banded
+
+        def spy(band, *args, **kwargs):
+            seen.append(band)
+            return solve(band, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
+        h = build(params, p, 64)
+        lowest_eigenvalues(h, 3)
+        (band,) = seen
+        assert band.dtype == np.dtype(dtype)
+        assert np.array_equal(band, h.matrix) and h.matrix.dtype == complex
+
+
 class TestSpectrumInvariants:
     @pytest.mark.parametrize("params,p", default_verification_cases())
     def test_equal_spacing_and_ground_offset(self, params, p):
@@ -326,6 +395,15 @@ class TestVerifySpectrum:
         )
         assert not report.converged
         assert report.cutoff_used == cap
+
+    def test_cap_below_start_is_domain_error(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            "quasimode.fock._base_matrix", lambda *args: built.append(args)
+        )
+        with pytest.raises(DomainError, match="cutoff cap 64 is below"):
+            verify_spectrum(EP_CASE, EP_MOM, cutoff_start=256, cutoff_cap=64)
+        assert built == []
 
     def test_default_grid_has_nine_cases(self):
         cases = default_verification_cases()

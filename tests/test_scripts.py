@@ -101,12 +101,12 @@ def load_diff_parent(monkeypatch):
     return module
 
 
-def test_diff_parent_argvs_are_seeded_and_cover_the_force_tables(monkeypatch):
+def test_diff_parent_argvs_are_seeded_and_cover_force_and_verify(monkeypatch):
     diff_parent = load_diff_parent(monkeypatch)
     argvs = diff_parent.argvs(400, 7)
     assert argvs == diff_parent.argvs(400, 7) != diff_parent.argvs(400, 8)
     texts = [" ".join(argv) for argv in argvs]
-    assert {argv[0] for argv in argvs} == {"force", "sweep"}
+    assert {argv[0] for argv in argvs} == {"force", "sweep", "verify"}
     assert all(argv[1] == "force" for argv in argvs if argv[0] == "sweep")
     for part in ("--at-minimum", "--omega=", "--scaling=frozen", "--ref-d=", "--format=json"):
         assert any(part in text and text.startswith("force") for text in texts), part
@@ -114,6 +114,29 @@ def test_diff_parent_argvs_are_seeded_and_cover_the_force_tables(monkeypatch):
               if option.startswith(("--omega=", "--d=")) and option.count(":") >= 2
               and option.split(":")[2].isdigit()]
     assert any(count > 1024 for count in counts) and any(count > 2048 for count in counts)
+
+    verify = [dict(option.split("=", 1) for option in argv[1:] if option.startswith("--")
+                   and option[2:4] != "p=")
+              for argv in argvs if argv[0] == "verify"]
+    momenta = [option[4:].split(",") for argv in argvs if argv[0] == "verify"
+               for option in argv if option.startswith("--p=")]
+    assert 60 <= len(verify) <= 140 and {} in verify  # {}: the default run
+    xis = {xi for options in verify for xi in options.get("--xi", "").split(",") if xi}
+    assert {"0", "1"} < xis
+    assert [0.0, 0.0] in [[float(major), float(minor)] for major, minor, _ in momenta]
+    assert any(float(major) != 0.0 and float(minor) == 0.0 for major, minor, _ in momenta)
+    assert any(float(major) * float(minor) != 0.0 for major, minor, _ in momenta)
+    caps = [int(options.get("--cutoff-cap", 1024)) for options in verify]
+    assert 0 < sum(cap > 256 for cap in caps) < len(caps) / 3 and max(caps) == 1024
+
+    def fails(options):
+        omegas = options.get("--omega", "1").split(",")
+        start = int(options.get("--cutoff-start", 64))
+        return ("nan" in omegas or any(float(w) < 1e-160 for w in omegas)
+                or int(options.get("--levels", 5)) > start / 4
+                or int(options.get("--cutoff-cap", 1024)) < start)
+
+    assert 0.2 < sum(map(fails, verify)) / len(verify) < 0.45
 
 
 def git_tree():
@@ -164,6 +187,27 @@ def test_diff_parent_reports_a_planted_change_with_its_argv(tmp_path, monkeypatc
         assert parent["code"] == change["code"] == 0 and "--at-minimum" not in entry["argv"]
         assert parent["sha256"] != change["sha256"]
     assert set(differing) <= {tuple(argv) for argv in diff_parent.argvs(40, 3)}
+
+
+@pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
+def test_diff_parent_reports_an_oracle_change_of_one_ulp(tmp_path, monkeypatch):
+    diff_parent = load_diff_parent(monkeypatch)
+    planted = tmp_path / "planted"
+    diff_parent.export("HEAD", planted)
+    fock = planted / "src" / "quasimode" / "fock.py"
+    text = fock.read_text()
+    # moves every oracle eigenvalue up by one unit in the last place
+    formula = "return [float(v) for v in levels]\n"
+    assert text.count(formula) == 1
+    fock.write_text(text.replace(formula, "return [math.nextafter(v, math.inf) for v in levels]\n"))
+    done, summary = run_diff_parent(tmp_path, planted, 40, 3)
+    assert done.returncode == 1
+    differing = {tuple(entry["argv"]) for entry in summary["differences"]}
+    reports = {tuple(entry["argv"]) for entry in summary["differences"]
+               if entry["parent"]["code"] in (0, 1) and entry["parent"]["sha256"]
+               != entry["change"]["sha256"]}
+    verify = {tuple(argv) for argv in diff_parent.argvs(40, 3) if argv[0] == "verify"}
+    assert differing and differing == reports <= verify
 
 
 @pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
