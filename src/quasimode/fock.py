@@ -19,9 +19,9 @@ off-diagonal (p_major = xi p_minor = 0 at any xi, or xi = 1 with
 p_minor = 0), which goes to the real dsbevx.  There every rotation of the
 band-to-tridiagonal reduction is exact (c, s in {0, +-1}) and both solvers
 end in the same bisection (dstebz), so the eigenvalues are the same bits,
-several times faster at large cutoffs.  Every other band stays on zhbevx, the real pentadiagonal one
-(xi < 1, xi p_minor = 0, p_major != 0) included: its rotations round, and
-its real solve differs in the last digits.
+several times faster at large cutoffs.  Every other band stays on zhbevx,
+the real pentadiagonal one (xi < 1, xi p_minor = 0, p_major != 0)
+included: its rotations round, and its real solve gives other bits.
 
 The plane-wave matrix adds the two diagonal corrections that survive the
 unitary transfer of the spatial phase factors onto the number operator:
