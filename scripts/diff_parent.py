@@ -16,11 +16,20 @@ output bytes, and every argv that differs with both sides' results.  The
 command exits 1 if any argv differs, and 2, naming the argv, if a worker
 dies.
 
-Three in four argvs are `force` (both modes and scalings) and `sweep force`
+Two in five argvs are `force` (both modes and scalings) and `sweep force`
 tables, CSV and JSON, over grids of 1 to 2,100 points around the 1,024 rows
 of an output chunk.  About half of them carry an input that should fail: a
 bad or extreme plate input, a mode frequency of 0 or one whose square
 overflows, or a malformed option.
+
+Two in five are tables of the other six `sweep` quantities and of the
+`spectrum` command, CSV and JSON, in reduced and atomic units, with xi in
+{0, 1, interior}, over linear, log and comma grids of the same sizes with
+values from 1e-12 to 1e17.  Among them are log grids whose last points
+overflow, and comma grids that hit y = 1 and the critical points (omega~,
+omega* and k*) exactly.  About a third should fail: a bad grid point (0 in
+a k grid at xi > 0, a negative, tiny, huge or nan value), a malformed grid,
+the wrong axis, or an extreme omega_p, mass, hbar, c or level.
 
 The rest are `verify` runs: the default grid, or xi in {0, 1, interior}
 with momenta at rest in the polarization plane, with p_minor = 0, or
@@ -36,6 +45,7 @@ import argparse
 import collections
 import contextlib
 import json
+import math
 import os
 import random
 import shlex
@@ -103,11 +113,13 @@ def _count(rng: random.Random, large: bool) -> int:
     return rng.choice([rng.randint(1, 60), rng.randint(1000, 1050), rng.randint(2040, 2100)])
 
 
-def _grid(rng: random.Random, count: int) -> str:
-    """A list of count values, or a start:stop:count[:log] range."""
+def _grid(rng: random.Random, count: int, zero: bool = True) -> str:
+    """A list of count values, or a start:stop:count[:log] range, which may
+    start at 0 if zero is set."""
     if count < 2 or (count <= 60 and rng.random() < 0.5):
         return ",".join(_value(rng) for _ in range(count))
-    start = rng.choice([0.0, 10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(0.05, 1.0)])
+    starts = [10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(0.05, 1.0)]
+    start = rng.choice([0.0, *starts] if zero else starts)
     stop = start + 10.0 ** rng.uniform(-1.0, 3.0)
     log = start > 0.0 and rng.random() < 0.5
     return f"{start!r}:{stop!r}:{count}" + (":log" if log else "")
@@ -174,6 +186,87 @@ def _spoil(rng: random.Random, options: dict, flags: list, sweep: bool) -> None:
         options.pop("--omega")  # neither --omega nor --at-minimum
 
 
+REDUCED = ("dispersion", "wavenumber", "dielectric", "reflectivity", "velocity")
+K_SWEPT = ("dispersion", "velocity")
+# Log grids up to the largest float: the last points of most of them overflow.
+OVERFLOWING_LOG_GRIDS = [f"{start}:1.7976931348623157e308:{count}:log"
+                         for start in ("1", "1e300", "0.5") for count in (3, 1030, 2100)]
+# Values a sweep option takes when it is meant to fail, or to sit at an edge.
+SWEEP_BAD = {
+    "--omega-p": ["0", "-1", "1e-300", "1e200", "nan"],
+    "--mass": ["0", "-1", "1e-300", "1e300"],
+    "--hbar": ["0", "-1", "1e-300", "1e300"],
+    "--c": ["0", "-1", "1e-300", "1e300"],
+    "--charges": ["0", "-1", HUGE_INT],
+    "--n": ["-1", "1000000"],
+}
+
+
+def _critical(xi: float, axis: str) -> list[float]:
+    """The critical points of the dispersion at xi, as the package computes
+    them: k* on the k axis, omega~ and omega* (and y = 1) on the omega axis."""
+    one_plus = 1.0 + xi * xi
+    if axis == "k":
+        return [math.sqrt(xi / one_plus)]
+    return [1.0, (1.0 - xi) / math.sqrt(one_plus), (1.0 + xi) / math.sqrt(one_plus)]
+
+
+def _sweep_grid(rng: random.Random, xi: str, axis: str) -> str:
+    """A grid of 1 to 2,100 points: a range, a list, a list that hits the
+    critical points of xi's values, or a log grid that overflows."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice(OVERFLOWING_LOG_GRIDS)
+    if kind < 0.35:
+        points = [value for v in xi.split(",") for value in _critical(float(v), axis)]
+        points += [float(_value(rng)) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(points)
+        return ",".join(map(repr, points))
+    return _grid(rng, _count(rng, True), zero=rng.random() < 0.2)
+
+
+def sweep_argv(rng: random.Random) -> list[str]:
+    """One seeded `sweep` argv of a quantity other than the force, or a
+    `spectrum` argv; about a third are meant to fail."""
+    quantity = rng.choice([*REDUCED, "spectrum", "spectrum-command"])
+    spectrum = quantity.startswith("spectrum")
+    axis = "k" if quantity in K_SWEPT else "omega"
+    xi = _xi(rng)
+    options = {"--xi": xi, f"--{axis}": _sweep_grid(rng, xi, axis)}
+    if spectrum or rng.random() < 0.3:
+        options["--omega-p"] = _frequency(rng)
+        if not spectrum:
+            options["--units"] = "atomic"
+        for name in ("--c", "--mass", "--hbar") if spectrum else ("--c",):
+            if rng.random() < 0.3:
+                options[name] = _value(rng)
+    if spectrum:
+        options["--p"] = _momentum(rng)
+        levels = [str(rng.randint(0, 5)) for _ in range(rng.randint(1, 3))]
+        options["--n"] = ",".join(levels) if quantity == "spectrum-command" else levels[0]
+        if rng.random() < 0.3:
+            options["--charges"] = str(rng.randint(1, 5))
+    if rng.random() < 0.5:
+        options["--format"] = "json"
+    if rng.random() < 1 / 3:
+        kind = rng.random()
+        if kind < 0.5:
+            points = [p for p in options[f"--{axis}"].split(",") if ":" not in p] or [_value(rng)]
+            points.insert(rng.randint(0, len(points)), rng.choice(["0", *BAD_POINTS]))
+            options[f"--{axis}"] = ",".join(points)
+        elif kind < 0.65:
+            options[f"--{axis}"] = rng.choice(MALFORMED_GRIDS)
+        elif kind < 0.75 and not spectrum:
+            options[f"--{'omega' if axis == 'k' else 'k'}"] = options.pop(f"--{axis}")
+        else:
+            name = rng.choice([n for n in SWEEP_BAD if spectrum or n in ("--omega-p", "--c")])
+            options[name] = rng.choice(SWEEP_BAD[name])
+            if not spectrum:
+                options["--units"] = "atomic"
+    command = ["spectrum"] if quantity == "spectrum-command" else ["sweep", quantity]
+    return [*command, *(f"{name}={value}" for name, value in options.items())]
+
+
 def _frequency(rng: random.Random) -> str:
     """A mode or plasma frequency near 1, or log-uniform over 1e-3 ... 1e3."""
     if rng.random() < 0.5:
@@ -228,7 +321,8 @@ def verify_argv(rng: random.Random) -> list[str]:
 
 def argvs(count: int, seed: int) -> list[list[str]]:
     rng = random.Random(f"diff_parent/{seed}")
-    return [(verify_argv if rng.random() < 0.25 else force_argv)(rng) for _ in range(count)]
+    kinds = [verify_argv, force_argv, force_argv, sweep_argv, sweep_argv]
+    return [rng.choice(kinds)(rng) for _ in range(count)]
 
 
 class WorkerDied(RuntimeError):

@@ -14,6 +14,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError, SpecError
 from .figures import emit_figure_datasets
 from .fock import default_verification_cases, verify_spectrum
@@ -22,7 +24,7 @@ from .params import ModelParams
 from .spectrum import Momentum
 from .tables import (
     ATOMIC_ONLY, QUANTITIES, TABLE, SweepSpec, check_xi, finite_grid, force_columns,
-    sweep_columns,
+    range_grid, sweep_columns,
 )
 
 EXIT_OK = 0
@@ -34,9 +36,10 @@ EXIT_DOMAIN = 3
 MAX_CUTOFF = 16384
 
 
-def parse_grid(text: str) -> tuple[float, ...]:
-    """"a:b:n[:log]" is a range; otherwise a comma-separated value list.
-    Returns the grid points, every one finite."""
+def parse_grid(text: str) -> np.ndarray:
+    """"a:b:n[:log]" is a range (see tables.range_grid); otherwise a
+    comma-separated value list.  Returns the grid points, every one finite,
+    as a float64 array."""
     if ":" not in text:
         return finite_grid(_parse_floats(text))
     parts = text.split(":")
@@ -57,19 +60,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise SpecError(f"unknown grid spacing {spacing!r}")
     if spacing == "log" and start <= 0.0:
         raise SpecError("log spacing requires start > 0")
-    if spacing == "log":
-        la, lb = math.log10(start), math.log10(stop)
-        steps = [(lb - la) * i / (count - 1) for i in range(count)]
-        try:
-            points = [10.0 ** (la + step) for step in steps]
-        except OverflowError:
-            raise DomainError(f"grid point above {stop} overflows") from None
-    else:
-        points = [
-            start + (stop - start) * i / (count - 1)
-            for i in range(count)
-        ]
-    return finite_grid(points)
+    return finite_grid(range_grid(start, stop, count, spacing == "log"))
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -146,7 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--levels", type=int, default=5)
     verify.add_argument("--tol", type=float, default=1e-6)
     verify.add_argument("--cutoff-start", type=int, default=64)
-    verify.add_argument("--cutoff-cap", type=int, default=1024)
+    verify.add_argument("--cutoff-cap", type=int, default=1024,
+                        help="largest cutoff; equal to --cutoff-start, each case is solved "
+                             "once and the run exits 1, as no doubling can show convergence")
     verify.add_argument("--out", type=Path, default=None, help="JSON report file (default: stdout)")
 
     force = sub.add_parser("force", help="plate force at given frequencies or at the energy minimum")
@@ -294,7 +287,7 @@ def _cmd_force(args: argparse.Namespace) -> int:
     omega = parse_grid(args.omega) if args.omega is not None else None
     ref_d = None
     if args.scaling == "frozen":
-        ref_d = args.ref_d if args.ref_d is not None else spec.grid[0]
+        ref_d = args.ref_d if args.ref_d is not None else spec.grid[0].item()
     _write_table(spec, *force_columns(spec, omega, ref_d))
     return EXIT_OK
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,51 @@ def _real_root(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return _complex(np.where(positive, root, 0.0), np.where(positive, 0.0, np.copysign(root, im)))
 
 
+# Below it, cmath.sqrt rescales both parts of its argument; and up to this
+# many elements, it is cheaper than the fixed cost of _csqrt's numpy operations.
+_DBL_MIN = sys.float_info.min
+_CSQRT_PER_ELEMENT = 4
+
+
+def _cmath_sqrt(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """cmath.sqrt at each element of re + i im, as a complex array."""
+    roots = map(cmath.sqrt, _complex(re, im).ravel().tolist())
+    return np.fromiter(roots, complex, re.size).reshape(re.shape)
+
+
+def _csqrt(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """cmath.sqrt(complex(re, im)) at each element of the finite float64
+    arrays re and im, of one shape, as a complex array.  This is CPython's
+    cmath_sqrt_impl (Modules/cmathmodule.c) in array operations, each
+    correctly rounded or libm's hypot (np.hypot), so every bit is
+    cmath.sqrt's.  Where both parts are below DBL_MIN (zero included),
+    cmath_sqrt_impl first scales them by a power of two: cmath.sqrt itself
+    runs there, as it does on every element of a small array.
+    Floating-point exceptions must be ignored."""
+    if re.size <= _CSQRT_PER_ELEMENT:
+        return _cmath_sqrt(re, im)
+    ax, ay = np.abs(re), np.abs(im)
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    # s = 2 sqrt(ax/8 + hypot(ax/8, ay/8)) and d = ay/(2 s), in place; the
+    # root is (s, d) for re >= 0, else (d, s), with the sign of im
+    ax /= 8.0
+    s = np.hypot(ax, ay / 8.0)
+    s += ax
+    del ax
+    np.sqrt(s, out=s)
+    s *= 2.0
+    d = np.divide(ay, 2.0 * s, out=ay)
+    negative = re < 0.0
+    root = np.empty(re.shape, dtype=complex)
+    root.real = np.where(negative, d, s)
+    np.copyto(d, s, where=negative)
+    del s
+    root.imag = np.copysign(d, im, out=d)
+    if tiny.any():
+        root[tiny] = _cmath_sqrt(re[tiny], im[tiny])
+    return root
+
+
 def k_branches(y: float, xi: float) -> tuple[ComplexWavenumber, ComplexWavenumber]:
     """Both complex wavenumber branches x_pm at reduced frequency y.
 
@@ -208,9 +254,9 @@ def k_branches_array(y: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
     x = _real_root(re, im)
     if _any(damped):
         # numpy's complex sqrt differs from cmath.sqrt in the last bit where
-        # s is purely imaginary (y = 1), so these roots are taken one by one.
-        squares = _complex(re[0, damped], im[0, damped]).tolist()
-        x[0, damped] = roots = np.array([cmath.sqrt(s) for s in squares], dtype=complex)
+        # s is purely imaginary (y = 1), so the roots are cmath.sqrt's own,
+        # from its transcription _csqrt.
+        x[0, damped] = roots = _csqrt(re[0, damped], im[0, damped])
         x[1, damped] = roots.conjugate()
     finite = np.isfinite(x[0]) & np.isfinite(x[1])
     _require(y, finite, "wavenumber is not a finite float at y = {}")

@@ -17,17 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from .dispersion import critical_points
-from .output import render_csv, write_bytes
+from .output import Labels, render_csv, write_bytes
 from .spectrum import Momentum, zero_point_minimum
 from .tables import TABLE, SweepSpec, sweep_columns
 
 FIGURE_XI = (0.0, 0.2, 0.5, 1.0)
 
-# k/k_p or omega/omega_p.  numpy floats: fig4's permittivities in the damped
-# window are divided as numpy divides them (see tables._zetas).
-_GRID = tuple(np.linspace(0.01, 3.0, 300))
+# k/k_p or omega/omega_p.  fig4's permittivities in the damped window are
+# divided as numpy divides them (SweepSpec.numpy_division).
+_GRID = np.linspace(0.01, 3.0, 300)
 _P_GRID = np.linspace(0.0, 2.0, 21).tolist()
-_W_GRID = tuple(np.linspace(0.1, 3.0, 30).tolist())
+_W_GRID = np.linspace(0.1, 3.0, 30)
 
 
 def _wave_tables() -> dict[str, tuple[list[str], list[list]]]:
@@ -49,13 +49,16 @@ def _wave_tables() -> dict[str, tuple[list[str], list[list]]]:
         }
         for quantity, blocks in tables.items():
             # The linear dispersion curve starts at k = 0.
-            grid = (0.0, *_GRID) if quantity == "dispersion" and xi == 0.0 else _GRID
+            grid = np.r_[0.0, _GRID] if quantity == "dispersion" and xi == 0.0 else _GRID
             marked = markers[quantity]
-            points = (*grid, *(point for point, _ in marked))
-            labels = np.array([""] * len(grid) + [label for _, label in marked], dtype=object)
-            (block,) = sweep_columns(SweepSpec(quantity, (xi,), points))[1]
+            points = np.r_[grid, [point for point, _ in marked]]
+            # marker i + 1 is that of the ith marked point; 0 the empty one
+            codes = np.r_[np.zeros(len(grid)), np.arange(1, len(marked) + 1)].astype(np.uint8)
+            spec = SweepSpec(quantity, (xi,), points, numpy_division=True)
+            (block,) = sweep_columns(spec)[1]
             per_point = len(block[0]) // len(points)  # rows per point: one per branch
-            blocks.append([*block, np.repeat(labels, per_point)])
+            labels = Labels(np.repeat(codes, per_point), ("", *(label for _, label in marked)))
+            blocks.append([*block, labels])
     return {quantity: (TABLE[quantity].columns + ["marker"], blocks)
             for quantity, blocks in tables.items()}
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Branch, _branch_squares, _complex
+from .dispersion import Branch, _branch_squares, _complex, _csqrt
 from .errors import DomainError
-from .params import _any, _require
+from .params import _any, _power, _require
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,45 @@ def reflectivity(eta: complex) -> float:
     if eta == -1:
         raise DomainError("reflectivity is undefined at eta = -1")
     return abs((eta - 1.0) / (eta + 1.0)) ** 2
+
+
+@np.errstate(all="ignore")
+def _reflectivities(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """reflectivity(refractive_index(zeta)) at each finite permittivity
+    zeta = re + i im, float64 arrays of one shape, with its bits.  Each step
+    is Python's own, in array operations: eta by _csqrt; the quotient
+    q = (eta - 1.0)/(eta + 1.0) by CPython's _Py_c_quot
+    (Objects/complexobject.c); abs(q) by libm's hypot (np.hypot); and the
+    square by libm's pow (params._power).  Only the signs of q's zero parts
+    may differ from Python's, and abs drops them."""
+    eta = _csqrt(re, im)
+    eta_re, eta_im = eta.real, eta.imag
+    # Re eta >= 0, so Re (eta + 1) >= 1: eta is never -1.  Im (eta -+ 1) is
+    # Im eta.  _Py_c_quot divides above and below by the part of the divisor
+    # b = eta + 1 larger in size, big, and takes ratio = small/big: over
+    # Re b, q = (Re a + Im a ratio, Im a - Re a ratio) / (Re b + Im b ratio),
+    # and over Im b, (Re a ratio + Im a, Im a ratio - Re a) / (Re b ratio +
+    # Im b).  IEEE addition commutes, and x - y is -(y - x) but for the sign
+    # of 0, so both read q = (first + second ratio, +-(second - first ratio))
+    # / (big + small ratio).
+    b_re = eta_re + 1.0
+    a_re = np.subtract(eta_re, 1.0, out=eta_re)
+    by_re = b_re >= np.abs(eta_im)
+    big, small = np.where(by_re, b_re, eta_im), np.where(by_re, eta_im, b_re)
+    del b_re
+    ratio = small / big
+    denom = np.multiply(small, ratio, out=small)
+    denom += big
+    del big
+    first, second = np.where(by_re, a_re, eta_im), np.where(by_re, eta_im, a_re)
+    del a_re, eta, eta_re, eta_im
+    q_re = second * ratio
+    q_re += first
+    q_re /= denom
+    q_im = np.multiply(first, ratio, out=first)
+    np.subtract(second, q_im, out=q_im)
+    q_im /= denom
+    return _power(np.hypot(q_re, q_im, out=q_re), 2)
 
 
 def optical_response(y: float, xi: float, branch: Branch) -> OpticalResponse:

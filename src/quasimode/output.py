@@ -7,12 +7,13 @@ line endings, written as bytes so the platform newline translation never
 interferes.  Re-running the same spec on the same platform reproduces files
 byte for byte.
 
-A table is a list of blocks, each a list of columns: a numpy array whose
-cells are all float, all int or all str, or one value every row shares.
-Tables are produced as a stream of byte chunks of at most CHUNK_ROWS rows of
-one block, so a writer holds one chunk of text at a time whatever the row
-count.  `render_csv` and `render_json_table` join the same chunks into one
-document.
+A table is a list of blocks, each a list of columns: a float64 array;
+Labels, a column of str or int cells held as small integer codes into a
+tuple of values, so that no row is a Python object; or one float, int or
+str value every row shares.  Tables are produced as a stream of byte chunks
+of at most CHUNK_ROWS rows of one block, so a writer holds one chunk of
+text at a time whatever the row count.  `render_csv` and
+`render_json_table` join the same chunks into one document.
 
 Float cells are formatted by two array kernels that share one front end
 (`_decimal`): the 17 significant digits of |x| rounded once in a long
@@ -26,8 +27,9 @@ formatted in one kernel call.
   digits.  The text is laid out as repr does.
 The few cells a kernel cannot decide with certainty are formatted by
 `"{:.16e}".format` or `float.__repr__` itself, as are JSON chunks with too
-few float cells to pay for the kernel.  str and int cells are encoded once
-per distinct value of a column.
+few float cells to pay for the kernel.  The cells of Labels are encoded
+once per value, their types checked on the values, and a chunk's texts are
+one index of those by its codes.
 
 A CSV chunk is built as one byte matrix, a row per table row: each column
 is a field of fixed width, padded with a byte UTF-8 never produces, and the
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -56,22 +59,49 @@ SCHEMA_VERSION = 1
 # Rows per streamed chunk: a few hundred kB of text for the widest table.
 CHUNK_ROWS = 1024
 
-# The types a table cell may have.
-_CELL_TYPES = (float, int, str)
+# The types of the cells of Labels (and a shared value other than a float).
+_LABEL_TYPES = (int, str)
+_TYPE_ERROR = "table cells must be float, or int or str in Labels, got {}"
+
+
+@dataclass(frozen=True, eq=False)
+class Labels:
+    """A column of str or int cells, row i holding values[codes[i]]: the
+    codes are an array of small unsigned ints (uint8 for up to 256 values),
+    so a row costs a byte or two, not a Python object."""
+
+    codes: np.ndarray
+    values: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> Labels:
+        return Labels(self.codes[rows], self.values)
+
+
+# The columns with a cell per row.
+_ARRAYS = (np.ndarray, Labels)
+# The codes of a shared value, its one cell.
+_SHARED = np.zeros(1, dtype=np.uint8)
 
 
 def _cells(column: Any) -> tuple[type, Any]:
-    """The type of every cell of an array, or of a shared value as one cell
-    (float, int or str), and the cells: a float64 array as it is, else a
-    list of Python values."""
-    if isinstance(column, np.ndarray) and column.dtype == float:
-        return float, column
-    cells = column.tolist() if isinstance(column, np.ndarray) else [column]
-    types = set(map(type, cells))
-    if len(types) > 1 or not types.issubset(_CELL_TYPES):
-        names = ", ".join(sorted(kind.__name__ for kind in types))
-        raise TypeError(f"table cells must all be float, int or str, got {names}")
-    return types.pop(), cells
+    """The type of every cell of a column (float, int or str) and the
+    cells: a float64 array as it is, a shared float as a list of it, and
+    str and int cells as Labels, a shared value as Labels of one row.  The
+    types are checked on the values, never per row."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == float:
+            return float, column
+        raise TypeError(_TYPE_ERROR.format(column.dtype))
+    if type(column) is float:
+        return float, [column]
+    labels = column if isinstance(column, Labels) else Labels(_SHARED, (column,))
+    types = set(map(type, labels.values))
+    if len(types) != 1 or not types.issubset(_LABEL_TYPES):
+        raise TypeError(_TYPE_ERROR.format(", ".join(sorted(kind.__name__ for kind in types))))
+    return types.pop(), labels
 
 
 def _chunks(
@@ -79,20 +109,20 @@ def _chunks(
 ) -> Iterator[tuple[int, list]]:
     """The row count and the column texts (of _column_texts) of each chunk
     of the blocks: at most CHUNK_ROWS rows, all from one block, whose
-    columns are the chunk's slices of the block's arrays and its shared
-    values."""
+    columns are the chunk's slices of the block's arrays and Labels, and its
+    shared values."""
     for block in blocks:
         # A ValueError unless the block has arrays, all of one length.
-        (count,) = {len(column) for column in block if isinstance(column, np.ndarray)}
+        (count,) = {len(column) for column in block if isinstance(column, _ARRAYS)}
         for start in range(0, count, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, count)
-            columns = [column[start:stop] if isinstance(column, np.ndarray) else column
+            columns = [column[start:stop] if isinstance(column, _ARRAYS) else column
                        for column in block]
             yield stop - start, _column_texts(columns, floats, other)
 
 
 def _column_texts(columns: list, floats: Callable, other: Callable) -> list:
-    """The texts of each column's cells: other(kind, cells) for str and int
+    """The texts of each column's cells: other(kind, labels) for str and int
     cells, and, for the float columns, the texts floats() gives for the list
     of their cells (see _cells)."""
     cells = list(map(_cells, columns))
@@ -422,23 +452,22 @@ def _repr_field(x: np.ndarray, p: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return text.T.view(f"S{_FLOAT_WIDTH}").ravel()
 
 
-def _text_field(kind: type, cells: list) -> np.ndarray:
+def _text_field(kind: type, labels: Labels) -> np.ndarray:
     """The UTF-8 text of each str or int cell, as str() gives it, as a field
-    as wide as the longest, padded with _PAD; each distinct value is encoded
-    once."""
-    texts = {value: str(value).encode() for value in dict.fromkeys(cells)}
-    width = max(map(len, texts.values()))
-    fields = {value: text.ljust(width, bytes([_PAD])) for value, text in texts.items()}
-    data = b"".join(map(fields.__getitem__, cells))
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(cells), width)
+    as wide as the longest value, padded with _PAD: each value is encoded
+    once, and the field is one index of their texts by the codes."""
+    texts = [str(value).encode() for value in labels.values]
+    width = max(map(len, texts))
+    data = b"".join(text.ljust(width, bytes([_PAD])) for text in texts)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)[labels.codes]
 
 
-def _json_text_cells(kind: type, cells: list) -> list[bytes]:
-    """The JSON text of each str or int cell; each distinct value is encoded
-    once."""
+def _json_text_cells(kind: type, labels: Labels) -> list[bytes]:
+    """The JSON text of each str or int cell: each value is encoded once,
+    and the cells are one index of their texts by the codes."""
     text = encode_basestring_ascii if kind is str else int.__repr__
-    texts = {value: text(value).encode() for value in dict.fromkeys(cells)}
-    return list(map(texts.__getitem__, cells))
+    texts = np.array([text(value).encode() for value in labels.values], dtype=object)
+    return texts[labels.codes].tolist()
 
 
 def _csv_floats(values: list) -> list[np.ndarray]:

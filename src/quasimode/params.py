@@ -110,12 +110,30 @@ def _any(mask: np.ndarray) -> bool:
     return mask.size > 0 and bool(mask[mask.argmax()])
 
 
+# Elements per slice of a libm map: the Python floats of one slice are all
+# that a map holds at a time, whatever the array's size.
+_SLICE = 4096
+
+
+def _mapped(f, x: np.ndarray) -> np.ndarray:
+    """The array of x's shape of the floats f returns for lists of the
+    elements of x, in row order: one list if x has at most _SLICE elements,
+    else one per slice of _SLICE elements, the results chained."""
+    flat = x.ravel()
+    if flat.size <= _SLICE:
+        values = f(flat.tolist())
+    else:
+        slices = (flat[start:start + _SLICE].tolist() for start in range(0, flat.size, _SLICE))
+        values = itertools.chain.from_iterable(map(f, slices))
+    return np.fromiter(values, float, flat.size).reshape(x.shape)
+
+
 def _each(f, x):
     """f(x) for a float; for an array, f of each element.  The math module's
     functions round as libm does, and numpy's own exp, cosh and arctanh do
     not always."""
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(f, x.tolist()), float, x.size)
+        return _mapped(lambda values: map(f, values), x)
     return f(x)
 
 
@@ -126,11 +144,11 @@ def _power(x, y: float):
     thousand.  An array maps the builtin pow, which is x**y, with no Python
     frame per element, and only once an element overflows this function."""
     if isinstance(x, np.ndarray):
-        values = x.tolist()
+        powers = itertools.repeat(y)
         try:
-            return np.fromiter(map(pow, values, itertools.repeat(y)), float, x.size)
+            return _mapped(lambda values: map(pow, values, powers), x)
         except OverflowError:
-            return np.fromiter(map(_power, values, itertools.repeat(y)), float, x.size)
+            return _mapped(lambda values: map(_power, values, powers), x)
     try:
         return x**y
     except OverflowError:

@@ -15,28 +15,48 @@ import numpy as np
 from .dispersion import REGIMES, Branch, critical_points, k_branches_array, omega_physical_array
 from .errors import DomainError, SpecError
 from .kinematics import velocities_array
-from .optics import _branch_zetas, _finite_zeta, reflectivity, refractive_index
+from .optics import _branch_zetas, _finite_zeta, _reflectivities
+from .output import Labels
 from .params import (
-    _FLOAT_MAX, ATOMIC_C, _finite, _plasma_wavenumber, _positive, _reduced_wavenumber,
+    _FLOAT_MAX, ATOMIC_C, _each, _finite, _plasma_wavenumber, _positive, _reduced_wavenumber,
     _require_finite, validate_xi,
 )
 from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_levels_array
 
 
-def finite_grid(values) -> tuple[float, ...]:
-    """The values as a tuple, each of them finite.  One array check passes
-    them all; only when it fails (or an int is too large for a float) does a
-    per-value check find the first to name.  An int that rounds to the
-    largest float fails the array check, so the per-value check sees it."""
+def finite_grid(values) -> np.ndarray:
+    """The values as a float64 array, each of them finite.  One array check
+    passes them all; only when it fails (or an int is too large for a float)
+    does a per-value check find the first to name.  An int that rounds to
+    the largest float fails the array check, so the per-value check sees it."""
     try:
-        finite = bool((np.abs(np.array(values, dtype=float)) < _FLOAT_MAX).all())
+        grid = np.asarray(values, dtype=float)
+        finite = bool((np.abs(grid) < _FLOAT_MAX).all())
     except (OverflowError, TypeError, ValueError):
         finite = False
     if not finite:
-        for value in values:
+        for value in values.tolist() if isinstance(values, np.ndarray) else values:
             _finite(value, "grid values")
-    return tuple(values)
+    return grid
+
+
+@np.errstate(all="ignore")
+def range_grid(start: float, stop: float, count: int, log: bool) -> np.ndarray:
+    """The count points of a range from start to stop, count >= 2, as a
+    float64 array: point i is start + (stop - start) * i / (count - 1), or
+    with log, 10.0 ** (la + (lb - la) * i / (count - 1)) for la and lb the
+    log10 of start and stop.  These are the float operations of the Python
+    expressions, in their order, with libm's pow; a log point that
+    overflows is a DomainError, a linear one is left to finite_grid."""
+    steps = np.arange(count, dtype=float)
+    if not log:
+        return start + (stop - start) * steps / (count - 1)
+    la, lb = math.log10(start), math.log10(stop)
+    try:
+        return _each((10.0).__pow__, la + (lb - la) * steps / (count - 1))
+    except OverflowError:
+        raise DomainError(f"grid point above {stop} overflows") from None
 
 
 def check_xi(xi_list: tuple[float, ...]) -> tuple[float, ...]:
@@ -48,13 +68,15 @@ def check_xi(xi_list: tuple[float, ...]) -> tuple[float, ...]:
     return xi_list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """Everything needed to evaluate one sweep and write its dataset."""
+    """Everything needed to evaluate one sweep and write its dataset.  The
+    grid is a float64 array (or a sequence of floats), so specs compare by
+    identity."""
 
     quantity: str
     xi_list: tuple[float, ...]
-    grid: tuple[float, ...]
+    grid: np.ndarray
     units: str = "reduced"
     out: Path | None = None
     fmt: str = "csv"
@@ -70,6 +92,9 @@ class SweepSpec:
     area: float = 1.0
     charge: float = 1.0
     n_photons: int = 0
+    # Divide the permittivities in the damped window as numpy divides them
+    # (see _zetas); the figures set it.
+    numpy_division: bool = False
 
     def resolved_c(self) -> float:
         if self.c is not None:
@@ -91,9 +116,9 @@ class SweepSpec:
         _require_finite(self, "omega_p", "mass", "hbar", "d", "area", "charge")
         if not 0.0 < self.resolved_c() < math.inf:
             raise DomainError(f"speed of light must be positive and finite, got {self.c}")
-        finite_grid(self.grid)
+        grid = finite_grid(self.grid)
         if self.quantity in K_SWEPT and any(xi > 0.0 for xi in self.xi_list):
-            if any(v <= 0.0 for v in self.grid):
+            if (grid <= 0.0).any():
                 raise SpecError(
                     "wavenumber grid must exclude 0 when any xi > 0 (singular point)"
                 )
@@ -121,10 +146,16 @@ def _units(spec: SweepSpec) -> _Units:
 
 # Column functions: (spec, units, xi, grid) -> the block of the rows at xi
 # over the grid, which is a float64 array.  Branch and regime cells are the
-# enum values.
+# enum values, as Labels.
 
-_BRANCHES = np.array([Branch.PLUS.value, Branch.MINUS.value], dtype=object)
-_REGIMES = np.array([regime.value for regime in REGIMES], dtype=object)
+_BRANCHES = (Branch.PLUS.value, Branch.MINUS.value)
+_BRANCH_CODES = np.arange(2, dtype=np.uint8)
+_REGIMES = tuple(regime.value for regime in REGIMES)
+
+
+def _branch_labels(count: int) -> Labels:
+    """The branch column of count grid points: plus, minus, plus, ..."""
+    return Labels(np.tile(_BRANCH_CODES, count), _BRANCHES)
 
 
 def _branch_rows(values: np.ndarray) -> np.ndarray:
@@ -148,18 +179,19 @@ def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> lis
         k_p = _plasma_wavenumber(u.omega, u.v)
         re, im = re * k_p, im * k_p + 0.0
     return [
-        _branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)),
-        _branch_rows(re), _branch_rows(im), _branch_rows(_REGIMES[codes]),
+        _branch_rows(omega), xi, _branch_labels(len(omega)),
+        _branch_rows(re), _branch_rows(im),
+        Labels(_branch_rows(codes.astype(np.uint8)), _REGIMES),
     ]
 
 
 def _zetas(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> np.ndarray:
     """Both branches' permittivities at omega, shape (2, n), from one branch
-    evaluation.  They are divided by y^2 as the grid's own floats would
-    divide them: numpy floats (the figure grids) as numpy does."""
+    evaluation.  In the damped window they are divided by y^2 as Python
+    divides a complex by a float, or as numpy does if spec.numpy_division
+    is set: the figures' grids were once numpy floats, which divide so."""
     y = omega / u.omega
-    numpy_division = isinstance(next(iter(spec.grid), None), np.floating)
-    zetas = _branch_zetas(y, xi, numpy_division)
+    zetas = _branch_zetas(y, xi, spec.numpy_division)
     _finite_zeta(y, *zetas)
     return zetas
 
@@ -167,17 +199,19 @@ def _zetas(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> np.ndarr
 def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
     zetas = _zetas(spec, u, xi, omega)
     return [
-        _branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)),
+        _branch_rows(omega), xi, _branch_labels(len(omega)),
         _branch_rows(zetas.real), _branch_rows(zetas.imag),
     ]
 
 
 def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
-    # cmath.sqrt, Python's complex division and ** have no bit-identical
-    # numpy counterparts, so the scalar kernels run per cell.
-    zetas = _branch_rows(_zetas(spec, u, xi, omega)).tolist()
-    r = np.array([reflectivity(refractive_index(zeta)) for zeta in zetas], dtype=float)
-    return [_branch_rows(omega), xi, np.tile(_BRANCHES, len(omega)), r]
+    # numpy's complex sqrt and division are not always bit for bit those of
+    # the scalar reflectivity(refractive_index(zeta)), so the kernel
+    # transcribes CPython's own onto float64 parts: no complex object per
+    # cell, and libm's pow, mapped in slices, is the one per-cell call.
+    zetas = _zetas(spec, u, xi, omega)
+    r = _reflectivities(zetas.real, zetas.imag)
+    return [_branch_rows(omega), xi, _branch_labels(len(omega)), _branch_rows(r)]
 
 
 def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
@@ -190,10 +224,12 @@ def _spectrum(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
     *per_omega, energy = energy_levels_array(
         xi, omega, spec.omega_p, p, spec.n, spec.n_charges, spec.mass, spec.hbar
     )
+    codes = np.tile(np.arange(levels, dtype=np.min_scalar_type(levels - 1)), len(omega))
+    if levels > 1:  # a row per frequency and level
+        omega, *per_omega = (np.repeat(column, levels) for column in (omega, *per_omega))
     return [
-        np.repeat(omega, levels), xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
-        np.tile(np.array(spec.n, dtype=object), len(omega)),
-        *(np.repeat(column, levels) for column in per_omega), energy.ravel(),
+        omega, xi, spec.omega_p, p.p_major, p.p_minor, p.p_perp,
+        Labels(codes, spec.n), *per_omega, energy.ravel(),
     ]
 
 
@@ -291,19 +327,21 @@ def _first_failure(check: Callable[[slice], object], count: int) -> int:
 
 def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> list[list]:
     """The blocks of evaluate over the product of the named axes, the last
-    innermost: one block per value of the first axis.  evaluate takes that
-    value and, for each other axis, a float64 array of its value at each
-    row of the block, and returns columns of these rows (on empty arrays,
-    empty columns or a fault of no row).  Every block is evaluated and
-    checked before any is returned, so a DomainError is raised before any
-    output; unless the empty arrays raise it too, it is reported on stderr
-    with the first point, in row order, it hits."""
+    innermost: one block per value of the first axis.  The other axes' values
+    are float64 arrays (or sequences of floats).  evaluate takes the first
+    axis's value and, for each other axis, a float64 array of its value at
+    each row of the block, and returns columns of these rows (on empty
+    arrays, empty columns or a fault of no row).  Every block is evaluated
+    and checked before any is returned, so a DomainError is raised before
+    any output; unless the empty arrays raise it too, it is reported on
+    stderr with the first point, in row order, it hits."""
     (_, outer), *inner = axes
     shape = tuple(len(values) for _, values in inner)
+    # One inner axis is its own array; more are copied out of their product.
     grids = [
         grid.ravel()
-        for grid in np.meshgrid(*(np.array(values, dtype=float) for _, values in inner),
-                                indexing="ij")
+        for grid in np.meshgrid(*(np.asarray(values, dtype=float) for _, values in inner),
+                                indexing="ij", copy=False)
     ]
     blocks = []
     for value in outer if math.prod(shape) else ():
@@ -320,7 +358,7 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
             except DomainError as first:
                 exc = first
             at = np.unravel_index(i, shape)
-            point = [value, *(values[j] for (_, values), j in zip(inner, at))]
+            point = [value, *(float(values[j]) for (_, values), j in zip(inner, at))]
             where = ", ".join(f"{axis}={v:g}" for (axis, _), v in zip(axes, point))
             print(f"domain error at {where}: {exc}", file=sys.stderr)
             raise exc from None
@@ -338,7 +376,7 @@ def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
 
 
 def force_columns(
-    spec: SweepSpec, omega: tuple[float, ...] | None, ref_d: float | None
+    spec: SweepSpec, omega: np.ndarray | None, ref_d: float | None
 ) -> tuple[list[str], list[list]]:
     """The header and the blocks of the `force` table of a validated spec:
     the force at each separation d of spec.grid, one block per xi and d
@@ -351,13 +389,13 @@ def force_columns(
     # would name a d.  A fault is reported as the first separation at fault
     # raises it on its own.  The omega_p column comes from this evaluation;
     # the force kernels recompute it unless it is frozen.
-    grid = np.array(spec.grid, dtype=float)
+    grid = np.asarray(spec.grid, dtype=float)
     with np.errstate(all="ignore"):
         try:
             wp = _plates(spec, grid)[1]
         except DomainError:
             first = _first_failure(lambda part: _plates(spec, grid[part]), len(grid))
-            _plates(spec, spec.grid[first])
+            _plates(spec, grid[first].item())
             raise
     wp = wp if frozen_wp is None else frozen_wp
     e, m, hbar = spec.charge, spec.mass, spec.hbar
@@ -373,19 +411,19 @@ def force_columns(
     header = ["xi", "omega", "d", "area", "n_charges", "n_photons", "scaling", "omega_p", "force"]
     fixed = [spec.area, spec.n_charges, spec.n_photons, "recompute" if ref_d is None else "frozen"]
     if omega is None:
-        forces = tabulate([("xi", spec.xi_list), ("d", spec.grid)], at_minimum)
+        forces = tabulate([("xi", spec.xi_list), ("d", grid)], at_minimum)
         # k_star <= 1/sqrt(2), so omega is finite where omega_p is
         return header, [
             [xi, wp * critical_points(xi).k_star, grid, *fixed, wp, force]
             for xi, [force] in zip(spec.xi_list, forces)
         ]
     # The force is evaluated once per xi, and written one block per xi and
-    # d, whose d and omega_p are values that its rows share.
-    forces = tabulate([("xi", spec.xi_list), ("d", spec.grid), ("omega", omega)], at_omega)
-    omega, n = np.array(omega, dtype=float), len(omega)
+    # d, whose d and omega_p are values (Python floats) that its rows share.
+    forces = tabulate([("xi", spec.xi_list), ("d", grid), ("omega", omega)], at_omega)
+    omega, n = np.asarray(omega, dtype=float), len(omega)
     wp = np.broadcast_to(wp, grid.shape).tolist()
     return header, [
         [xi, omega, d, *fixed, wp[j], force[j * n:(j + 1) * n]]
         for xi, [force] in zip(spec.xi_list, forces)
-        for j, d in enumerate(spec.grid)
+        for j, d in enumerate(grid.tolist())
     ]

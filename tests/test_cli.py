@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -33,6 +34,11 @@ from quasimode.tables import (
 )
 
 SCHEMA_DIR = Path(quasimode.__file__).parent / "schemas"
+# Finite floats of every magnitude, and near the largest float.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e300, max_value=sys.float_info.max),
+)
 # An integer that no float can hold
 HUGE_INT = "1" + "0" * 400
 # 1e308, which a float holds, and twice which it does not
@@ -71,8 +77,8 @@ class TestGridParsing:
         assert values == pytest.approx([0.1, 1.0, 10.0, 100.0], rel=1e-12)
 
     def test_explicit_list_and_single_value(self):
-        assert parse_grid("0,0.2,1") == (0.0, 0.2, 1.0)
-        assert parse_grid("1.5") == (1.5,)
+        assert parse_grid("0,0.2,1").tolist() == [0.0, 0.2, 1.0]
+        assert parse_grid("1.5").tolist() == [1.5]
 
     @pytest.mark.parametrize("text", ["1:2:1", "3:1:10", "a:b:c", "0:1:10:cubic", "-1:1:5:log"])
     def test_invalid_ranges(self, text):
@@ -90,6 +96,49 @@ class TestGridParsing:
     def test_overflowing_grid_points_are_domain_errors(self, text):
         with pytest.raises(DomainError):
             parse_grid(text)
+
+    @staticmethod
+    def python_range(start, stop, count, log):
+        """The range's points as Python floats, one expression per point."""
+        if not log:
+            return [start + (stop - start) * i / (count - 1) for i in range(count)]
+        la, lb = math.log10(start), math.log10(stop)
+        steps = [(lb - la) * i / (count - 1) for i in range(count)]
+        return [10.0 ** (la + step) for step in steps]
+
+    @given(
+        ends=st.tuples(FINITE, FINITE).map(sorted).filter(lambda ends: ends[0] < ends[1]),
+        count=st.one_of(st.integers(2, 60), st.integers(4090, 4200)),
+        log=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(ends=(1.0, sys.float_info.max), count=3, log=True)
+    @example(ends=(1e300, sys.float_info.max), count=4100, log=True)
+    @example(ends=(-sys.float_info.max, sys.float_info.max), count=3, log=False)
+    @example(ends=(5e-324, 1e-300), count=50, log=True)
+    def test_range_points_are_the_python_expressions(self, ends, count, log):
+        """In hex, overflow and non-finite points included: a log point
+        that overflows is a DomainError, as is a linear one that is not
+        finite."""
+        start, stop = ends
+        if log and start <= 0.0:
+            start = -start or 1e-300
+        if not start < stop:
+            return
+        text = f"{start!r}:{stop!r}:{count}" + (":log" if log else "")
+        try:
+            expected = self.python_range(start, stop, count, log)
+        except OverflowError:
+            with pytest.raises(DomainError, match=re.escape(f"grid point above {stop} overflows")):
+                parse_grid(text)
+            return
+        if not all(map(math.isfinite, expected)):
+            with pytest.raises(DomainError, match="grid values must be finite"):
+                parse_grid(text)
+            return
+        grid = parse_grid(text)
+        assert grid.dtype == float and grid.shape == (count,)
+        assert [v.hex() for v in grid.tolist()] == [v.hex() for v in expected]
 
     @pytest.mark.parametrize("values", [
         (), (1.0, 2.0), [0.5, 2], (0.0, math.nan, math.inf), (1.0, -math.inf, math.nan),
@@ -112,7 +161,8 @@ class TestGridParsing:
                 finite_grid(values)
             assert str(got.value) == str(exc)
         else:
-            assert finite_grid(values) == expected
+            grid = finite_grid(values)
+            assert grid.dtype == float and grid.tolist() == list(map(float, expected))
 
 
 def test_parser_is_built_once_and_each_call_finds_its_handler(monkeypatch, capsys):

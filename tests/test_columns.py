@@ -18,10 +18,12 @@ from quasimode import (
     phase_velocity, plasma_frequency_plates,
 )
 from quasimode.cli import EXIT_DOMAIN, main
-from quasimode.dispersion import REGIMES, Regime, k_branches_array, omega_of_k_array
+from quasimode.dispersion import (
+    _CSQRT_PER_ELEMENT, REGIMES, Regime, _csqrt, k_branches_array, omega_of_k_array,
+)
 from quasimode.kinematics import velocities_array
-from quasimode.optics import _branch_zetas
-from quasimode.params import _power
+from quasimode.optics import _branch_zetas, _reflectivities, reflectivity, refractive_index
+from quasimode.params import _SLICE, _each, _power
 from quasimode.spectrum import energy_levels_array
 from quasimode.tables import SweepSpec, force_columns, sweep_columns
 
@@ -229,7 +231,8 @@ def test_spectrum_column_is_energy_level_point_by_point(xi, omega_p, charges, n,
     columns = dict(zip(header, block))
     rows = [(w, level) for w in SPECTRUM_GRID for level in n]
     assert columns["omega"].tolist() == [w for w, _ in rows]
-    assert columns["n"].tolist() == [level for _, level in rows]
+    levels = columns["n"]
+    assert [levels.values[code] for code in levels.codes.tolist()] == [level for _, level in rows]
     for i, (w, level) in enumerate(rows):
         params = ModelParams(xi=xi, omega=w, omega_p=omega_p, mass=mass, hbar=hbar)
         got = energy_level(params, p, level, charges)
@@ -552,3 +555,98 @@ def test_power_array_is_python_power_at_each_element(y):
     assert "inf" in expected  # one array overflows, the other not
     assert hexes(_power(np.array(values), y)) == expected
     assert hexes(_power(np.array(values[:4]), y)) == expected[:4]
+
+
+@pytest.mark.parametrize("size", [3, 2 * _SLICE + 5])
+def test_each_array_is_the_function_at_each_element_across_slices(size):
+    values = np.linspace(-3.0, 3.0, size)
+    for f in (math.exp, math.cosh):
+        assert hexes(_each(f, values)) == hexes(map(f, values.tolist()))
+    grid = values.reshape(-1, size)  # an array of any shape keeps it
+    assert _each(math.exp, grid).shape == grid.shape
+
+
+def test_power_array_overflows_in_any_slice():
+    values = np.full(3 * _SLICE + 7, 0.3)
+    values[2 * _SLICE + 1] = 1e300  # its square overflows, in the third slice
+    expected = hexes(v**2 if v < 1e300 else math.inf for v in values.tolist())
+    assert hexes(_power(values, 2)) == expected
+
+
+# Parts of a complex number at the edges of cmath.sqrt and of the quotient in
+# reflectivity: signed zeros, subnormals, DBL_MIN and its neighbour below,
+# parts near 1 (eta near 1), and huge values up to the largest float.
+DBL_MIN = sys.float_info.min
+EDGE_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, DBL_MIN, math.nextafter(DBL_MIN, 0.0), -DBL_MIN,
+    1e-200, 0.5, 1.0, -1.0, math.nextafter(1.0, 2.0), 3.0, -7.5, 1e154, -1e200, 1e300,
+    sys.float_info.max, -sys.float_info.max,
+]
+PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_PARTS))
+
+
+def check_csqrt_and_reflectivity(re, im):
+    """_csqrt and _reflectivities at re + i im, against cmath.sqrt and the
+    scalar reflectivity(refractive_index(zeta)) at each element, in hex."""
+    re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+    with np.errstate(all="ignore"):
+        root = _csqrt(re, im)
+    r = _reflectivities(re, im)
+    assert root.shape == r.shape == re.shape
+    for i, zeta in enumerate(map(complex, re.ravel().tolist(), im.ravel().tolist())):
+        eta = refractive_index(zeta)
+        assert bits(root.flat[i]) == bits(eta), zeta
+        assert r.flat[i].item().hex() == reflectivity(eta).hex(), zeta
+
+
+def test_csqrt_and_reflectivity_at_the_edges():
+    re, im = np.meshgrid(EDGE_PARTS, EDGE_PARTS)
+    check_csqrt_and_reflectivity(re, im)  # both parts, signed zeros and all
+    check_csqrt_and_reflectivity(np.zeros(len(EDGE_PARTS)), EDGE_PARTS)  # pure imaginary
+    check_csqrt_and_reflectivity(EDGE_PARTS, np.full(len(EDGE_PARTS), -0.0))  # real
+    for size in range(1, _CSQRT_PER_ELEMENT + 2):  # per element, then as arrays
+        check_csqrt_and_reflectivity(EDGE_PARTS[:size], EDGE_PARTS[-size:])
+
+
+@given(parts=st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_csqrt_and_reflectivity_are_the_scalar_kernels(parts):
+    check_csqrt_and_reflectivity(*zip(*parts))
+
+
+@given(zetas=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=5,
+                      max_size=40))
+@settings(max_examples=200)
+def test_reflectivity_near_the_unit_circle(zetas):
+    # |eta| near 1, where the quotient's parts cancel
+    check_csqrt_and_reflectivity(*zip(*zetas))
+
+
+def test_reflectivity_squares_as_python_does():
+    """Seeded permittivities, among them ones whose |q| libm's pow squares
+    other than a multiplication would."""
+    re, im = np.random.default_rng(22).uniform(-3.0, 3.0, (2, 20_000))
+    quotients = [abs((eta - 1.0) / (eta + 1.0))
+                 for eta in map(refractive_index, map(complex, re.tolist(), im.tolist()))]
+    assert any(h**2 != h * h for h in quotients)
+    check_csqrt_and_reflectivity(re, im)
+
+
+@pytest.mark.parametrize("xi", [1e-8, 0.2, 0.5, 0.99995])
+def test_damped_roots_at_y_one_are_cmath_sqrt(xi):
+    """At y = 1 the squares are purely imaginary, where numpy's complex sqrt
+    and cmath.sqrt differ in the last bit.  Every root, as a few elements
+    (cmath.sqrt per element) or as an array, is the reference's."""
+    cp = critical_points(xi)
+    damped = np.linspace(cp.omega_tilde, cp.omega_star, 9)[1:-1].tolist()
+    for ys in ([1.0], [1.0] * (_CSQRT_PER_ELEMENT + 1), damped + [1.0] * 3 + damped):
+        x, codes = k_branches_array(np.array(ys), xi)
+        for i, y in enumerate(ys):
+            x_plus, x_minus, regime = reference_k_branches(y, xi)
+            assert REGIMES[codes[i]] is regime is Regime.DECAYING_TRAVELING
+            assert (bits(x[0, i]), bits(x[1, i])) == (bits(x_plus), bits(x_minus)), y
+
+
+def test_numpy_sqrt_is_not_cmath_sqrt_at_y_one():
+    s_plus = reference_branch_squares(1.0, 0.5)[0]
+    assert s_plus.real == 0.0 and bits(np.sqrt(s_plus)) != bits(cmath.sqrt(s_plus))

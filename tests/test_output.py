@@ -17,6 +17,7 @@ from quasimode import Branch, Regime
 from quasimode.cli import EXIT_USAGE, main
 from quasimode.output import (
     CHUNK_ROWS,
+    Labels,
     csv_chunks,
     json_table_chunks,
     render_csv,
@@ -38,16 +39,29 @@ STRINGS = st.one_of(
 KINDS = {float: FLOATS, int: st.integers(), str: STRINGS}
 
 
+def labels(cells) -> Labels:
+    """The Labels column of the cells, its values in order of first use."""
+    values = tuple(dict.fromkeys(cells))
+    return Labels(np.array([values.index(cell) for cell in cells], dtype=np.uint8), values)
+
+
+def cells_of(column) -> list:
+    """The cells of an array column as Python values."""
+    if isinstance(column, Labels):
+        return [column.values[code] for code in column.codes.tolist()]
+    return column.tolist()
+
+
 @st.composite
 def columns(draw, count: int, shared: bool):
-    """A column of count rows: a float64 array, an object array of str or of
-    int cycling through a few drawn cells, or, if shared, one drawn value."""
+    """A column of count rows: a float64 array, Labels of str or of int
+    cycling through a few drawn cells, or, if shared, one drawn value."""
     kind = draw(st.sampled_from(sorted(KINDS, key=lambda kind: kind.__name__)))
     if shared:
         return draw(KINDS[kind])
     pool = draw(st.lists(KINDS[kind], min_size=1, max_size=5))
     cells = [pool[i % len(pool)] for i in range(count)]
-    return np.array(cells, dtype=float if kind is float else object)
+    return np.array(cells, dtype=float) if kind is float else labels(cells)
 
 
 @st.composite
@@ -69,8 +83,9 @@ def rows_of(blocks):
     """The rows of the blocks as lists of Python cells."""
     rows = []
     for block in blocks:
-        count = next(len(column) for column in block if isinstance(column, np.ndarray))
-        cells = [column.tolist() if isinstance(column, np.ndarray) else [column] * count
+        arrays = (np.ndarray, Labels)
+        count = next(len(column) for column in block if isinstance(column, arrays))
+        cells = [cells_of(column) if isinstance(column, arrays) else [column] * count
                  for column in block]
         rows += [list(row) for row in zip(*cells)]
     return rows
@@ -86,9 +101,9 @@ def reference_csv_chunks(header, blocks):
     text_of = {float: "{:.16e}".format, int: int.__repr__, str: str}
 
     def text(column):
-        array = isinstance(column, np.ndarray)
-        cells = column.tolist() if array else [column]
-        types = {float} if array and column.dtype == float else set(map(type, cells))
+        array = isinstance(column, (np.ndarray, Labels))
+        cells = cells_of(column) if array else [column]
+        types = {float} if array and not isinstance(column, Labels) else set(map(type, cells))
         if len(types) > 1 or not types.issubset(text_of):
             names = ", ".join(sorted(kind.__name__ for kind in types))
             raise TypeError(f"table cells must all be float, int or str, got {names}")
@@ -96,8 +111,9 @@ def reference_csv_chunks(header, blocks):
 
     yield (",".join(header) + "\n").encode("utf-8")
     for block in blocks:
-        (count,) = {len(column) for column in block if isinstance(column, np.ndarray)}
-        shared = [None if isinstance(value, np.ndarray) else text(value)[0] for value in block]
+        (count,) = {len(column) for column in block if isinstance(column, (np.ndarray, Labels))}
+        shared = [None if isinstance(value, (np.ndarray, Labels)) else text(value)[0]
+                  for value in block]
         for start in range(0, count, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, count)
             rows = zip(*[
@@ -316,7 +332,7 @@ def test_json_chunks_either_side_of_the_kernel_break_even(offset, monkeypatch):
     # two shared floats and a shared int
     half = (cells - 1) // 2
     shared = [0.5] * (cells - 2 * half)
-    for block in [[values[:cells - 1], 0.5, np.full(cells - 1, "x", dtype=object)],
+    for block in [[values[:cells - 1], 0.5, labels(["x"] * (cells - 1))],
                   [values[:half], *shared, values[half:2 * half], 7]]:
         calls.clear()
         header = list("abcdef"[:len(block)])
@@ -368,7 +384,7 @@ def test_chunks_hold_at_most_chunk_rows_of_one_block(counts):
 
 def test_renderers_return_whole_documents_as_bytes():
     assert render_csv(["a", "b"], [[np.array([1.5]), "x"]]) == b"a,b\n1.5000000000000000e+00,x\n"
-    table = render_json_table(["a"], [[np.array(["plus"], dtype=object)]], quantity="q")
+    table = render_json_table(["a"], [[labels(["plus"])]], quantity="q")
     assert isinstance(table, bytes)
     assert json.loads(table) == {"schema_version": 1, "columns": ["a"], "quantity": "q",
                                  "rows": [["plus"]]}
@@ -381,25 +397,29 @@ def test_renderers_return_whole_documents_as_bytes():
     (None, "NoneType"),
     (Branch.PLUS, "Branch"),
     (np.float64(1.0), "float64"),
-    (np.array([False], dtype=object), "bool"),
-    (np.array([None], dtype=object), "NoneType"),
-    (np.array([Regime.TRAVELING], dtype=object), "Regime"),
-    (np.array(["plus", 1], dtype=object), "int, str"),
-    (np.array([np.float64(1.0)], dtype=object), "float64"),
+    (labels([False]), "bool"),
+    (labels([None]), "NoneType"),
+    (labels([Regime.TRAVELING]), "Regime"),
+    (labels(["plus", 1]), "int, str"),
+    (Labels(np.zeros(2, dtype=np.uint8), ("plus", 1)), "int, str"),
+    (labels([np.float64(1.0)]), "float64"),
+    (labels([1.0]), "float"),
     (np.array([True]), "bool"),
+    (np.array(["plus"], dtype=object), "object"),
+    (np.array([1, 2]), "int64"),
 ])
 def test_unsupported_cell_type_is_a_type_error_naming_it(render, column, name):
-    floats = np.zeros(len(column) if isinstance(column, np.ndarray) else 1)
+    floats = np.zeros(len(column) if isinstance(column, (np.ndarray, Labels)) else 1)
     with pytest.raises(TypeError, match=name):
         render(["a", "b"], [[floats, column]])
 
 
 @pytest.mark.parametrize("render", [render_csv, render_json_table])
 def test_str_cells_keep_the_nul_bytes_numpy_strings_would_drop(render):
-    column = np.array(["", "\x00", "a\x00", "a"] * 3, dtype=object)
+    column = labels(["", "\x00", "a\x00", "a"] * 3)
     blocks = [[np.arange(len(column), dtype=float), column]]
     if render is render_csv:
-        expected = "a,b\n" + "".join(f"{i:.16e},{cell}\n" for i, cell in enumerate(column))
+        expected = "a,b\n" + "".join(f"{i:.16e},{cell}\n" for i, cell in enumerate(cells_of(column)))
         assert render(["a", "b"], blocks) == expected.encode()
     else:
         doc = {"schema_version": 1, "columns": ["a", "b"], "rows": rows_of(blocks)}
@@ -499,9 +519,9 @@ def test_write_memory_is_flat_in_row_count(chunks, tmp_path):
 
     def block(n: int) -> list:
         return [
-            np.full(n, 0.123456789), 0.5, np.full(n, Branch.MINUS.value, dtype=object),
-            np.full(n, 1.25e-7), np.full(n, -3.5), np.full(n, Regime.TRAVELING.value, dtype=object),
-            np.full(n, 7, dtype=object),
+            np.full(n, 0.123456789), 0.5, labels([Branch.MINUS.value] * n),
+            np.full(n, 1.25e-7), np.full(n, -3.5), labels([Regime.TRAVELING.value] * n),
+            labels([7] * n),
         ]
 
     chunk_bytes = max(len(chunk) for chunk in chunks(header, [block(CHUNK_ROWS)]))
@@ -517,3 +537,23 @@ def test_write_memory_is_flat_in_row_count(chunks, tmp_path):
 
     n = 4 * CHUNK_ROWS
     assert peak(4 * n) - peak(n) < 2 * chunk_bytes
+
+
+def test_spectrum_sweep_holds_no_python_object_per_row(tmp_path):
+    """Peak traced allocation of a 100,000-row spectrum sweep at one level,
+    below 120 bytes a row.  Its five float64 columns, the uint8 codes of n
+    and the grid take 49 bytes a row, and the evaluation's float64
+    temporaries about as much again; a Python float per row (a grid tuple,
+    a whole-array tolist) adds 32 bytes or more, an np.repeat copy of a
+    column 8."""
+    argv = ["sweep", "spectrum", "--xi", "0.5", "--omega-p", "1.3", "--p", "0.1,0.2,0.3",
+            "--out", str(tmp_path / "spectrum.csv")]
+    main([*argv, "--omega", "0.05:5:10"])  # imports and caches outside the trace
+    rows = 100_000
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--omega", f"0.05:5:{rows}"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * rows

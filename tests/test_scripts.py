@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from quasimode import critical_points
+from quasimode.tables import QUANTITIES
+
 ROOT = Path(__file__).resolve().parents[1]
 GATES = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
@@ -106,8 +109,7 @@ def test_diff_parent_argvs_are_seeded_and_cover_force_and_verify(monkeypatch):
     argvs = diff_parent.argvs(400, 7)
     assert argvs == diff_parent.argvs(400, 7) != diff_parent.argvs(400, 8)
     texts = [" ".join(argv) for argv in argvs]
-    assert {argv[0] for argv in argvs} == {"force", "sweep", "verify"}
-    assert all(argv[1] == "force" for argv in argvs if argv[0] == "sweep")
+    assert {argv[0] for argv in argvs} == {"force", "spectrum", "sweep", "verify"}
     for part in ("--at-minimum", "--omega=", "--scaling=frozen", "--ref-d=", "--format=json"):
         assert any(part in text and text.startswith("force") for text in texts), part
     counts = [int(option.split(":")[2]) for argv in argvs for option in argv
@@ -137,6 +139,39 @@ def test_diff_parent_argvs_are_seeded_and_cover_force_and_verify(monkeypatch):
                 or int(options.get("--cutoff-cap", 1024)) < start)
 
     assert 0.2 < sum(map(fails, verify)) / len(verify) < 0.45
+
+
+def test_diff_parent_sweep_argvs_cover_every_table_and_edge(monkeypatch):
+    diff_parent = load_diff_parent(monkeypatch)
+    argvs = [argv for argv in diff_parent.argvs(1000, 7) if argv[0] in ("sweep", "spectrum")]
+    assert {argv[1] for argv in argvs if argv[0] == "sweep"} == set(QUANTITIES)
+    options = [dict(option.split("=", 1) for option in argv if option.startswith("--"))
+               for argv in argvs if argv[:2] != ["sweep", "force"]]
+    assert any("," in o["--n"] for argv, o in zip(argvs, options) if argv[0] == "spectrum")
+    reduced = [o for argv, o in zip(argvs, options) if argv[1] in diff_parent.REDUCED]
+    assert {o.get("--units", "reduced") for o in reduced} == {"reduced", "atomic"}
+    assert {o.get("--format", "csv") for o in options} == {"csv", "json"}
+    xis = {xi for o in options for xi in o["--xi"].split(",")}
+    assert {"0", "1"} < xis
+    grids = [o.get("--k", o.get("--omega")) for o in options]
+    assert sum(grid in diff_parent.OVERFLOWING_LOG_GRIDS for grid in grids) > 20
+    ranges = [grid.split(":") for grid in grids if grid and grid.count(":") in (2, 3)]
+    assert any(len(r) == 3 for r in ranges) and any(r[3:] == ["log"] for r in ranges)
+    counts = [int(r[2]) for r in ranges if r[2].isdigit()]
+    assert any(1000 < count < 1050 for count in counts) and any(count > 2048 for count in counts)
+    lists = [grid.split(",") for grid in grids if grid and ":" not in grid]
+    assert any(len(points) == 1 for points in lists) and any(len(points) > 30 for points in lists)
+
+    def hits(o, axis, xi):
+        """Whether the grid holds every critical point of xi on the axis, as
+        the package computes them, and y = 1 on the omega axis."""
+        cp = critical_points(float(xi))
+        points = [cp.k_star] if axis == "k" else [1.0, cp.omega_tilde, cp.omega_star]
+        return f"--{axis}" in o and set(map(repr, points)) <= set(o[f"--{axis}"].split(","))
+
+    for axis in ("k", "omega"):
+        hit = {xi for o in options for xi in o["--xi"].split(",") if hits(o, axis, xi)}
+        assert len(hit) > 5 and {"0", "1"} < hit, axis
 
 
 def git_tree():
