@@ -101,14 +101,13 @@ def _reflectivities(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     may differ from Python's, and abs drops them."""
     eta = _csqrt(re, im)
     eta_re, eta_im = eta.real, eta.imag
-    # Re eta >= 0, so Re (eta + 1) >= 1: eta is never -1.  Im (eta -+ 1) is
-    # Im eta.  _Py_c_quot divides above and below by the part of the divisor
-    # b = eta + 1 larger in size, big, and takes ratio = small/big: over
-    # Re b, q = (Re a + Im a ratio, Im a - Re a ratio) / (Re b + Im b ratio),
-    # and over Im b, (Re a ratio + Im a, Im a ratio - Re a) / (Re b ratio +
-    # Im b).  IEEE addition commutes, and x - y is -(y - x) but for the sign
-    # of 0, so both read q = (first + second ratio, +-(second - first ratio))
-    # / (big + small ratio).
+    # Re eta >= 0, so eta is never -1 and b = eta + 1 has Re b >= 1.
+    # _Py_c_quot divides a = eta - 1 and b by the larger part of b, big:
+    # over Re b, q = (Re a + Im a r, Im a - Re a r) / (Re b + Im b r), and
+    # over Im b, (Re a r + Im a, Im a r - Re a) / (Re b r + Im b), with
+    # r = small/big.  IEEE addition commutes and x - y = -(y - x) up to the
+    # sign of 0, so both are (first + second r, +-(second - first r)) /
+    # (big + small r).
     b_re = eta_re + 1.0
     a_re = np.subtract(eta_re, 1.0, out=eta_re)
     by_re = b_re >= np.abs(eta_im)
