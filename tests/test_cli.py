@@ -1309,6 +1309,14 @@ FORCE_OMEGA_LIMIT = [
     "sweep", "force", "--xi", "0", "--omega", "0,1e-8,0.5,1,3", "--charges", "2",
     "--n-photons", "1",
 ]
+# 3 xi x 1,500 separations at one omega.
+FORCE_MANY_SEPARATIONS = ["force", "--xi", "0,0.5,1", "--d", "0.5:80:1500", "--omega", "1"]
+# 4 separations (one of them twice) x 700 omegas: each xi's rows cross
+# CHUNK_ROWS in the middle of a separation.
+FORCE_LONG_SEPARATIONS = [
+    "force", "--xi", "0.3,1", "--d", "0.5,0.5,2,1e-3", "--omega", "0.1:4:700", "--charges", "2",
+    "--n-photons", "1",
+]
 DISPERSION_REPR_LAYOUTS = [
     "sweep", "dispersion", "--xi", "0,0.5", "--k",
     "1e-6,3.5e-5,0.25,0.5,2,1234567890123456.7,1e16,1.2345e17", "--format", "json",
@@ -1479,6 +1487,15 @@ GOLDEN_DIGESTS = [
     (FORCE_OMEGA_LIMIT, "30c8cc5a7e195c2dc8aa54c244f60282a43b79cde414c78f39917b77c33adb43"),
     ([*FORCE_OMEGA_LIMIT, "--format", "json"],
      "b6938e6257da4860894520fda2f7f517a046fca9eb5137042227c97b6a729e8a"),
+    # Recorded while force --omega wrote one block per xi and separation.
+    (FORCE_MANY_SEPARATIONS,
+     "a7b9c3921fa7097cc00968de78406d71b5ce0040b8b7ca4617503ac223991e34"),
+    ([*FORCE_MANY_SEPARATIONS, "--format", "json"],
+     "ec9acebd844b611420656c83e73e3494988a6953e08b5f693b4c605204a2b0a3"),
+    (FORCE_LONG_SEPARATIONS,
+     "0cb426a3b6287ca6b5cd3388f7760a93d601562733a485c63aa068bf75aec25c"),
+    ([*FORCE_LONG_SEPARATIONS, *FROZEN, "--format", "json"],
+     "ed7db033fae16c8de0282360b3c937956e09768b49a98da15f187cdd42e47dc2"),
 ]
 
 
