@@ -9,7 +9,8 @@ The parent revision is exported and compiled as `bench_pairs.py` does; the
 change is the working tree, or the tree given by `--tree`.  The same
 seeded argvs run through `quasimode.cli.main` in one long-lived worker per
 tree, each with its own `--out` file.  For each argv the exit code, stdout,
-stderr and the sha256 of the output file are compared.
+stderr and the sha256 of the output file are compared; for `figures`, that
+of every file under its `--outdir`, with their paths.
 
 The JSON summary holds both sides' counts per exit code, the change's total
 output bytes, and every argv that differs with both sides' results.  The
@@ -30,6 +31,10 @@ overflow, and comma grids that hit y = 1 and the critical points (omega~,
 omega* and k*) exactly.  About a third should fail: a bad grid point (0 in
 a k grid at xi > 0, a negative, tiny, huge or nan value), a malformed grid,
 the wrong axis, or an extreme omega_p, mass, hbar, c or level.
+
+One in twenty argvs is `figures` (the shares above and below are of the
+others), with its default `--outdir` or one nested in it.  Both trees run
+in the same directory, so the paths it prints match.
 
 The rest are `verify` runs: the default grid, or xi in {0, 1, interior}
 with momenta at rest in the polarization plane, with p_minor = 0, or
@@ -57,27 +62,37 @@ from pathlib import Path
 from bench_pairs import ROOT, compile_tree, export, git
 
 # Runs argvs read as JSON lines from stdin through cli.main in-process and
-# writes one JSON line of results per argv.
+# writes one JSON line of results per argv.  figures writes under its
+# --outdir, "figures" or a directory in it, relative to the working
+# directory: every file there is hashed, with its path, and removed.
 WORKER = r"""
-import contextlib, hashlib, io, json, os, sys
+import contextlib, hashlib, io, json, os, shutil, sys
+from pathlib import Path
 from quasimode.cli import main
 
 out = sys.argv[1]
 for line in sys.stdin:
+    argv = json.loads(line)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            code = main([*json.loads(line), f"--out={out}"])
+            code = main(argv if argv[0] == "figures" else [*argv, f"--out={out}"])
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:
             code = f"{type(exc).__name__}: {exc}"
-    digest = size = None
-    if os.path.exists(out):
-        with open(out, "rb") as f:
-            data = f.read()
-        digest, size = hashlib.sha256(data).hexdigest(), len(data)
+    data = digest = size = None
+    if argv[0] == "figures":
+        files = sorted(path for path in Path("figures").rglob("*") if path.is_file())
+        if files:
+            data = b"".join(b"%s\0%d\0%s" % (str(path).encode(), path.stat().st_size,
+                                               path.read_bytes()) for path in files)
+        shutil.rmtree("figures", ignore_errors=True)
+    elif os.path.exists(out):
+        data = Path(out).read_bytes()
         os.remove(out)
+    if data is not None:
+        digest, size = hashlib.sha256(data).hexdigest(), len(data)
     print(json.dumps({"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
                       "sha256": digest, "bytes": size}), flush=True)
 """
@@ -319,10 +334,17 @@ def verify_argv(rng: random.Random) -> list[str]:
     return ["verify", *(f"{name}={value}" for name, value in options.items()), *momenta]
 
 
+def figures_argv(rng: random.Random) -> list[str]:
+    """A `figures` argv, writing to its default --outdir or to one nested in it."""
+    outdir = rng.choice([None, "figures/a", "figures/a/b"])
+    return ["figures"] if outdir is None else ["figures", f"--outdir={outdir}"]
+
+
 def argvs(count: int, seed: int) -> list[list[str]]:
     rng = random.Random(f"diff_parent/{seed}")
     kinds = [verify_argv, force_argv, force_argv, sweep_argv, sweep_argv]
-    return [rng.choice(kinds)(rng) for _ in range(count)]
+    return [figures_argv(rng) if rng.random() < 0.05 else rng.choice(kinds)(rng)
+            for _ in range(count)]
 
 
 class WorkerDied(RuntimeError):

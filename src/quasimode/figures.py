@@ -4,10 +4,11 @@ Six CSV files cover the dispersion curves, both complex wavenumber branches,
 the velocities, the branch reflectivities, and the energy surface, each for
 xi in {0, 0.2, 0.5, 1} over fixed grids in reduced units.  Each holds the
 rows, or for Re k and Im k the columns, of the matching `sweep` table plus
-a `marker` column; the energy surface is the ground level of the spectrum
-sweep at omega_p = 1.  Critical points (k*, the dispersion minimum Omega*,
-and the full-reflection cutoff Omega~) are appended per polarization as
-tagged rows; ordinary grid rows carry an empty marker.
+a `marker` column, one block per polarization; the energy surface is the
+ground level of the spectrum sweep at omega_p = 1 over (p, omega), p a
+Labels column.  Critical points (k*, the dispersion minimum Omega*, and the
+full-reflection cutoff Omega~) are appended per polarization as tagged
+rows; ordinary grid rows carry an empty marker.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ FIGURE_XI = (0.0, 0.2, 0.5, 1.0)
 # k/k_p or omega/omega_p.  fig4's permittivities in the damped window are
 # divided as numpy divides them (SweepSpec.numpy_division).
 _GRID = np.linspace(0.01, 3.0, 300)
-_P_GRID = np.linspace(0.0, 2.0, 21).tolist()
+_P_GRID = tuple(np.linspace(0.0, 2.0, 21).tolist())
 _W_GRID = np.linspace(0.1, 3.0, 30)
 
 
@@ -72,16 +73,20 @@ def _columns(table: tuple[list[str], list[list]], names: list[str]) -> tuple[lis
 def _energy_table() -> tuple[list[str], list[list]]:
     """The ground level of the atomic-unit spectrum sweep at omega_p = 1
     (hbar = m = 1, so energies are in units of hbar omega_p) over (p,
-    omega), the momentum along the major polarization axis."""
+    omega), p the momentum along the major polarization axis: per xi one
+    block of the grid, p as Labels, then the row of the minimum omega*."""
+    p = Labels(np.repeat(np.arange(len(_P_GRID), dtype=np.uint8), len(_W_GRID)), _P_GRID)
+    omega = np.tile(_W_GRID, len(_P_GRID))
     blocks = []
     for xi in FIGURE_XI:
-        for p in _P_GRID:
-            spec = SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
-                             momentum=Momentum(p_major=p))
-            (block,) = sweep_columns(spec)[1]
-            blocks.append([xi, p, block[0], block[-1], ""])
+        energy = np.concatenate([
+            sweep_columns(SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
+                                    momentum=Momentum(p_major=p_major)))[1][0][-1]
+            for p_major in _P_GRID
+        ])
         omega_min, e_star = zero_point_minimum(xi, 1.0)
-        blocks.append([xi, 0.0, np.array([omega_min]), np.array([e_star]), "omega_star"])
+        blocks += [[xi, p, omega, energy, ""],
+                   [xi, 0.0, np.array([omega_min]), np.array([e_star]), "omega_star"]]
     return ["xi", "p", "omega_over_wp", "energy_over_hwp", "marker"], blocks
 
 

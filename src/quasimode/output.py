@@ -8,17 +8,17 @@ interferes.  Re-running the same spec on the same platform reproduces files
 byte for byte.
 
 A table is a list of blocks, each a list of columns: a float64 array;
-Labels, a column of str or int cells held as small integer codes into a
-tuple of values, so that no row is a Python object; or one float, int or
-str value every row shares.  Tables are produced as a stream of byte chunks
-of at most CHUNK_ROWS rows of one block, so a writer holds one chunk of
-text at a time whatever the row count.  `render_csv` and
-`render_json_table` join the same chunks into one document.
+Labels, a column of float, int or str cells held as small integer codes
+into a tuple of values, so that no row is a Python object; or one float,
+int or str value every row shares.  A value repeated over many rows, such
+as a separation of the force table, is Labels, not a block of its own.
+Tables are produced as a stream of byte chunks of at most CHUNK_ROWS rows
+of one block, so a writer holds one chunk of text at a time whatever the
+row count.  `render_csv` and `render_json_table` join the same chunks.
 
-Float cells are formatted by two array kernels that share one front end
-(`_decimal`): the 17 significant digits of |x| rounded once in a long
-double.  The float cells of a chunk, its shared values included, are
-formatted in one kernel call.
+The cells of float64 arrays are formatted by two array kernels that share
+one front end (`_decimal`): the 17 significant digits of |x| rounded once
+in a long double.  A chunk's arrays are formatted in one kernel call.
 - CSV (`_float_field`): the 17 digits are those of `"{:.16e}".format`.
 - JSON (`_repr_cells`): `float.__repr__` prints the shortest digits that
   read back as x, the nearest to x of those.  At most three interval tests
@@ -27,9 +27,9 @@ formatted in one kernel call.
   digits.  The text is laid out as repr does.
 The few cells a kernel cannot decide with certainty are formatted by
 `"{:.16e}".format` or `float.__repr__` itself, as are JSON chunks with too
-few float cells to pay for the kernel.  The cells of Labels are encoded
-once per value, their types checked on the values, and a chunk's texts are
-one index of those by its codes.
+few array cells to pay for the kernel, and the float values of Labels.  The
+values of Labels, and shared values, are type-checked and encoded once per
+block; a chunk's texts of them are one index of those by its codes.
 
 A CSV chunk is built as one byte matrix, a row per table row: each column
 is a field of fixed width, padded with a byte UTF-8 never produces, and the
@@ -59,16 +59,18 @@ SCHEMA_VERSION = 1
 # Rows per streamed chunk: a few hundred kB of text for the widest table.
 CHUNK_ROWS = 1024
 
-# The types of the cells of Labels (and a shared value other than a float).
-_LABEL_TYPES = (int, str)
-_TYPE_ERROR = "table cells must be float, or int or str in Labels, got {}"
+# The types of the cells of Labels and of a shared value.
+_LABEL_TYPES = (float, int, str)
+_TYPE_ERROR = "table cells must be float, int or str, got {}"
 
 
 @dataclass(frozen=True, eq=False)
 class Labels:
-    """A column of str or int cells, row i holding values[codes[i]]: the
-    codes are an array of small unsigned ints (uint8 for up to 256 values),
-    so a row costs a byte or two, not a Python object."""
+    """A column of float, int or str cells, row i holding values[codes[i]]:
+    the codes are an array of small unsigned ints, as wide as the number of
+    values needs (uint8 up to 256 values, uint16 up to 65,536), so a row
+    costs a byte or two, not a Python object, and a value is encoded once
+    however many rows hold it."""
 
     codes: np.ndarray
     values: tuple
@@ -82,21 +84,19 @@ class Labels:
 
 # The columns with a cell per row.
 _ARRAYS = (np.ndarray, Labels)
-# The codes of a shared value, its one cell.
+# The codes of a shared value, its one cell: never sliced.
 _SHARED = np.zeros(1, dtype=np.uint8)
 
 
-def _cells(column: Any) -> tuple[type, Any]:
+def _cells(column: Any) -> tuple[type, np.ndarray | Labels]:
     """The type of every cell of a column (float, int or str) and the
-    cells: a float64 array as it is, a shared float as a list of it, and
-    str and int cells as Labels, a shared value as Labels of one row.  The
-    types are checked on the values, never per row."""
+    cells: a float64 array as it is, Labels as they are, and a shared value
+    as Labels of one row.  The types are checked on the values, never per
+    row."""
     if isinstance(column, np.ndarray):
         if column.dtype == float:
             return float, column
         raise TypeError(_TYPE_ERROR.format(column.dtype))
-    if type(column) is float:
-        return float, [column]
     labels = column if isinstance(column, Labels) else Labels(_SHARED, (column,))
     types = set(map(type, labels.values))
     if len(types) != 1 or not types.issubset(_LABEL_TYPES):
@@ -105,29 +105,32 @@ def _cells(column: Any) -> tuple[type, Any]:
 
 
 def _chunks(
-    blocks: Iterable[list], floats: Callable, other: Callable
+    blocks: Iterable[list], floats: Callable, encode: Callable
 ) -> Iterator[tuple[int, list]]:
-    """The row count and the column texts (of _column_texts) of each chunk
-    of the blocks: at most CHUNK_ROWS rows, all from one block, whose
-    columns are the chunk's slices of the block's arrays and Labels, and its
-    shared values."""
+    """The row count and the texts of each column of each chunk of the
+    blocks: at most CHUNK_ROWS rows, all from one block.  The float64 arrays'
+    texts are floats() of the list of their slices.  The values of each
+    Labels column, and each shared value, are checked and encoded once per
+    block, by encode(kind, values); a chunk's texts of a column are those
+    indexed by its codes, one row for a shared value."""
     for block in blocks:
         # A ValueError unless the block has arrays, all of one length.
         (count,) = {len(column) for column in block if isinstance(column, _ARRAYS)}
+        if not count:  # an empty Labels has no type to check
+            continue
+        # A float64 array's cells and no texts, or the codes of Labels and
+        # the texts of their values.
+        columns = [(cells, None) if isinstance(cells, np.ndarray)
+                   else (cells.codes, encode(kind, cells.values))
+                   for kind, cells in map(_cells, block)]
         for start in range(0, count, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, count)
-            columns = [column[start:stop] if isinstance(column, _ARRAYS) else column
-                       for column in block]
-            yield stop - start, _column_texts(columns, floats, other)
-
-
-def _column_texts(columns: list, floats: Callable, other: Callable) -> list:
-    """The texts of each column's cells: other(kind, labels) for str and int
-    cells, and, for the float columns, the texts floats() gives for the list
-    of their cells (see _cells)."""
-    cells = list(map(_cells, columns))
-    texts = iter(floats([values for kind, values in cells if kind is float]))
-    return [next(texts) if kind is float else other(kind, values) for kind, values in cells]
+            part = slice(start, min(start + CHUNK_ROWS, count))
+            float_texts = iter(floats([cells[part] for cells, texts in columns if texts is None]))
+            yield part.stop - start, [
+                next(float_texts) if texts is None
+                else texts[cells if cells is _SHARED else cells[part]]
+                for cells, texts in columns
+            ]
 
 
 def _split(texts: Any, values: list) -> list:
@@ -363,14 +366,13 @@ def _repr_exact(cells: list[float]) -> list[bytes]:
     return text.encode().split(b"\n")
 
 
-def _json_floats(values: list) -> list[list[bytes]]:
-    """The JSON text of the float cells of each entry of values, float64
-    arrays or lists of floats: from one kernel call, or, below the
-    break-even, from float.__repr__ entry by entry."""
+def _json_floats(values: list[np.ndarray]) -> list[list[bytes]]:
+    """The JSON text of the cells of each float64 array of values: from one
+    kernel call, or, below the break-even, from float.__repr__ array by
+    array."""
     if sum(map(len, values)) >= _REPR_KERNEL_MIN:
         return _split(_repr_cells(np.concatenate(values)), values)
-    return [_repr_exact(cells.tolist() if isinstance(cells, np.ndarray) else cells)
-            for cells in values]
+    return [_repr_exact(cells.tolist()) for cells in values]
 
 
 def _repr_cells(x: np.ndarray) -> list[bytes]:
@@ -452,27 +454,28 @@ def _repr_field(x: np.ndarray, p: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return text.T.view(f"S{_FLOAT_WIDTH}").ravel()
 
 
-def _text_field(kind: type, labels: Labels) -> np.ndarray:
-    """The UTF-8 text of each str or int cell, as str() gives it, as a field
-    as wide as the longest value, padded with _PAD: each value is encoded
-    once, and the field is one index of their texts by the codes."""
-    texts = [str(value).encode() for value in labels.values]
+def _csv_texts(kind: type, values: tuple) -> np.ndarray:
+    """The UTF-8 CSV text of each value, "{:.16e}".format of a float and
+    str() of an int or str, as a field as wide as the longest text, padded
+    with _PAD."""
+    text = "{:.16e}".format if kind is float else str
+    texts = [text(value).encode() for value in values]
     width = max(map(len, texts))
     data = b"".join(text.ljust(width, bytes([_PAD])) for text in texts)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)[labels.codes]
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)
 
 
-def _json_text_cells(kind: type, labels: Labels) -> list[bytes]:
-    """The JSON text of each str or int cell: each value is encoded once,
-    and the cells are one index of their texts by the codes."""
+def _json_texts(kind: type, values: tuple) -> np.ndarray:
+    """The JSON text of each value, as an object array."""
+    if kind is float:
+        return np.array(_repr_exact(list(values)), dtype=object)
     text = encode_basestring_ascii if kind is str else int.__repr__
-    texts = np.array([text(value).encode() for value in labels.values], dtype=object)
-    return texts[labels.codes].tolist()
+    return np.array([text(value).encode() for value in values], dtype=object)
 
 
-def _csv_floats(values: list) -> list[np.ndarray]:
-    """The CSV field of the float cells of each entry of values, float64
-    arrays or lists of floats, from one kernel call."""
+def _csv_floats(values: list[np.ndarray]) -> list[np.ndarray]:
+    """The CSV field of the cells of each float64 array of values, from one
+    kernel call."""
     return _split(_float_field(np.concatenate(values)), values) if values else []
 
 
@@ -480,7 +483,7 @@ def csv_chunks(header: list[str], blocks: Iterable[list]) -> Iterator[bytes]:
     """The CSV document of header and blocks, as UTF-8 chunks of at most
     CHUNK_ROWS rows of one block (the header line is a chunk of its own)."""
     yield (",".join(header) + "\n").encode("utf-8")
-    for rows, fields in _chunks(blocks, _csv_floats, _text_field):
+    for rows, fields in _chunks(blocks, _csv_floats, _csv_texts):
         # Each field is followed by a comma, the last by a newline; a shared
         # value's one-row field is broadcast to every row.
         ends = np.cumsum([field.shape[1] + 1 for field in fields])
@@ -500,9 +503,11 @@ def json_table_chunks(header: list[str], blocks: Iterable[list], **meta: Any) ->
     doc = _json_text({**meta, "columns": list(header), "rows": []}).encode("utf-8")
     head, _, tail = doc.partition(b'"rows": []')
     empty = True
-    for rows, columns in _chunks(blocks, _json_floats, _json_text_cells):
-        # A shared value's text is one cell, repeated for every row.
-        cells = zip(*[column if len(column) == rows else column * rows for column in columns])
+    for rows, columns in _chunks(blocks, _json_floats, _json_texts):
+        # The texts of Labels are object arrays, a shared value's of one
+        # cell, which is repeated for every row.
+        cells = zip(*[column.tolist() * (rows // len(column)) if isinstance(column, np.ndarray)
+                      else column for column in columns])
         text = list(map(b",\n      ".join, cells))
         # The chunk's text is joined once: its ends go into its first and last rows.
         text[0] = (head + b'"rows": [\n' if empty else b",\n") + b"    [\n      " + text[0]

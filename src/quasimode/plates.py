@@ -27,7 +27,7 @@ raises the DomainError of some element that the float would raise it at.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,21 +119,16 @@ def force_general(
     photons = 1.0 + 2.0 * g.n_photons
     array = isinstance(omega, np.ndarray)
     # At omega_p = 0 or omega = 0 the force is the omega -> 0 limit, which
-    # is 0 at omega_p = 0.
+    # is 0 at omega_p = 0; in an array, the body runs there at 1 for both.
     special = (wp == 0.0) | (omega == 0.0)
     if special.any() if array else special:
         if q > 0.0 and np.any((omega == 0.0) & (wp != 0.0)):
             raise DomainError("plate force diverges at omega=0 for xi > 0")
-        limit = hbar * wp / (4.0 * g.d) * photons
-        if not array:
-            return limit
-        # the other elements as an array of their own, at their omega_p
-        force, rest = np.array(np.broadcast_to(limit, omega.shape)), ~special
-        if rest.any():
-            force[rest] = force_general(
-                omega[rest], replace(g, d=_part(g.d, rest)), e, m, xi, hbar, _part(wp, rest)
-            )
-        return force
+    limit = hbar * wp / (4.0 * g.d) * photons
+    if array:
+        omega, wp = np.where(special, 1.0, omega), np.where(special, 1.0, wp)
+    elif special:
+        return limit
     r2 = _power(wp / omega, 2)
     if (ok := (r2 > 0.0) & (r2 < math.inf)) is not True:
         _require(omega, ok, "(omega_p/omega)^2 is not a positive finite float at omega = {}")
@@ -142,12 +137,8 @@ def force_general(
         _require(omega, ok, "(omega/omega_p)^2 overflows at omega = {}")
     numer = hbar * wp * (1.0 + 2.0 * q * r2)
     denom = 4.0 * (np.sqrt if array else math.sqrt)(inverse + 1.0 + q * r2)
-    return numer / denom * photons / g.d
-
-
-def _part(value, mask: np.ndarray):
-    """The elements of value where mask is true, or value if it is a float."""
-    return value[mask] if isinstance(value, np.ndarray) else value
+    force = numer / denom * photons / g.d
+    return np.where(special, limit, force) if array else force
 
 
 def force_minimum_plasma_form(

@@ -1,5 +1,5 @@
 """Sweep and force tables as numpy columns (sweep_columns, force_columns):
-one block of the `output` table format per point of the outer axis."""
+one block of the `output` table format per polarization xi."""
 
 from __future__ import annotations
 
@@ -378,11 +378,10 @@ def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
 def force_columns(
     spec: SweepSpec, omega: np.ndarray | None, ref_d: float | None
 ) -> tuple[list[str], list[list]]:
-    """The header and the blocks of the `force` table of a validated spec:
-    the force at each separation d of spec.grid, one block per xi and d
-    over omega, or at the energy minimum, one block per xi, if omega is
-    None.  omega_p is recomputed at each d, or frozen at that of separation
-    ref_d unless ref_d is None."""
+    """The header and the blocks, one per xi, of the `force` table of a
+    validated spec: the force at each separation d of spec.grid over omega,
+    or at the energy minimum if omega is None.  omega_p is recomputed at
+    each d, or frozen at that of separation ref_d unless ref_d is None."""
     frozen_wp = None if ref_d is None else _plates(spec, ref_d)[1]
     # Every separation's plates are checked before tabulate: --at-minimum
     # sweeps d, so its empty grid builds no plates, and a bad plate input
@@ -417,13 +416,11 @@ def force_columns(
             [xi, wp * critical_points(xi).k_star, grid, *fixed, wp, force]
             for xi, [force] in zip(spec.xi_list, forces)
         ]
-    # The force is evaluated once per xi, and written one block per xi and
-    # d, whose d and omega_p are values (Python floats) that its rows share.
+    # One block per xi, whose d and omega_p are Labels of one value per
+    # separation, each repeated over omega.
     forces = tabulate([("xi", spec.xi_list), ("d", grid), ("omega", omega)], at_omega)
-    omega, n = np.asarray(omega, dtype=float), len(omega)
-    wp = np.broadcast_to(wp, grid.shape).tolist()
-    return header, [
-        [xi, omega, d, *fixed, wp[j], force[j * n:(j + 1) * n]]
-        for xi, [force] in zip(spec.xi_list, forces)
-        for j, d in enumerate(grid.tolist())
-    ]
+    count = len(grid)
+    codes = np.repeat(np.arange(count, dtype=np.min_scalar_type(count - 1)), len(omega))
+    d, wp = (Labels(codes, tuple(np.broadcast_to(v, grid.shape).tolist())) for v in (grid, wp))
+    omega = np.tile(np.asarray(omega, dtype=float), count)
+    return header, [[xi, omega, d, *fixed, wp, force] for xi, [force] in zip(spec.xi_list, forces)]

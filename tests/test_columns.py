@@ -25,6 +25,7 @@ from quasimode.kinematics import velocities_array
 from quasimode.optics import _branch_zetas, _reflectivities, reflectivity, refractive_index
 from quasimode.params import _SLICE, _each, _power
 from quasimode.spectrum import energy_levels_array
+from quasimode.output import CHUNK_ROWS, csv_chunks, json_table_chunks
 from quasimode.tables import SweepSpec, force_columns, sweep_columns
 
 
@@ -381,6 +382,20 @@ def check_force_block(columns, plates, xi, d, omega, wp):
     assert [v.hex() for v in scalar] == [v.hex() for v in expected]
 
 
+def separations(header, block, d, omega):
+    """The columns of the force --omega block of one xi at the rows of each
+    separation of d, with d and omega_p read as that separation's values:
+    both are Labels whose codes number the separations, each over omega."""
+    columns, n = dict(zip(header, block)), len(omega)
+    for name in ("d", "omega_p"):
+        assert columns[name].codes.tolist() == np.repeat(np.arange(len(d)), n).tolist()
+    assert columns["d"].values == tuple(d)
+    for j, separation in enumerate(d):
+        rows = slice(j * n, (j + 1) * n)
+        yield {**columns, "omega": columns["omega"][rows], "force": columns["force"][rows],
+               "d": separation, "omega_p": columns["omega_p"].values[j]}
+
+
 @given(
     omega=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20),
     d=SEPARATIONS, xi=FORCE_XI, plates=PLATES, ref_d=st.one_of(st.none(), st.floats(0.1, 10.0)),
@@ -390,13 +405,11 @@ def test_force_columns_at_omega_match_the_reference_point_by_point(omega, d, xi,
     if xi == 0.0:
         omega = [0.0, *omega, 0.0]  # the omega -> 0 limit
     spec = plate_spec(d, plates, (xi,))
-    header, blocks = force_columns(spec, tuple(omega), ref_d)
-    assert len(blocks) == len(d)
+    header, [block] = force_columns(spec, tuple(omega), ref_d)
     area, n, e, m = plates["area"], plates["n_charges"], plates["charge"], plates["mass"]
     frozen = None if ref_d is None else reference_plasma_frequency(ref_d, area, n, e, m)
-    for separation, block in zip(d, blocks):
-        columns = dict(zip(header, block))
-        assert columns["omega"].tolist() == omega and columns["d"] == separation
+    for separation, columns in zip(d, separations(header, block, d, omega)):
+        assert columns["omega"].tolist() == omega
         wp = reference_plasma_frequency(separation, area, n, e, m) if frozen is None else frozen
         check_force_block(columns, plates, xi, separation, omega, wp)
     # sweep force evaluates the same kernel at its one separation
@@ -453,7 +466,8 @@ def test_force_at_pow_sensitive_frequencies(xi):
     omega = [0.5, *POW_SENSITIVE_FORCE]
     spec = plate_spec([1.0], plates, (xi,))
     header, [block] = force_columns(spec, tuple(omega), None)
-    check_force_block(dict(zip(header, block)), plates, xi, 1.0, omega, DEFAULT_WP)
+    (columns,) = separations(header, block, [1.0], omega)
+    check_force_block(columns, plates, xi, 1.0, omega, DEFAULT_WP)
 
 
 @pytest.mark.parametrize("ref_d", [None, 1.0])
@@ -466,13 +480,31 @@ def test_force_columns_at_omega_with_plates_without_charge(xi, ref_d):
     d, omega = [1e250, 1.0, 3.0], [1e-250, 2e-250]
     if xi == 0.0:
         omega = [0.0, *omega]
-    header, blocks = force_columns(plate_spec(d, plates, (xi,)), tuple(omega), ref_d)
-    assert len(blocks) == len(d)
-    for separation, block in zip(d, blocks):
+    header, [block] = force_columns(plate_spec(d, plates, (xi,)), tuple(omega), ref_d)
+    forces = []
+    for separation, columns in zip(d, separations(header, block, d, omega)):
         wp = reference_plasma_frequency(ref_d or separation, 1.0, 1, 1e-200, 1.0)
         assert (wp == 0.0) == (ref_d is None and separation == 1e250)
-        check_force_block(dict(zip(header, block)), plates, xi, separation, omega, wp)
-    assert not blocks[0][-1].any() and blocks[1][-1].all()
+        check_force_block(columns, plates, xi, separation, omega, wp)
+        forces.append(columns["force"])
+    assert not forces[0].any() and forces[1].all()
+
+
+@pytest.mark.parametrize("chunks", [csv_chunks, json_table_chunks])
+def test_force_at_one_omega_over_many_separations_takes_two_chunks_per_xi(chunks):
+    """1,500 separations at one omega are one block per xi, of two chunks,
+    not a chunk per separation."""
+    plates = {"area": 1.0, "charge": 1.0, "mass": 1.0, "hbar": 1.0, "n_charges": 1,
+              "n_photons": 0}
+    d = np.linspace(0.5, 80.0, 1500)
+    header, blocks = force_columns(plate_spec(d, plates, (0.0, 0.5, 1.0)), (1.0,), None)
+    assert [len(block[-1]) for block in blocks] == [1500] * 3
+    # CSV: the header line, then the chunks; JSON: the chunks, then the tail
+    if chunks is csv_chunks:
+        rows = [chunk.count(b"\n") for chunk in list(chunks(header, blocks))[1:]]
+    else:
+        rows = [chunk.count(b"\n    [\n") for chunk in list(chunks(header, blocks))[:-1]]
+    assert rows == [CHUNK_ROWS, 1500 - CHUNK_ROWS] * 3
 
 
 def outcome(f, *args):

@@ -54,14 +54,16 @@ def cells_of(column) -> list:
 
 @st.composite
 def columns(draw, count: int, shared: bool):
-    """A column of count rows: a float64 array, Labels of str or of int
-    cycling through a few drawn cells, or, if shared, one drawn value."""
+    """A column of count rows: a float64 array, or Labels of float, int or
+    str cycling through a few drawn cells, or, if shared, one drawn value."""
     kind = draw(st.sampled_from(sorted(KINDS, key=lambda kind: kind.__name__)))
     if shared:
         return draw(KINDS[kind])
     pool = draw(st.lists(KINDS[kind], min_size=1, max_size=5))
     cells = [pool[i % len(pool)] for i in range(count)]
-    return np.array(cells, dtype=float) if kind is float else labels(cells)
+    if kind is float and draw(st.booleans()):
+        return np.array(cells, dtype=float)
+    return labels(cells)
 
 
 @st.composite
@@ -320,26 +322,71 @@ def test_repr_kernel_takes_the_exact_path_where_it_cannot_run(target, name, valu
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_json_chunks_either_side_of_the_kernel_break_even(offset, monkeypatch):
     """A chunk of one float cell fewer than the break-even is formatted cell
-    by cell; one of the break-even or more takes one kernel call.  A shared
-    float counts as one of the chunk's float cells."""
+    by cell; one of the break-even or more takes one kernel call.  Only the
+    cells of float64 arrays count: shared floats and Labels of floats are
+    encoded once per block, apart from the kernel."""
     calls = []
     decimal = quasimode.output._decimal
     monkeypatch.setattr(quasimode.output, "_decimal", lambda x: calls.append(len(x)) or decimal(x))
     cells = quasimode.output._REPR_KERNEL_MIN + offset
     assert cells <= CHUNK_ROWS
     values = repr_kernel_cases()[:cells]
-    # one float column and a shared float; then two float columns, one or
-    # two shared floats and a shared int
-    half = (cells - 1) // 2
-    shared = [0.5] * (cells - 2 * half)
-    for block in [[values[:cells - 1], 0.5, labels(["x"] * (cells - 1))],
-                  [values[:half], *shared, values[half:2 * half], 7]]:
+    # one float column, a shared float and Labels of str; then two float
+    # columns of cells // 2 each (one below, two at the break-even), a
+    # shared float, Labels of floats and a shared int
+    half = cells // 2
+    for block, floats in [
+        ([values, 0.5, labels(["x"] * cells)], cells),
+        ([values[:half], 0.5, values[half:2 * half], labels([0.25, 1e300] * half)[:half], 7],
+         2 * half),
+    ]:
         calls.clear()
         header = list("abcdef"[:len(block)])
         doc = {"schema_version": 1, "columns": header, "rows": rows_of([block])}
         expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
         assert render_json_table(header, [block]) == expected
-        assert calls == ([cells] if cells >= quasimode.output._REPR_KERNEL_MIN else [])
+        assert calls == ([floats] if floats >= quasimode.output._REPR_KERNEL_MIN else [])
+
+
+# Labels of floats: each edge value, then drawn ones.
+LABEL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(drawn=st.lists(FLOATS, max_size=20), count=st.sampled_from([1, 7, CHUNK_ROWS + 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_float_labels_are_format_in_csv_and_repr_in_json(drawn, count, seed):
+    values = (*LABEL_FLOATS, *drawn)
+    codes = np.random.default_rng(seed).integers(0, len(values), count)
+    column = Labels(codes.astype(np.uint8), values)
+    cells = [values[code] for code in codes.tolist()]
+    block = [np.arange(count, dtype=float), column, values[-1]]
+    csv = "".join(f"{i:.16e},{cell:.16e},{values[-1]:.16e}\n" for i, cell in enumerate(cells))
+    assert render_csv(["a", "b", "c"], [block]) == ("a,b,c\n" + csv).encode()
+    rows = [[float(i), cell, values[-1]] for i, cell in enumerate(cells)]
+    doc = {"schema_version": 1, "columns": ["a", "b", "c"], "rows": rows}
+    json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert render_json_table(["a", "b", "c"], [block]) == json_text.encode()
+
+
+@pytest.mark.parametrize("chunks,encoder", [
+    (csv_chunks, "_csv_texts"), (json_table_chunks, "_json_texts"),
+])
+def test_labels_values_are_encoded_once_per_block(chunks, encoder, monkeypatch):
+    """Each Labels column's values, and each shared value, are encoded once
+    per block, however many chunks the block takes."""
+    calls = []
+    encode = getattr(quasimode.output, encoder)
+    monkeypatch.setattr(quasimode.output, encoder,
+                        lambda kind, values: calls.append(values) or encode(kind, values))
+    count = 3 * CHUNK_ROWS + 5
+    floats = labels([0.5, 1.5, 2.5] * count)[:count]
+    blocks = [[np.arange(count, dtype=float), labels(["plus", "minus"] * count)[:count], floats, 7]
+              for _ in range(2)]
+    text = b"".join(chunks(["a", "b", "c", "d"], blocks))
+    assert text.count(b"plus") + text.count(b"minus") == 2 * count
+    assert calls == [("plus", "minus"), (0.5, 1.5, 2.5), (7,)] * 2
 
 
 @given(table=tables(), meta=st.dictionaries(st.sampled_from(["quantity", "units"]), st.text()))
@@ -403,7 +450,9 @@ def test_renderers_return_whole_documents_as_bytes():
     (labels(["plus", 1]), "int, str"),
     (Labels(np.zeros(2, dtype=np.uint8), ("plus", 1)), "int, str"),
     (labels([np.float64(1.0)]), "float64"),
-    (labels([1.0]), "float"),
+    (labels([1.0, 2]), "float, int"),
+    (Labels(np.zeros(2, dtype=np.uint8), (1.0, "1")), "float, str"),
+    (Labels(np.zeros(2, dtype=np.uint8), (1.0, np.float64(2.0))), "float, float64"),
     (np.array([True]), "bool"),
     (np.array(["plus"], dtype=object), "object"),
     (np.array([1, 2]), "int64"),

@@ -109,7 +109,10 @@ def test_diff_parent_argvs_are_seeded_and_cover_force_and_verify(monkeypatch):
     argvs = diff_parent.argvs(400, 7)
     assert argvs == diff_parent.argvs(400, 7) != diff_parent.argvs(400, 8)
     texts = [" ".join(argv) for argv in argvs]
-    assert {argv[0] for argv in argvs} == {"force", "spectrum", "sweep", "verify"}
+    assert {argv[0] for argv in argvs} == {"figures", "force", "spectrum", "sweep", "verify"}
+    assert {tuple(argv) for argv in argvs if argv[0] == "figures"} == {
+        ("figures",), ("figures", "--outdir=figures/a"), ("figures", "--outdir=figures/a/b"),
+    }
     for part in ("--at-minimum", "--omega=", "--scaling=frozen", "--ref-d=", "--format=json"):
         assert any(part in text and text.startswith("force") for text in texts), part
     counts = [int(option.split(":")[2]) for argv in argvs for option in argv
@@ -145,8 +148,9 @@ def test_diff_parent_sweep_argvs_cover_every_table_and_edge(monkeypatch):
     diff_parent = load_diff_parent(monkeypatch)
     argvs = [argv for argv in diff_parent.argvs(1000, 7) if argv[0] in ("sweep", "spectrum")]
     assert {argv[1] for argv in argvs if argv[0] == "sweep"} == set(QUANTITIES)
+    argvs = [argv for argv in argvs if argv[:2] != ["sweep", "force"]]
     options = [dict(option.split("=", 1) for option in argv if option.startswith("--"))
-               for argv in argvs if argv[:2] != ["sweep", "force"]]
+               for argv in argvs]
     assert any("," in o["--n"] for argv, o in zip(argvs, options) if argv[0] == "spectrum")
     reduced = [o for argv, o in zip(argvs, options) if argv[1] in diff_parent.REDUCED]
     assert {o.get("--units", "reduced") for o in reduced} == {"reduced", "atomic"}
@@ -210,9 +214,9 @@ def test_diff_parent_reports_a_planted_change_with_its_argv(tmp_path, monkeypatc
     plates = planted / "src" / "quasimode" / "plates.py"
     text = plates.read_text()
     # doubles every force at a mode frequency, and nothing else
-    formula = "return numer / denom * photons / g.d\n"
+    formula = "force = numer / denom * photons / g.d\n"
     assert text.count(formula) == 1
-    plates.write_text(text.replace(formula, "return 2.0 * numer / denom * photons / g.d\n"))
+    plates.write_text(text.replace(formula, "force = 2.0 * numer / denom * photons / g.d\n"))
     done, summary = run_diff_parent(tmp_path, planted, 40, 3)
     assert done.returncode == 1
     differing = [tuple(entry["argv"]) for entry in summary["differences"]]
@@ -222,6 +226,27 @@ def test_diff_parent_reports_a_planted_change_with_its_argv(tmp_path, monkeypatc
         assert parent["code"] == change["code"] == 0 and "--at-minimum" not in entry["argv"]
         assert parent["sha256"] != change["sha256"]
     assert set(differing) <= {tuple(argv) for argv in diff_parent.argvs(40, 3)}
+
+
+@pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
+def test_diff_parent_reports_a_figure_change_on_the_figures_argvs(tmp_path, monkeypatch):
+    diff_parent = load_diff_parent(monkeypatch)
+    planted = tmp_path / "planted"
+    diff_parent.export("HEAD", planted)
+    figures = planted / "src" / "quasimode" / "figures.py"
+    text = figures.read_text()
+    # moves the last point of the energy surface's omega grid, and nothing else
+    grid = "_W_GRID = np.linspace(0.1, 3.0, 30)\n"
+    assert text.count(grid) == 1
+    figures.write_text(text.replace(grid, "_W_GRID = np.linspace(0.1, 3.1, 30)\n"))
+    done, summary = run_diff_parent(tmp_path, planted, 40, 3)
+    assert done.returncode == 1
+    expected = [argv for argv in diff_parent.argvs(40, 3) if argv[0] == "figures"]
+    assert expected and [entry["argv"] for entry in summary["differences"]] == expected
+    for entry in summary["differences"]:
+        parent, change = entry["parent"], entry["change"]
+        assert parent["code"] == change["code"] == 0 and parent["stdout"] == change["stdout"]
+        assert parent["stdout"].count(".csv\n") == 6 and parent["sha256"] != change["sha256"]
 
 
 @pytest.mark.skipif(not git_tree(), reason="needs a git checkout")
