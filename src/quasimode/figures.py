@@ -4,11 +4,11 @@ Six CSV files cover the dispersion curves, both complex wavenumber branches,
 the velocities, the branch reflectivities, and the energy surface, each for
 xi in {0, 0.2, 0.5, 1} over fixed grids in reduced units.  Each holds the
 rows, or for Re k and Im k the columns, of the matching `sweep` table plus
-a `marker` column, one block per polarization; the energy surface is the
-ground level of the spectrum sweep at omega_p = 1 over (p, omega), p a
-Labels column.  Critical points (k*, the dispersion minimum Omega*, and the
-full-reflection cutoff Omega~) are appended per polarization as tagged
-rows; ordinary grid rows carry an empty marker.
+a `marker` column, a block per polarization; the energy surface is the
+ground level of the spectrum sweep at omega_p = 1, p a Labels column.
+Critical points (k*, the dispersion minimum Omega*, and the full-reflection
+cutoff Omega~) are appended per polarization as tagged rows; grid rows
+carry an empty marker.
 """
 
 from __future__ import annotations
@@ -79,11 +79,9 @@ def _energy_table() -> tuple[list[str], list[list]]:
     omega = np.tile(_W_GRID, len(_P_GRID))
     blocks = []
     for xi in FIGURE_XI:
-        energy = np.concatenate([
-            sweep_columns(SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
-                                    momentum=Momentum(p_major=p_major)))[1][0][-1]
-            for p_major in _P_GRID
-        ])
+        specs = (SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
+                           momentum=Momentum(p_major=p_major)) for p_major in _P_GRID)
+        energy = np.concatenate([sweep_columns(spec)[1][0][-1] for spec in specs])
         omega_min, e_star = zero_point_minimum(xi, 1.0)
         blocks += [[xi, p, omega, energy, ""],
                    [xi, 0.0, np.array([omega_min]), np.array([e_star]), "omega_star"]]

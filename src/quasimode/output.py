@@ -9,12 +9,12 @@ byte for byte.
 
 A table is a list of blocks, each a list of columns: a float64 array;
 Labels, a column of float, int or str cells held as small integer codes
-into a tuple of values, so that no row is a Python object; or one float,
-int or str value every row shares.  A value repeated over many rows, such
-as a separation of the force table, is Labels, not a block of its own.
-Tables are produced as a stream of byte chunks of at most CHUNK_ROWS rows
-of one block, so a writer holds one chunk of text at a time whatever the
-row count.  `render_csv` and `render_json_table` join the same chunks.
+into a tuple of values, so that no row is a Python object (a value repeated
+over many rows is Labels, not a block of its own); or one float, int or str
+value every row shares.  Tables are produced as a stream of byte chunks of
+at most CHUNK_ROWS rows of one block, so a writer holds one chunk of text at
+a time whatever the row count.  `render_csv` and `render_json_table` join
+the same chunks.
 
 The cells of float64 arrays are formatted by two array kernels that share
 one front end (`_decimal`): the 17 significant digits of |x| rounded once
@@ -67,10 +67,9 @@ _TYPE_ERROR = "table cells must be float, int or str, got {}"
 @dataclass(frozen=True, eq=False)
 class Labels:
     """A column of float, int or str cells, row i holding values[codes[i]]:
-    the codes are an array of small unsigned ints, as wide as the number of
-    values needs (uint8 up to 256 values, uint16 up to 65,536), so a row
-    costs a byte or two, not a Python object, and a value is encoded once
-    however many rows hold it."""
+    the codes are unsigned ints as wide as the number of values needs (uint8
+    up to 256 values, uint16 up to 65,536), so a row costs a byte or two, not
+    a Python object, and a value is encoded once however many rows hold it."""
 
     codes: np.ndarray
     values: tuple
@@ -84,24 +83,24 @@ class Labels:
 
 # The columns with a cell per row.
 _ARRAYS = (np.ndarray, Labels)
-# The codes of a shared value, its one cell: never sliced.
+# The codes of a shared value, its one cell: never sliced nor indexed.
 _SHARED = np.zeros(1, dtype=np.uint8)
 
 
-def _cells(column: Any) -> tuple[type, np.ndarray | Labels]:
-    """The type of every cell of a column (float, int or str) and the
-    cells: a float64 array as it is, Labels as they are, and a shared value
-    as Labels of one row.  The types are checked on the values, never per
-    row."""
+def _cells(column: Any, encode: Callable) -> tuple[np.ndarray, Any]:
+    """The cells of a column: a float64 array and no texts, or codes and
+    encode(kind, values), the texts of the values they index, those of
+    Labels or, for a shared value, _SHARED and it.  The type of every cell
+    (float, int or str) is checked on the values, never per row."""
     if isinstance(column, np.ndarray):
         if column.dtype == float:
-            return float, column
+            return column, None
         raise TypeError(_TYPE_ERROR.format(column.dtype))
-    labels = column if isinstance(column, Labels) else Labels(_SHARED, (column,))
-    types = set(map(type, labels.values))
+    codes, values = (column.codes, column.values) if isinstance(column, Labels) else (_SHARED, (column,))
+    types = set(map(type, values))
     if len(types) != 1 or not types.issubset(_LABEL_TYPES):
         raise TypeError(_TYPE_ERROR.format(", ".join(sorted(kind.__name__ for kind in types))))
-    return types.pop(), labels
+    return codes, encode(types.pop(), values)
 
 
 def _chunks(
@@ -109,27 +108,25 @@ def _chunks(
 ) -> Iterator[tuple[int, list]]:
     """The row count and the texts of each column of each chunk of the
     blocks: at most CHUNK_ROWS rows, all from one block.  The float64 arrays'
-    texts are floats() of the list of their slices.  The values of each
-    Labels column, and each shared value, are checked and encoded once per
-    block, by encode(kind, values); a chunk's texts of a column are those
-    indexed by its codes, one row for a shared value."""
+    texts are floats() of their slices.  A Labels column or shared value is
+    encoded once per block (by _cells), or not if the last block held it, and
+    a chunk's texts of it are those indexed by its codes (one for a shared)."""
+    last = {}  # the id of each Labels or shared value of the last block: it, its codes and texts
     for block in blocks:
         # A ValueError unless the block has arrays, all of one length.
         (count,) = {len(column) for column in block if isinstance(column, _ARRAYS)}
         if not count:  # an empty Labels has no type to check
             continue
-        # A float64 array's cells and no texts, or the codes of Labels and
-        # the texts of their values.
-        columns = [(cells, None) if isinstance(cells, np.ndarray)
-                   else (cells.codes, encode(kind, cells.values))
-                   for kind, cells in map(_cells, block)]
+        # last holds each of its columns, so an id found there is that column's.
+        columns = [last.get(id(column)) or (column, *_cells(column, encode)) for column in block]
+        last = {id(entry[0]): entry for entry in columns if entry[2] is not None}
         for start in range(0, count, CHUNK_ROWS):
             part = slice(start, min(start + CHUNK_ROWS, count))
-            float_texts = iter(floats([cells[part] for cells, texts in columns if texts is None]))
+            float_texts = iter(floats([codes[part] for _, codes, texts in columns if texts is None]))
             yield part.stop - start, [
-                next(float_texts) if texts is None
-                else texts[cells if cells is _SHARED else cells[part]]
-                for cells, texts in columns
+                next(float_texts) if texts is None else texts if codes is _SHARED
+                else texts[codes[part]]
+                for _, codes, texts in columns
             ]
 
 
@@ -368,8 +365,7 @@ def _repr_exact(cells: list[float]) -> list[bytes]:
 
 def _json_floats(values: list[np.ndarray]) -> list[list[bytes]]:
     """The JSON text of the cells of each float64 array of values: from one
-    kernel call, or, below the break-even, from float.__repr__ array by
-    array."""
+    kernel call, or, below the break-even, from float.__repr__."""
     if sum(map(len, values)) >= _REPR_KERNEL_MIN:
         return _split(_repr_cells(np.concatenate(values)), values)
     return [_repr_exact(cells.tolist()) for cells in values]
@@ -460,8 +456,8 @@ def _csv_texts(kind: type, values: tuple) -> np.ndarray:
     with _PAD."""
     text = "{:.16e}".format if kind is float else str
     texts = [text(value).encode() for value in values]
-    width = max(map(len, texts))
-    data = b"".join(text.ljust(width, bytes([_PAD])) for text in texts)
+    width = max(map(len, texts), default=0)
+    data = b"".join([text.ljust(width, b"\xff") for text in texts])  # _PAD
     return np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)
 
 
@@ -473,10 +469,18 @@ def _json_texts(kind: type, values: tuple) -> np.ndarray:
     return np.array([text(value).encode() for value in values], dtype=object)
 
 
+# The float cells per call from which the CSV kernel is cheaper than
+# "{:.16e}".format cell by cell: measured with _csv_floats on five float
+# columns on a 2-core x86-64 host, both take about 50 us at 40 to 50 cells.
+_FORMAT_KERNEL_MIN = 32
+
+
 def _csv_floats(values: list[np.ndarray]) -> list[np.ndarray]:
-    """The CSV field of the cells of each float64 array of values, from one
-    kernel call."""
-    return _split(_float_field(np.concatenate(values)), values) if values else []
+    """The CSV field of the cells of each float64 array of values: from one
+    kernel call, or, below the break-even, from "{:.16e}".format."""
+    cells = np.concatenate(values) if values else np.empty(0)
+    exact = len(cells) < _FORMAT_KERNEL_MIN
+    return _split(_csv_texts(float, cells.tolist()) if exact else _float_field(cells), values)
 
 
 def csv_chunks(header: list[str], blocks: Iterable[list]) -> Iterator[bytes]:
@@ -504,8 +508,7 @@ def json_table_chunks(header: list[str], blocks: Iterable[list], **meta: Any) ->
     head, _, tail = doc.partition(b'"rows": []')
     empty = True
     for rows, columns in _chunks(blocks, _json_floats, _json_texts):
-        # The texts of Labels are object arrays, a shared value's of one
-        # cell, which is repeated for every row.
+        # Labels' texts are object arrays; a shared value's one is repeated.
         cells = zip(*[column.tolist() * (rows // len(column)) if isinstance(column, np.ndarray)
                       else column for column in columns])
         text = list(map(b",\n      ".join, cells))

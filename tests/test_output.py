@@ -348,6 +348,29 @@ def test_json_chunks_either_side_of_the_kernel_break_even(offset, monkeypatch):
         assert calls == ([floats] if floats >= quasimode.output._REPR_KERNEL_MIN else [])
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_chunks_either_side_of_the_kernel_break_even(offset, monkeypatch):
+    """A chunk of one float cell fewer than the CSV break-even is formatted
+    by "{:.16e}".format cell by cell; one of the break-even or more takes
+    one kernel call.  Only the cells of float64 arrays count."""
+    calls = []
+    decimal = quasimode.output._decimal
+    monkeypatch.setattr(quasimode.output, "_decimal", lambda x: calls.append(len(x)) or decimal(x))
+    cells = quasimode.output._FORMAT_KERNEL_MIN + offset
+    values = np.array(EDGE_FLOATS[:cells])
+    half = cells // 2
+    for block, floats in [
+        ([values, 0.5, labels(["x"] * cells)], cells),
+        ([values[:half], 0.5, values[half:2 * half], labels([0.25, 1e300] * half)[:half], 7],
+         2 * half),
+    ]:
+        calls.clear()
+        header = list("abcde"[:len(block)])
+        lines = [",".join(header)] + [",".join(map(csv_cell, row)) for row in rows_of([block])]
+        assert render_csv(header, [block]) == ("\n".join(lines) + "\n").encode()
+        assert calls == ([floats] if floats >= quasimode.output._FORMAT_KERNEL_MIN else [])
+
+
 # Labels of floats: each edge value, then drawn ones.
 LABEL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
                 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -375,18 +398,28 @@ def test_float_labels_are_format_in_csv_and_repr_in_json(drawn, count, seed):
 ])
 def test_labels_values_are_encoded_once_per_block(chunks, encoder, monkeypatch):
     """Each Labels column's values, and each shared value, are encoded once
-    per block, however many chunks the block takes."""
+    per block, however many chunks the block takes, and not again in the
+    next block if it holds the same object."""
     calls = []
     encode = getattr(quasimode.output, encoder)
     monkeypatch.setattr(quasimode.output, encoder,
                         lambda kind, values: calls.append(values) or encode(kind, values))
-    count = 3 * CHUNK_ROWS + 5
+    count = 3 * CHUNK_ROWS + 100  # every chunk's float cells pass the CSV kernel's break-even
     floats = labels([0.5, 1.5, 2.5] * count)[:count]
-    blocks = [[np.arange(count, dtype=float), labels(["plus", "minus"] * count)[:count], floats, 7]
-              for _ in range(2)]
-    text = b"".join(chunks(["a", "b", "c", "d"], blocks))
-    assert text.count(b"plus") + text.count(b"minus") == 2 * count
-    assert calls == [("plus", "minus"), (0.5, 1.5, 2.5), (7,)] * 2
+    blocks = [[np.arange(count, dtype=float), labels(["plus", "minus"] * count)[:count], floats,
+               7, -0.0 if i else 0.0] for i in range(2)]
+    header = ["a", "b", "c", "d", "e"]
+    text = b"".join(chunks(header, blocks))
+    # the second block's str Labels and -0.0 are new objects, its floats and 7 are not
+    assert calls == [("plus", "minus"), (0.5, 1.5, 2.5), (7,), (0.0,), ("plus", "minus"), (-0.0,)]
+    assert [math.copysign(1.0, cell[0]) for cell in calls[3::2]] == [1.0, -1.0]
+    rows = rows_of(blocks)
+    if chunks is csv_chunks:
+        assert text.decode() == "a,b,c,d,e\n" + "".join(",".join(map(csv_cell, row)) + "\n"
+                                                       for row in rows)
+    else:
+        doc = {"schema_version": 1, "columns": header, "rows": rows}
+        assert text == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 @given(table=tables(), meta=st.dictionaries(st.sampled_from(["quantity", "units"]), st.text()))
