@@ -26,10 +26,10 @@ in a long double.  A chunk's arrays are formatted in one kernel call.
   digits or fewer), else the nearest multiple of 10 (16), else the 17
   digits.  The text is laid out as repr does.
 The few cells a kernel cannot decide with certainty are formatted by
-`"{:.16e}".format` or `float.__repr__` itself, as are JSON chunks with too
-few array cells to pay for the kernel, and the float values of Labels.  The
-values of Labels, and shared values, are type-checked and encoded once per
-block; a chunk's texts of them are one index of those by its codes.
+`"{:.16e}".format` or `float.__repr__` itself, as are chunks with too few
+array cells to pay for the kernel, and the float values of Labels.  Labels
+and shared values are type-checked and encoded once per block (or run of
+blocks holding the same object); a chunk indexes those texts by its codes.
 
 A CSV chunk is built as one byte matrix, a row per table row: each column
 is a field of fixed width, padded with a byte UTF-8 never produces, and the
@@ -88,10 +88,10 @@ _SHARED = np.zeros(1, dtype=np.uint8)
 
 
 def _cells(column: Any, encode: Callable) -> tuple[np.ndarray, Any]:
-    """The cells of a column: a float64 array and no texts, or codes and
-    encode(kind, values), the texts of the values they index, those of
-    Labels or, for a shared value, _SHARED and it.  The type of every cell
-    (float, int or str) is checked on the values, never per row."""
+    """The cells of a column: a float64 array and no texts; or codes, those
+    of Labels or _SHARED for a shared value, and encode(kind, values), the
+    texts of the values they index.  The type of every cell (float, int or
+    str) is checked on the values, never per row."""
     if isinstance(column, np.ndarray):
         if column.dtype == float:
             return column, None

@@ -120,15 +120,14 @@ def force_general(
     array = isinstance(omega, np.ndarray)
     # At omega_p = 0 or omega = 0 the force is the omega -> 0 limit, which
     # is 0 at omega_p = 0; in an array, the body runs there at 1 for both.
-    special = (wp == 0.0) | (omega == 0.0)
+    special, limit = (wp == 0.0) | (omega == 0.0), None
     if special.any() if array else special:
         if q > 0.0 and np.any((omega == 0.0) & (wp != 0.0)):
             raise DomainError("plate force diverges at omega=0 for xi > 0")
-    limit = hbar * wp / (4.0 * g.d) * photons
-    if array:
+        limit = hbar * wp / (4.0 * g.d) * photons
+        if not array:
+            return limit
         omega, wp = np.where(special, 1.0, omega), np.where(special, 1.0, wp)
-    elif special:
-        return limit
     r2 = _power(wp / omega, 2)
     if (ok := (r2 > 0.0) & (r2 < math.inf)) is not True:
         _require(omega, ok, "(omega_p/omega)^2 is not a positive finite float at omega = {}")
@@ -138,7 +137,7 @@ def force_general(
     numer = hbar * wp * (1.0 + 2.0 * q * r2)
     denom = 4.0 * (np.sqrt if array else math.sqrt)(inverse + 1.0 + q * r2)
     force = numer / denom * photons / g.d
-    return np.where(special, limit, force) if array else force
+    return force if limit is None else np.where(special, limit, force)
 
 
 def force_minimum_plasma_form(

@@ -416,8 +416,7 @@ def force_columns(
             [xi, wp * critical_points(xi).k_star, grid, *fixed, wp, force]
             for xi, [force] in zip(spec.xi_list, forces)
         ]
-    # One block per xi, whose d and omega_p are Labels of one value per
-    # separation, each repeated over omega.
+    # d and omega_p are Labels of a value per separation, repeated over omega.
     forces = tabulate([("xi", spec.xi_list), ("d", grid), ("omega", omega)], at_omega)
     count = len(grid)
     codes = np.repeat(np.arange(count, dtype=np.min_scalar_type(count - 1)), len(omega))

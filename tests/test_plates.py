@@ -75,6 +75,15 @@ class TestForceGeneral:
         with pytest.raises(DomainError):
             force_general(0.0, PI_AREA, 1.0, 1.0, 0.5)
 
+    def test_array_without_a_limit_point_takes_no_limit(self):
+        # 4 d overflows at d = 1e308: with no omega = 0 nor omega_p = 0 the
+        # limit is not computed, so no RuntimeWarning (an error in this suite)
+        d = [1e308, 1.0]
+        forces = force_general(np.ones(2), PlateGeometry(np.array(d), 1e-10), 1.0, 1.0, 0.0)
+        assert forces.tolist() == [
+            force_general(1.0, PlateGeometry(v, 1e-10), 1.0, 1.0, 0.0) for v in d
+        ]
+
     def test_equals_minimum_form_at_minimum_frequency(self):
         wp = plasma_frequency_plates(PI_AREA, 1.0, 1.0)
         assert force_general(wp / math.sqrt(2.0), PI_AREA, 1.0, 1.0, 1.0) == pytest.approx(
