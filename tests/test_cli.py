@@ -559,6 +559,14 @@ class TestExitCodes:
         (["force", "--xi", "0.5", "--d", "2,-1", "--omega", "1", "--area", "1e-200",
           "--mass", "1e-200"],
          "m * A * d is not a positive finite float (m=1e-200, A=1e-200, d=2.0)"),
+        # the first separation fails a later check than the second does
+        (["force", "--xi", "0.5", "--d", "1e10,-1", "--area", "1e300", "--omega", "1"],
+         "m * A * d is not a positive finite float (m=1.0, A=1e+300, d=10000000000.0)"),
+        (["force", "--xi", "0.5", "--d", "1e10,-1", "--area", "1e300", "--at-minimum"],
+         "m * A * d is not a positive finite float (m=1.0, A=1e+300, d=10000000000.0)"),
+        (["force", "--xi", "0.5", "--d", "1e10,-1", "--area", "1e300", "--omega", "1",
+          "--scaling", "frozen"],
+         "m * A * d is not a positive finite float (m=1.0, A=1e+300, d=10000000000.0)"),
         # the frozen reference plates are built first
         (["force", "--xi", "0.5", "--d", "1,2", "--at-minimum", "--scaling", "frozen",
           "--ref-d", "-1"],

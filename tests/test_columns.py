@@ -278,6 +278,14 @@ def test_energy_levels_array_matches_the_reference(omegas, xi, omega_p, charges,
             assert [float(v).hex() for v in got] == [v.hex() for v in expected], (w, level)
 
 
+@pytest.mark.parametrize("omegas", [[-1.0, math.nan], [math.nan, -1.0]])
+def test_energy_levels_array_names_a_non_finite_omega_ahead_of_a_negative_one(omegas):
+    # finiteness is checked over every frequency before the sign
+    with pytest.raises(DomainError) as exc:
+        energy_levels_array(0.5, np.array(omegas), 1.0, Momentum(), (0,))
+    assert str(exc.value) == "omega must be finite, got nan"
+
+
 def _run(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
