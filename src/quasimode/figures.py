@@ -4,11 +4,12 @@ Six CSV files cover the dispersion curves, both complex wavenumber branches,
 the velocities, the branch reflectivities, and the energy surface, each for
 xi in {0, 0.2, 0.5, 1} over fixed grids in reduced units.  Each holds the
 rows, or for Re k and Im k the columns, of the matching `sweep` table plus
-a `marker` column, a block per polarization; the energy surface is the
-ground level of the spectrum sweep at omega_p = 1, p a Labels column.
-Critical points (k*, the dispersion minimum Omega*, and the full-reflection
-cutoff Omega~) are appended per polarization as tagged rows; grid rows
-carry an empty marker.
+a `marker` column; the energy surface is the ground level of the spectrum
+sweep at omega_p = 1, p a Labels column.  Every table is one block per
+polarization: its grid rows, with an empty marker, then the rows of that
+polarization's critical points (k*, the dispersion minimum Omega*, the
+full-reflection cutoff Omega~, or the energy minimum omega*), tagged in the
+marker, a Labels column.
 """
 
 from __future__ import annotations
@@ -74,17 +75,19 @@ def _energy_table() -> tuple[list[str], list[list]]:
     """The ground level of the atomic-unit spectrum sweep at omega_p = 1
     (hbar = m = 1, so energies are in units of hbar omega_p) over (p,
     omega), p the momentum along the major polarization axis: per xi one
-    block of the grid, p as Labels, then the row of the minimum omega*."""
-    p = Labels(np.repeat(np.arange(len(_P_GRID), dtype=np.uint8), len(_W_GRID)), _P_GRID)
+    block of the grid rows, p as Labels, then the row of the minimum omega*,
+    at p = _P_GRID[0] = 0."""
+    codes = np.repeat(np.arange(len(_P_GRID)), len(_W_GRID))
+    p = Labels(np.r_[codes, 0].astype(np.uint8), _P_GRID)
+    marker = Labels(np.r_[np.zeros(len(codes)), 1].astype(np.uint8), ("", "omega_star"))
     omega = np.tile(_W_GRID, len(_P_GRID))
     blocks = []
     for xi in FIGURE_XI:
         specs = (SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
                            momentum=Momentum(p_major=p_major)) for p_major in _P_GRID)
-        energy = np.concatenate([sweep_columns(spec)[1][0][-1] for spec in specs])
         omega_min, e_star = zero_point_minimum(xi, 1.0)
-        blocks += [[xi, p, omega, energy, ""],
-                   [xi, 0.0, np.array([omega_min]), np.array([e_star]), "omega_star"]]
+        energy = [*(sweep_columns(spec)[1][0][-1] for spec in specs), [e_star]]
+        blocks.append([xi, p, np.r_[omega, omega_min], np.concatenate(energy), marker])
     return ["xi", "p", "omega_over_wp", "energy_over_hwp", "marker"], blocks
 
 

@@ -70,11 +70,12 @@ def _nonnegative(value, name: str, field: str | None = None):
 
 
 def _rejected(value, ok, what: str, name: str, field: str | None):
-    """The DomainError of a value that is not finite or where ok is false,
-    or of the first such element of an array; an array without one is
-    returned."""
+    """The DomainError of a value that is not finite or where ok is false.
+    An array is checked for finiteness over all its elements before ok, so
+    the error names the first element that fails the earliest check; an
+    array that passes both is returned."""
     if isinstance(value, np.ndarray):
-        ok &= value <= _FLOAT_MAX
+        _finite_array(value, field or name)
         if ok.all():
             return value
         value = value[ok.argmin()].item()
@@ -208,10 +209,12 @@ class ModelParams:
 
     omega may be left at 0.0 when only frequency-independent quantities are
     needed; operations that require a driving frequency raise DomainError.
+    omega may also be a float64 array, for the array kernels: each element
+    is checked as a float is, and the first to fail the earliest check named.
     """
 
     xi: float
-    omega: float = 0.0
+    omega: float | np.ndarray = 0.0
     omega_p: float = 0.0
     mass: float = 1.0
     hbar: float = 1.0

@@ -124,9 +124,10 @@ def force_general(
     if special.any() if array else special:
         if q > 0.0 and np.any((omega == 0.0) & (wp != 0.0)):
             raise DomainError("plate force diverges at omega=0 for xi > 0")
-        limit = hbar * wp / (4.0 * g.d) * photons
         if not array:
-            return limit
+            return hbar * wp / (4.0 * g.d) * photons
+        # only at its elements, so that no other element can overflow in it
+        limit = hbar * wp / (4.0 * np.where(special, g.d, 1.0)) * photons
         omega, wp = np.where(special, 1.0, omega), np.where(special, 1.0, wp)
     r2 = _power(wp / omega, 2)
     if (ok := (r2 > 0.0) & (r2 < math.inf)) is not True:

@@ -30,7 +30,6 @@ from .params import (
     ModelParams,
     _each,
     _finite,
-    _finite_array,
     _nonnegative,
     _positive,
     _power,
@@ -40,7 +39,6 @@ from .params import (
     _require_omega,
     _require_squares,
     polarization_weight,
-    validate_xi,
 )
 
 
@@ -197,17 +195,11 @@ def energy_levels_array(
     has the bits of energy_level(ModelParams(xi, w, omega_p, mass, hbar), p,
     n, N_charges) at its point, and where that or ModelParams would raise a
     DomainError, this raises it, with the message of its first such point
-    within the first check that fails.  The inputs every frequency reads are
+    within the first check that fails: the frequencies are checked by a
+    ModelParams that holds them all.  The inputs every frequency reads are
     checked on an empty omega too, omega_p^2 at the charge count with a
     message of its own."""
-    validate_xi(xi)
-    # the checks ModelParams makes of each frequency
-    _finite_array(omega, "omega")
-    _require(omega, omega >= 0.0, "mode frequency must be nonnegative, got {}")
-    _nonnegative(omega_p, "plasma frequency", "omega_p")
-    _require_squares(omega, omega_p)
-    _positive(mass, "mass")
-    _positive(hbar, "hbar")
+    ModelParams(xi, omega, omega_p, mass, hbar)
     for level in n:
         _require_counts(level, N_charges)
     omega_p = _charges_omega_p(omega_p, N_charges)

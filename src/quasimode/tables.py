@@ -153,17 +153,12 @@ _BRANCH_CODES = np.arange(2, dtype=np.uint8)
 _REGIMES = tuple(regime.value for regime in REGIMES)
 
 
-def _branch_labels(count: int) -> Labels:
-    """The branch column of count grid points: plus, minus, plus, ..."""
-    return Labels(np.tile(_BRANCH_CODES, count), _BRANCHES)
-
-
-def _branch_rows(values: np.ndarray) -> np.ndarray:
-    """One row per grid point and branch, the plus branch first: values of
-    shape (n,) repeated for both branches, or of shape (2, n) interleaved."""
-    if values.ndim == 1:
-        return np.repeat(values, 2)
-    return values.T.ravel()
+def _per_branch(omega: np.ndarray, xi: float, *values: np.ndarray) -> list:
+    """The columns of a table of both branches over the grid omega, one row
+    per grid point and branch, the plus branch first: omega, xi and the
+    branch (plus, minus, plus, ...), then each value of shape (2, n)."""
+    branches = Labels(np.tile(_BRANCH_CODES, len(omega)), _BRANCHES)
+    return [np.repeat(omega, 2), xi, branches, *(value.T.ravel() for value in values)]
 
 
 def _dispersion(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
@@ -178,11 +173,9 @@ def _wavenumber(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> lis
         # re 0 + im k_p: Re x is finite and never negative, so re 0 is 0.0.
         k_p = _plasma_wavenumber(u.omega, u.v)
         re, im = re * k_p, im * k_p + 0.0
-    return [
-        _branch_rows(omega), xi, _branch_labels(len(omega)),
-        _branch_rows(re), _branch_rows(im),
-        Labels(_branch_rows(codes.astype(np.uint8)), _REGIMES),
-    ]
+    # a regime per grid point, the same for both branches
+    regimes = Labels(np.repeat(codes.astype(np.uint8), 2), _REGIMES)
+    return [*_per_branch(omega, xi, re, im), regimes]
 
 
 def _zetas(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> np.ndarray:
@@ -198,10 +191,7 @@ def _zetas(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> np.ndarr
 
 def _dielectric(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
     zetas = _zetas(spec, u, xi, omega)
-    return [
-        _branch_rows(omega), xi, _branch_labels(len(omega)),
-        _branch_rows(zetas.real), _branch_rows(zetas.imag),
-    ]
+    return _per_branch(omega, xi, zetas.real, zetas.imag)
 
 
 def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> list:
@@ -211,7 +201,7 @@ def _reflectivity(spec: SweepSpec, u: _Units, xi: float, omega: np.ndarray) -> l
     # cell, and libm's pow, mapped in slices, is the one per-cell call.
     zetas = _zetas(spec, u, xi, omega)
     r = _reflectivities(zetas.real, zetas.imag)
-    return [_branch_rows(omega), xi, _branch_labels(len(omega)), _branch_rows(r)]
+    return _per_branch(omega, xi, r)
 
 
 def _velocity(spec: SweepSpec, u: _Units, xi: float, k: np.ndarray) -> list:
@@ -310,10 +300,14 @@ def _checked_columns(evaluate: Callable[..., list], value: object, grids: list) 
     return columns
 
 
-def _first_failure(check: Callable[[slice], object], count: int) -> int:
-    """Index of the first of count points at which check, given a slice of
-    them, raises a DomainError.  Whether a point fails does not depend on
-    the others, so a slice fails exactly when it holds a failing point."""
+def _first_fault(
+    check: Callable[[slice], object], count: int, fault: DomainError
+) -> tuple[int, DomainError]:
+    """The index of the first of count points at which check, given a slice
+    of them, raises a DomainError, and the error it raises at that point
+    alone, or fault (that of all the points) if none.  Whether a point fails
+    does not depend on the others, so a slice fails exactly when it holds a
+    failing point; which error a slice raises may."""
     lo, hi = 0, count  # the first failure lies in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -322,7 +316,11 @@ def _first_failure(check: Callable[[slice], object], count: int) -> int:
             lo = mid
         except DomainError:
             hi = mid
-    return lo
+    try:
+        check(slice(lo, lo + 1))
+    except DomainError as own:
+        fault = own
+    return lo, fault
 
 
 def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> list[list]:
@@ -333,8 +331,9 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
     each row of the block, and returns columns of these rows (on empty
     arrays, empty columns or a fault of no row).  Every block is evaluated
     and checked before any is returned, so a DomainError is raised before
-    any output; unless the empty arrays raise it too, it is reported on
-    stderr with the first point, in row order, it hits."""
+    any output; unless the empty arrays raise it too, the error raised is
+    that of the first failing point, in row order, alone (_first_fault),
+    and is reported on stderr with that point."""
     (_, outer), *inner = axes
     shape = tuple(len(values) for _, values in inner)
     # One inner axis is its own array; more are copied out of their product.
@@ -352,11 +351,7 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
             blocks.append(rows(slice(None)))
         except DomainError as exc:
             rows(slice(0))  # raises a fault of no row
-            i = _first_failure(rows, len(grids[0]))
-            try:
-                rows(slice(i, i + 1))
-            except DomainError as first:
-                exc = first
+            i, exc = _first_fault(rows, len(grids[0]), exc)
             at = np.unravel_index(i, shape)
             point = [value, *(float(values[j]) for (_, values), j in zip(inner, at))]
             where = ", ".join(f"{axis}={v:g}" for (axis, _), v in zip(axes, point))
@@ -381,21 +376,22 @@ def force_columns(
     """The header and the blocks, one per xi, of the `force` table of a
     validated spec: the force at each separation d of spec.grid over omega,
     or at the energy minimum if omega is None.  omega_p is recomputed at
-    each d, or frozen at that of separation ref_d unless ref_d is None."""
+    each d, or frozen at that of separation ref_d unless ref_d is None.
+    Every separation's plates are checked first, and a fault of them is
+    the error of the first failing separation alone (_first_fault), naming
+    no d."""
     frozen_wp = None if ref_d is None else _plates(spec, ref_d)[1]
-    # Every separation's plates are checked before tabulate: --at-minimum
-    # sweeps d, so its empty grid builds no plates, and a bad plate input
-    # would name a d.  A fault is reported as the first separation at fault
-    # raises it on its own.  The omega_p column comes from this evaluation;
-    # the force kernels recompute it unless it is frozen.
+    # The plates are checked before tabulate: --at-minimum sweeps d, so its
+    # empty grid builds no plates, and a bad plate input would name a d.
+    # The omega_p column comes from this evaluation; the force kernels
+    # recompute it unless it is frozen.
     grid = np.asarray(spec.grid, dtype=float)
     with np.errstate(all="ignore"):
         try:
             wp = _plates(spec, grid)[1]
-        except DomainError:
-            first = _first_failure(lambda part: _plates(spec, grid[part]), len(grid))
-            _plates(spec, grid[first].item())
-            raise
+        except DomainError as exc:
+            _, exc = _first_fault(lambda part: _plates(spec, grid[part]), len(grid), exc)
+            raise exc from None
     wp = wp if frozen_wp is None else frozen_wp
     e, m, hbar = spec.charge, spec.mass, spec.hbar
 

@@ -26,7 +26,8 @@ from quasimode.optics import _branch_zetas, _reflectivities, reflectivity, refra
 from quasimode.params import _SLICE, _each, _power
 from quasimode.spectrum import energy_levels_array
 from quasimode.output import CHUNK_ROWS, csv_chunks, json_table_chunks
-from quasimode.tables import SweepSpec, force_columns, sweep_columns
+from quasimode import figures
+from quasimode.tables import ATOMIC_ONLY, QUANTITIES, SweepSpec, force_columns, sweep_columns
 
 
 def reference_branch_squares(y, xi):
@@ -513,6 +514,25 @@ def test_force_at_one_omega_over_many_separations_takes_two_chunks_per_xi(chunks
     else:
         rows = [chunk.count(b"\n    [\n") for chunk in list(chunks(header, blocks))[:-1]]
     assert rows == [CHUNK_ROWS, 1500 - CHUNK_ROWS] * 3
+
+
+def test_every_table_is_one_block_per_polarization(tmp_path, monkeypatch):
+    """Every sweep quantity, both force tables and the six figure tables
+    hold one block per xi, in order, xi a value its rows share."""
+    xi_list, grid = figures.FIGURE_XI, np.array([0.5, 1.0, 2.0])
+    tables = []
+    for quantity in QUANTITIES:
+        units = "atomic" if quantity in ATOMIC_ONLY else "reduced"
+        spec = SweepSpec(quantity, xi_list, grid, units=units)
+        spec.validate()
+        tables.append(sweep_columns(spec))
+    plates = plate_spec(grid, {}, xi_list)
+    tables += [force_columns(plates, (1.0, 2.0), None), force_columns(plates, None, None)]
+    rendered = []
+    monkeypatch.setattr(figures, "render_csv", lambda *table: rendered.append(table) or b"")
+    assert len(figures.emit_figure_datasets(tmp_path)) == len(rendered) == 6
+    for header, blocks in tables + rendered:
+        assert [block[header.index("xi")] for block in blocks] == list(xi_list), header
 
 
 def outcome(f, *args):

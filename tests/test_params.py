@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from quasimode import (
     reflectivity,
     zero_point_minimum,
 )
+from quasimode.params import _nonnegative, _positive
 
 XI = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -143,6 +145,17 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("omega,message", [
+        ([1.0, -2.0, math.nan], "omega must be finite, got nan"),
+        ([1.0, -2.0, -3.0], "mode frequency must be nonnegative, got -2.0"),
+    ])
+    def test_array_of_frequencies_names_the_first_element_of_the_earliest_check(
+        self, omega, message
+    ):
+        with pytest.raises(DomainError) as exc:
+            ModelParams(xi=0.5, omega=np.array(omega), omega_p=1.0)
+        assert str(exc.value) == message
+
 
 PLATES = PlateGeometry(d=1.0, A=1.0)
 NAN, INF = math.nan, math.inf
@@ -186,3 +199,17 @@ def test_model_params_rejects_ints_beyond_the_float_range(kwargs, message):
     with pytest.raises(DomainError) as exc:
         ModelParams(xi=0.5, **kwargs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("check,what", [(_positive, "positive"), (_nonnegative, "nonnegative")])
+@pytest.mark.parametrize("values,message", [
+    ([-1.0, NAN], "d must be finite, got nan"),
+    ([NAN, -1.0], "d must be finite, got nan"),
+    ([-1.0, 2.0, -INF], "d must be finite, got -inf"),
+    ([1.0, -2.0, -3.0], "plate separation must be {}, got -2.0"),
+])
+def test_array_checks_name_the_first_element_of_the_earliest_check(check, what, values, message):
+    # finiteness is checked over the whole array before the sign
+    with pytest.raises(DomainError) as exc:
+        check(np.array(values), "plate separation", "d")
+    assert str(exc.value) == message.format(what)

@@ -48,6 +48,11 @@ class TestPlasmaFrequencyPlates:
         with pytest.raises(DomainError, match="finite"):
             PlateGeometry(d=d, A=area)
 
+    def test_array_geometry_names_a_non_finite_separation_ahead_of_a_negative_one(self):
+        with pytest.raises(DomainError) as exc:
+            PlateGeometry(d=np.array([-1.0, math.nan]), A=1.0)
+        assert str(exc.value) == "d must be finite, got nan"
+
     @pytest.mark.parametrize("n_photons,message", [
         (-1, "photon number must be nonnegative, got -1"),
         (10**400, "n_photons is too large for a float"),
@@ -75,13 +80,15 @@ class TestForceGeneral:
         with pytest.raises(DomainError):
             force_general(0.0, PI_AREA, 1.0, 1.0, 0.5)
 
-    def test_array_without_a_limit_point_takes_no_limit(self):
-        # 4 d overflows at d = 1e308: with no omega = 0 nor omega_p = 0 the
-        # limit is not computed, so no RuntimeWarning (an error in this suite)
+    @pytest.mark.parametrize("omega", [[1.0, 1.0], [1.0, 0.0]])
+    def test_array_takes_the_limit_only_at_its_points(self, omega):
+        # 4 d overflows at d = 1e308, where omega = 1 needs no limit: no
+        # RuntimeWarning (an error in this suite), and a limit at omega = 0
+        # keeps the bits of the float
         d = [1e308, 1.0]
-        forces = force_general(np.ones(2), PlateGeometry(np.array(d), 1e-10), 1.0, 1.0, 0.0)
+        forces = force_general(np.array(omega), PlateGeometry(np.array(d), 1e-10), 1.0, 1.0, 0.0)
         assert forces.tolist() == [
-            force_general(1.0, PlateGeometry(v, 1e-10), 1.0, 1.0, 0.0) for v in d
+            force_general(w, PlateGeometry(v, 1e-10), 1.0, 1.0, 0.0) for w, v in zip(omega, d)
         ]
 
     def test_equals_minimum_form_at_minimum_frequency(self):
