@@ -466,6 +466,34 @@ class TestExitCodes:
          "(omega_p/omega)^2 is not a positive finite float at omega = 1e-160"),
         (["sweep", "force", "--xi", "0.5", "--omega", "1,2,1e160"],
          "xi=0.5, omega=1e+160", "(omega/omega_p)^2 overflows at omega = 1e+160"),
+        # blocks of more than 4,096 points whose first failing point lies past
+        # the first 4,096: point 6,937 of the first block, the second block valid
+        (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "1:1e100:9000:log"],
+         "xi=0, omega=1.15909e+77",
+         "wavenumber is not a finite float at y = 1.1590928727337197e+77"),
+        (["sweep", "reflectivity", "--xi", "0.5", "--omega", "1:1e120:9000:log"],
+         "xi=0.5, omega=1.18913e+77",
+         "permittivity is not a finite float at y = 1.189133409768998e+77"),
+        (["sweep", "dispersion", "--xi", "0", "--k", "1:1e200:9000:log"],
+         "xi=0, k=1.3435e+154", "frequency is not a finite float at x = 1.343496287622107e+154"),
+        (["sweep", "velocity", "--xi", "0.5", "--k", ",".join(["0.5"] * 5000) + ",1e-80"],
+         "xi=0.5, k=1e-80", "phase velocity is not a finite float at x = 1e-80"),
+        (["sweep", "spectrum", "--xi", "0.5", "--omega", "1:1e200:9000:log", "--omega-p", "1",
+          "--n", "0"],
+         "xi=0.5, omega=1.3435e+154", "omega^2 or omega_p^2 overflows at 1.343496287622107e+154, 1.0"),
+        (["spectrum", "--xi", "0.5", "--omega", "1:1e200:9000:log", "--omega-p", "1",
+          "--n", "0,3"],
+         "xi=0.5, omega=1.3435e+154", "omega^2 or omega_p^2 overflows at 1.343496287622107e+154, 1.0"),
+        (["sweep", "force", "--xi", "0.5", "--omega", "1:1e200:9000:log"],
+         "xi=0.5, omega=4.82896e+154",
+         "(omega/omega_p)^2 overflows at omega = 4.8289617071153923e+154"),
+        # row 5,595 of 6,000: the 56th separation's 96th omega
+        (["force", "--xi", "0.5", "--d", "1:1e250:60:log", "--omega", "1:1e40:100:log"],
+         "xi=0.5, d=1.12421e+233, omega=2.42013e+38",
+         "(omega/omega_p)^2 overflows at omega = 2.4201282647943638e+38"),
+        (["force", "--xi", "0.5", "--d", "1:1e220:5000:log", "--at-minimum"],
+         "xi=0.5, d=3.31974e+205",
+         "d^(3/2) is not a positive finite float at d = 3.3197411426656936e+205"),
     ])
     def test_domain_error_names_the_first_failing_point(self, argv, where, message, capsys):
         assert main(argv) == EXIT_DOMAIN
@@ -1325,6 +1353,11 @@ FORCE_LONG_SEPARATIONS = [
     "force", "--xi", "0.3,1", "--d", "0.5,0.5,2,1e-3", "--omega", "0.1:4:700", "--charges", "2",
     "--n-photons", "1",
 ]
+# 70 separations x 90 omegas: 6,300 rows per xi, more than one slice.
+FORCE_SLICED = [
+    "force", "--xi", "0,0.5", "--d", "0.5:4:70", "--omega", "0.1:3:90", "--charges", "2",
+    "--n-photons", "1",
+]
 DISPERSION_REPR_LAYOUTS = [
     "sweep", "dispersion", "--xi", "0,0.5", "--k",
     "1e-6,3.5e-5,0.25,0.5,2,1234567890123456.7,1e16,1.2345e17", "--format", "json",
@@ -1504,6 +1537,35 @@ GOLDEN_DIGESTS = [
      "0cb426a3b6287ca6b5cd3388f7760a93d601562733a485c63aa068bf75aec25c"),
     ([*FORCE_LONG_SEPARATIONS, *FROZEN, "--format", "json"],
      "ed7db033fae16c8de0282360b3c937956e09768b49a98da15f187cdd42e47dc2"),
+    # Recorded while each block was evaluated in one call over its whole
+    # grid: blocks of 4,097 to 9,000 points (6,300 rows for force --omega,
+    # 70 separations x 90 omegas; 5,000 separations at the minimum).
+    (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "0.01:3:9000"],
+     "689b748b08ab100f91f4cc86a66c1c8ae0d35ad871bdf45d9f4d85e6ea993e72"),
+    (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "0.01:3:9000", "--format", "json"],
+     "03e38f7eb788a56c17a9f2db18c89848f5767c1c7a3af756eb31843f09fd1dfc"),
+    (["spectrum", "--xi", "0.3,1", "--omega", "0.05:3:9000", *SPECTRUM_ONE[:4], "--n", "0,2",
+      "--format", "json"],
+     "20a4dea21a0ff7e0c29ba7ccdd7d40c0b6716ef466209317ff553a29fa31844d"),
+    (["sweep", "spectrum", "--xi", "0.3,1", "--omega", "0.05:3:9000", *SPECTRUM_ONE[:4],
+      "--n", "2", "--charges", "2"],
+     "d13cae57e238d5b2bc43697fc396476d8771e0bcdc7e83fe3870511c18075221"),
+    (["sweep", "reflectivity", "--xi", "0,0.5", "--omega", "0.05:3:8193", "--units", "atomic",
+      "--omega-p", "0.7"],
+     "b4fdf499ec5c5fad3c6e4e75aafaea69c20e346a89a228abeaef2bbb10cec548"),
+    (["sweep", "dielectric", "--xi", "0.5,1", "--omega", "0.05:3:4097", "--format", "json"],
+     "509c8b8a9818c92e11b27491aa862742f29e33cf803a72376a06ea5e946e860e"),
+    (["sweep", "dispersion", "--xi", "0.2,1", "--k", "1e-3:10:8193:log", "--format", "json"],
+     "1487c99f272c60ae252de9699d64a6b30607cfe88b5c1d32f6974e55b836ac20"),
+    (["sweep", "velocity", "--xi", "0,0.5", "--k", "0.01:3:4097"],
+     "95870acd08d3bae46aa7b5fd5f46c1b2a3db6fed80d80d55ee038e3564134aa2"),
+    (["sweep", "force", "--xi", "0,0.5", "--omega", "0.1:3:9000", *FORCE_ARGS, "--format", "json"],
+     "4edaf7d48bde3d681f5b9123f3b10bbd9408b8289b700437ac6d76bec53103c3"),
+    (FORCE_SLICED, "e1d98aa6b7c19fc19a3c0d980a03303ef92c51b7a7989dea95961ed66cc5488a"),
+    ([*FORCE_SLICED, *FROZEN, "--format", "json"],
+     "a151440e64be07adb4f2cdbf35554287e12b2fd01c3c957b82a2527ab6417499"),
+    (["force", "--xi", "0.3,1", "--d", "0.5:80:5000:log", "--at-minimum", "--charges", "2"],
+     "69f3f990bb7b10990ce77e1bd207f04fc889e4de756bc83a5e9672a77902ae10"),
 ]
 
 
