@@ -32,6 +32,12 @@ omega* and k*) exactly.  About a third should fail: a bad grid point (0 in
 a k grid at xi > 0, a negative, tiny, huge or nan value), a malformed grid,
 the wrong axis, or an extreme omega_p, mass, hbar, c or level.
 
+About one in ten of the `sweep`, `spectrum` and `force` tables instead has
+4,090 to 12,300 points per xi (for `force --omega`, separations times
+mode frequencies), so that its blocks are evaluated in more than one slice
+of 4,096 points; some of their grids are comma lists with a bad point past
+the first slice.
+
 One in twenty argvs is `figures` (the shares above and below are of the
 others), with its default `--outdir` or one nested in it.  Both trees run
 in the same directory, so the paths it prints match.
@@ -128,6 +134,29 @@ def _count(rng: random.Random, large: bool) -> int:
     return rng.choice([rng.randint(1, 60), rng.randint(1000, 1050), rng.randint(2040, 2100)])
 
 
+# Points of a table block evaluated at a time, and the grid sizes (points
+# per xi) of the tables whose blocks take more than one such slice.
+SLICE = 4096
+SLICED = (4090, 12300)
+
+
+def _sliced_count(rng: random.Random, share: int = 1) -> int:
+    """A count of points that, times share (a count of at most 6 that it
+    is the product with), lies in SLICED."""
+    return rng.randint(-(-SLICED[0] // share), SLICED[1] // share)
+
+
+def _sliced_grid(rng: random.Random, count: int) -> str:
+    """A grid of count points: a range, or in a third of them a comma list
+    of values near 1 with a bad point, which should fail there: past the
+    first slice if count is more than one slice, else the last point."""
+    if rng.random() < 2 / 3:
+        return _grid(rng, count, zero=False)
+    points = [repr(round(rng.uniform(0.05, 5.0), 4)) for _ in range(count)]
+    points[rng.randrange(min(SLICE, count - 1), count)] = rng.choice(BAD_POINTS)
+    return ",".join(points)
+
+
 def _grid(rng: random.Random, count: int, zero: bool = True) -> str:
     """A list of count values, or a start:stop:count[:log] range, which may
     start at 0 if zero is set."""
@@ -157,10 +186,20 @@ def force_argv(rng: random.Random) -> list[str]:
         if rng.random() < 0.4:
             options[name] = str(rng.randint(0 if name == "--n-photons" else 1, 5))
     at_minimum = not sweep and rng.random() < 0.5
+    sliced = rng.random() < 0.1
     if sweep:
-        options["--omega"] = _grid(rng, _count(rng, True))
+        options["--omega"] = (_sliced_grid(rng, _sliced_count(rng)) if sliced
+                              else _grid(rng, _count(rng, True)))
         if rng.random() < 0.5:
             options["--d"] = _value(rng)
+    elif sliced and at_minimum:
+        options["--d"] = _grid(rng, _sliced_count(rng), zero=False)
+    elif sliced:
+        # a product of more than one slice; only omega holds a bad point,
+        # since a bad separation fails before any point is evaluated
+        few = rng.randint(1, 6)
+        options["--d"] = _grid(rng, few, zero=False)
+        options["--omega"] = _sliced_grid(rng, _sliced_count(rng, few))
     else:
         many_d = at_minimum or rng.random() < 0.5
         options["--d"] = _grid(rng, _count(rng, many_d))
@@ -228,7 +267,10 @@ def _critical(xi: float, axis: str) -> list[float]:
 
 def _sweep_grid(rng: random.Random, xi: str, axis: str) -> str:
     """A grid of 1 to 2,100 points: a range, a list, a list that hits the
-    critical points of xi's values, or a log grid that overflows."""
+    critical points of xi's values, or a log grid that overflows; or one of
+    more than one slice (_sliced_grid)."""
+    if rng.random() < 0.1:
+        return _sliced_grid(rng, _sliced_count(rng))
     kind = rng.random()
     if kind < 0.1:
         return rng.choice(OVERFLOWING_LOG_GRIDS)
@@ -341,9 +383,13 @@ def figures_argv(rng: random.Random) -> list[str]:
 
 
 def argvs(count: int, seed: int) -> list[list[str]]:
+    """count seeded argvs.  The kind of each is drawn from a stream of its
+    own, so that a change to how one kind is drawn leaves the mix of kinds
+    as it was."""
     rng = random.Random(f"diff_parent/{seed}")
+    kind_rng = random.Random(f"diff_parent/{seed}/kinds")
     kinds = [verify_argv, force_argv, force_argv, sweep_argv, sweep_argv]
-    return [figures_argv(rng) if rng.random() < 0.05 else rng.choice(kinds)(rng)
+    return [(figures_argv if kind_rng.random() < 0.05 else kind_rng.choice(kinds))(rng)
             for _ in range(count)]
 
 

@@ -112,7 +112,8 @@ def _any(mask: np.ndarray) -> bool:
 
 
 # Elements per slice of a libm map: the Python floats of one slice are all
-# that a map holds at a time, whatever the array's size.
+# that a map holds at a time, whatever the array's size.  Table blocks are
+# evaluated in slices of as many points (tables.tabulate), 4 output chunks.
 _SLICE = 4096
 
 
@@ -189,9 +190,14 @@ def _require_finite(obj: object, *names: str) -> None:
 def _require_squares(omega, omega_p: float) -> None:
     """Reject an omega or omega_p whose square overflows; omega may be an
     array, checked element by element."""
+    if isinstance(omega, np.ndarray):  # numpy would warn of the squares rejected here
+        with np.errstate(over="ignore"):
+            squares = omega * omega
+    else:
+        squares = omega * omega
     _require(
         (omega, omega_p),
-        (omega * omega <= _FLOAT_MAX) & (omega_p * omega_p <= _FLOAT_MAX),
+        (squares <= _FLOAT_MAX) & (omega_p * omega_p <= _FLOAT_MAX),
         "omega^2 or omega_p^2 overflows at {}, {}",
     )
 

@@ -18,8 +18,8 @@ from .kinematics import velocities_array
 from .optics import _branch_zetas, _finite_zeta, _reflectivities
 from .output import Labels
 from .params import (
-    _FLOAT_MAX, ATOMIC_C, _each, _finite, _plasma_wavenumber, _positive, _reduced_wavenumber,
-    _require_finite, validate_xi,
+    _FLOAT_MAX, _SLICE, ATOMIC_C, _each, _finite, _plasma_wavenumber, _positive,
+    _reduced_wavenumber, _require_finite, validate_xi,
 )
 from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_levels_array
@@ -301,14 +301,14 @@ def _checked_columns(evaluate: Callable[..., list], value: object, grids: list) 
 
 
 def _first_fault(
-    check: Callable[[slice], object], count: int, fault: DomainError
+    check: Callable[[slice], object], part: slice, fault: DomainError
 ) -> tuple[int, DomainError]:
-    """The index of the first of count points at which check, given a slice
+    """The index of the first point of part at which check, given a slice
     of them, raises a DomainError, and the error it raises at that point
-    alone, or fault (that of all the points) if none.  Whether a point fails
-    does not depend on the others, so a slice fails exactly when it holds a
-    failing point; which error a slice raises may."""
-    lo, hi = 0, count  # the first failure lies in [lo, hi)
+    alone, or fault (that of all of part's points) if none.  Whether a point
+    fails does not depend on the others, so a slice fails exactly when it
+    holds a failing point; which error a slice raises may."""
+    lo, hi = part.start, part.stop  # the first failure lies in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
@@ -323,40 +323,104 @@ def _first_fault(
     return lo, fault
 
 
+def _whole(column: object, count: int, grid: object, whole: np.ndarray | None):
+    """The column of a block of count points that begins as the column of
+    its first slice, of _SLICE points: the whole grid for the grid slice
+    itself, an empty array or Labels of as many rows per point, or the
+    value every row shares."""
+    if column is grid:
+        return whole
+    if isinstance(column, Labels):
+        return Labels(_whole(column.codes, count, None, None), column.values)
+    if isinstance(column, np.ndarray):
+        return np.empty(len(column) // _SLICE * count, column.dtype)
+    return column
+
+
+def _put(into: object, column: object, part: slice, count: int, grid: object,
+         whole: np.ndarray | None) -> None:
+    """Write the column of the points of part, a slice of a block's count
+    points, into the block's column (_whole): the rows of an array or of
+    Labels' codes, as many per point in each slice.  The grid slice must
+    stay the grid, Labels keep their values and a shared value its value;
+    a slice that breaks this is a ValueError, not a table."""
+    if whole is not None and into is whole:
+        fits = column is grid
+    elif isinstance(into, Labels):
+        fits = isinstance(column, Labels) and column.values == into.values
+        if fits:
+            _put(into.codes, column.codes, part, count, None, None)
+    elif isinstance(into, np.ndarray):
+        per = len(into) // count
+        fits = isinstance(column, np.ndarray) and len(column) == (part.stop - part.start) * per
+        if fits:
+            into[part.start * per:part.stop * per] = column
+    else:
+        fits = type(column) is type(into) and column == into
+    if not fits:
+        raise ValueError(f"a slice's column {column!r:.60} does not continue the block's")
+
+
 def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> list[list]:
     """The blocks of evaluate over the product of the named axes, the last
     innermost: one block per value of the first axis.  The other axes' values
     are float64 arrays (or sequences of floats).  evaluate takes the first
     axis's value and, for each other axis, a float64 array of its value at
-    each row of the block, and returns columns of these rows (on empty
-    arrays, empty columns or a fault of no row).  Every block is evaluated
-    and checked before any is returned, so a DomainError is raised before
-    any output; unless the empty arrays raise it too, the error raised is
-    that of the first failing point, in row order, alone (_first_fault),
-    and is reported on stderr with that point."""
+    each of some consecutive rows of the block, and returns columns of these
+    rows (on empty arrays, empty columns or a fault of no row).
+
+    A block of at most _SLICE points is one call.  A larger one is evaluated
+    in slices of _SLICE points, so that only one slice's temporaries are
+    live at a time: the first slice's columns shape the block's (_whole),
+    and each slice's rows are written into them (_put).  A column that is
+    the grid slice itself (one inner axis) is a view of the whole grid; the
+    product of several inner axes is built per slice.
+
+    Every block is evaluated and checked before any is returned, so a
+    DomainError is raised before any output; unless the empty arrays raise
+    it too, the error raised is that of the first failing point, in row
+    order, alone (_first_fault, within the first failing slice: the earlier
+    ones passed), and is reported on stderr with that point."""
     (_, outer), *inner = axes
     shape = tuple(len(values) for _, values in inner)
-    # One inner axis is its own array; more are copied out of their product.
-    grids = [
-        grid.ravel()
-        for grid in np.meshgrid(*(np.asarray(values, dtype=float) for _, values in inner),
-                                indexing="ij", copy=False)
-    ]
-    blocks = []
-    for value in outer if math.prod(shape) else ():
-        def rows(part: slice) -> list:
-            return _checked_columns(evaluate, value, [grid[part] for grid in grids])
+    count = math.prod(shape)
+    arrays = [np.asarray(values, dtype=float) for _, values in inner]
+    whole = arrays[0] if len(arrays) == 1 else None
 
-        try:
-            blocks.append(rows(slice(None)))
-        except DomainError as exc:
-            rows(slice(0))  # raises a fault of no row
-            i, exc = _first_fault(rows, len(grids[0]), exc)
-            at = np.unravel_index(i, shape)
-            point = [value, *(float(values[j]) for (_, values), j in zip(inner, at))]
-            where = ", ".join(f"{axis}={v:g}" for (axis, _), v in zip(axes, point))
-            print(f"domain error at {where}: {exc}", file=sys.stderr)
-            raise exc from None
+    def grids(part: slice) -> list[np.ndarray]:
+        if whole is not None:
+            return [whole[part]]
+        at = np.unravel_index(np.arange(part.start, part.stop), shape)
+        return [array[i] for array, i in zip(arrays, at)]
+
+    blocks = []
+    for value in outer if count else ():
+        def rows(part: slice) -> list:
+            return _checked_columns(evaluate, value, grids(part))
+
+        block = None
+        for start in range(0, count, _SLICE):
+            part = slice(start, min(start + _SLICE, count))
+            args = grids(part)
+            try:
+                columns = _checked_columns(evaluate, value, args)
+            except DomainError as exc:
+                rows(slice(0, 0))  # raises a fault of no row
+                i, exc = _first_fault(rows, part, exc)
+                at = np.unravel_index(i, shape)
+                point = [value, *(float(array[j]) for array, j in zip(arrays, at))]
+                where = ", ".join(f"{axis}={v:g}" for (axis, _), v in zip(axes, point))
+                print(f"domain error at {where}: {exc}", file=sys.stderr)
+                raise exc from None
+            if count <= _SLICE:
+                block = columns
+                continue
+            grid = args[0] if whole is not None else None
+            if block is None:
+                block = [_whole(column, count, grid, whole) for column in columns]
+            for into, column in zip(block, columns, strict=True):
+                _put(into, column, part, count, grid, whole)
+        blocks.append(block)
     return blocks
 
 
@@ -390,7 +454,9 @@ def force_columns(
         try:
             wp = _plates(spec, grid)[1]
         except DomainError as exc:
-            _, exc = _first_fault(lambda part: _plates(spec, grid[part]), len(grid), exc)
+            _, exc = _first_fault(
+                lambda part: _plates(spec, grid[part]), slice(0, len(grid)), exc
+            )
             raise exc from None
     wp = wp if frozen_wp is None else frozen_wp
     e, m, hbar = spec.charge, spec.mass, spec.hbar

@@ -28,7 +28,8 @@ from quasimode.cli import (
     run_sweep,
 )
 from quasimode.errors import SpecError
-from quasimode.params import _finite
+from quasimode.output import Labels
+from quasimode.params import _SLICE, _finite
 from quasimode.tables import (
     ATOMIC_ONLY, K_SWEPT, QUANTITIES, TABLE, SweepSpec, finite_grid, force_columns, tabulate,
 )
@@ -480,10 +481,12 @@ class TestExitCodes:
          "xi=0.5, k=1e-80", "phase velocity is not a finite float at x = 1e-80"),
         (["sweep", "spectrum", "--xi", "0.5", "--omega", "1:1e200:9000:log", "--omega-p", "1",
           "--n", "0"],
-         "xi=0.5, omega=1.3435e+154", "omega^2 or omega_p^2 overflows at 1.343496287622107e+154, 1.0"),
+         "xi=0.5, omega=1.3435e+154",
+         "omega^2 or omega_p^2 overflows at 1.343496287622107e+154, 1.0"),
         (["spectrum", "--xi", "0.5", "--omega", "1:1e200:9000:log", "--omega-p", "1",
           "--n", "0,3"],
-         "xi=0.5, omega=1.3435e+154", "omega^2 or omega_p^2 overflows at 1.343496287622107e+154, 1.0"),
+         "xi=0.5, omega=1.3435e+154",
+         "omega^2 or omega_p^2 overflows at 1.343496287622107e+154, 1.0"),
         (["sweep", "force", "--xi", "0.5", "--omega", "1:1e200:9000:log"],
          "xi=0.5, omega=4.82896e+154",
          "(omega/omega_p)^2 overflows at omega = 4.8289617071153923e+154"),
@@ -1275,6 +1278,61 @@ class TestTabulate:
             "", f"domain error at xi=0.5, omega=2: {message}\ndomain error: {message}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("count,parts", [
+        (1, [(0, 1)]),
+        (_SLICE, [(0, _SLICE)]),
+        (_SLICE + 1, [(0, _SLICE), (_SLICE, _SLICE + 1)]),
+        (2 * _SLICE + 3, [(0, _SLICE), (_SLICE, 2 * _SLICE), (2 * _SLICE, 2 * _SLICE + 3)]),
+    ])
+    def test_a_block_of_more_than_a_slice_is_evaluated_slice_by_slice(self, count, parts):
+        calls = []
+
+        def evaluate(xi, omega):
+            calls.append((omega[0], omega[-1] + 1))
+            labels = Labels(np.ones(2 * len(omega), np.uint8), ("a", "b"))
+            return [omega, xi, np.repeat(omega * 2.0, 2), labels]
+
+        grid = np.arange(count, dtype=float)
+        [[omega, xi, doubled, labels]] = tabulate([("xi", (0.5,)), ("omega", grid)], evaluate)
+        assert calls == parts
+        assert omega.base is grid or omega is grid  # a view of the grid, not a copy
+        assert xi == 0.5 and doubled.tolist() == np.repeat(grid * 2.0, 2).tolist()
+        assert labels.values == ("a", "b") and labels.codes.tolist() == [1] * 2 * count
+
+    def test_a_fault_past_the_first_slice_is_searched_within_its_slice(self, capsys):
+        calls = []
+
+        def at(xi, omega):
+            calls.append(omega)
+            if (omega == 5000.0).any():
+                raise DomainError("bad omega")
+            return [omega, xi]
+
+        grid = np.arange(3 * _SLICE, dtype=float)
+        with pytest.raises(DomainError, match="^bad omega$"):
+            tabulate([("xi", (0.5,)), ("omega", grid)], at)
+        assert capsys.readouterr().err == "domain error at xi=0.5, omega=5000: bad omega\n"
+        # the first slice passes; the search that follows the second's fault
+        # reads no point of another slice, and the empty grid once
+        assert calls[0].tolist() == grid[:_SLICE].tolist()
+        assert calls[1].tolist() == grid[_SLICE:2 * _SLICE].tolist()
+        assert calls[2].size == 0
+        assert all(_SLICE <= part[0] and part[-1] < 2 * _SLICE for part in calls[3:])
+
+    @pytest.mark.parametrize("columns", [
+        lambda xi, omega: [omega, float(omega[0])],  # a shared value that moves
+        lambda xi, omega: [Labels(np.zeros(len(omega), np.uint8), (float(omega[0]),))],
+        lambda xi, omega: [np.repeat(omega, 1 if omega[0] == 0.0 else 2)],  # rows per point
+        lambda xi, omega: [omega if omega[0] == 0.0 else omega.copy()],  # the grid, then a copy
+        lambda xi, omega: [omega.copy() if omega[0] == 0.0 else 1.0],  # an array, then a value
+        lambda xi, omega: [omega, *([xi] if omega[0] == 0.0 else [])],  # a column fewer
+    ])
+    def test_a_slice_that_does_not_continue_the_block_is_an_error(self, columns):
+        grid = np.arange(_SLICE + 1, dtype=float)
+        with pytest.raises(ValueError):
+            tabulate([("xi", (0.5,)), ("omega", grid)], columns)
+        assert grid.tolist() == list(range(_SLICE + 1))  # the grid is left as it was
 
     def test_error_of_the_empty_grid_is_reported_without_a_point(self, capsys):
         # the spectrum kernel's order: a check of each frequency, then one

@@ -19,13 +19,14 @@ from quasimode import (
 )
 from quasimode.cli import EXIT_DOMAIN, main
 from quasimode.dispersion import (
-    _CSQRT_PER_ELEMENT, REGIMES, Regime, _csqrt, k_branches_array, omega_of_k_array,
+    _CSQRT_PER_ELEMENT, REGIMES, Branch, Regime, _csqrt, k_branches_array,
+    omega_of_k_array,
 )
 from quasimode.kinematics import velocities_array
 from quasimode.optics import _branch_zetas, _reflectivities, reflectivity, refractive_index
 from quasimode.params import _SLICE, _each, _power
 from quasimode.spectrum import energy_levels_array
-from quasimode.output import CHUNK_ROWS, csv_chunks, json_table_chunks
+from quasimode.output import CHUNK_ROWS, Labels, csv_chunks, json_table_chunks
 from quasimode import figures
 from quasimode.tables import ATOMIC_ONLY, QUANTITIES, SweepSpec, force_columns, sweep_columns
 
@@ -533,6 +534,128 @@ def test_every_table_is_one_block_per_polarization(tmp_path, monkeypatch):
     assert len(figures.emit_figure_datasets(tmp_path)) == len(rendered) == 6
     for header, blocks in tables + rendered:
         assert [block[header.index("xi")] for block in blocks] == list(xi_list), header
+
+
+# Blocks of a point less than a slice, a slice, a point more and two slices
+# and a point: tabulate evaluates the last two slice by slice.
+SLICE_SIZES = [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1]
+# separations x mode frequencies of force --omega tables of those sizes
+SLICE_PRODUCTS = {_SLICE - 1: (45, 91), _SLICE: (64, 64), _SLICE + 1: (17, 241),
+                  2 * _SLICE + 1: (3, 2731)}
+SLICE_XI, SLICE_D, SLICE_OMEGA_P = 0.5, 1.5, 0.8
+SLICE_MOMENTUM = Momentum(0.2, -0.1, 0.05)
+SLICE_PLATES = {"area": 2.0, "charge": 1.3, "mass": 0.7, "hbar": 1.1, "n_charges": 2,
+                "n_photons": 1}
+
+
+def slice_grid(axis, size):
+    """size points across every regime at SLICE_XI (omega~ = 0.447, omega* = 1.342)."""
+    return np.linspace(0.05 if axis == "omega" else 0.01, 3.0, size)
+
+
+def rows_of(block):
+    """The rows of a block, a float cell as its hex, an int or str as it is."""
+    count = max(len(column) for column in block if isinstance(column, (np.ndarray, Labels)))
+    columns = []
+    for column in block:
+        if isinstance(column, Labels):
+            values = [column.values[code] for code in column.codes.tolist()]
+        else:
+            values = column.tolist() if isinstance(column, np.ndarray) else [column] * count
+        columns.append([v.hex() if isinstance(v, float) else v for v in values])
+    return list(zip(*columns))
+
+
+def hex_row(*cells):
+    return tuple(v.hex() if isinstance(v, float) else v for v in cells)
+
+
+def slice_spec(quantity, grid, n=(0, 2)):
+    atomic = quantity in ATOMIC_ONLY
+    spec = SweepSpec(
+        quantity=quantity, xi_list=(SLICE_XI,), grid=grid, units="atomic" if atomic else "reduced",
+        omega_p=SLICE_OMEGA_P if quantity == "spectrum" else 1.0, momentum=SLICE_MOMENTUM, n=n,
+        d=SLICE_D, **(SLICE_PLATES if quantity == "force" else {}),
+    )
+    spec.validate()
+    return spec
+
+
+def reference_sweep_rows(quantity, v):
+    """The rows of slice_spec(quantity)'s table at one grid point v, from
+    the per-point references."""
+    xi, branches = SLICE_XI, (Branch.PLUS.value, Branch.MINUS.value)
+    if quantity == "dispersion":
+        return [hex_row(v, xi, reference_omega_of_k(v, xi))]
+    if quantity == "velocity":
+        return [hex_row(v, xi, *reference_velocities(v, xi))]
+    if quantity == "wavenumber":
+        *roots, regime = reference_k_branches(v, xi)
+        return [hex_row(v, xi, b, x.real, x.imag, regime.value) for b, x in zip(branches, roots)]
+    if quantity == "dielectric":
+        return [hex_row(v, xi, b, z.real, z.imag)
+                for b, z in zip(branches, reference_zetas(v, xi))]
+    if quantity == "reflectivity":
+        return [hex_row(v, xi, b, reflectivity(refractive_index(z)))
+                for b, z in zip(branches, reference_zetas(v, xi))]
+    p = SLICE_MOMENTUM
+    if quantity == "spectrum":
+        return [hex_row(v, xi, SLICE_OMEGA_P, p.p_major, p.p_minor, p.p_perp, level,
+                        *reference_energy_level(xi, v, SLICE_OMEGA_P, p, level))
+                for level in (0, 2)]
+    plates = SLICE_PLATES
+    wp = reference_plasma_frequency(SLICE_D, plates["area"], plates["n_charges"],
+                                    plates["charge"], plates["mass"])
+    force = reference_force(v, SLICE_D, wp, xi, plates["n_photons"], plates["hbar"])
+    return [hex_row(v, xi, SLICE_D, plates["area"], plates["n_charges"], plates["n_photons"],
+                    wp, force)]
+
+
+@pytest.mark.parametrize("size", SLICE_SIZES)
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_sweep_blocks_across_slices_match_the_reference_point_by_point(quantity, size):
+    grid = slice_grid("k" if quantity in ("dispersion", "velocity") else "omega", size)
+    header, [block] = sweep_columns(slice_spec(quantity, grid))
+    expected = [row for v in grid.tolist() for row in reference_sweep_rows(quantity, v)]
+    assert rows_of(block) == expected
+
+
+@pytest.mark.parametrize("size", SLICE_SIZES)
+@pytest.mark.parametrize("at_minimum", [False, True])
+def test_force_blocks_across_slices_match_the_reference_point_by_point(at_minimum, size):
+    plates, xi = SLICE_PLATES, SLICE_XI
+    area, n, e, m = plates["area"], plates["n_charges"], plates["charge"], plates["mass"]
+    photons, hbar = plates["n_photons"], plates["hbar"]
+    shared = [area, n, photons, "recompute"]
+    if at_minimum:
+        d, omega = np.linspace(0.5, 80.0, size), None
+    else:
+        count_d, count_omega = SLICE_PRODUCTS[size]
+        d, omega = np.linspace(0.5, 4.0, count_d), slice_grid("omega", count_omega)
+    header, [block] = force_columns(plate_spec(d, plates, (xi,)), omega, None)
+    expected = []
+    for separation in d.tolist():
+        wp = reference_plasma_frequency(separation, area, n, e, m)
+        if at_minimum:
+            force = reference_force_at_minimum(separation, wp, xi, photons, hbar)
+            omega_min = wp * critical_points(xi).k_star
+            expected.append(hex_row(xi, omega_min, separation, *shared, wp, force))
+            continue
+        for w in omega.tolist():
+            force = reference_force(w, separation, wp, xi, photons, hbar)
+            expected.append(hex_row(xi, w, separation, *shared, wp, force))
+    assert rows_of(block) == expected
+
+
+@pytest.mark.parametrize("quantity", ["dispersion", "velocity", "spectrum", "force"])
+def test_grid_columns_across_slices_are_views_of_the_grid(quantity):
+    """The grid column of a block of several slices is the grid, not a copy
+    filled slice by slice."""
+    axis = "k" if quantity in ("dispersion", "velocity") else "omega"
+    grid = slice_grid(axis, 2 * _SLICE + 1)
+    header, [block] = sweep_columns(slice_spec(quantity, grid, n=(1,)))
+    column = block[0]
+    assert np.shares_memory(column, grid) and column.tolist() == grid.tolist()
 
 
 def outcome(f, *args):

@@ -25,6 +25,8 @@ from quasimode.output import (
     render_json_table,
     write_bytes,
 )
+from quasimode.params import _SLICE
+from quasimode.tables import SweepSpec, sweep_columns
 
 ROW_COUNTS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5]
 
@@ -621,12 +623,41 @@ def test_write_memory_is_flat_in_row_count(chunks, tmp_path):
     assert peak(4 * n) - peak(n) < 2 * chunk_bytes
 
 
+@pytest.mark.parametrize("quantity", ["spectrum", "wavenumber"])
+def test_evaluation_memory_is_bounded_by_a_slice(quantity):
+    """The traced peak of sweep_columns above the columns it returns is the
+    same at 40,000 and 400,000 points, within a bound of one slice's
+    temporaries (256 bytes a point of a slice, some four times what the
+    kernels hold): a block evaluated in one call holds temporaries of its
+    whole grid, 50 to 90 bytes a point, some 20 to 30 MB more at 400,000."""
+    def spec(points: int) -> SweepSpec:
+        spec = SweepSpec(quantity, (0.5,), np.linspace(0.05, 3.0, points), omega_p=1.3,
+                         units="atomic" if quantity == "spectrum" else "reduced")
+        spec.validate()
+        return spec
+
+    def above_kept(points: int) -> int:
+        grid_spec = spec(points)
+        tracemalloc.start()
+        try:
+            table = sweep_columns(grid_spec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del table
+        return peak - kept
+
+    sweep_columns(spec(10))  # imports and caches outside the trace
+    assert abs(above_kept(400_000) - above_kept(40_000)) <= 256 * _SLICE
+
+
 def test_spectrum_sweep_holds_no_python_object_per_row(tmp_path):
     """Peak traced allocation of a 100,000-row spectrum sweep at one level,
-    below 120 bytes a row.  Its five float64 columns, the uint8 codes of n
-    and the grid take 49 bytes a row, and the evaluation's float64
-    temporaries about as much again; a Python float per row (a grid tuple,
-    a whole-array tolist) adds 32 bytes or more, an np.repeat copy of a
+    below 80 bytes a row.  Its five float64 columns, the uint8 codes of n
+    and the grid take 49 bytes a row, and the evaluation's temporaries are
+    one 4,096-point slice's (they were about 48 bytes a row when a block was
+    one call over its whole grid); a Python float per row (a grid tuple, a
+    whole-array tolist) adds 32 bytes or more, an np.repeat copy of a
     column 8."""
     argv = ["sweep", "spectrum", "--xi", "0.5", "--omega-p", "1.3", "--p", "0.1,0.2,0.3",
             "--out", str(tmp_path / "spectrum.csv")]
@@ -638,4 +669,4 @@ def test_spectrum_sweep_holds_no_python_object_per_row(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 120 * rows
+    assert peak < 80 * rows

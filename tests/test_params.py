@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ class TestModelParams:
         with pytest.raises(DomainError) as exc:
             ModelParams(xi=0.5, omega=np.array(omega), omega_p=1.0)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("omega,omega_p", [(1e155, 0.0), (1e200, 1.0)])
+    def test_array_whose_square_overflows_raises_without_a_warning(self, omega, omega_p):
+        # the array's product must not warn first, even where warnings are errors
+        with pytest.raises(DomainError) as scalar:
+            ModelParams(xi=0.5, omega=omega, omega_p=omega_p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as array:
+                ModelParams(xi=0.5, omega=np.array([1.0, omega]), omega_p=omega_p)
+        assert str(array.value) == str(scalar.value)
 
 
 PLATES = PlateGeometry(d=1.0, A=1.0)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import shlex
 import os
 import subprocess
@@ -288,3 +289,36 @@ def test_diff_parent_names_the_argv_a_worker_dies_on(where, tmp_path, monkeypatc
     argvs = diff_parent.argvs(40, 3)
     first = next(argv for argv in argvs if "--at-minimum" in argv) if where == "argv" else argvs[0]
     assert done.stderr == f"diff_parent: the worker on {planted} died running {shlex.join(first)}\n"
+
+
+def grid_points(grid):
+    """The number of points of a grid option's value: a range's count or a
+    list's length."""
+    parts = grid.split(":")
+    return int(parts[2]) if len(parts) in (3, 4) and parts[2].isdigit() else len(grid.split(","))
+
+
+def test_diff_parent_tables_cross_the_slice_boundary(monkeypatch):
+    """About one in ten sweep, spectrum and force tables has 4,090 to 12,300
+    points per xi, more than one evaluation slice, and some of their comma
+    grids hold a bad point past the first slice."""
+    diff_parent = load_diff_parent(monkeypatch)
+    tables = [argv for argv in diff_parent.argvs(1000, 7) if argv[0] in ("sweep", "spectrum")
+              or (argv[0] == "force" and "--at-minimum" not in argv)]
+    sliced, kinds, late_faults = 0, set(), 0
+    for argv in tables:
+        options = dict(option.split("=", 1) for option in argv if option.startswith("--")
+                       and "=" in option)
+        grids = [options[name] for name in ("--k", "--omega", "--d") if name in options
+                 and not (argv[0] == "sweep" and name == "--d")]
+        points = math.prod(grid_points(grid) for grid in grids)
+        if diff_parent.SLICED[0] <= points <= diff_parent.SLICED[1]:
+            sliced += 1
+            kinds.add(argv[1] if argv[0] == "sweep" else argv[0])
+            for grid in grids:
+                values = grid.split(",")
+                late_faults += any(value in diff_parent.BAD_POINTS
+                                   for value in values[diff_parent.SLICE:])
+    assert 0.05 < sliced / len(tables) < 0.15
+    assert kinds == {*QUANTITIES, "spectrum", "force"}
+    assert late_faults > 5
