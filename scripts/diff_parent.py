@@ -141,8 +141,7 @@ SLICED = (4090, 12300)
 
 
 def _sliced_count(rng: random.Random, share: int = 1) -> int:
-    """A count of points that, times share (a count of at most 6 that it
-    is the product with), lies in SLICED."""
+    """A count of points whose product with share lies in SLICED."""
     return rng.randint(-(-SLICED[0] // share), SLICED[1] // share)
 
 

@@ -468,7 +468,7 @@ class TestExitCodes:
         (["sweep", "force", "--xi", "0.5", "--omega", "1,2,1e160"],
          "xi=0.5, omega=1e+160", "(omega/omega_p)^2 overflows at omega = 1e+160"),
         # blocks of more than 4,096 points whose first failing point lies past
-        # the first 4,096: point 6,937 of the first block, the second block valid
+        # the first 4,096: index 6,935 of the first block, the second block valid
         (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "1:1e100:9000:log"],
          "xi=0, omega=1.15909e+77",
          "wavenumber is not a finite float at y = 1.1590928727337197e+77"),
@@ -490,7 +490,7 @@ class TestExitCodes:
         (["sweep", "force", "--xi", "0.5", "--omega", "1:1e200:9000:log"],
          "xi=0.5, omega=4.82896e+154",
          "(omega/omega_p)^2 overflows at omega = 4.8289617071153923e+154"),
-        # row 5,595 of 6,000: the 56th separation's 96th omega
+        # row index 5,595 of 6,000: the 56th separation's 96th omega
         (["force", "--xi", "0.5", "--d", "1:1e250:60:log", "--omega", "1:1e40:100:log"],
          "xi=0.5, d=1.12421e+233, omega=2.42013e+38",
          "(omega/omega_p)^2 overflows at omega = 2.4201282647943638e+38"),
@@ -1649,6 +1649,9 @@ def test_golden_output_digest(argv, digest, tmp_path):
     (DISPERSION_REPR_KERNEL, EXIT_OK),
     (WAVENUMBER_ATOMIC_CRITICAL, EXIT_OK),
     (FORCE_AT_MINIMUM_LONG, EXIT_OK),
+    # blocks evaluated in slices: a table, and a fault past the first slice
+    (FORCE_SLICED, EXIT_OK),
+    (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "1:1e100:9000:log"], EXIT_DOMAIN),
 ])
 def test_optimized_interpreter_gives_the_same_result(argv, code):
     # The runtime checks are not assert statements, which python -O drops.
