@@ -190,14 +190,11 @@ def _require_finite(obj: object, *names: str) -> None:
 def _require_squares(omega, omega_p: float) -> None:
     """Reject an omega or omega_p whose square overflows; omega may be an
     array, checked element by element."""
-    if isinstance(omega, np.ndarray):  # numpy would warn of the squares rejected here
-        with np.errstate(over="ignore"):
-            squares = omega * omega
-    else:
-        squares = omega * omega
+    with np.errstate(over="ignore"):  # numpy would warn of the squares rejected here
+        fits = (omega * omega <= _FLOAT_MAX) & (omega_p * omega_p <= _FLOAT_MAX)
     _require(
         (omega, omega_p),
-        (squares <= _FLOAT_MAX) & (omega_p * omega_p <= _FLOAT_MAX),
+        fits,
         "omega^2 or omega_p^2 overflows at {}, {}",
     )
 

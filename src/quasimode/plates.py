@@ -62,16 +62,10 @@ def _require_charge_and_mass(e: float, m: float) -> None:
     _positive(m, "mass")
 
 
+@np.errstate(over="ignore")  # numpy would warn of the values rejected here
 def plasma_frequency_plates(g: PlateGeometry, e: float, m: float):
     """omega_p = 2 sqrt(pi) e sqrt(N) / sqrt(m A d); N charges enter through
     e^2 -> N e^2."""
-    if isinstance(g.d, np.ndarray):  # numpy would warn of the values rejected here
-        with np.errstate(over="ignore"):
-            return _plasma_frequency(g, e, m)
-    return _plasma_frequency(g, e, m)
-
-
-def _plasma_frequency(g: PlateGeometry, e: float, m: float):
     _require_charge_and_mass(e, m)
     mad = m * g.A * g.d
     if (ok := (mad > 0.0) & (mad < math.inf)) is not True:

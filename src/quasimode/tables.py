@@ -323,21 +323,28 @@ def _first_fault(
     return lo, fault
 
 
-def _whole(column: object, count: int, grid: object, whole: np.ndarray | None):
+def _is_view(column: object, whole: np.ndarray | None, part: slice) -> bool:
+    """Whether column is the grid slice whole[part] itself: the same memory
+    with the same shape and strides, not a copy."""
+    return (whole is not None and isinstance(column, np.ndarray)
+            and column.__array_interface__ == whole[part].__array_interface__)
+
+
+def _whole(column: object, count: int, whole: np.ndarray | None):
     """The column of a block of count points that begins as the column of
     its first slice, of _SLICE points: the whole grid for the grid slice
     itself, an empty array or Labels of as many rows per point, or the
     value every row shares."""
-    if column is grid:
+    if _is_view(column, whole, slice(0, _SLICE)):
         return whole
     if isinstance(column, Labels):
-        return Labels(_whole(column.codes, count, None, None), column.values)
+        return Labels(_whole(column.codes, count, whole), column.values)
     if isinstance(column, np.ndarray):
         return np.empty(len(column) // _SLICE * count, column.dtype)
     return column
 
 
-def _put(into: object, column: object, part: slice, count: int, grid: object,
+def _put(into: object, column: object, part: slice, count: int,
          whole: np.ndarray | None) -> None:
     """Write the column of the points of part, a slice of a block's count
     points, into the block's column (_whole): the rows of an array or of
@@ -345,11 +352,11 @@ def _put(into: object, column: object, part: slice, count: int, grid: object,
     stay the grid, Labels keep their values and a shared value its value;
     a slice that breaks this is a ValueError, not a table."""
     if whole is not None and into is whole:
-        fits = column is grid
+        fits = _is_view(column, whole, part)
     elif isinstance(into, Labels):
         fits = isinstance(column, Labels) and column.values == into.values
         if fits:
-            _put(into.codes, column.codes, part, count, None, None)
+            _put(into.codes, column.codes, part, count, whole)
     elif isinstance(into, np.ndarray):
         per = len(into) // count
         fits = isinstance(column, np.ndarray) and len(column) == (part.stop - part.start) * per
@@ -401,9 +408,8 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
         block = None
         for start in range(0, count, _SLICE):
             part = slice(start, min(start + _SLICE, count))
-            args = grids(part)
             try:
-                columns = _checked_columns(evaluate, value, args)
+                columns = rows(part)
             except DomainError as exc:
                 rows(slice(0, 0))  # raises a fault of no row
                 i, exc = _first_fault(rows, part, exc)
@@ -415,11 +421,10 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
             if count <= _SLICE:
                 block = columns
                 continue
-            grid = args[0] if whole is not None else None
             if block is None:
-                block = [_whole(column, count, grid, whole) for column in columns]
+                block = [_whole(column, count, whole) for column in columns]
             for into, column in zip(block, columns, strict=True):
-                _put(into, column, part, count, grid, whole)
+                _put(into, column, part, count, whole)
         blocks.append(block)
     return blocks
 

@@ -158,14 +158,16 @@ class TestModelParams:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("omega,omega_p", [(1e155, 0.0), (1e200, 1.0)])
-    def test_array_whose_square_overflows_raises_without_a_warning(self, omega, omega_p):
-        # the array's product must not warn first, even where warnings are errors
+    @pytest.mark.parametrize("numpy", [lambda x: np.array([1.0, x]), np.float64],
+                             ids=["array", "float64"])
+    def test_numpy_square_that_overflows_raises_without_a_warning(self, omega, omega_p, numpy):
+        # numpy's product must not warn first, even where warnings are errors
         with pytest.raises(DomainError) as scalar:
             ModelParams(xi=0.5, omega=omega, omega_p=omega_p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as array:
-                ModelParams(xi=0.5, omega=np.array([1.0, omega]), omega_p=omega_p)
+                ModelParams(xi=0.5, omega=numpy(omega), omega_p=omega_p)
         assert str(array.value) == str(scalar.value)
 
 

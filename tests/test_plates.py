@@ -58,14 +58,16 @@ class TestPlasmaFrequencyPlates:
         (1e300, 1e300, 1.0),  # m * A * d overflows
         (1e-300, 1.0, 1e200),  # e / sqrt(m A d) overflows
     ])
-    def test_array_geometry_that_overflows_raises_without_a_warning(self, d, area, charge):
-        # the array's arithmetic must not warn first, even where warnings are errors
+    @pytest.mark.parametrize("numpy", [lambda x: np.array([1.0, x]), np.float64],
+                             ids=["array", "float64"])
+    def test_numpy_geometry_that_overflows_raises_without_a_warning(self, d, area, charge, numpy):
+        # numpy's arithmetic must not warn first, even where warnings are errors
         with pytest.raises(DomainError) as scalar:
             plasma_frequency_plates(PlateGeometry(d=d, A=area), charge, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as array:
-                plasma_frequency_plates(PlateGeometry(d=np.array([1.0, d]), A=area), charge, 1.0)
+                plasma_frequency_plates(PlateGeometry(d=numpy(d), A=area), charge, 1.0)
         assert str(array.value) == str(scalar.value)
 
     @pytest.mark.parametrize("n_photons,message", [
