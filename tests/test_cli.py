@@ -1300,6 +1300,11 @@ class TestTabulate:
         assert xi == 0.5 and doubled.tolist() == np.repeat(grid * 2.0, 2).tolist()
         assert labels.values == ("a", "b") and labels.codes.tolist() == [1] * 2 * count
 
+    def test_a_strided_grid_stays_a_view_across_slices(self):
+        grid = np.arange(2 * (2 * _SLICE + 1), dtype=float)[::2]  # a view itself
+        [[omega, xi]] = tabulate([("xi", (0.5,)), ("omega", grid)], lambda xi, omega: [omega, xi])
+        assert np.shares_memory(omega, grid) and omega.tolist() == grid.tolist()
+
     def test_a_fault_past_the_first_slice_is_searched_within_its_slice(self, capsys):
         calls = []
 
@@ -1325,14 +1330,15 @@ class TestTabulate:
         lambda xi, omega: [Labels(np.zeros(len(omega), np.uint8), (float(omega[0]),))],
         lambda xi, omega: [np.repeat(omega, 1 if omega[0] == 0.0 else 2)],  # rows per point
         lambda xi, omega: [omega if omega[0] == 0.0 else omega.copy()],  # the grid, then a copy
+        lambda xi, omega: [omega if omega[0] == 0.0 else omega[::-1]],  # then another view
         lambda xi, omega: [omega.copy() if omega[0] == 0.0 else 1.0],  # an array, then a value
         lambda xi, omega: [omega, *([xi] if omega[0] == 0.0 else [])],  # a column fewer
     ])
     def test_a_slice_that_does_not_continue_the_block_is_an_error(self, columns):
-        grid = np.arange(_SLICE + 1, dtype=float)
+        grid = np.arange(_SLICE + 2, dtype=float)
         with pytest.raises(ValueError):
             tabulate([("xi", (0.5,)), ("omega", grid)], columns)
-        assert grid.tolist() == list(range(_SLICE + 1))  # the grid is left as it was
+        assert grid.tolist() == list(range(_SLICE + 2))  # the grid is left as it was
 
     def test_error_of_the_empty_grid_is_reported_without_a_point(self, capsys):
         # the spectrum kernel's order: a check of each frequency, then one
