@@ -472,6 +472,10 @@ class TestExitCodes:
         (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "1:1e100:9000:log"],
          "xi=0, omega=1.15909e+77",
          "wavenumber is not a finite float at y = 1.1590928727337197e+77"),
+        # index 15,412 of 20,000: past the first 8,192 points
+        (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "1:1e100:20000:log"],
+         "xi=0, omega=1.15839e+77",
+         "wavenumber is not a finite float at y = 1.1583857134352982e+77"),
         (["sweep", "reflectivity", "--xi", "0.5", "--omega", "1:1e120:9000:log"],
          "xi=0.5, omega=1.18913e+77",
          "permittivity is not a finite float at y = 1.189133409768998e+77"),
@@ -1422,6 +1426,17 @@ FORCE_SLICED = [
     "force", "--xi", "0,0.5", "--d", "0.5:4:70", "--omega", "0.1:3:90", "--charges", "2",
     "--n-photons", "1",
 ]
+# 7 separations x 2,500 omegas: 17,500 rows per xi, which cross 8,192 and
+# 16,384 in the middle of a separation.
+FORCE_TWO_SLICES = [
+    "force", "--xi", "0,0.5", "--d", "0.5:4:7", "--omega", "0.1:3:2500", "--charges", "2",
+    "--n-photons", "1",
+]
+# 16,500 frequencies at two levels: 33,000 rows per xi.
+SPECTRUM_TWO_SLICES = [
+    "spectrum", "--xi", "0.3,1", "--omega", "0.05:3:16500", *SPECTRUM_ONE[:4], "--n", "0,2",
+]
+WAVENUMBER_TWO_SLICES = ["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "0.01:3:20000"]
 DISPERSION_REPR_LAYOUTS = [
     "sweep", "dispersion", "--xi", "0,0.5", "--k",
     "1e-6,3.5e-5,0.25,0.5,2,1234567890123456.7,1e16,1.2345e17", "--format", "json",
@@ -1630,6 +1645,17 @@ GOLDEN_DIGESTS = [
      "a151440e64be07adb4f2cdbf35554287e12b2fd01c3c957b82a2527ab6417499"),
     (["force", "--xi", "0.3,1", "--d", "0.5:80:5000:log", "--at-minimum", "--charges", "2"],
      "69f3f990bb7b10990ce77e1bd207f04fc889e4de756bc83a5e9672a77902ae10"),
+    # Recorded while each block was evaluated in slices of 4,096 points and
+    # copied into one block per xi: blocks of 16,500 to 20,000 points.
+    (FORCE_TWO_SLICES, "e7206ef4d7d7a476efd48089daa20f932c262a077c06a389c59d9bd926e73e1c"),
+    ([*FORCE_TWO_SLICES, *FROZEN, "--format", "json"],
+     "c18e78ceb966c4f44255ef62dc441398e4e5a4309723b4250e8ea2d7984098ab"),
+    (SPECTRUM_TWO_SLICES, "351f0ce3c7ce793e4af614224733fc4895f8bb52213445562176bb749f165748"),
+    ([*SPECTRUM_TWO_SLICES, "--format", "json"],
+     "9481905fcc9107a2784ba4ad150f030ba414fb64e315f1a36c280f0395983bb0"),
+    (WAVENUMBER_TWO_SLICES, "a93318443bd7230f2eabd8225a46f880fcb1ed6050637a8ef0d96dc9e481e3b3"),
+    ([*WAVENUMBER_TWO_SLICES, "--format", "json"],
+     "1393f7f4f2f3fb53c836b69d84dfbdb48c6c95e5e2053cb405ab536527c50316"),
 ]
 
 
