@@ -33,9 +33,9 @@ a k grid at xi > 0, a negative, tiny, huge or nan value), a malformed grid,
 the wrong axis, or an extreme omega_p, mass, hbar, c or level.
 
 About one in ten of the `sweep`, `spectrum` and `force` tables instead has
-4,090 to 12,300 points per xi (for `force --omega`, separations times
-mode frequencies), so that its blocks are evaluated in more than one slice
-of 4,096 points; some of their grids are comma lists with a bad point past
+8,180 to 24,600 points per xi (for `force --omega`, separations times
+mode frequencies), so that it spans one to four table blocks, slices of
+8,192 points; some of their grids are comma lists with a bad point past
 the first slice.
 
 One in twenty argvs is `figures` (the shares above and below are of the
@@ -134,10 +134,10 @@ def _count(rng: random.Random, large: bool) -> int:
     return rng.choice([rng.randint(1, 60), rng.randint(1000, 1050), rng.randint(2040, 2100)])
 
 
-# Points of a table block evaluated at a time, and the grid sizes (points
-# per xi) of the tables whose blocks take more than one such slice.
-SLICE = 4096
-SLICED = (4090, 12300)
+# The most points of a table block (quasimode.params._SLICE), and the grid
+# sizes (points per xi) of the tables that span one to four blocks.
+SLICE = 8192
+SLICED = (SLICE - 12, 3 * SLICE + 24)
 
 
 def _sliced_count(rng: random.Random, share: int = 1) -> int:

@@ -87,20 +87,27 @@ _ARRAYS = (np.ndarray, Labels)
 _SHARED = np.zeros(1, dtype=np.uint8)
 
 
-def _cells(column: Any, encode: Callable) -> tuple[np.ndarray, Any]:
+def _cells(column: Any, encode: Callable, last: dict, kept: dict) -> tuple[np.ndarray, Any]:
     """The cells of a column: a float64 array and no texts; or codes, those
-    of Labels or _SHARED for a shared value, and encode(kind, values), the
-    texts of the values they index.  The type of every cell (float, int or
-    str) is checked on the values, never per row."""
+    of Labels or _SHARED for a shared value, and the texts of the values
+    they index.  The texts are keyed by the id of Labels' values tuple, or
+    of the shared value: those in last are reused, others are
+    encode(kind, values); either is put in kept.  The type of every cell
+    (float, int or str) is checked on the values, never per row."""
     if isinstance(column, np.ndarray):
         if column.dtype == float:
             return column, None
         raise TypeError(_TYPE_ERROR.format(column.dtype))
-    codes, values = (column.codes, column.values) if isinstance(column, Labels) else (_SHARED, (column,))
-    types = set(map(type, values))
-    if len(types) != 1 or not types.issubset(_LABEL_TYPES):
-        raise TypeError(_TYPE_ERROR.format(", ".join(sorted(kind.__name__ for kind in types))))
-    return codes, encode(types.pop(), values)
+    codes, key = (column.codes, column.values) if isinstance(column, Labels) else (_SHARED, column)
+    # last holds each of its keys, so an id found there is that key's.
+    if (entry := last.get(id(key))) is None:
+        values = (key,) if codes is _SHARED else key
+        types = set(map(type, values))
+        if len(types) != 1 or not types.issubset(_LABEL_TYPES):
+            raise TypeError(_TYPE_ERROR.format(", ".join(sorted(kind.__name__ for kind in types))))
+        entry = key, encode(types.pop(), values)
+    kept[id(key)] = entry
+    return codes, entry[1]
 
 
 def _chunks(
@@ -109,24 +116,25 @@ def _chunks(
     """The row count and the texts of each column of each chunk of the
     blocks: at most CHUNK_ROWS rows, all from one block.  The float64 arrays'
     texts are floats() of their slices.  A Labels column or shared value is
-    encoded once per block (by _cells), or not if the last block held it, and
-    a chunk's texts of it are those indexed by its codes (one for a shared)."""
-    last = {}  # the id of each Labels or shared value of the last block: it, its codes and texts
+    encoded once per block (by _cells), or not if the last block held Labels
+    over the same values tuple object, or the same value, and a chunk's texts
+    of it are those indexed by its codes (one for a shared)."""
+    last = {}  # the texts of the last block's Labels values and shared values, by their id
     for block in blocks:
         # A ValueError unless the block has arrays, all of one length.
         (count,) = {len(column) for column in block if isinstance(column, _ARRAYS)}
         if not count:  # an empty Labels has no type to check
             continue
-        # last holds each of its columns, so an id found there is that column's.
-        columns = [last.get(id(column)) or (column, *_cells(column, encode)) for column in block]
-        last = {id(entry[0]): entry for entry in columns if entry[2] is not None}
+        kept = {}
+        columns = [_cells(column, encode, last, kept) for column in block]
+        last = kept
         for start in range(0, count, CHUNK_ROWS):
             part = slice(start, min(start + CHUNK_ROWS, count))
-            float_texts = iter(floats([codes[part] for _, codes, texts in columns if texts is None]))
+            float_texts = iter(floats([codes[part] for codes, texts in columns if texts is None]))
             yield part.stop - start, [
                 next(float_texts) if texts is None else texts if codes is _SHARED
                 else texts[codes[part]]
-                for _, codes, texts in columns
+                for codes, texts in columns
             ]
 
 

@@ -113,8 +113,8 @@ def _any(mask: np.ndarray) -> bool:
 
 # Elements per slice of a libm map: the Python floats of one slice are all
 # that a map holds at a time, whatever the array's size.  Table blocks are
-# evaluated in slices of as many points (tables.tabulate), 4 output chunks.
-_SLICE = 4096
+# slices of at most as many points (tables.tabulate), 8 output chunks.
+_SLICE = 8192
 
 
 def _mapped(f, x: np.ndarray) -> np.ndarray:
@@ -151,6 +151,8 @@ def _power(x, y: float):
             return _mapped(lambda values: map(pow, values, powers), x)
         except OverflowError:
             return _mapped(lambda values: map(_power, values, powers), x)
+    if isinstance(x, np.floating):  # numpy's scalar power warns where Python's raises
+        x = float(x)
     try:
         return x**y
     except OverflowError:

@@ -1,5 +1,6 @@
 """Sweep and force tables as numpy columns (sweep_columns, force_columns):
-one block of the `output` table format per polarization xi."""
+blocks of the `output` table format, each of at most _SLICE points of one
+polarization xi."""
 
 from __future__ import annotations
 
@@ -323,65 +324,16 @@ def _first_fault(
     return lo, fault
 
 
-def _is_view(column: object, whole: np.ndarray | None, part: slice) -> bool:
-    """Whether column is the grid slice whole[part] itself: the same memory
-    with the same shape and strides, not a copy."""
-    return (whole is not None and isinstance(column, np.ndarray)
-            and column.__array_interface__ == whole[part].__array_interface__)
-
-
-def _whole(column: object, count: int, whole: np.ndarray | None):
-    """The column of a block of count points that begins as the column of
-    its first slice, of _SLICE points: the whole grid for the grid slice
-    itself, an empty array or Labels of as many rows per point, or the
-    value every row shares."""
-    if _is_view(column, whole, slice(0, _SLICE)):
-        return whole
-    if isinstance(column, Labels):
-        return Labels(_whole(column.codes, count, whole), column.values)
-    if isinstance(column, np.ndarray):
-        return np.empty(len(column) // _SLICE * count, column.dtype)
-    return column
-
-
-def _put(into: object, column: object, part: slice, count: int,
-         whole: np.ndarray | None) -> None:
-    """Write the column of the points of part, a slice of a block's count
-    points, into the block's column (_whole): the rows of an array or of
-    Labels' codes, as many per point in each slice.  The grid slice must
-    stay the grid, Labels keep their values and a shared value its value;
-    a slice that breaks this is a ValueError, not a table."""
-    if whole is not None and into is whole:
-        fits = _is_view(column, whole, part)
-    elif isinstance(into, Labels):
-        fits = isinstance(column, Labels) and column.values == into.values
-        if fits:
-            _put(into.codes, column.codes, part, count, whole)
-    elif isinstance(into, np.ndarray):
-        per = len(into) // count
-        fits = isinstance(column, np.ndarray) and len(column) == (part.stop - part.start) * per
-        if fits:
-            into[part.start * per:part.stop * per] = column
-    else:
-        fits = type(column) is type(into) and column == into
-    if not fits:
-        raise ValueError(f"a slice's column {column!r:.60} does not continue the block's")
-
-
 def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> list[list]:
     """The blocks of evaluate over the product of the named axes, the last
-    innermost: one block per value of the first axis.  The other axes' values
-    are float64 arrays (or sequences of floats).  evaluate takes the first
-    axis's value and, for each other axis, a float64 array of its value at
-    each of some consecutive rows of the block, and returns columns of these
-    rows (on empty arrays, empty columns or a fault of no row).
-
-    A block of at most _SLICE points is one call.  A larger one is evaluated
-    in slices of _SLICE points, so that only one slice's temporaries are
-    live at a time: the first slice's columns shape the block's (_whole),
-    and each slice's rows are written into them (_put).  A column that is
-    the grid slice itself (one inner axis) is a view of the whole grid; the
-    product of several inner axes is built per slice.
+    innermost: one block per slice of at most _SLICE consecutive points of
+    one value of the first axis, in row order, so that only one slice's
+    temporaries are live at a time.  The other axes' values are float64
+    arrays (or sequences of floats).  evaluate takes the first axis's value
+    and, for each other axis, a float64 array of its value at each point of
+    a slice, and returns the columns of the slice's rows (on empty arrays,
+    empty columns or a fault of no row).  With one inner axis, its array is
+    a view of the grid; the product of several is built per slice.
 
     Every block is evaluated and checked before any is returned, so a
     DomainError is raised before any output; unless the empty arrays raise
@@ -392,11 +344,10 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
     shape = tuple(len(values) for _, values in inner)
     count = math.prod(shape)
     arrays = [np.asarray(values, dtype=float) for _, values in inner]
-    whole = arrays[0] if len(arrays) == 1 else None
 
     def grids(part: slice) -> list[np.ndarray]:
-        if whole is not None:
-            return [whole[part]]
+        if len(arrays) == 1:
+            return [arrays[0][part]]
         at = np.unravel_index(np.arange(part.start, part.stop), shape)
         return [array[i] for array, i in zip(arrays, at)]
 
@@ -405,11 +356,10 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
         def rows(part: slice) -> list:
             return _checked_columns(evaluate, value, grids(part))
 
-        block = None
         for start in range(0, count, _SLICE):
             part = slice(start, min(start + _SLICE, count))
             try:
-                columns = rows(part)
+                blocks.append(rows(part))
             except DomainError as exc:
                 rows(slice(0, 0))  # raises a fault of no row
                 i, exc = _first_fault(rows, part, exc)
@@ -418,19 +368,12 @@ def tabulate(axes: list[tuple[str, tuple]], evaluate: Callable[..., list]) -> li
                 where = ", ".join(f"{axis}={v:g}" for (axis, _), v in zip(axes, point))
                 print(f"domain error at {where}: {exc}", file=sys.stderr)
                 raise exc from None
-            if count <= _SLICE:
-                block = columns
-                continue
-            if block is None:
-                block = [_whole(column, count, whole) for column in columns]
-            for into, column in zip(block, columns, strict=True):
-                _put(into, column, part, count, whole)
-        blocks.append(block)
     return blocks
 
 
 def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
-    """The header and the blocks of a validated sweep, one block per xi."""
+    """The header and the blocks of a validated sweep, one per slice of the
+    grid at each xi (tabulate)."""
     entry = TABLE[spec.quantity]
     header = entry.columns
     if spec.units == "atomic":
@@ -442,18 +385,18 @@ def sweep_columns(spec: SweepSpec) -> tuple[list[str], list[list]]:
 def force_columns(
     spec: SweepSpec, omega: np.ndarray | None, ref_d: float | None
 ) -> tuple[list[str], list[list]]:
-    """The header and the blocks, one per xi, of the `force` table of a
-    validated spec: the force at each separation d of spec.grid over omega,
-    or at the energy minimum if omega is None.  omega_p is recomputed at
-    each d, or frozen at that of separation ref_d unless ref_d is None.
-    Every separation's plates are checked first, and a fault of them is
-    the error of the first failing separation alone (_first_fault), naming
-    no d."""
+    """The header and the blocks, one per slice at each xi (tabulate), of the
+    `force` table of a validated spec: the force at each separation d of
+    spec.grid over omega, or at the energy minimum if omega is None.
+    omega_p is recomputed at each d, or frozen at that of separation ref_d
+    unless ref_d is None.  Every separation's plates are checked first, and
+    a fault of them is the error of the first failing separation alone
+    (_first_fault), naming no d."""
     frozen_wp = None if ref_d is None else _plates(spec, ref_d)[1]
     # The plates are checked before tabulate: --at-minimum sweeps d, so its
     # empty grid builds no plates, and a bad plate input would name a d.
-    # The omega_p column comes from this evaluation; the force kernels
-    # recompute it unless it is frozen.
+    # The omega_p column of --omega comes from this evaluation; the force
+    # kernels recompute it unless it is frozen.
     grid = np.asarray(spec.grid, dtype=float)
     with np.errstate(all="ignore"):
         try:
@@ -463,30 +406,33 @@ def force_columns(
                 lambda part: _plates(spec, grid[part]), slice(0, len(grid)), exc
             )
             raise exc from None
-    wp = wp if frozen_wp is None else frozen_wp
     e, m, hbar = spec.charge, spec.mass, spec.hbar
-
-    def at_omega(xi: float, d: np.ndarray, omega: np.ndarray) -> list:
-        return [force_general(omega, _geometry(spec, d), e, m, xi, hbar, omega_p=frozen_wp)]
+    header = ["xi", "omega", "d", "area", "n_charges", "n_photons", "scaling", "omega_p", "force"]
+    fixed = [spec.area, spec.n_charges, spec.n_photons, "recompute" if ref_d is None else "frozen"]
 
     def at_minimum(xi: float, d: np.ndarray) -> list:
         if not d.size:  # a fault of the force at a separation names it
             return [d]
-        return [force_at_minimum(_geometry(spec, d), e, m, xi, hbar, omega_p=frozen_wp)]
-
-    header = ["xi", "omega", "d", "area", "n_charges", "n_photons", "scaling", "omega_p", "force"]
-    fixed = [spec.area, spec.n_charges, spec.n_photons, "recompute" if ref_d is None else "frozen"]
-    if omega is None:
-        forces = tabulate([("xi", spec.xi_list), ("d", grid)], at_minimum)
+        geom, omega_p = _plates(spec, d) if frozen_wp is None else (_geometry(spec, d), frozen_wp)
+        force = force_at_minimum(geom, e, m, xi, hbar, omega_p=frozen_wp)
         # k_star <= 1/sqrt(2), so omega is finite where omega_p is
-        return header, [
-            [xi, wp * critical_points(xi).k_star, grid, *fixed, wp, force]
-            for xi, [force] in zip(spec.xi_list, forces)
-        ]
-    # d and omega_p are Labels of a value per separation, repeated over omega.
-    forces = tabulate([("xi", spec.xi_list), ("d", grid), ("omega", omega)], at_omega)
+        return [xi, omega_p * critical_points(xi).k_star, d, *fixed, omega_p, force]
+
+    def at_omega(xi: float, d: np.ndarray, omega: np.ndarray) -> list:
+        return [xi, omega, force_general(omega, _geometry(spec, d), e, m, xi, hbar,
+                                         omega_p=frozen_wp)]
+
+    if omega is None:
+        return header, tabulate([("xi", spec.xi_list), ("d", grid)], at_minimum)
+    # d and omega_p are Labels of a value per separation, repeated over
+    # omega: built once, and sliced by each block's first row within its xi.
     count = len(grid)
     codes = np.repeat(np.arange(count, dtype=np.min_scalar_type(count - 1)), len(omega))
+    wp = wp if frozen_wp is None else frozen_wp
     d, wp = (Labels(codes, tuple(np.broadcast_to(v, grid.shape).tolist())) for v in (grid, wp))
-    omega = np.tile(np.asarray(omega, dtype=float), count)
-    return header, [[xi, omega, d, *fixed, wp, force] for xi, [force] in zip(spec.xi_list, forces)]
+    blocks, start = [], 0
+    for xi, w, force in tabulate([("xi", spec.xi_list), ("d", grid), ("omega", omega)], at_omega):
+        rows = slice(start, start + len(force))
+        blocks.append([xi, w, d[rows], *fixed, wp[rows], force])
+        start = rows.stop % len(codes)  # the next xi's rows start at 0
+    return header, blocks

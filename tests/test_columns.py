@@ -517,31 +517,40 @@ def test_force_at_one_omega_over_many_separations_takes_two_chunks_per_xi(chunks
     assert rows == [CHUNK_ROWS, 1500 - CHUNK_ROWS] * 3
 
 
-def test_every_table_is_one_block_per_polarization(tmp_path, monkeypatch):
-    """Every sweep quantity, both force tables and the six figure tables
-    hold one block per xi, in order, xi a value its rows share."""
-    xi_list, grid = figures.FIGURE_XI, np.array([0.5, 1.0, 2.0])
+def test_every_table_is_blocks_of_at_most_a_slice_of_one_polarization(tmp_path, monkeypatch):
+    """Every sweep quantity and both force tables of _SLICE + 1 points per xi
+    hold two blocks per xi, of _SLICE points and of one, and the six figure
+    tables one block per xi: in xi order, xi a value each block's rows share."""
+    xi_list, grid = figures.FIGURE_XI, np.linspace(0.5, 2.0, _SLICE + 1)
     tables = []
     for quantity in QUANTITIES:
         units = "atomic" if quantity in ATOMIC_ONLY else "reduced"
         spec = SweepSpec(quantity, xi_list, grid, units=units)
         spec.validate()
         tables.append(sweep_columns(spec))
-    plates = plate_spec(grid, {}, xi_list)
-    tables += [force_columns(plates, (1.0, 2.0), None), force_columns(plates, None, None)]
+    # 3 separations x 2,731 omegas, and _SLICE + 1 separations
+    omega = grid[:(_SLICE + 1) // 3]
+    tables += [force_columns(plate_spec(grid[:3], {}, xi_list), omega, None),
+               force_columns(plate_spec(grid, {}, xi_list), None, None)]
+    for header, blocks in tables:
+        assert [block[header.index("xi")] for block in blocks] == [
+            xi for xi in xi_list for _ in range(2)
+        ], header
+        rows = [len(block[-1]) for block in blocks]
+        assert rows[::2] == [_SLICE * count for count in rows[1::2]], header
     rendered = []
     monkeypatch.setattr(figures, "render_csv", lambda *table: rendered.append(table) or b"")
     assert len(figures.emit_figure_datasets(tmp_path)) == len(rendered) == 6
-    for header, blocks in tables + rendered:
+    for header, blocks in rendered:
         assert [block[header.index("xi")] for block in blocks] == list(xi_list), header
 
 
-# Blocks of a point less than a slice, a slice, a point more and two slices
-# and a point: tabulate evaluates the last two slice by slice.
+# Grids of a point less than a slice, a slice, a point more and two slices
+# and a point: tabulate gives the last two as two and three blocks.
 SLICE_SIZES = [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1]
 # separations x mode frequencies of force --omega tables of those sizes
-SLICE_PRODUCTS = {_SLICE - 1: (45, 91), _SLICE: (64, 64), _SLICE + 1: (17, 241),
-                  2 * _SLICE + 1: (3, 2731)}
+SLICE_PRODUCTS = {_SLICE - 1: (8191, 1), _SLICE: (64, 128), _SLICE + 1: (3, 2731),
+                  2 * _SLICE + 1: (5, 3277)}
 SLICE_XI, SLICE_D, SLICE_OMEGA_P = 0.5, 1.5, 0.8
 SLICE_MOMENTUM = Momentum(0.2, -0.1, 0.05)
 SLICE_PLATES = {"area": 2.0, "charge": 1.3, "mass": 0.7, "hbar": 1.1, "n_charges": 2,
@@ -615,9 +624,9 @@ def reference_sweep_rows(quantity, v):
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_sweep_blocks_across_slices_match_the_reference_point_by_point(quantity, size):
     grid = slice_grid("k" if quantity in ("dispersion", "velocity") else "omega", size)
-    header, [block] = sweep_columns(slice_spec(quantity, grid))
+    header, blocks = sweep_columns(slice_spec(quantity, grid))
     expected = [row for v in grid.tolist() for row in reference_sweep_rows(quantity, v)]
-    assert rows_of(block) == expected
+    assert [row for block in blocks for row in rows_of(block)] == expected
 
 
 @pytest.mark.parametrize("size", SLICE_SIZES)
@@ -631,8 +640,9 @@ def test_force_blocks_across_slices_match_the_reference_point_by_point(at_minimu
         d, omega = np.linspace(0.5, 80.0, size), None
     else:
         count_d, count_omega = SLICE_PRODUCTS[size]
+        assert count_d * count_omega == size
         d, omega = np.linspace(0.5, 4.0, count_d), slice_grid("omega", count_omega)
-    header, [block] = force_columns(plate_spec(d, plates, (xi,)), omega, None)
+    header, blocks = force_columns(plate_spec(d, plates, (xi,)), omega, None)
     expected = []
     for separation in d.tolist():
         wp = reference_plasma_frequency(separation, area, n, e, m)
@@ -644,18 +654,18 @@ def test_force_blocks_across_slices_match_the_reference_point_by_point(at_minimu
         for w in omega.tolist():
             force = reference_force(w, separation, wp, xi, photons, hbar)
             expected.append(hex_row(xi, w, separation, *shared, wp, force))
-    assert rows_of(block) == expected
+    assert [row for block in blocks for row in rows_of(block)] == expected
 
 
 @pytest.mark.parametrize("quantity", ["dispersion", "velocity", "spectrum", "force"])
 def test_grid_columns_across_slices_are_views_of_the_grid(quantity):
-    """The grid column of a block of several slices is the grid, not a copy
-    filled slice by slice."""
+    """The grid column of each block of a grid of three slices is a view of
+    the grid, not a copy."""
     axis = "k" if quantity in ("dispersion", "velocity") else "omega"
     grid = slice_grid(axis, 2 * _SLICE + 1)
-    header, [block] = sweep_columns(slice_spec(quantity, grid, n=(1,)))
-    column = block[0]
-    assert np.shares_memory(column, grid) and column.tolist() == grid.tolist()
+    header, blocks = sweep_columns(slice_spec(quantity, grid, n=(1,)))
+    assert len(blocks) == 3 and all(np.shares_memory(block[0], grid) for block in blocks)
+    assert np.concatenate([block[0] for block in blocks]).tolist() == grid.tolist()
 
 
 def outcome(f, *args):

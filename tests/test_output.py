@@ -401,24 +401,34 @@ def test_float_labels_are_format_in_csv_and_repr_in_json(drawn, count, seed):
 def test_labels_values_are_encoded_once_per_block(chunks, encoder, monkeypatch):
     """Each Labels column's values, and each shared value, are encoded once
     per block, however many chunks the block takes, and not again in the
-    next block if it holds the same object."""
+    next block if it holds Labels over the same values tuple object, or the
+    same value.  Labels over an equal tuple that is another object are
+    encoded again: the rule is identity, never equality."""
     calls = []
     encode = getattr(quasimode.output, encoder)
     monkeypatch.setattr(quasimode.output, encoder,
                         lambda kind, values: calls.append(values) or encode(kind, values))
     count = 3 * CHUNK_ROWS + 100  # every chunk's float cells pass the CSV kernel's break-even
     floats = labels([0.5, 1.5, 2.5] * count)[:count]
-    blocks = [[np.arange(count, dtype=float), labels(["plus", "minus"] * count)[:count], floats,
-               7, -0.0 if i else 0.0] for i in range(2)]
-    header = ["a", "b", "c", "d", "e"]
+    zeros = np.zeros(count, np.uint8)
+    # Each block's Labels are new objects: the floats' over the same values
+    # tuple, the last two over a new tuple each, equal to the other block's.
+    blocks = [[np.arange(count, dtype=float), labels(["plus", "minus"] * count)[:count],
+               Labels(floats.codes[::-1 if i else 1].copy(), floats.values), 7,
+               -0.0 if i else 0.0, Labels(zeros, (-0.0 if i else 0.0,)),
+               Labels(zeros, (1.0 if i else 1,))] for i in range(2)]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
     text = b"".join(chunks(header, blocks))
-    # the second block's str Labels and -0.0 are new objects, its floats and 7 are not
-    assert calls == [("plus", "minus"), (0.5, 1.5, 2.5), (7,), (0.0,), ("plus", "minus"), (-0.0,)]
-    assert [math.copysign(1.0, cell[0]) for cell in calls[3::2]] == [1.0, -1.0]
+    # the second block's str Labels, -0.0 and the last two Labels' values
+    # are new objects, its floats' values and 7 are not
+    assert list(map(repr, calls)) == [
+        "('plus', 'minus')", "(0.5, 1.5, 2.5)", "(7,)", "(0.0,)", "(0.0,)", "(1,)",
+        "('plus', 'minus')", "(-0.0,)", "(-0.0,)", "(1.0,)",
+    ]
     rows = rows_of(blocks)
     if chunks is csv_chunks:
-        assert text.decode() == "a,b,c,d,e\n" + "".join(",".join(map(csv_cell, row)) + "\n"
-                                                       for row in rows)
+        lines = "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
+        assert text.decode() == ",".join(header) + "\n" + lines
     else:
         doc = {"schema_version": 1, "columns": header, "rows": rows}
         assert text == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()

@@ -70,6 +70,21 @@ class TestPlasmaFrequencyPlates:
                 plasma_frequency_plates(PlateGeometry(d=numpy(d), A=area), charge, 1.0)
         assert str(array.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("force,message", [
+        (lambda x: force_general(x(1e-200), PlateGeometry(d=1.0, A=1.0), 1.0, 1.0, 0.5),
+         "(omega_p/omega)^2 is not a positive finite float at omega = 1e-200"),
+        (lambda x: force_minimum_bohr_form(PlateGeometry(d=x(1e300), A=1.0), 1.0, 1.0, 0.5),
+         "d^(3/2) is not a positive finite float at d = 1e+300"),
+    ])
+    def test_float64_power_that_overflows_raises_without_a_warning(self, force, message):
+        # numpy's scalar power warns where Python's raises OverflowError
+        for x in (float, np.float64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as exc:
+                    force(x)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("n_photons,message", [
         (-1, "photon number must be nonnegative, got -1"),
         (10**400, "n_photons is too large for a float"),
