@@ -29,7 +29,8 @@ The few cells a kernel cannot decide with certainty are formatted by
 `"{:.16e}".format` or `float.__repr__` itself, as are chunks with too few
 array cells to pay for the kernel, and the float values of Labels.  Labels
 and shared values are type-checked and encoded once per block (or run of
-blocks holding the same object); a chunk indexes those texts by its codes.
+blocks holding Labels over the same values tuple object, or the same shared
+value object); a chunk indexes those texts by its codes.
 
 A CSV chunk is built as one byte matrix, a row per table row: each column
 is a field of fixed width, padded with a byte UTF-8 never produces, and the

@@ -467,8 +467,8 @@ class TestExitCodes:
          "(omega_p/omega)^2 is not a positive finite float at omega = 1e-160"),
         (["sweep", "force", "--xi", "0.5", "--omega", "1,2,1e160"],
          "xi=0.5, omega=1e+160", "(omega/omega_p)^2 overflows at omega = 1e+160"),
-        # blocks of more than 4,096 points whose first failing point lies past
-        # the first 4,096: index 6,935 of the first block, the second block valid
+        # grids of 9,000 points per xi whose first failing point lies past
+        # 4,096: index 6,935 of the first xi's, the second xi's valid
         (["sweep", "wavenumber", "--xi", "0,0.5", "--omega", "1:1e100:9000:log"],
          "xi=0, omega=1.15909e+77",
          "wavenumber is not a finite float at y = 1.1590928727337197e+77"),
