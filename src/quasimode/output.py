@@ -17,8 +17,10 @@ a time whatever the row count.  `render_csv` and `render_json_table` join
 the same chunks.
 
 The cells of float64 arrays are formatted by two array kernels that share
-one front end (`_decimal`): the 17 significant digits of |x| rounded once
-in a long double.  A chunk's arrays are formatted in one kernel call.
+one front end (`_decimal`): the 17 significant digits of |x|, from Dekker's
+error-free product of |x| and 10^(16 - p) in float64 alone, with an error
+below 2^-48 in units of the 17th digit.  A chunk's arrays are formatted in
+one kernel call.
 - CSV (`_float_field`): the 17 digits are those of `"{:.16e}".format`.
 - JSON (`_repr_cells`): `float.__repr__` prints the shortest digits that
   read back as x, the nearest to x of those.  At most three interval tests
@@ -35,12 +37,14 @@ value object); a chunk indexes those texts by its codes.
 A CSV chunk is built as one byte matrix, a row per table row: each column
 is a field of fixed width, padded with a byte UTF-8 never produces, and the
 chunk is the matrix with the padding removed.  A JSON chunk joins the bytes
-of its cells.  Each writer keeps its own assembly, because either one on
-the other's was slower on a 2-core x86-64 host: JSON rows laid out in the
-CSV byte matrix took the 100k-row spectrum JSON sweep from 238 to 325 ms
-(a 1-row block of five float columns from 78 to 220 us), and CSV cells
-built from the JSON layout tables made `_float_field` 1.9 times as slow per
-cell (the 400k-row wavenumber CSV sweep from 350 to 439 ms).
+of its cells, each run of adjacent shared values (or every cell of a
+one-row chunk) joined once per chunk.  Each writer keeps its own assembly,
+because either one on the other's was slower on a 2-core x86-64 host: JSON
+rows laid out in the CSV byte matrix took the 100k-row spectrum JSON sweep
+from 238 to 325 ms (a 1-row block of five float columns from 78 to 220 us),
+and CSV cells built from the JSON layout tables made `_float_field` 1.9
+times as slow per cell (the 400k-row wavenumber CSV sweep from 350 to 439
+ms).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -155,50 +159,97 @@ _PAD = 0xFF
 # float 1e-11 is below 10^-11) and, for the cells the kernels keep, in
 # [-11, 16].  The 17 significant digits of "{:.16e}" are D = the integer
 # nearest to Y = |x| 10^s with s = 16 - p in [0, 27], Y in [10^16, 10^17).
-# - 10^s = 2^s 5^s, and 5^s <= 5^27 < 2^63, so every 10^s is exact in a long
-#   double with a 64-bit significand (nmant >= 63), as is every float64.
-# - y = |x| * 10^s is then the only rounded operation.  Rounding is
-#   monotonic and 10^16 and 10^17 are representable, so y < 10^16 exactly
-#   when Y < 10^16, and y >= 10^17 only when Y >= 10^17 - 2^-8.  Since
-#   y <= 10^17 < 2^57, an ulp of y is at most 2^(56 - 63) and |y - Y| <= 2^-8.
-# - D = rint(y), and r = y - D is exact: a multiple of y's ulp, at least
-#   2^(53 - 63) as y >= 10^16 > 2^53, and at most 1/2 in size, so a float64
-#   holds it too.  D +- 1/2 are representable and rounding is monotonic, so
-#   y < D + 1/2 implies Y < D + 1/2, and y > D - 1/2 implies Y > D - 1/2:
-#   where |r| != 1/2, D is the integer nearest to Y; the cells with
-#   r = +-1/2 take the exact path.  Where y rounded up to 10^17 from below,
-#   D = 10^17 is printed as 10^16 at p + 1, which is Y's rounding too.
-# p comes from np.log10, off by at most one near a power of ten; one step
-# of y against [10^16, 10^17) corrects it.  A digit count D outside
-# [10^16, 10^17] takes the exact path, as do 0 < |x| < 1e-11 (subnormals
-# included), |x| >= 1e17, NaN and the infinities.  Zero is exact: D = 0, p = 0.
-_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
-_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+# - 10^s = H + L exactly, H the float64 nearest to 10^s and L a float64:
+#   10^s = 2^s 5^s and 5^s <= 5^27 < 2^63, so the rest L has at most 10
+#   bits.  L = 0 for s <= 22, and |L| <= 2^-53 H.
+# - Veltkamp's split cuts |x| and H into halves of at most 26 bits, whose
+#   products are exact, so Dekker's product gives |x| H = P + e0 exactly,
+#   with P = fl(|x| H) (T. J. Dekker, Numer. Math. 18, 1971).  P >= 2^53
+#   where Y >= 10^16 - 32, so P is an integer there.
+# - e = fl(e0 + fl(|x| L)): only this product and sum round.  For Y < 2^57,
+#   |x L| < 11.2 and |e0| <= 8 (half an ulp of P), so |e| < 32 and the two
+#   roundings leave |P + e - Y| <= 2^-50 + 2^-49 < 2^-48.
+# - D = P + rint(e) in int64, and r = e - rint(e) is exact, |r| <= 1/2.
+#   Where |r| < 1/2 - _MARGIN, rint(e) is also the integer nearest to
+#   Y - P, so D is that nearest to Y; other cells take the exact path (for
+#   s <= 22, e = e0 and r = Y - D are exact, and only r = +-1/2 is a tie).
+# p comes from np.log10, off by at most one near a power of ten.  Where Y
+# lies outside [10^16, 10^17), P lies below 10^16 + 32 or above 10^17 - 32,
+# and there the sign of Y - 10^16 is that of (P - 10^16) + e: the
+# difference is exact where it is small (Sterbenz), and Y is 10^16 itself
+# or at least 5^-11 from it, as both are multiples of 5^min(s, 16)
+# 2^min(k + s, 16) for |x| = m 2^k, 2^52 <= m < 2^53; so for 10^17.  Such
+# a cell steps p by one and is computed again; one step suffices, and a
+# cell still outside takes the exact path.  Where Y rounds up to 10^17,
+# D = 10^17 is printed as 10^16 at p + 1, which is Y's rounding too.
+# 0 < |x| < 1e-11 (subnormals included), |x| >= 1e17, NaN and the
+# infinities take the exact path.  Zero is exact: D = 0, p = 0.
+_MARGIN = 2.0 ** -30
 _FLOAT_WIDTH = 24  # the longest text, "-1.0000000000000000e-308", in 6 words
+_SPLITTER = 2.0 ** 27 + 1  # Veltkamp's constant for float64
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into a high and a low half of at most 26 bits
+    each, whose sum is a."""
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+def _powers_of_ten() -> np.ndarray:
+    """H, L and H's two halves, a row each, at s for 10^s = H + L, s in
+    [0, 27]."""
+    h = np.array([float(10 ** s) for s in range(28)])
+    low = np.array([float(10 ** s - int(power)) for s, power in enumerate(h.tolist())])
+    return np.stack([h, low, *_halves(h)])
+
+
+_POWERS_OF_TEN = _powers_of_ten()
+
+
+def _product(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and e of a 10^s (see the note above), for a in [1e-11, 1e17) and s
+    in [0, 27]."""
+    h, low, h_high, h_low = _POWERS_OF_TEN.take(s, axis=1)
+    a_high, a_low = _halves(a)
+    big = a * h
+    e = a_low * h_low - (((big - a_high * h_high) - a_low * h_high) - a_high * h_low)
+    e += a * low
+    return big, e
+
+
+def _misplaced(big: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 where Y = P + e >= 10^17, -1 where Y < 10^16, else 0."""
+    below = -e
+    return (big - 1e17 >= below).astype(np.int64) - (big - 1e16 < below)
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The kernels' front end for the float64 array x (see the note above):
-    |x|, the cells kept, p, D as int64 and r = y - D as float64.  D and p are
-    0 where a cell is not kept."""
+    |x|, the cells kept, p, D as int64 and r = Y - D as float64.  Where a
+    cell is not kept, p is in [-11, 16] and D and r are of no use."""
     ax = np.abs(x)
-    kept = (ax >= 1e-11) & (ax < 1e17) if _EXACT_LONG_DOUBLE else np.zeros(len(x), bool)
-    safe = np.where(kept, ax, 1.0)
-    wide = safe.astype(np.longdouble)
-    p = np.floor(np.log10(safe)).astype(np.int64)
+    kept = (ax >= 1e-11) & (ax < 1e17)
+    a = np.where(kept, ax, 2.0)  # a placeholder whose Y = 2 10^16 needs no edge pass
+    p = np.floor(np.log10(a)).astype(np.int64)
     np.minimum(np.maximum(p, -11, out=p), 16, out=p)
-    y = wide * _POW10[16 - p]
-    p += y >= 1e17
-    p -= y < 1e16
-    kept &= p >= -11
-    np.maximum(p, -11, out=p)
-    y = wide * _POW10[16 - p]
-    digits = np.rint(y)
-    d = digits.astype(np.int64)
-    kept &= (d >= 10 ** 16) & (d <= 10 ** 17)
-    d *= kept
-    p *= kept
-    return ax, kept, p, d, (y - digits).astype(float)
+    big, e = _product(a, 16 - p)
+    edge = np.flatnonzero((big < 1e16 + 32) | (big > 1e17 - 32))
+    if len(edge):
+        step = _misplaced(big[edge], e[edge])
+        moved = edge[step != 0]
+        p[moved] += step[step != 0]
+        kept[moved] &= (p[moved] >= -11) & (p[moved] <= 16)
+        p[moved] = np.clip(p[moved], -11, 16)
+        big[moved], e[moved] = _product(a[moved], 16 - p[moved])
+        kept[moved] &= _misplaced(big[moved], e[moved]) == 0
+    n = np.rint(e)
+    d = big.astype(np.int64)
+    d += n.astype(np.int64)
+    e -= n
+    kept &= np.abs(e) < 0.5 - _MARGIN
+    return ax, kept, p, d, e
 
 
 # The CSV text of a float cell is written as six 4-byte words, each looked
@@ -245,8 +296,9 @@ _EXPONENT_WORDS = _words(_EXPONENT_TEXT)
 def _float_field(x: np.ndarray) -> np.ndarray:
     """The text of "{:.16e}".format of each element of the float64 array x,
     as a field of width _FLOAT_WIDTH (see the exactness note above)."""
-    ax, kept, p, digits, r = _decimal(x)
-    kept &= np.abs(r) != 0.5
+    ax, kept, p, digits, _ = _decimal(x)
+    digits *= kept  # zero is printed as D = 0, p = 0
+    p *= kept
     carry = digits == 10 ** 17
     digits -= carry * (9 * 10 ** 16)
     p += carry
@@ -255,12 +307,12 @@ def _float_field(x: np.ndarray) -> np.ndarray:
     high = rest // 10 ** 8
     low = rest - high * 10 ** 8
     words = np.empty((len(x), _FLOAT_WIDTH // 4), dtype=np.uint32)
-    words[:, 0] = _LEAD_WORDS[10 * np.signbit(x) + lead]
-    words[:, 1] = _DIGIT_WORDS[high // 10000]
-    words[:, 2] = _DIGIT_WORDS[high % 10000]
-    words[:, 3] = _DIGIT_WORDS[low // 10000]
-    words[:, 4] = _DIGIT_WORDS[low % 10000]
-    words[:, 5] = _EXPONENT_WORDS[p + 11]
+    words[:, 0] = _LEAD_WORDS.take(10 * np.signbit(x) + lead)
+    for column, group in [(1, high), (3, low)]:
+        quad = group // 10000
+        words[:, column] = _DIGIT_WORDS.take(quad)
+        words[:, column + 1] = _DIGIT_WORDS.take(group - quad * 10000)
+    words[:, 5] = _EXPONENT_WORDS.take(p + 11)
     field = words.view(np.uint8)
     exact = np.flatnonzero(~kept & (ax != 0.0))
     if len(exact):
@@ -274,7 +326,7 @@ def _float_field(x: np.ndarray) -> np.ndarray:
 
 # Why the JSON kernel gives the digits of float.__repr__.  repr prints the
 # shortest digits that read back as x and, of those, the nearest to x
-# (Steele & White, PLDI 1990; Adams, "Ryu", PLDI 2018).  Take p, y, D and r
+# (Steele & White, PLDI 1990; Adams, "Ryu", PLDI 2018).  Take p, D and r
 # from the front end and count in units of 10^(p - 16), the 17th digit.
 # The reals that read back as |x| form the interval Y +- h, with
 # h = spacing(x) 10^(16 - p) / 2, its ends included when x's significand
@@ -291,14 +343,15 @@ def _float_field(x: np.ndarray) -> np.ndarray:
 #   multiples of 10 in the interval.  If the nearest one, M10, is outside,
 #   so are the others; if inside, it is the nearest to x.
 # - Else D, within 1/2 < h of Y: 17 digits.
-# The tests use y for Y, |y - Y| <= 2^-8, and h is computed to a relative
-# 2^-52, so a test is certain unless its distance lies within 2^-7 of h:
-# such cells take the exact path, and so the open or closed ends do not
-# matter.  The multiples of 10 and 100 nearest to y are Y's, as M10 +- 5 and
-# M100 +- 50 are exact and rounding is monotonic, unless y is halfway
-# between two: a cell with |y - M10| = 5 takes the exact path, and one with
-# |y - M100| = 50 has no multiple of 100 in its interval.
-_MARGIN = 2.0 ** -7
+# The tests take t = q + r for Y less the multiple of 100 at or below D
+# (q = D mod 100): r lies within 2^-48 of Y - D and the sum rounds by at
+# most 2^-47, and h is computed to a relative 2^-52, so a test is certain
+# unless its distance lies within _MARGIN of h: such cells take the exact
+# path, and so the open or closed ends do not matter.  The multiples of 10
+# and 100 nearest to t are Y's unless Y is within 2^-44 of halfway between
+# two: a cell whose distance to M10 is within _MARGIN of 5 takes the exact
+# path, and one halfway between multiples of 100 has neither in its
+# interval.
 # At p + 11: 2^-53 10^(16 - p), so h = 2^e _HALF_ULP[p + 11] for
 # 2^e <= |x| < 2^(e + 1).
 _HALF_ULP = np.array([2.0 ** -53 * 10.0 ** s for s in range(27, -1, -1)])
@@ -375,16 +428,16 @@ def _repr_exact(cells: list[float]) -> list[bytes]:
 def _json_floats(values: list[np.ndarray]) -> list[list[bytes]]:
     """The JSON text of the cells of each float64 array of values: from one
     kernel call, or, below the break-even, from float.__repr__."""
-    if sum(map(len, values)) >= _REPR_KERNEL_MIN:
-        return _split(_repr_cells(np.concatenate(values)), values)
-    return [_repr_exact(cells.tolist()) for cells in values]
+    cells = np.concatenate(values) if values else np.empty(0)
+    exact = len(cells) < _REPR_KERNEL_MIN
+    return _split(_repr_exact(cells.tolist()) if exact else _repr_cells(cells), values)
 
 
 def _repr_cells(x: np.ndarray) -> list[bytes]:
     """The JSON text of each element of the float64 array x, the text of
     float.__repr__ (see the notes above).  The kernel runs in two stages,
     so that each stage's temporaries are freed before the next."""
-    if not _EXACT_LONG_DOUBLE or sys.byteorder != "little":
+    if sys.byteorder != "little":
         return _repr_exact(x.tolist())
     p, digits, exact = _shortest_digits(x)
     field = _repr_field(x, p, digits)
@@ -400,15 +453,17 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     are 0, as they are for zero)."""
     ax, kept, p, d, r = _decimal(x)
     q = d - d // 100 * 100
-    t = q + r  # y less the multiple of 100 at or below D, in [-1/2, 100)
+    t = q + r  # Y less the multiple of 100 at or below D, in [-1/2, 100)
     m100, m10 = (t > 50) * 100.0, np.rint(t * 0.1) * 10
     to100, to10 = np.abs(t - m100), np.abs(t - m10)
-    binade = (np.where(kept, ax, 1.0).view(np.uint64) & _EXPONENT_BITS).view(float)
-    h = binade * _HALF_ULP[p + 11]
+    # 2^e for 2^e <= |x| < 2^(e + 1): 0 for zero and subnormals, inf where
+    # x is not finite
+    binade = (ax.view(np.uint64) & _EXPONENT_BITS).view(float)
+    h = binade * _HALF_ULP.take(p + 11)
     inside, outside = h - _MARGIN, h + _MARGIN
     in100, in10 = to100 < inside, to10 < inside
     kept &= (in100 | (to100 > outside)) & (in10 | (to10 > outside))
-    kept &= (to10 != 5) & (np.abs(r) != 0.5) & (binade != ax)
+    kept &= (to10 < 5 - _MARGIN) & (binade != ax)
     digits = np.where(in100, m100, np.where(in10, m10, q)).astype(np.int64)
     digits += d - q
     carry = digits == 10 ** 17
@@ -427,13 +482,15 @@ def _repr_field(x: np.ndarray, p: np.ndarray, digits: np.ndarray) -> np.ndarray:
     # in two groups of four digits.
     body = np.empty((3, len(x)), dtype=np.uint64)
     quads = body[:2].view(np.uint32)
-    b = digits % 10 ** 9
-    last = b % 10
+    a = digits // 10 ** 9
+    b = digits - a * 10 ** 9
+    tens = b // 10
+    last = b - tens * 10
     body[2] = last + ord("0")
-    for row, group in enumerate([digits // 10 ** 9, b // 10]):
+    for row, group in enumerate([a, tens]):
         high = group // 10000
-        quads[row, 0::2] = _DIGIT_WORDS[high]
-        quads[row, 1::2] = _DIGIT_WORDS[group - high * 10000]
+        quads[row, 0::2] = _DIGIT_WORDS.take(high)
+        quads[row, 1::2] = _DIGIT_WORDS.take(group - high * 10000)
     # The significant digits run to the last digit other than "0": in words
     # 1 and 2, the highest nonzero byte of their xor with "0"s, whose bit
     # length a float64 holds exactly (no byte exceeds 9).
@@ -451,10 +508,10 @@ def _repr_field(x: np.ndarray, p: np.ndarray, digits: np.ndarray) -> np.ndarray:
     body |= np.take(_LAYOUTS[6:], layout, axis=1)
     # The text: the 24 bytes of words 0 to 3 from the prefix's first byte.
     prefix = 29 * np.signbit(x) + p + 11
-    bits = _PREFIX_BITS[prefix]
+    bits = _PREFIX_BITS.take(prefix)
     text = np.left_shift(body, bits, out=moved)
     shift = 64 - bits
-    text[0] |= _PREFIX_WORDS[prefix] >> shift
+    text[0] |= _PREFIX_WORDS.take(prefix) >> shift
     text[1:] |= body[:2] >> shift
     return text.T.view(f"S{_FLOAT_WIDTH}").ravel()
 
@@ -509,6 +566,22 @@ def csv_chunks(header: list[str], blocks: Iterable[list]) -> Iterator[bytes]:
         del fields, matrix  # not held while the next chunk is formatted
 
 
+_CELL_SEPARATOR = b",\n      "
+
+
+def _runs(rows: int, columns: list) -> list:
+    """The cells of a JSON chunk's columns, each run of adjacent one-cell
+    columns (shared values, or every column of a one-row chunk) joined once
+    into one cell repeated on every row.  Labels' texts are object arrays."""
+    items = []
+    for length, run in groupby(columns, len):
+        if length == 1:
+            items.append(repeat(_CELL_SEPARATOR.join([column[0] for column in run]), rows))
+        else:
+            items += [column.tolist() if isinstance(column, np.ndarray) else column for column in run]
+    return items
+
+
 def json_table_chunks(header: list[str], blocks: Iterable[list], **meta: Any) -> Iterator[bytes]:
     """The JSON table document of header, blocks and meta, as UTF-8 chunks of
     at most CHUNK_ROWS rows of one block; the bytes are those of render_json
@@ -517,16 +590,13 @@ def json_table_chunks(header: list[str], blocks: Iterable[list], **meta: Any) ->
     head, _, tail = doc.partition(b'"rows": []')
     empty = True
     for rows, columns in _chunks(blocks, _json_floats, _json_texts):
-        # Labels' texts are object arrays; a shared value's one is repeated.
-        cells = zip(*[column.tolist() * (rows // len(column)) if isinstance(column, np.ndarray)
-                      else column for column in columns])
-        text = list(map(b",\n      ".join, cells))
+        text = list(map(_CELL_SEPARATOR.join, zip(*_runs(rows, columns))))
         # The chunk's text is joined once: its ends go into its first and last rows.
         text[0] = (head + b'"rows": [\n' if empty else b",\n") + b"    [\n      " + text[0]
         text[-1] += b"\n    ]"
         yield b"\n    ],\n    [\n      ".join(text)
         empty = False
-        del columns, cells, text  # not held while the next chunk is formatted
+        del columns, text  # not held while the next chunk is formatted
     yield doc if empty else b"\n  ]" + tail
 
 

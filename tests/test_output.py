@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -192,30 +193,54 @@ def test_float_kernel_is_format_on_edge_values(sign):
     assert kernel_text(values) == list(map("{:.16e}".format, values))
 
 
-def test_float_kernel_takes_the_exact_path_without_a_wide_long_double(monkeypatch):
-    values = EDGE_FLOATS + [-value for value in EDGE_FLOATS] + [0.125, 3.0, -7e-3]
-    table = (["a", "b"], [[np.array(values), "x"], [np.arange(3 * CHUNK_ROWS, dtype=float), 2]])
-    expected = list(csv_chunks(*table))
-    monkeypatch.setattr(quasimode.output, "_EXACT_LONG_DOUBLE", False)
-    assert kernel_text(values) == list(map("{:.16e}".format, values))
-    assert list(csv_chunks(*table)) == expected
+def decade_bounds() -> np.ndarray:
+    """The least float64 at or above 10^q, at q + 12 for q in [-12, 18]."""
+    bounds = []
+    for q in range(-12, 19):
+        bound = float(Fraction(10) ** q)
+        bounds.append(bound if Fraction(bound) >= Fraction(10) ** q else math.nextafter(bound, math.inf))
+    return np.array(bounds)
+
+
+DECADE_BOUNDS = decade_bounds()
+
+
+def exact_decade(x: np.ndarray) -> np.ndarray:
+    """floor(log10 x) of each float64 in [1e-12, 1e18), by comparisons alone."""
+    return np.searchsorted(DECADE_BOUNDS, x, side="right") - 13
+
+
+FIVES = np.array([5 ** s for s in range(28)], dtype=np.uint64)
+
+
+def near_half(x: np.ndarray, s: np.ndarray, bits: int) -> np.ndarray:
+    """Whether Y = x 10^s lies within 2^-bits of a half-integer, decided in
+    integers, for positive normal floats x: with x = m 2^k, Y = m 5^s
+    2^(k + s), whose fraction is (m 5^s mod 2^j) / 2^j for j = -(k + s) > 0
+    and 0 otherwise.  j <= 62 in the kernels' range, and uint64 products are
+    exact modulo 2^64, so they give m 5^s mod 2^j."""
+    pattern = x.view(np.uint64)
+    m = (pattern & np.uint64(2 ** 52 - 1)) | np.uint64(2 ** 52)
+    j = 1075 - (pattern >> np.uint64(52)).astype(np.int64) - s
+    assert j.max(initial=0) <= 62
+    shift = np.maximum(j, 1).astype(np.uint64)
+    fraction = (m * FIVES[s]) & ((np.uint64(1) << shift) - np.uint64(1))
+    half = np.uint64(1) << (shift - np.uint64(1))
+    distance = np.where(fraction > half, fraction - half, half - fraction)
+    return (j > 0) & (distance <= (np.uint64(1) << shift) >> np.uint64(bits))
 
 
 def test_float_kernel_is_format_near_rounding_ties():
-    # A million cells with y = |x| 10^(16 - p) within 2^-6 of a half-integer,
-    # the window that once took the exact path, at every p the kernel keeps.
+    # A million cells with Y = |x| 10^(16 - p) within 2^-6 of a
+    # half-integer, chosen by exact integer arithmetic, at every p the
+    # kernel keeps.
     rng = np.random.default_rng(20261019)
-    decades = 10.0 ** np.arange(-11, 17)
     near, count = [], 0
     while count < 1_000_000:
-        p = rng.integers(-11, 17, 1 << 20)
-        x = rng.uniform(1.0, 10.0, 1 << 20) * decades[p + 11]
-        wide = x.astype(np.longdouble)
-        y = wide * quasimode.output._POW10[16 - p]
-        p += y >= 1e17
-        p -= y < 1e16
-        y = wide * quasimode.output._POW10[16 - p]
-        near.append(x[np.abs(y - np.rint(y)) >= 0.5 - 2.0 ** -6])
+        x = rng.uniform(1.0, 10.0, 1 << 20) * 10.0 ** rng.integers(-11, 17, 1 << 20)
+        p = exact_decade(x)
+        x, p = x[(p >= -11) & (p <= 16)], p[(p >= -11) & (p <= 16)]
+        near.append(x[near_half(x, 16 - p, 6)])
         count += len(near[-1])
     values = np.concatenate(near) * rng.choice([-1.0, 1.0], count)
     texts = list(map("{:.16e}".format, values.tolist()))
@@ -310,15 +335,141 @@ def test_repr_kernel_lays_out_each_notation():
     assert repr_kernel_text(values) == repr_text(values)
 
 
-@pytest.mark.parametrize("target,name,value", [
-    (quasimode.output, "_EXACT_LONG_DOUBLE", False),  # no 64-bit long double significand
-    (sys, "byteorder", "big"),  # the layout shifts bytes within little-endian words
-])
-def test_repr_kernel_takes_the_exact_path_where_it_cannot_run(target, name, value, monkeypatch):
+def test_repr_kernel_takes_the_exact_path_where_it_cannot_run(monkeypatch):
     values = repr_kernel_cases()[::50]
     expected = repr_text(values.tolist())
-    monkeypatch.setattr(target, name, value)
+    # the layout shifts bytes within little-endian words
+    monkeypatch.setattr(sys, "byteorder", "big")
     assert repr_kernel_text(values) == expected
+
+
+def assert_kernels_are_format_and_repr(values):
+    """Both kernels give the texts of "{:.16e}".format and float.__repr__ on
+    values and their negatives."""
+    values = np.concatenate([values, -values])
+    assert kernel_text(values) == list(map("{:.16e}".format, values.tolist()))
+    assert repr_kernel_text(values) == repr_text(values.tolist())
+
+
+def residues(rng, count, j, residue, width, inverse, k, p):
+    """Up to count floats x = m 2^k in the decade p, 2^52 <= m < 2^53, with
+    m = (residue + w) inverse modulo 2^j for drawn integers |w| <= width:
+    m takes random bits above bit j - 1 where j <= 52, and is kept only if
+    it lies in range where j > 52."""
+    draws = 1 << 16 if j > 52 else count
+    drawn = np.uint64(residue) + rng.integers(-width, width + 1, draws).astype(np.uint64)
+    m = (drawn * np.uint64(inverse)) & np.uint64(2 ** j - 1)
+    if j <= 52:
+        m |= rng.integers(2 ** 52, 2 ** 53, draws, dtype=np.uint64) >> np.uint64(j) << np.uint64(j)
+    x = np.ldexp(m.astype(float), k)
+    x = x[(m >= 2 ** 52) & (m < 2 ** 53)]
+    return x[exact_decade(x) == p][:count]
+
+
+def near_halves(rng, count):
+    """Up to count floats for each s in [0, 27], each binade of the decade
+    p = 16 - s and each window, whose Y = x 10^s lies within 2^-30, or
+    2^-50 (the front end's error), of a half-integer, exact halves included:
+    with x = m 2^k and j = -(k + s) > 0, Y's fraction is (m 5^s mod 2^j) / 2^j."""
+    found = []
+    for s in range(28):
+        low = math.floor(math.log2(10.0 ** (16 - s))) - 52
+        for j in range(max(-low - s - 4, 1), -low - s + 1):
+            for bits in (30, 50):
+                found.append(residues(rng, count, j, 2 ** (j - 1), 2 ** (j - bits) if j >= bits else 0,
+                                      pow(5 ** s, -1, 2 ** 64), -j - s, 16 - s))
+    return np.concatenate(found)
+
+
+def near_odd_fives(rng, count):
+    """Up to count floats for each s in [2, 27] whose Y = x 10^s lies within
+    2^-40 of an odd multiple of 5, and whose rounding interval Y +- h holds
+    both multiples of 10 beside it.  With x = m 2^k and j = -(k + s),
+    h = 5^s / 2^(j + 1), in (5, 10] for j = floor(log2 5^(s - 1)) - 1, and
+    Y = 10 n + 5 + 5 d / 2^j where m 5^(s - 1) = 2^j + d modulo 2^(j + 1)."""
+    found = []
+    for s in range(2, 28):
+        j = math.floor(math.log2(5 ** (s - 1))) - 1
+        found.append(residues(rng, count, j + 1, 2 ** j, 2 ** max(j - 40, 0) // 5,
+                              pow(5 ** (s - 1), -1, 2 ** 64), -j - s, 16 - s))
+    return np.concatenate(found)
+
+
+def test_kernels_below_1e_minus_6():
+    # s >= 23: 10^s is no float64, and its rest L enters every product.
+    rng = np.random.default_rng(20261020)
+    values = np.exp(rng.uniform(math.log(1e-11), math.log(1e-6), 200_000))
+    values = np.concatenate([values, near_halves(rng, 200)])
+    values = values[(values < 1e-6) & (values >= 1e-11)]
+    assert (16 - exact_decade(values) >= 23).all()
+    assert_kernels_are_format_and_repr(values)
+
+
+def test_kernels_within_2_to_the_minus_30_of_a_half_integer():
+    values = near_halves(np.random.default_rng(20261021), 200)
+    s = 16 - exact_decade(values)
+    assert set(s.tolist()) == set(range(1, 28))  # at s = 0, Y = |x| >= 10^16 is an integer
+    assert near_half(values, s, 30).all()
+    # and by Python's exact rationals
+    assert all(abs(y - math.floor(y) - Fraction(1, 2)) <= Fraction(1, 2 ** 30)
+               for y in (Fraction(x) * 10 ** s for x, s in zip(values.tolist(), s.tolist())))
+    assert_kernels_are_format_and_repr(values)
+
+
+def test_repr_kernel_halfway_between_two_multiples_of_10_inside_the_interval():
+    values = near_odd_fives(np.random.default_rng(20261024), 200)
+    s = 16 - exact_decade(values)
+    assert set(s.tolist()) == set(range(2, 28))
+    for x, scale in zip(values.tolist(), s.tolist()):
+        y = Fraction(x) * 10 ** scale
+        assert abs(y % 10 - 5) <= Fraction(1, 2 ** 40)
+        assert Fraction(math.ulp(x)) / 2 * 10 ** scale > 5
+    assert_kernels_are_format_and_repr(values)
+
+
+def test_kernels_where_the_product_lands_on_a_power_of_ten():
+    # Y within a few units of 10^16 or 10^17, where P = fl(|x| H) is that
+    # power and e takes either sign, at the decimal exponent p and at its
+    # neighbours, the exponents np.log10 may give before the front end
+    # corrects it.
+    values = np.array(powers_of_ten_and_neighbours(64))
+    values = values[(values >= 1e-11) & (values < 1e17)]
+    seen = set()
+    for x, p in zip(values.tolist(), exact_decade(values).tolist()):
+        for s in range(max(15 - p, 0), min(17 - p, 27) + 1):
+            big = x * float(10 ** s)
+            if big in (1e16, 1e17):
+                seen.add((big, Fraction(x) * 10 ** s > big))
+    assert seen == {(1e16, False), (1e16, True), (1e17, False), (1e17, True)}
+    assert_kernels_are_format_and_repr(values)
+
+
+@pytest.mark.parametrize("off", [-1.0, 1.0])
+def test_kernels_correct_a_decimal_exponent_off_by_one(off, monkeypatch):
+    """Every cell whose np.log10 misses floor(log10 |x|) by one takes one
+    corrected step: here np.log10 misses it for every cell."""
+    rng = np.random.default_rng(20261022)
+    values = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-11), math.log(1e17), 20_000)),
+        np.array(powers_of_ten_and_neighbours(8)), near_halves(rng, 4),
+    ])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + off)
+    assert_kernels_are_format_and_repr(values)
+
+
+def test_kernels_exact_path_shares_on_uniform_data():
+    """At most 0.01% of a million cells uniform on [0.01, 3] take either
+    kernel's exact path (none do): a kernel whose front end fell back to
+    per-cell formatting would take it for all."""
+    values = np.random.default_rng(20261023).uniform(0.01, 3.0, 1_000_000)
+    csv = json_ = 0
+    for start in range(0, len(values), 1 << 16):
+        part = values[start:start + (1 << 16)]
+        csv += np.count_nonzero(~quasimode.output._decimal(part)[1])
+        json_ += len(quasimode.output._shortest_digits(part)[2])
+    assert csv <= 1e-4 * len(values)
+    assert json_ <= 1e-4 * len(values)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -432,6 +583,25 @@ def test_labels_values_are_encoded_once_per_block(chunks, encoder, monkeypatch):
     else:
         doc = {"schema_version": 1, "columns": header, "rows": rows}
         assert text == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("layout", ["SSFF", "FSSF", "FFSS", "SLS", "SSFSLSS", "SSS"])
+@pytest.mark.parametrize("count", [1, 3, CHUNK_ROWS + 1])
+def test_json_runs_of_shared_cells_are_the_bytes_of_json_dumps(layout, count):
+    """Adjacent shared values are joined once per chunk, as is every cell of
+    a one-row chunk (the last chunk of CHUNK_ROWS + 1 rows, or every chunk
+    of one row): runs at the start, middle and end of a row, and a Labels
+    column between two runs."""
+    shared = iter([0.1, "é\n\"", 7, -0.0, math.nan, 1e300, "x", -3, math.inf, 2.5e-7])
+    rng = np.random.default_rng(count)
+    make = {"S": lambda: next(shared), "F": lambda: rng.uniform(-3.0, 3.0, count),
+            "L": lambda: labels(["plus", "minus"] * count)[:count]}
+    block = [make[kind]() for kind in layout]
+    if set(layout) == {"S"}:
+        block.append(np.arange(count, dtype=float))
+    header = [f"c{i}" for i in range(len(block))]
+    doc = {"schema_version": 1, "columns": header, "rows": rows_of([block])}
+    assert render_json_table(header, [block]) == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 @given(table=tables(), meta=st.dictionaries(st.sampled_from(["quantity", "units"]), st.text()))
