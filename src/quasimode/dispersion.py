@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import (
-    _any, _finite_array, _nonnegative, _positive, _reduced_wavenumber, _require,
+    _any, _nonnegative, _positive, _reduced_wavenumber, _require,
     polarization_weight, validate_xi,
 )
 
@@ -86,8 +86,7 @@ def omega_of_k_array(x: np.ndarray, xi: float) -> np.ndarray:
     """omega_of_k at every element of x; a DomainError names the first
     element failing the earliest check."""
     q = polarization_weight(xi)
-    _finite_array(x, "reduced wavenumber")
-    _require(x, x >= 0.0, "reduced wavenumber must be nonnegative, got {}")
+    _nonnegative(x, "reduced wavenumber")
     zero = x == 0.0
     if q > 0.0:
         _require(x, ~zero, "dispersion is singular at k=0 for xi > 0")
@@ -248,8 +247,7 @@ def k_branches_array(y: np.ndarray, xi: float) -> tuple[np.ndarray, np.ndarray]:
     """k_branches at every element of y: the complex wavenumbers, shape
     (2, n) with x_plus in row 0, and the regime codes, which index REGIMES.
     A DomainError names the first element failing the earliest check."""
-    _finite_array(y, "reduced frequency")
-    _require(y, y >= 0.0, "reduced frequency must be nonnegative, got {}")
+    _nonnegative(y, "reduced frequency")
     re, im, traveling, damped = _branch_squares(y, xi)
     x = _real_root(re, im)
     if _any(damped):
@@ -276,7 +274,5 @@ def omega_physical_array(k: np.ndarray, omega_p: float, xi: float, c: float = 1.
     _nonnegative(omega_p, "plasma frequency")
     if omega_p == 0.0:
         validate_xi(xi)
-        _finite_array(k, "wavenumber")
-        _require(k, k >= 0.0, "wavenumber must be nonnegative, got {}")
-        return c * k
+        return c * _nonnegative(k, "wavenumber")
     return omega_p * omega_of_k_array(_reduced_wavenumber(k, omega_p, c), xi)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dispersion import critical_points
 from .output import Labels, render_csv, write_bytes
-from .spectrum import Momentum, zero_point_minimum
+from .spectrum import Momentum, energy_levels_array, zero_point_minimum
 from .tables import TABLE, SweepSpec, sweep_columns
 
 FIGURE_XI = (0.0, 0.2, 0.5, 1.0)
@@ -83,10 +83,10 @@ def _energy_table() -> tuple[list[str], list[list]]:
     omega = np.tile(_W_GRID, len(_P_GRID))
     blocks = []
     for xi in FIGURE_XI:
-        specs = (SweepSpec("spectrum", (xi,), _W_GRID, units="atomic", omega_p=1.0,
-                           momentum=Momentum(p_major=p_major)) for p_major in _P_GRID)
+        ground = (energy_levels_array(xi, _W_GRID, 1.0, Momentum(p_major=p_major), (0,))[3]
+                  for p_major in _P_GRID)
         omega_min, e_star = zero_point_minimum(xi, 1.0)
-        energy = [*(sweep_columns(spec)[1][0][-1] for spec in specs), [e_star]]
+        energy = [*(levels.ravel() for levels in ground), [e_star]]
         blocks.append([xi, p, np.r_[omega, omega_min], np.concatenate(energy), marker])
     return ["xi", "p", "omega_over_wp", "energy_over_hwp", "marker"], blocks
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .params import _finite_array, _require, polarization_weight, validate_xi
+from .params import _finite, _require, polarization_weight, validate_xi
 
 
 def phase_velocity(x: float, xi: float) -> float:
@@ -36,7 +36,7 @@ def velocities_array(
     divides by the phase velocity, which is at least 1 wherever it is finite,
     so one finiteness check covers both."""
     q = polarization_weight(xi)
-    _finite_array(x, "reduced wavenumber")
+    _finite(x, "reduced wavenumber")
     _require(x, x > 0.0, f"{what} requires x > 0, got {{}}")
     x2 = x * x
     x4 = x2 * x2

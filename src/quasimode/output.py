@@ -536,9 +536,12 @@ def _json_texts(kind: type, values: tuple) -> np.ndarray:
 
 
 # The float cells per call from which the CSV kernel is cheaper than
-# "{:.16e}".format cell by cell: measured with _csv_floats on five float
-# columns on a 2-core x86-64 host, both take about 50 us at 40 to 50 cells.
-_FORMAT_KERNEL_MIN = 32
+# "{:.16e}".format cell by cell.  Measured with _csv_floats on five float
+# columns on a 2-core x86-64 host, best of 7 x 2,000 calls in four rounds:
+# the kernel takes a flat 44-49 us from 40 to 64 cells, and per-cell
+# formatting 33-35 us at 40 cells, 42-44 at 50, 46-48 at 56 and 49-52 at 60,
+# so the two cross at 54 to 56 cells.
+_FORMAT_KERNEL_MIN = 56
 
 
 def _csv_floats(values: list[np.ndarray]) -> list[np.ndarray]:

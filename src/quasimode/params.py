@@ -8,6 +8,15 @@ Two unit conventions are used throughout the package:
 * atomic units -- hbar = m = e = 1, with c = 1 ("natural" mode, default) or
   c = 137.035999 ("atomic" mode).  The spectrum, plate-force, and Fock-basis
   modules are dimensionful and use these.
+
+Inputs are checked by six helpers, each raising a DomainError that names the
+value it rejects: _require (the first element where a mask is false),
+_finite (NaN, inf, or an int too large for a float), _positive and
+_nonnegative (_finite by field name, then the sign), _require_squares (a
+square that overflows) and _require_omega (an omega that is not positive).
+Each takes a float, an int, a numpy scalar or an array, 0-d included.  An
+array is checked finite over all of its elements before its sign, and the
+first element that fails is named.
 """
 
 from __future__ import annotations
@@ -27,6 +36,12 @@ ATOMIC_C = 137.035999
 # The largest finite float.  Comparing with it rejects NaN, inf and the ints
 # beyond the float range, which math.isfinite raises OverflowError for.
 _FLOAT_MAX = sys.float_info.max
+# The largest int whose square is at most _FLOAT_MAX.  It lies strictly
+# between T = sqrt(_FLOAT_MAX), the largest float whose square rounds to a
+# finite float, and the next float, and numpy compares with it as with T.  So
+# |x| <= _SQUARE_MAX holds exactly where x*x does not overflow, for a float,
+# and where x*x <= _FLOAT_MAX, for an int: no product, no overflow to ignore.
+_SQUARE_MAX = math.isqrt(int(_FLOAT_MAX))
 
 
 def validate_xi(xi: float) -> float:
@@ -36,10 +51,13 @@ def validate_xi(xi: float) -> float:
     return float(xi)
 
 
-def _finite(value: float, name: str) -> float:
+def _finite(value, name: str):
     """Reject a NaN or infinite value, or an int too large for a float, by
-    name.  Sign checks alone let NaN through, because every comparison with
-    NaN is false."""
+    name; an array is rejected as its first element that is.  Sign checks
+    alone let NaN through, because every comparison with NaN is false."""
+    if isinstance(value, np.ndarray):
+        _require(value, np.isfinite(value), f"{name} must be finite, got {{}}")
+        return value
     if -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return value
     if isinstance(value, int):
@@ -49,14 +67,15 @@ def _finite(value: float, name: str) -> float:
 
 def _positive(value, name: str, field: str | None = None):
     """Reject a value that is not finite and positive: a NaN, infinite or
-    too large one by its field name (name unless given), any other by name.
-    An array is rejected as its first element that is."""
+    too large one by its field name (name unless given), any other by name."""
     try:
         if 0.0 < value <= _FLOAT_MAX:
             return value
     except ValueError:  # an array has no truth value unless of one element
         pass
-    return _rejected(value, value > 0.0, "positive", name, field)
+    _finite(value, field or name)
+    _require(value, value > 0.0, f"{name} must be positive, got {{}}")
+    return value
 
 
 def _nonnegative(value, name: str, field: str | None = None):
@@ -66,21 +85,9 @@ def _nonnegative(value, name: str, field: str | None = None):
             return value
     except ValueError:
         pass
-    return _rejected(value, value >= 0.0, "nonnegative", name, field)
-
-
-def _rejected(value, ok, what: str, name: str, field: str | None):
-    """The DomainError of a value that is not finite or where ok is false.
-    An array is checked for finiteness over all its elements before ok, so
-    the error names the first element that fails the earliest check; an
-    array that passes both is returned."""
-    if isinstance(value, np.ndarray):
-        _finite_array(value, field or name)
-        if ok.all():
-            return value
-        value = value[ok.argmin()].item()
     _finite(value, field or name)
-    raise DomainError(f"{name} must be {what}, got {value}")
+    _require(value, value >= 0.0, f"{name} must be nonnegative, got {{}}")
+    return value
 
 
 def _require(values, ok, message: str) -> None:
@@ -159,11 +166,6 @@ def _power(x, y: float):
         return math.inf
 
 
-def _finite_array(values: np.ndarray, name: str) -> None:
-    """_finite for every element of values."""
-    _require(values, np.isfinite(values), f"{name} must be finite, got {{}}")
-
-
 def _plasma_wavenumber(omega_p: float, c: float) -> float:
     """The plasma wavenumber k_p = omega_p / c of a positive omega_p and c;
     a k_p that overflows is a DomainError."""
@@ -183,20 +185,12 @@ def _reduced_wavenumber(k: np.ndarray, omega_p: float, c: float) -> np.ndarray:
     return k / k_p
 
 
-def _require_finite(obj: object, *names: str) -> None:
-    """Reject NaN and infinite fields by name."""
-    for name in names:
-        _finite(getattr(obj, name), name)
-
-
-def _require_squares(omega, omega_p: float) -> None:
-    """Reject an omega or omega_p whose square overflows; omega may be an
+def _require_squares(omega, omega_p) -> None:
+    """Reject an omega or omega_p whose square overflows; either may be an
     array, checked element by element."""
-    with np.errstate(over="ignore"):  # numpy would warn of the squares rejected here
-        fits = (omega * omega <= _FLOAT_MAX) & (omega_p * omega_p <= _FLOAT_MAX)
     _require(
         (omega, omega_p),
-        fits,
+        (abs(omega) <= _SQUARE_MAX) & (abs(omega_p) <= _SQUARE_MAX),
         "omega^2 or omega_p^2 overflows at {}, {}",
     )
 

@@ -27,6 +27,7 @@ from .dispersion import critical_points
 from .errors import DomainError
 from .params import (
     _FLOAT_MAX,
+    _SQUARE_MAX,
     ModelParams,
     _each,
     _finite,
@@ -35,7 +36,6 @@ from .params import (
     _power,
     _quad,
     _require,
-    _require_finite,
     _require_omega,
     _require_squares,
     polarization_weight,
@@ -51,7 +51,8 @@ class Momentum:
     p_perp: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "p_major", "p_minor", "p_perp")
+        for name in ("p_major", "p_minor", "p_perp"):
+            _finite(getattr(self, name), name)
         try:
             squared = self.squared
         except OverflowError:
@@ -203,7 +204,7 @@ def energy_levels_array(
     for level in n:
         _require_counts(level, N_charges)
     omega_p = _charges_omega_p(omega_p, N_charges)
-    if omega_p * omega_p > _FLOAT_MAX:  # read at every frequency, so checked once
+    if omega_p > _SQUARE_MAX:  # omega_p^2, read at every frequency, so checked once
         raise DomainError(f"omega_p^2 overflows at {omega_p}")
     theta, sigma_sq, Omega = _diagonalization(xi, omega, omega_p, p, mass, hbar)
     energy = [_energy(p, level, mass, hbar, sigma_sq, Omega) for level in n]

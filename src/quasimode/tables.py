@@ -20,7 +20,7 @@ from .optics import _branch_zetas, _finite_zeta, _reflectivities
 from .output import Labels
 from .params import (
     _FLOAT_MAX, _SLICE, ATOMIC_C, _each, _finite, _plasma_wavenumber, _positive,
-    _reduced_wavenumber, _require_finite, validate_xi,
+    _reduced_wavenumber, validate_xi,
 )
 from .plates import PlateGeometry, force_at_minimum, force_general, plasma_frequency_plates
 from .spectrum import Momentum, energy_levels_array
@@ -114,7 +114,8 @@ class SweepSpec:
         if not self.xi_list:
             raise SpecError("at least one xi value is required")
         check_xi(self.xi_list)
-        _require_finite(self, "omega_p", "mass", "hbar", "d", "area", "charge")
+        for name in ("omega_p", "mass", "hbar", "d", "area", "charge"):
+            _finite(getattr(self, name), name)
         if not 0.0 < self.resolved_c() < math.inf:
             raise DomainError(f"speed of light must be positive and finite, got {self.c}")
         grid = finite_grid(self.grid)

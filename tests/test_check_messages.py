@@ -177,3 +177,15 @@ def test_plate_separation_messages(form, value, message):
 ])
 def test_plate_field_messages(kwargs, message):
     assert _message(lambda: PlateGeometry(**kwargs)) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ModelParams(0.5, np.array(-1.0)), "mode frequency must be nonnegative, got -1.0"),
+    (lambda: ModelParams(0.5, 1.0, np.array(-1.0)),
+     "plasma frequency must be nonnegative, got -1.0"),
+    (lambda: PlateGeometry(d=np.array(-1.0), A=1.0), "plate separation must be positive, got -1.0"),
+    (lambda: PlateGeometry(d=np.array(0.0), A=1.0), "plate separation must be positive, got 0.0"),
+], ids=["omega", "omega_p", "d-negative", "d-zero"])
+def test_zero_dimensional_arrays_raise_a_domain_error(call, message):
+    # These raised IndexError: a 0-d array has no element to index.
+    assert _message(call) == message
